@@ -8,5 +8,3 @@ cubical model of the corresponding relative homology.
 """
 
 __version__ = "0.1.0"
-
-SCHEMA_VERSION = 1

@@ -9,17 +9,22 @@ serialized as the strings "inf", "-inf" and "nan" because bare JSON has
 no spelling for them.
 
 A content-addressed cache (location overridable through the
-MORSEVANISH_CACHE environment variable) is keyed by (config hash,
-stage, parameters); stages that need critical points fetch them from
-the cache instead of searching again.  A cache entry that fails its own
-digest is treated as a miss and recomputed.
+MORSEVANISH_CACHE environment variable) is keyed by (package version,
+artifact schema, config hash, stage, parameters); stages that need
+critical points fetch them from the cache instead of searching again.
+A cache entry that fails its own digest is treated as a miss and
+recomputed.  Cache entries and artifacts are written to a temporary
+file and renamed into place, so an interrupted write leaves the old
+file or none, never a partial one.
 
-Exit codes: 0 success, 1 configuration problem, 2 solver failure.
+Exit codes: 0 success, 1 configuration problem, 2 solver failure or a
+"fail" verdict from compare.
 """
 
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -91,19 +96,30 @@ def canonical_dumps(obj) -> str:
     return json.dumps(_canon(obj), sort_keys=True)
 
 
-def dump_json(path: Path, obj) -> Path:
+def _write_atomic(path: Path, text: str) -> Path:
+    """Write text to a sibling temp file, then rename it over path."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_canon(obj), sort_keys=True, indent=2) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def dump_json(path: Path, obj) -> Path:
+    return _write_atomic(
+        path, json.dumps(_canon(obj), sort_keys=True, indent=2) + "\n")
 
 
 def dump_csv(path: Path, header: Sequence[str], rows) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    return path
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return _write_atomic(path, buf.getvalue())
 
 
 def config_digest(cfg: dict) -> str:
@@ -292,7 +308,9 @@ class ArtifactCache:
         self.root = Path(root)
 
     def key(self, config_hash: str, stage: str, params: dict) -> str:
-        blob = canonical_dumps({"config": config_hash, "stage": stage,
+        # version and schema keep payloads written by other code unreachable
+        blob = canonical_dumps({"version": __version__, "schema": SCHEMA,
+                                "config": config_hash, "stage": stage,
                                 "params": params})
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -318,10 +336,9 @@ class ArtifactCache:
     def store(self, key: str, payload):
         payload = _canon(payload)
         digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
-        p = self._path(key)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps({"sha256": digest, "payload": payload},
-                                sort_keys=True))
+        _write_atomic(self._path(key),
+                      json.dumps({"sha256": digest, "payload": payload},
+                                 sort_keys=True))
         return payload
 
     def fetch(self, key: str, compute):
@@ -768,7 +785,7 @@ def cmd_compare(args) -> int:
     print(f"  euler: morse={erep.morse_sum} oracle={erep.oracle_euler} "
           f"{'ok' if erep.ok else 'MISMATCH'}")
     print(f"{report['verdict']} -> {path}")
-    return 0
+    return 0 if ok else 2
 
 
 # ---------------------------------------------------- continuation stage

@@ -15,6 +15,8 @@ Evaluation comes in two flavours:
   points at once on numpy arrays.  Out-of-domain rows poison to nan/inf
   instead of raising, which is what the multi-start solvers want: a bad row
   is discarded, the rest of the batch keeps going.
+* ``eval_grid`` evaluates values on the tensor product of per-axis
+  coordinate vectors by broadcasting, with the same poisoning rules.
 
 Derivatives are exact (forward-mode, value/gradient/Hessian propagated
 together), not finite differences.
@@ -22,6 +24,7 @@ together), not finite differences.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -32,8 +35,8 @@ from .errors import DomainViolation, ExpressionParseError
 __all__ = [
     "Expression", "Const", "Var", "Sum", "Product", "IntPow", "FracPow",
     "Quotient", "const", "var", "rational_pow", "free_variables",
-    "evaluate", "differentiate", "eval_values", "eval_jet1", "eval_jet2",
-    "parse_expression", "as_fraction",
+    "evaluate", "differentiate", "eval_values", "eval_grid", "eval_jet1",
+    "eval_jet2", "parse_expression", "as_fraction",
 ]
 
 
@@ -384,8 +387,15 @@ def _eval_batch(expr: Expression, env: Mapping[str, object]):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+@functools.lru_cache(maxsize=256)
+def _free_names(expr: Expression) -> frozenset:
+    # nodes define no __eq__, so the cache is keyed by object identity; it
+    # holds the expression, so a cached id is never reused by another tree
+    return frozenset(free_variables(expr))
+
+
 def _check_names(expr, names):
-    missing = set(free_variables(expr)) - set(names)
+    missing = _free_names(expr).difference(names)
     if missing:
         raise KeyError(f"expression uses variables {sorted(missing)} "
                        f"not present in {list(names)}")
@@ -402,6 +412,30 @@ def eval_values(expr: Expression, points: np.ndarray, names: Sequence[str]) -> n
     if not isinstance(out, np.ndarray):
         out = np.full(m, float(out))
     return out
+
+
+def eval_grid(expr: Expression, axes: Sequence[np.ndarray],
+              names: Sequence[str]) -> np.ndarray:
+    """Values on the tensor grid of the 1-D ``axes``; nan where undefined.
+
+    Variable j enters as ``axes[j]`` shaped to broadcast along axis j, so
+    each node is computed once per combination of the variables below it:
+    ``u1^2*u2`` costs a slab over two axes, not the whole grid.  Every grid
+    entry goes through the same float operations as in ``eval_values`` on
+    the stacked grid points, so the two agree bit for bit.  The result has
+    shape ``tuple(len(a) for a in axes)`` and may be a read-only broadcast
+    view when the expression skips a variable.
+    """
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    if len(axes) != len(names):
+        raise ValueError(f"{len(axes)} axes for {len(names)} variable names")
+    _check_names(expr, names)
+    n = len(axes)
+    env = {name: a.reshape((1,) * j + (-1,) + (1,) * (n - j - 1))
+           for j, (name, a) in enumerate(zip(names, axes))}
+    with np.errstate(all="ignore"):
+        out = _eval_batch(expr, env)
+    return np.broadcast_to(out, tuple(a.size for a in axes))
 
 
 def eval_jet1(expr: Expression, points: np.ndarray, names: Sequence[str]):

@@ -91,11 +91,6 @@ class DomainModel:
                 return False
         return True
 
-    def clamp_to_box(self, X: np.ndarray) -> np.ndarray:
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        return np.clip(X, lo, hi)
-
     def clamp_to_interior(self, X: np.ndarray, rel_margin: float = 1e-9) -> np.ndarray:
         """Project a batch of points into the open domain, for solver iterates."""
         out = np.array(X, dtype=float, copy=True)

@@ -232,6 +232,39 @@ class TestCache:
         assert c.key("h", "crit", {"eps": 0.1}) != \
             c.key("h", "flow", {"eps": 0.1})
 
+    def test_version_and_schema_change_key(self, monkeypatch):
+        from morsevanish import cli
+        c = ArtifactCache("unused")
+        base = c.key("h", "crit", {"eps": 0.1})
+        monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+        bumped_version = c.key("h", "crit", {"eps": 0.1})
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "SCHEMA", cli.SCHEMA + 1)
+        bumped_schema = c.key("h", "crit", {"eps": 0.1})
+        assert len({base, bumped_version, bumped_schema}) == 3
+
+    def test_interrupted_store_keeps_the_old_entry(self, tmp_path,
+                                                   monkeypatch):
+        from morsevanish import cli
+        c = ArtifactCache(tmp_path / "c")
+        key = c.key("abc", "crit", {})
+        c.store(key, {"v": 1})
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            c.store(key, {"v": 2})
+        with pytest.raises(KeyboardInterrupt):
+            dump_json(tmp_path / "art.json", {"k": 1})
+        monkeypatch.undo()
+        assert c.load(key) == {"v": 1}
+        assert not (tmp_path / "art.json").exists()
+        leftovers = [f.name for f in tmp_path.rglob("*")
+                     if f.is_file() and f.suffix == ".tmp"]
+        assert leftovers == []
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MORSEVANISH_CACHE", str(tmp_path / "elsewhere"))
         assert cache_root(tmp_path / "runs") == tmp_path / "elsewhere"
@@ -329,6 +362,16 @@ class TestCommands:
         assert art["verdict"] == "pass"
         row = next(r for r in art["rows"] if r["degree"] == 1)
         assert row["morse"] == row["oracle"] == row["catalog"] == "Z^2"
+
+    def test_compare_fail_verdict_exits_two(self, tmp_path):
+        cfg = dict(Z3, catalog="z^2")  # Re z^3 has rank two, z^2 says one
+        path = write_cfg(tmp_path, cfg)
+        assert run(tmp_path, "compare", "--config", path) == 2
+        art = read_artifact(tmp_path, cfg, "compare")
+        assert art["verdict"] == "fail"
+        degree1 = next(r for r in art["rows"] if r["degree"] == 1)
+        assert degree1["morse"] == degree1["oracle"] == "Z^2"
+        assert degree1["catalog"] == "Z" and degree1["ok"] is False
 
     def test_compare_needs_some_problem(self, tmp_path, capsys):
         assert run(tmp_path, "compare") == 1

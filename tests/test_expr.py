@@ -11,8 +11,8 @@ import pytest
 
 from morsevanish.errors import DomainViolation, ExpressionParseError
 from morsevanish.expr import (
-    Const, FracPow, IntPow, Quotient, Sum, Var,
-    differentiate, eval_jet1, eval_jet2, eval_values, evaluate,
+    Const, FracPow, IntPow, Product, Quotient, Sum, Var,
+    differentiate, eval_grid, eval_jet1, eval_jet2, eval_values, evaluate,
     free_variables, parse_expression, rational_pow, to_infix, var,
 )
 
@@ -160,3 +160,97 @@ def test_operator_overloads_build_expected_nodes():
     assert isinstance(e.num.factors[1], IntPow)
     assert isinstance((x ** Fraction(3, 2)), FracPow)
     assert isinstance((x ** Fraction(4, 2)), IntPow)  # integral fractions collapse
+
+
+def random_tree(rng, names, depth):
+    """A seeded random expression over ``names`` using every node kind."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.3:
+            return Const(Fraction(int(rng.integers(-5, 6)),
+                                  int(rng.integers(1, 4))))
+        return Var(names[int(rng.integers(len(names)))])
+    kind = int(rng.integers(5))
+    sub = [random_tree(rng, names, depth - 1) for _ in range(3)]
+    if kind == 0:
+        return Sum(sub[:int(rng.integers(1, 4))])
+    if kind == 1:
+        return Product(sub[:int(rng.integers(1, 4))])
+    if kind == 2:
+        return IntPow(sub[0], int(rng.integers(-3, 4)))
+    if kind == 3:
+        # odd over even is never integral, as FracPow requires
+        return FracPow(sub[0], Fraction(int(rng.choice([-3, -1, 1, 3])),
+                                        int(rng.choice([2, 4]))))
+    return Quotient(sub[0], sub[1])
+
+
+def grid_by_points(expr, axes, names):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return eval_values(expr, pts, names).reshape(mesh[0].shape)
+
+
+class TestEvalGrid:
+    # unequal lengths; the zeros make quotients and rational powers blow up
+    AXES = [np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 0.5, 3),
+            np.array([-1.0, 0.0, 0.25, 3.0])]
+    NAMES = ["u1", "u2", "u3"]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_trees_match_stacked_points_bitwise(self, seed):
+        expr = random_tree(np.random.default_rng(seed), self.NAMES, 4)
+        try:
+            want = grid_by_points(expr, self.AXES, self.NAMES)
+        except ZeroDivisionError:
+            # a constant subtree divides by zero in plain float arithmetic;
+            # the grid path must fail the same way
+            with pytest.raises(ZeroDivisionError):
+                eval_grid(expr, self.AXES, self.NAMES)
+            return
+        got = eval_grid(expr, self.AXES, self.NAMES)
+        assert got.shape == (5, 3, 4)
+        assert np.array_equal(got, want, equal_nan=True), to_infix(expr)
+
+    @pytest.mark.parametrize("text", [
+        "pow(u1^2 + u3, -3/2) / (u1 - u2^-2)",   # FracPow, Quotient, u^-k
+        "7/3",                                     # constant
+        "u1^-1 * u3 + pow(u3, 1/2)",               # skips u2
+        "u2",
+    ])
+    def test_listed_shapes_match_stacked_points(self, text):
+        expr = parse_expression(text)
+        got = eval_grid(expr, self.AXES, self.NAMES)
+        want = grid_by_points(expr, self.AXES, self.NAMES)
+        assert got.shape == (5, 3, 4)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_random_trees_cover_every_node_kind(self):
+        kinds = set()
+
+        def walk(e):
+            kinds.add(type(e).__name__ if not isinstance(e, IntPow)
+                      else ("NegPow" if e.exponent < 0 else "IntPow"))
+            for c in getattr(e, "terms", ()) + getattr(e, "factors", ()):
+                walk(c)
+            for attr in ("base", "num", "den"):
+                if hasattr(e, attr):
+                    walk(getattr(e, attr))
+
+        for seed in range(40):
+            walk(random_tree(np.random.default_rng(seed), self.NAMES, 4))
+        assert kinds >= {"Const", "Var", "Sum", "Product", "IntPow",
+                         "NegPow", "FracPow", "Quotient"}
+
+    def test_unknown_variable_rejected_every_call(self):
+        expr = parse_expression("u1 + w")
+        for _ in range(2):
+            with pytest.raises(KeyError, match="w"):
+                eval_grid(expr, self.AXES, self.NAMES)
+            with pytest.raises(KeyError, match="w"):
+                eval_values(expr, np.zeros((2, 3)), self.NAMES)
+        assert eval_values(expr, np.ones((2, 2)), ["u1", "w"]).tolist() \
+            == [2.0, 2.0]
+
+    def test_axis_count_must_match_names(self):
+        with pytest.raises(ValueError, match="2 axes for 3"):
+            eval_grid(parse_expression("u1"), self.AXES[:2], self.NAMES)

@@ -17,17 +17,21 @@ said otherwise:
   full R x R grid closes to 16/24/9 cells for R = 3.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from morsevanish import oracle
 from morsevanish.critical import find_critical_points
 from morsevanish.errors import (ConfigError, ResolutionTooCoarse,
                                 UnknownEntry)
+from morsevanish.expr import eval_values, parse_expression
 from morsevanish.homology import HomologyResult, window_complex, homology
-from morsevanish.oracle import (CubicalPair, _closed_counts, _khalimsky,
-                                _grow_box, _hand_problem, _relative_data,
+from morsevanish.oracle import (CubicalPair, _axis_centers, _closed_counts,
+                                _dilate, _khalimsky, _grow_box,
+                                _hand_problem, _relative_data, _top_masks,
                                 build_pair, catalog_lookup, catalog_names,
                                 euler_check, pair_euler_characteristic,
                                 sublevel_pair_homology)
@@ -55,7 +59,65 @@ def dense_boundaries(total, sub):
     return out
 
 
+def closed_counts_reference(top):
+    """One dilated copy per spanning pattern, each dilated on its own."""
+    n = top.ndim
+    counts = [0] * (n + 1)
+    for spans in itertools.product((False, True), repeat=n):
+        arr = top
+        for j in range(n):
+            if not spans[j]:
+                arr = _dilate(arr, j)
+        counts[sum(spans)] += int(arr.sum())
+    return counts
+
+
+def khalimsky_reference(top):
+    n = top.ndim
+    kh = np.zeros(tuple(2 * r + 1 for r in top.shape), dtype=bool)
+    for spans in itertools.product((False, True), repeat=n):
+        arr = top
+        idx = []
+        for j in range(n):
+            if spans[j]:
+                idx.append(slice(1, None, 2))
+            else:
+                arr = _dilate(arr, j)
+                idx.append(slice(0, None, 2))
+        kh[tuple(idx)] = arr
+    return kh
+
+
 class TestCellMachinery:
+    @pytest.mark.parametrize("shape", [(7,), (5, 4), (4, 3, 5), (3, 4, 2, 3),
+                                       (1, 1, 1, 1)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dilation_tree_matches_per_pattern_loop(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        top = rng.random(shape) < (0.2, 0.5, 0.8)[seed]
+        counts = _closed_counts(top)
+        assert counts == closed_counts_reference(top)
+        assert all(type(c) is int for c in counts)  # JSON-serialisable
+        kh = _khalimsky(top)
+        assert kh.shape == tuple(2 * r + 1 for r in shape)
+        assert np.array_equal(kh, khalimsky_reference(top))
+
+    def test_chunked_masks_match_unchunked_points(self, monkeypatch):
+        fe = parse_expression("x^2 + y*z - pow(1 + x^2, -1/2)/z")
+        names = ("x", "y", "z")
+        box = ((-2.0, 2.0), (-1.0, 1.5), (-1.0, 1.0))
+        res = (7, 3, 4)
+        axes = _axis_centers(box, res)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        vals = eval_values(fe, pts, names).reshape(res)
+        # 30 // (3 * 4) = 2 rows per chunk, and 7 rows leave a short tail
+        monkeypatch.setattr(oracle, "_CHUNK", 30)
+        total, sub = _top_masks(fe, names, box, res, 0.5, 1.0)
+        assert np.array_equal(total, vals <= 1.0)
+        assert np.array_equal(sub, vals <= -0.5)
+        assert sub.any() and (total & ~sub).any() and not total.all()
+
     def test_single_cell_closure_counts(self):
         one = np.ones((1, 1, 1), dtype=bool)
         assert _closed_counts(one) == [8, 12, 6, 1]
@@ -198,7 +260,7 @@ class TestEulerRoute:
     def test_flagship_chi(self):
         e = catalog_lookup("x_plus_x2y")
         chi = pair_euler_characteristic(e.problem(), e.eps, resolution=16)
-        assert chi == 1
+        assert chi == 1 and type(chi) is int
 
     def test_planar_chi_matches_homology(self):
         e = catalog_lookup("z^4")
