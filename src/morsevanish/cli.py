@@ -44,11 +44,10 @@ from .critical import (CriticalPoint, find_critical_points, sweep_epsilon,
 from .errors import (ConfigError, ConfigParse, CorruptCache,
                      ExpressionParseError, MorsevanishError, UnknownEntry)
 from .expr import parse_expression
-from .flow import ContinuationSchedule, continuation_trajectories, \
-    count_boundary
-from .homology import (_format_group, assemble_complex,
-                       continuation_chain_map, euler_characteristic,
-                       homology, verify_d_squared, window_complex)
+from .flow import ContinuationSchedule, continuation_trajectories
+from .homology import (HomologyResult, _format_group, assemble_complex,
+                       boundary_counts, continuation_chain_map, homology,
+                       verify_d_squared, window_complex)
 from .metric import MetricSpec
 from .oracle import (catalog_lookup, euler_check, pair_euler_characteristic,
                      sublevel_pair_homology)
@@ -527,15 +526,10 @@ def cmd_flow(args) -> int:
         pts = _window_points(ctx, eps)
         sources = []
         traj = []
-        for i, p in enumerate(pts):
-            below = [j for j, q in enumerate(pts) if q.index < p.index]
-            if p.index == 0 or not any(
-                    pts[j].index == p.index - 1 for j in below):
-                continue
-            res = count_boundary(ctx.problem, eps, p,
-                                 [pts[j] for j in below], **_COUNT)
+        for i, below, res in boundary_counts(ctx.problem, eps, pts,
+                                             **_COUNT):
             sources.append({
-                "source": i, "index": p.index, "method": res.method,
+                "source": i, "index": pts[i].index, "method": res.method,
                 "counts": [[below[t], c]
                            for t, c in sorted(res.counts.items())],
                 "warnings": list(res.warnings),
@@ -605,6 +599,18 @@ def _complex_from_payload(problem_name: str, payload: dict):
         notes=tuple(payload["notes"]))
 
 
+def _checked_homology(ctx: RunContext, eps: float):
+    """The cached window complex, its passing d.d = 0 report, and its
+    homology."""
+    payload, _ = _complex_payload(ctx, eps)
+    cx = _complex_from_payload(payload["problem"], payload)
+    d2 = verify_d_squared(cx)
+    if not d2:
+        raise MorsevanishError(f"boundary square check failed: "
+                               f"{d2.describe()}")
+    return cx, d2, homology(cx)
+
+
 def cmd_complex(args) -> int:
     ctx = _context(args)
     eps = ctx.eps()
@@ -621,15 +627,9 @@ def cmd_complex(args) -> int:
 def cmd_homology(args) -> int:
     ctx = _context(args)
     eps = ctx.eps()
-    payload, _ = _complex_payload(ctx, eps)
-    cx = _complex_from_payload(payload["problem"], payload)
-    d2 = verify_d_squared(cx)
-    if not d2:
-        raise MorsevanishError(f"boundary square check failed: "
-                               f"{d2.describe()}")
-    h = homology(cx)
+    cx, d2, h = _checked_homology(ctx, eps)
     report = {"schema": SCHEMA, "command": "homology",
-              "problem": payload["problem"], "eps": eps,
+              "problem": cx.problem, "eps": eps,
               "groups": h.summary(), "euler": h.euler,
               "d_squared": d2.describe()}
     path = dump_json(ctx.stage_path("homology"), report)
@@ -680,11 +680,9 @@ def cmd_oracle(args) -> int:
     if payload["groups"] is None:
         print(f"euler = {payload['euler']} (cell count){cached} -> {path}")
     else:
-        groups = {int(k): (v["betti"], tuple(v["torsion"]))
-                  for k, v in payload["groups"].items()}
-        text = ", ".join(f"H_{k} = {_format_group(b, t)}"
-                         for k, (b, t) in sorted(groups.items()))
-        print(f"{text or 'trivial'}{cached} -> {path}")
+        h = HomologyResult({int(k): (v["betti"], tuple(v["torsion"]))
+                            for k, v in payload["groups"].items()})
+        print(f"{h.describe()}{cached} -> {path}")
     return 0
 
 
@@ -723,30 +721,19 @@ def cmd_compare(args) -> int:
         out = Path(args.out)
         ctx = RunContext(args, cfg, config_digest(cfg), entry.problem(),
                          None, out, ArtifactCache(cache_root(out)))
-    if args.eps is not None:
-        eps = float(args.eps)
-    elif "eps" in ctx.cfg:
-        eps = _number(ctx.cfg["eps"], "eps")
-    elif entry is not None:
+    if entry is not None and args.eps is None and "eps" not in ctx.cfg:
         eps = entry.eps
     else:
-        raise ConfigError('no eps given: pass --eps or put "eps" in '
-                          "the config")
+        eps = ctx.eps()
 
     n = len(ctx.problem.variables)
     oracle_payload, _ = _oracle_payload(ctx, eps)
     catalog_summary = entry.expected.summary() if entry else None
 
     if n <= 3:
-        cx_payload, _ = _complex_payload(ctx, eps)
-        cx = _complex_from_payload(cx_payload["problem"], cx_payload)
-        d2 = verify_d_squared(cx)
-        if not d2:
-            raise MorsevanishError(f"boundary square check failed: "
-                                   f"{d2.describe()}")
-        hm = homology(cx)
+        cx, _, hm = _checked_homology(ctx, eps)
         morse_summary = hm.summary()
-        morse_points = [p for grp in cx.generators for p in grp]
+        morse_points = cx.points()
     else:
         # no flowline counting in this dimension; the Euler count of the
         # window points still cross-checks the oracle
@@ -891,9 +878,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="runs",
                         help="artifact directory (default: runs)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="accepted for interface stability; stages "
-                             "run serially for determinism")
         return sp
 
     def with_eps(sp):

@@ -465,9 +465,8 @@ def sweep_epsilon(problem: ProblemSpec, eps_grid: Sequence[float],
     open_chain: Dict[int, ValueChain] = {}   # index into previous point list
     rows = []
     prev_pts: List[CriticalPoint] = []
-    prev_sets: List[np.ndarray] = []
 
-    for step, eps in enumerate(grid):
+    for eps in grid:
         extra = np.array([p.location for p in prev_pts]) if prev_pts else None
         cs = find_critical_points(problem, eps, n_starts=n_starts, seed=seed,
                                   extra_starts=extra, allow_empty=True)

@@ -341,9 +341,16 @@ class _Jet2:
                              p * (p - 1.0) * v ** (p - 2.0))
 
 
+# Constant subtrees are plain floats.  They divide and power in np.float64,
+# which poisons to inf/nan where Python floats raise, and come back as float
+# so that no numpy scalar meets a jet.
+
+
 def _recip_any(x):
     if isinstance(x, (_Jet1, _Jet2)):
         return x._recip()
+    if isinstance(x, float):
+        return float(1.0 / np.float64(x))
     return 1.0 / x
 
 
@@ -354,6 +361,8 @@ def _ipow_any(x, k: int):
         return x
     if isinstance(x, (_Jet1, _Jet2)):
         return x._ipow(k)
+    if isinstance(x, float):
+        return float(np.float64(x) ** k)
     return x ** k
 
 

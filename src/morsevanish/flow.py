@@ -747,6 +747,7 @@ class ContinuationResult:
     excursion_high: float
     excursion_low: float
     trajectories: Tuple[TrajectoryRecord, ...]
+    # no continuation path warns at present; chain_map_from_counts reads it
     warnings: Tuple[str, ...] = ()
 
 
@@ -775,13 +776,16 @@ def continuation_trajectories(problem: ProblemSpec,
     window target or at least passes near one before washing out; failing
     that at delta_floor raises DeltaFloor.  Counts at saddles come from
     side flips across the launch ladder, so an identity path reports the
-    identity matrix without needing exact center arrivals.
+    identity matrix without needing exact center arrivals.  Sources must
+    have index 0 or 1: an index-2 source raises ConfigError, because no
+    signed count over a two-dimensional unstable manifold is implemented.
     """
     if problem.domain.dimension > 3:
         raise ConfigError(
             "trajectory counting is limited to ambient dimension <= 3")
-    if any(p.index > 2 for p in sources):
-        raise ConfigError("continuation counting handles indices 0..2 only")
+    if any(p.index > 1 for p in sources):
+        raise ConfigError("continuation counting handles sources of index "
+                          "0 and 1 only")
     if not sources:
         return ContinuationResult({}, schedule.delta, True, 0,
                                   -math.inf, math.inf, ())
@@ -794,121 +798,54 @@ def continuation_trajectories(problem: ProblemSpec,
         tset = _TargetSet(targets)
         counts: Dict[Tuple[int, int], int] = {}
         recs: List[TrajectoryRecord] = []
-        warnings: List[str] = []
         hi_exc = -math.inf
         lo_exc = math.inf
         violated = False
 
         for si, p in enumerate(sources):
             k = p.index
-            if k <= 1:
-                pars = _family_parameters(k, r_launch, reach)
-                e_u = (p.frame[:, 0] if k >= 1
-                       else np.zeros(len(p.location)))
-                starts = p.location[None, :] + pars[:, None] * e_u[None, :]
-                rows = _flow_batch(field, starts, tset, budget, s_tail)
-                center = rows[len(pars) // 2]
-                hi_exc = max(hi_exc, max(r.f_max for r in rows))
-                lo_exc = min(lo_exc, min(r.f_min for r in rows))
-                if any(r.status == EXIT_ABOVE or r.f_max > w.b + w.sigma
-                       for r in rows):
+            pars = _family_parameters(k, r_launch, reach)
+            e_u = p.frame[:, 0] if k else np.zeros(len(p.location))
+            starts = p.location[None, :] + pars[:, None] * e_u[None, :]
+            rows = _flow_batch(field, starts, tset, budget, s_tail)
+            center = rows[len(pars) // 2]
+            hi_exc = max(hi_exc, max(r.f_max for r in rows))
+            lo_exc = min(lo_exc, min(r.f_min for r in rows))
+            if any(r.status == EXIT_ABOVE or r.f_max > w.b + w.sigma
+                   for r in rows):
+                violated = True
+                break
+
+            center_ok = (center.status == ARRIVED
+                         and targets[center.target].index == k)
+            if not center_ok:
+                came_near = any(
+                    math.isfinite(center.near_min[t])
+                    for t in range(len(targets))
+                    if targets[t].index == k)
+                if k == 0 or not came_near:
                     violated = True
                     break
 
-                center_ok = (center.status == ARRIVED
-                             and targets[center.target].index == k)
-                if not center_ok:
-                    came_near = any(
-                        math.isfinite(center.near_min[t])
-                        for t in range(len(targets))
-                        if targets[t].index == k)
-                    if k == 0 or not came_near:
-                        violated = True
-                        break
-
-                if k == 0:
-                    q = center.target
-                    counts[(si, q)] = counts.get((si, q), 0) + 1
-                else:
-                    for t in range(len(targets)):
-                        if targets[t].index != k:
-                            continue
-                        sides = [int(r.near_side[t]) for r in rows]
-                        for _, sgn in _flip_count(sides, cyclic=False):
-                            counts[(si, t)] = counts.get((si, t), 0) + sgn
-                recs.append(_make_record(center, field, p.location, si,
-                                         p.value, tset, sign=1))
+            if k == 0:
+                q = center.target
+                counts[(si, q)] = counts.get((si, q), 0) + 1
             else:
-                got = _disk_scan(field, p, tset, r_launch, reach, budget,
-                                 s_tail, warnings)
-                if got is None:
-                    violated = True
-                    break
-                hi, lo, disk_counts, center_rec = got
-                hi_exc = max(hi_exc, hi)
-                lo_exc = min(lo_exc, lo)
-                if hi > w.b + w.sigma:
-                    violated = True
-                    break
-                for t, c in disk_counts.items():
-                    counts[(si, t)] = counts.get((si, t), 0) + c
-                recs.append(center_rec)
+                for t in range(len(targets)):
+                    if targets[t].index != k:
+                        continue
+                    sides = [int(r.near_side[t]) for r in rows]
+                    for _, sgn in _flip_count(sides, cyclic=False):
+                        counts[(si, t)] = counts.get((si, t), 0) + sgn
+            recs.append(_make_record(center, field, p.location, si,
+                                     p.value, tset, sign=1))
 
         if not violated:
             return ContinuationResult(counts, delta, True, halvings,
-                                      hi_exc, lo_exc, tuple(recs),
-                                      tuple(warnings))
+                                      hi_exc, lo_exc, tuple(recs))
         delta *= 0.5
         halvings += 1
         if delta < delta_floor:
             raise DeltaFloor(
                 f"confinement still violated at delta={delta * 2:.3g}; the "
                 f"parameter path likely leaves the window")
-
-
-def _disk_scan(field: _Field, p: CriticalPoint, tset: _TargetSet,
-               r_launch: float, reach: float, budget: int, s_tail: float,
-               warnings: List[str]):
-    """Arrival counting over a polar grid in a 2-dimensional unstable
-    manifold.  Orientation signs are estimated from the finite-difference
-    frame of landing coordinates around each arrival, a best-effort count
-    that is flagged in the warnings."""
-    e1, e2 = p.frame[:, 0], p.frame[:, 1]
-    radii = np.geomspace(r_launch, reach, 6)
-    nphi = 24
-    phis = np.linspace(0, 2 * math.pi, nphi, endpoint=False)
-    starts = [p.location]
-    for r in radii:
-        for ph in phis:
-            starts.append(p.location
-                          + r * (math.cos(ph) * e1 + math.sin(ph) * e2))
-    rows = _flow_batch(field, np.array(starts), tset, budget, s_tail)
-    hi = max(r.f_max for r in rows)
-    lo = min(r.f_min for r in rows)
-    center = rows[0]
-    if not (center.status == ARRIVED and tset.k[center.target] == p.index):
-        return None
-    counts: Dict[int, int] = {center.target: 1}
-    grid = {(i, j): rows[1 + i * nphi + j]
-            for i in range(len(radii)) for j in range(nphi)}
-    for (i, j), row in grid.items():
-        if row.status != ARRIVED:
-            continue
-        t = row.target
-        if tset.k[t] != p.index or t == center.target:
-            continue
-
-        def landing(ii, jj):
-            rr = grid[(max(0, min(len(radii) - 1, ii)), jj % nphi)]
-            c = tset.Vinv[t] @ (rr.x_end - tset.Q[t])
-            return c[:2]
-
-        d_r = landing(i + 1, j) - landing(i - 1, j)
-        d_p = landing(i, j + 1) - landing(i, j - 1)
-        det = d_r[0] * d_p[1] - d_r[1] * d_p[0]
-        counts[t] = counts.get(t, 0) + (1 if det > 0 else -1)
-    warnings.append(f"disk scan used for the index-2 source at "
-                    f"{np.round(p.location, 6).tolist()}: best-effort signs")
-    crec = _make_record(center, field, p.location, None, p.value, tset,
-                        sign=1)
-    return hi, lo, counts, crec

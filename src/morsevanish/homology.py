@@ -25,16 +25,18 @@ import numpy as np
 from .critical import CriticalPoint, find_critical_points, sweep_epsilon
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
-from .flow import (ContinuationResult, ContinuationSchedule,
-                   continuation_trajectories, count_boundary)
+from .flow import (BoundaryCountResult, ContinuationResult,
+                   ContinuationSchedule, continuation_trajectories,
+                   count_boundary)
 from .intlinalg import (ChainComplexData, Matrix, SNF, homology_of_complex,
-                        kernel_basis, smith_normal_form)
+                        kernel_basis, matmul, smith_normal_form)
 from .problem import ProblemSpec
 
 __all__ = [
     "MorseComplex", "HomologyResult", "ChainMap", "InducedMap", "D2Report",
     "DualityReport", "StabilizedHomology",
-    "assemble_complex", "window_complex", "verify_d_squared", "homology",
+    "assemble_complex", "boundary_counts", "window_complex",
+    "verify_d_squared", "homology",
     "cohomology", "chain_map", "chain_map_from_counts",
     "continuation_chain_map", "induced_map", "induced_maps_agree", "compose",
     "identity_chain_map", "stabilized_homology", "dual_problem",
@@ -44,18 +46,6 @@ __all__ = [
 
 def _zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def _product(A: Matrix, B: Matrix, rows: int, mid: int, cols: int) -> Matrix:
-    """A @ B with the shape stated explicitly, so rank-zero degrees still
-    come back as correctly shaped zero matrices."""
-    out = _zeros(rows, cols)
-    if rows and mid and cols:
-        for i in range(rows):
-            Ai = A[i]
-            for j in range(cols):
-                out[i][j] = sum(Ai[t] * B[t][j] for t in range(mid))
-    return out
 
 
 def _canonical_key(p: CriticalPoint):
@@ -195,6 +185,23 @@ def assemble_complex(points: Sequence[CriticalPoint],
                         tuple(mats), tuple(notes))
 
 
+def boundary_counts(problem: ProblemSpec, eps: float,
+                    points: Sequence[CriticalPoint], **count
+                    ) -> Iterable[Tuple[int, List[int], BoundaryCountResult]]:
+    """``count_boundary`` for each point of positive index k that has an
+    index-(k-1) point among ``points``, with every lower-index point as a
+    target (the deeper ones absorb).  Yields (source position, target
+    positions, result) one source at a time."""
+    pts = list(points)
+    for i, p in enumerate(pts):
+        below = [j for j, q in enumerate(pts) if q.index < p.index]
+        if p.index == 0 or not any(
+                pts[j].index == p.index - 1 for j in below):
+            continue
+        yield i, below, count_boundary(problem, eps, p,
+                                       [pts[j] for j in below], **count)
+
+
 def window_complex(problem: ProblemSpec, eps: float,
                    n_starts: Optional[int] = None, seed: int = 0,
                    r_launch: float = 1e-4, n_scan: int = 72,
@@ -227,21 +234,16 @@ def window_complex(problem: ProblemSpec, eps: float,
 
     counts: Dict[Tuple[int, int], int] = {}
     notes: List[str] = []
-    for i, p in enumerate(pts):
-        below = [j for j, q in enumerate(pts) if q.index < p.index]
-        if p.index == 0 or not any(
-                pts[j].index == p.index - 1 for j in below):
-            continue
-        res = count_boundary(problem, eps, p, [pts[j] for j in below],
-                             r_launch=r_launch, n_scan=n_scan,
-                             budget=budget, s_tail=s_tail, refine=refine)
+    for i, below, res in boundary_counts(
+            problem, eps, pts, r_launch=r_launch, n_scan=n_scan,
+            budget=budget, s_tail=s_tail, refine=refine):
         if res.warnings:
             msgs = [f"source {i}: {w}" for w in res.warnings]
             if strict:
                 raise MissingCount("; ".join(msgs))
             notes.extend(msgs)
         for t, j in enumerate(below):
-            if pts[j].index == p.index - 1:
+            if pts[j].index == pts[i].index - 1:
                 counts[(i, j)] = res.counts[t]
     return assemble_complex(pts, counts, problem=problem.name, eps=eps,
                             window=(problem.window.a, problem.window.b),
@@ -282,8 +284,7 @@ def verify_d_squared(cx: MorseComplex) -> D2Report:
     every nonzero entry of the product."""
     wit = []
     for k in range(2, cx.top + 1):
-        P = _product(cx.boundary(k - 1), cx.boundary(k),
-                     cx.rank(k - 2), cx.rank(k - 1), cx.rank(k))
+        P = matmul(cx.boundary(k - 1), cx.boundary(k), cx.rank(k))
         for i, row in enumerate(P):
             for j, v in enumerate(row):
                 if v:
@@ -402,11 +403,8 @@ def _commutation_witnesses(source: MorseComplex, target: MorseComplex,
                            mats: Sequence[Matrix]):
     out = []
     for k in range(1, len(mats)):
-        lhs = _product(target.boundary(k), mats[k],
-                       target.rank(k - 1), target.rank(k), source.rank(k))
-        rhs = _product(mats[k - 1], source.boundary(k),
-                       target.rank(k - 1), source.rank(k - 1),
-                       source.rank(k))
+        lhs = matmul(target.boundary(k), mats[k], source.rank(k))
+        rhs = matmul(mats[k - 1], source.boundary(k), source.rank(k))
         for i in range(target.rank(k - 1)):
             for j in range(source.rank(k)):
                 v = lhs[i][j] - rhs[i][j]
@@ -500,9 +498,8 @@ def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
     D = max(inner.source.top, outer.target.top)
     mats = []
     for k in range(D + 1):
-        mats.append(_product(outer.degree(k), inner.degree(k),
-                             outer.target.rank(k), outer.source.rank(k),
-                             inner.source.rank(k)))
+        mats.append(matmul(outer.degree(k), inner.degree(k),
+                           inner.source.rank(k)))
     return chain_map(inner.source, outer.target, mats,
                      notes=inner.notes + outer.notes)
 
@@ -530,7 +527,7 @@ class _Presentation:
         self._span_snf: Optional[SNF] = None
 
     def coords(self, M: Matrix, cols: int) -> Matrix:
-        W = _product(self.snf.Tinv, M, self.n, self.n, cols)
+        W = matmul(self.snf.Tinv, M, cols)
         free = set(self.free)
         for r in range(self.n):
             if r not in free and any(W[r]):
@@ -591,8 +588,7 @@ def induced_map(cm: ChainMap) -> InducedMap:
     for k in range(D + 1):
         ps = _Presentation(cm.source, k)
         pt = _Presentation(cm.target, k)
-        img = _product(cm.degree(k), ps.K,
-                       cm.target.rank(k), cm.source.rank(k), ps.z)
+        img = matmul(cm.degree(k), ps.K, ps.z)
         Mk = pt.coords(img, ps.z)
         blocks.append(Mk)
 

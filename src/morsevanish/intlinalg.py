@@ -17,7 +17,7 @@ Everything here runs on arbitrary-precision Python ints.  Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SNF", "smith_normal_form", "kernel_basis", "matmul", "identity",
@@ -31,14 +31,15 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matmul(A: Matrix, B: Matrix) -> Matrix:
-    if not A or not B:
-        rows = len(A)
-        cols = len(B[0]) if B else 0
-        return [[0] * cols for _ in range(rows)]
-    n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k, "shape mismatch"
+def matmul(A: Matrix, B: Matrix, cols: Optional[int] = None) -> Matrix:
+    """A @ B.  ``cols`` is the result's column count, which a B with no
+    rows (a rank-zero middle degree) cannot carry."""
+    n, k = len(A), len(B)
+    m = (len(B[0]) if B else 0) if cols is None else cols
     out = [[0] * m for _ in range(n)]
+    if not (n and k and m):
+        return out
+    assert len(A[0]) == k, "shape mismatch"
     for i in range(n):
         Ai = A[i]
         for j in range(m):
@@ -346,9 +347,6 @@ def reduce_complex(dims: Dict[int, int],
     """
     degrees = sorted(dims)
     mats: Dict[int, _SparseBoundary] = {}
-    alive: Dict[int, set] = {k: set() for k in degrees}
-    for k in degrees:
-        alive[k] = set()
     # populate cell sets from dims via the boundary dicts plus isolated cells
     cells: Dict[int, set] = {k: set() for k in degrees}
     for k in degrees:

@@ -129,18 +129,14 @@ def apply_inverse_batch(spec: MetricSpec, tau: Expression, names: Sequence[str],
 def gradient_field(problem, eps: float, point: Sequence[float]) -> np.ndarray:
     """Gradient of f_eps at a point, taken in the problem's metric.
 
-    This is the certified single-point entry; flows use the batch path.
+    The metric is certified at the point first; the solve is the one
+    flows use, ``apply_inverse_batch``.
     """
     from .problem import perturbed_function
-    from .expr import eval_jet1 as _j1
 
     x = np.asarray(point, dtype=float)
-    fe = perturbed_function(problem, eps)
-    _, dfe = _j1(fe, x[None, :], problem.variables)
-    G = metric_at(problem.metric, problem.tau, problem.variables, x)
-    if problem.metric.kind == "euclidean":
-        return dfe[0]
-    if problem.metric.kind == "cone-euclidean":
-        tv = eval_values(problem.tau, x[None, :], problem.variables)[0]
-        return tv * dfe[0]
-    return np.linalg.solve(G, dfe[0])
+    names = problem.variables
+    _, dfe = eval_jet1(perturbed_function(problem, eps), x[None, :], names)
+    metric_at(problem.metric, problem.tau, names, x)
+    return apply_inverse_batch(problem.metric, problem.tau, names,
+                               x[None, :], dfe)[0]

@@ -12,14 +12,16 @@ import math
 import numpy as np
 import pytest
 
+import morsevanish.homology as homology_module
 from morsevanish.cli import (ArtifactCache, _canon, _complex_from_payload,
-                             _parse_grid, _point_from_record, _point_record,
-                             _thaw, cache_root, canonical_dumps,
-                             config_digest, dump_json, load_config, main,
-                             problem_from_config)
+                             _is_window, _parse_grid, _point_from_record,
+                             _point_record, _thaw, cache_root,
+                             canonical_dumps, config_digest, dump_json,
+                             load_config, main, problem_from_config)
 from morsevanish.critical import find_critical_points
 from morsevanish.errors import ConfigError, ConfigParse, CorruptCache
-from morsevanish.homology import homology, window_complex
+from morsevanish.flow import count_boundary
+from morsevanish.homology import assemble_complex, homology, window_complex
 
 
 @pytest.fixture(autouse=True)
@@ -31,6 +33,9 @@ DW = {"name": "double_well", "dimension": 1, "domain": "real_line",
       "f": "x^4 - x^2", "tau": "pow(1 + x^2, -1/2)", "eps": 0.05}
 Z3 = {"name": "z3", "dimension": 1, "eps": 0.1,
       "polynomial": {"terms": [{"monomial": [3], "re": 1, "im": 0}]}}
+# a maximum at the origin between two saddles: the circle-scan count
+SADDLE2 = {"name": "saddle2", "dimension": 2, "eps": 0.05,
+           "f": "x^4 - x^2 - y^2", "tau": "pow(1 + x^2 + y^2, -1/2)"}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -442,9 +447,44 @@ class TestCommands:
         assert art["failures"] == []
         assert art["source_homology"] == art["target_homology"]
 
-    def test_jobs_flag_accepted(self, tmp_path):
+    def test_jobs_flag_rejected(self, tmp_path):
         path = write_cfg(tmp_path, DW)
-        assert run(tmp_path, "crit", "--config", path, "--jobs", "4") == 0
+        with pytest.raises(SystemExit) as err:
+            run(tmp_path, "crit", "--config", path, "--jobs", "4")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("cfg", [Z3, SADDLE2], ids=["z3", "index2"])
+    def test_flow_counts_are_the_complex_boundaries(self, tmp_path,
+                                                    monkeypatch, cfg):
+        # count_boundary is deterministic; the memo only spares the
+        # complex stage from recounting what the flow stage counted
+        memo = {}
+
+        def once(problem, eps, source, targets, **kw):
+            key = (eps, source.location.tobytes(),
+                   tuple(t.location.tobytes() for t in targets),
+                   tuple(sorted(kw.items())))
+            if key not in memo:
+                memo[key] = count_boundary(problem, eps, source, targets,
+                                           **kw)
+            return memo[key]
+
+        monkeypatch.setattr(homology_module, "count_boundary", once)
+        path = write_cfg(tmp_path, cfg)
+        for stage in ("crit", "flow", "complex"):
+            assert run(tmp_path, stage, "--config", path) == 0
+        pts = [_point_from_record(r)
+               for r in read_artifact(tmp_path, cfg, "crit")["points"]
+               if _is_window(r)]
+        flow = read_artifact(tmp_path, cfg, "flow")
+        counts = {(s["source"], t): c for s in flow["sources"]
+                  for t, c in s["counts"]
+                  if pts[t].index == s["index"] - 1}
+        # assemble_complex raises MissingCount if flow.json left a pair out
+        cx = assemble_complex(pts, counts)
+        want = read_artifact(tmp_path, cfg, "complex")["boundaries"]
+        assert want and any(any(row) for M in want for row in M)
+        assert [cx.boundary(k) for k in range(1, cx.top + 1)] == want
 
     def test_report_manifest(self, tmp_path):
         path = write_cfg(tmp_path, DW)

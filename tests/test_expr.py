@@ -199,14 +199,7 @@ class TestEvalGrid:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_trees_match_stacked_points_bitwise(self, seed):
         expr = random_tree(np.random.default_rng(seed), self.NAMES, 4)
-        try:
-            want = grid_by_points(expr, self.AXES, self.NAMES)
-        except ZeroDivisionError:
-            # a constant subtree divides by zero in plain float arithmetic;
-            # the grid path must fail the same way
-            with pytest.raises(ZeroDivisionError):
-                eval_grid(expr, self.AXES, self.NAMES)
-            return
+        want = grid_by_points(expr, self.AXES, self.NAMES)
         got = eval_grid(expr, self.AXES, self.NAMES)
         assert got.shape == (5, 3, 4)
         assert np.array_equal(got, want, equal_nan=True), to_infix(expr)
@@ -216,6 +209,7 @@ class TestEvalGrid:
         "7/3",                                     # constant
         "u1^-1 * u3 + pow(u3, 1/2)",               # skips u2
         "u2",
+        "u1/0", "0^-1", "1/(1-1)", "u1*10^400",    # poisoned constants
     ])
     def test_listed_shapes_match_stacked_points(self, text):
         expr = parse_expression(text)
@@ -223,6 +217,19 @@ class TestEvalGrid:
         want = grid_by_points(expr, self.AXES, self.NAMES)
         assert got.shape == (5, 3, 4)
         assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("text", ["u1/0", "0^-1", "1/(1-1)",
+                                      "u1*10^400"])
+    def test_constant_blowups_poison_instead_of_raising(self, text):
+        expr = parse_expression(text)
+        pts = np.array([[2.0, 1.0, 1.0], [-1.0, 0.5, 3.0]])
+        vals = eval_values(expr, pts, self.NAMES)
+        v1, g1 = eval_jet1(expr, pts, self.NAMES)
+        assert np.all(np.isinf(vals)) and np.array_equal(v1, vals)
+        assert g1.shape == (2, 3)
+        if text != "u1*10^400":
+            with pytest.raises(DomainViolation):
+                evaluate(expr, {"u1": 2.0, "u2": 1.0, "u3": 1.0})
 
     def test_random_trees_cover_every_node_kind(self):
         kinds = set()

@@ -306,6 +306,15 @@ class TestCountBoundary:
 
 
 class TestContinuation:
+    def test_index2_source_is_refused(self):
+        hat = make_problem("hat", ("x", "y"), "x^4 - x^2 - y^2",
+                           "pow(1 + x^2 + y^2, -1/2)")
+        pts = find_critical_points(hat, 0.05).inside_window()
+        (peak,) = [p for p in pts if p.index == 2]
+        sched = ContinuationSchedule.eps_path(hat, 0.05, 0.025)
+        with pytest.raises(ConfigError, match="index 0 and 1"):
+            continuation_trajectories(hat, sched, [peak], pts)
+
     def test_z2_constant_family_is_identity(self):
         sources = find_critical_points(Z2, 0.4).inside_window()
         targets = find_critical_points(Z2, 0.1).inside_window()

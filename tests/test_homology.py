@@ -279,6 +279,19 @@ class TestChainMaps:
         assert "degree 0" in ind.failures[0]
         assert "Z^2" in ind.failures[0]
 
+    def test_rank_zero_degrees_keep_their_shapes(self):
+        circle = assemble_complex([cp(0, -0.5, 1.0), cp(1, 0.0, 0.0)],
+                                  {(1, 0): 0})
+        point = assemble_complex([cp(0, -0.5, 0.0)], {})
+        # degree 1 maps C_1 = Z into the zero module of the point
+        down = chain_map(circle, point, [[[1]], []])
+        ind = induced_map(down)
+        assert not ind.isomorphism
+        assert ind.failures[0].startswith("degree 1: groups differ")
+        # composing through the point's empty degree 1 still gives 1 x 1
+        up = chain_map(point, circle, [[[1]], [[]]])
+        assert compose(up, down).matrices == ([[1]], [[0]])
+
     def test_compose_requires_shared_middle(self):
         a = identity_chain_map(interval_complex())
         b = identity_chain_map(torsion_complex())

@@ -15,6 +15,11 @@ def assert_unimodular_pair(M, Minv):
     assert matmul(Minv, M) == identity(n)
 
 
+def test_matmul_through_an_empty_middle_keeps_its_columns():
+    # a 2 x 0 matrix has empty rows and a 0 x 3 one has none at all
+    assert matmul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
+
+
 def test_snf_two_by_two_fixture():
     # diag(2, 6) is already Smith; a shuffled version must come back to it
     A = [[2, 0], [0, 6]]
