@@ -46,8 +46,9 @@ from .errors import (ConfigError, ConfigParse, CorruptCache,
 from .expr import parse_expression
 from .flow import ContinuationSchedule, continuation_trajectories
 from .homology import (HomologyResult, _format_group, assemble_complex,
-                       boundary_counts, continuation_chain_map, homology,
-                       verify_d_squared, window_complex)
+                       boundary_counts, complex_from_counts,
+                       continuation_chain_map, homology,
+                       require_nondegenerate, verify_d_squared)
 from .metric import MetricSpec
 from .oracle import (catalog_lookup, euler_check, pair_euler_characteristic,
                      sublevel_pair_homology)
@@ -516,9 +517,7 @@ def cmd_sweep_theta(args) -> int:
 
 # ------------------------------------------------ flow and complex stages
 
-def cmd_flow(args) -> int:
-    ctx = _context(args)
-    eps = ctx.eps()
+def _flow_payload(ctx: RunContext, eps: float):
     params = {"eps": eps, "seed": ctx.seed, **_COUNT}
     key = ctx.cache.key(ctx.cfg_hash, "flow", params)
 
@@ -542,8 +541,13 @@ def cmd_flow(args) -> int:
                              rec.steps, rec.s_end])
         return {"problem": ctx.problem.name, "eps": eps, "seed": ctx.seed,
                 "sources": sources, "trajectories": traj}
+    return ctx.cache.fetch(key, compute)
 
-    payload, hit = ctx.cache.fetch(key, compute)
+
+def cmd_flow(args) -> int:
+    ctx = _context(args)
+    eps = ctx.eps()
+    payload, hit = _flow_payload(ctx, eps)
     report = {"schema": SCHEMA, "command": "flow",
               **{k: v for k, v in payload.items() if k != "trajectories"}}
     path = dump_json(ctx.stage_path("flow"), report)
@@ -560,13 +564,18 @@ def cmd_flow(args) -> int:
 
 
 def _complex_payload(ctx: RunContext, eps: float):
+    """The window complex, assembled from the flow stage's counts."""
     params = {"eps": eps, "seed": ctx.seed, **_COUNT}
     key = ctx.cache.key(ctx.cfg_hash, "complex", params)
 
     def compute():
         pts = _window_points(ctx, eps)
-        cx = window_complex(ctx.problem, eps, seed=ctx.seed, points=pts,
-                            **_COUNT)
+        require_nondegenerate(pts, eps)
+        flow, _ = _flow_payload(ctx, eps)
+        cx = complex_from_counts(
+            ctx.problem, eps, pts,
+            ((s["source"], s["counts"], s["warnings"])
+             for s in flow["sources"]))
         return {
             "problem": cx.problem, "eps": eps, "seed": ctx.seed,
             "window": [cx.window[0], cx.window[1]],

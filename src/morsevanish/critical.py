@@ -18,8 +18,7 @@ is pinned down.  Downstream stages lean on three facts established here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

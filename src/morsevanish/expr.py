@@ -10,7 +10,8 @@ Evaluation comes in two flavours:
 
 * ``evaluate`` / ``differentiate`` take a single point, check domain
   constraints, and raise :class:`DomainViolation` on a rational power of a
-  non-positive base or a vanishing quotient denominator.
+  non-positive base, a vanishing quotient denominator, or a value too large
+  for a float.
 * ``eval_values`` / ``eval_jet1`` / ``eval_jet2`` evaluate a whole batch of
   points at once on numpy arrays.  Out-of-domain rows poison to nan/inf
   instead of raising, which is what the multi-start solvers want: a bad row
@@ -210,38 +211,49 @@ def evaluate(expr: Expression, point: Mapping[str, float]):
 
     Arithmetic follows the scalar types supplied: float coordinates give
     floats, Fraction coordinates stay exact through the polynomial nodes
-    (rational powers always return floats).
+    (rational powers always return floats).  A node whose value does not
+    fit in a float (``u1*10^400``, ``u1^400`` at 1e3) raises
+    DomainViolation naming that node.
     """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return point[expr.name]
-        except KeyError:
-            raise KeyError(f"no value supplied for variable {expr.name!r}") from None
-    if isinstance(expr, Sum):
-        return sum(evaluate(t, point) for t in expr.terms)
-    if isinstance(expr, Product):
-        acc = 1
-        for f in expr.factors:
-            acc *= evaluate(f, point)
-        return acc
-    if isinstance(expr, IntPow):
-        b = evaluate(expr.base, point)
-        if expr.exponent < 0 and b == 0:
-            raise DomainViolation(f"0 raised to {expr.exponent} in {expr!r}")
-        return b ** expr.exponent
-    if isinstance(expr, FracPow):
-        b = evaluate(expr.base, point)
-        if b <= 0:
-            raise DomainViolation(
-                f"rational power base {b!r} is not positive in {expr!r}")
-        return float(b) ** float(expr.exponent)
-    if isinstance(expr, Quotient):
-        den = evaluate(expr.den, point)
-        if den == 0:
-            raise DomainViolation(f"quotient denominator vanished in {expr!r}")
-        return evaluate(expr.num, point) / den
+    # a child's overflow arrives here as DomainViolation already, so only
+    # this node's own arithmetic is caught
+    try:
+        if isinstance(expr, Const):
+            return expr.value
+        if isinstance(expr, Var):
+            try:
+                return point[expr.name]
+            except KeyError:
+                raise KeyError(f"no value supplied for variable "
+                               f"{expr.name!r}") from None
+        if isinstance(expr, Sum):
+            return sum(evaluate(t, point) for t in expr.terms)
+        if isinstance(expr, Product):
+            acc = 1
+            for f in expr.factors:
+                acc *= evaluate(f, point)
+            return acc
+        if isinstance(expr, IntPow):
+            b = evaluate(expr.base, point)
+            if expr.exponent < 0 and b == 0:
+                raise DomainViolation(
+                    f"0 raised to {expr.exponent} in {expr!r}")
+            return b ** expr.exponent
+        if isinstance(expr, FracPow):
+            b = evaluate(expr.base, point)
+            if b <= 0:
+                raise DomainViolation(
+                    f"rational power base {b!r} is not positive in {expr!r}")
+            return float(b) ** float(expr.exponent)
+        if isinstance(expr, Quotient):
+            den = evaluate(expr.den, point)
+            if den == 0:
+                raise DomainViolation(
+                    f"quotient denominator vanished in {expr!r}")
+            return evaluate(expr.num, point) / den
+    except OverflowError as exc:
+        raise DomainViolation(
+            f"value overflowed a float ({exc}) in {expr!r}") from None
     raise TypeError(f"not an expression node: {expr!r}")
 
 

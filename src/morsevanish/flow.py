@@ -26,6 +26,17 @@ and a pass switching from the -e_u(q) side to the +e_u(q) side counts +1.
 Trajectories that leave the window count zero.  Crossings narrower than the
 scan resolution are invisible; the bisection refinement only sharpens flips
 the scan already saw.
+
+How the work is batched: the integrator is Dormand-Prince 5(4), whose last
+stage sits at the accepted point (first same as last, FSAL), so each row
+keeps its stage 1 from the previous step and an attempted step costs six
+field evaluations.  Each counting job integrates its starts in one batch:
+``count_boundaries`` stacks the endpoint launches and scan circles of all
+its sources, ``continuation_trajectories`` the offset ladders of all its
+sources.  Bisection is speculative: one batch integrates the seven
+midpoints the next three rounds could visit, then the rounds walk them in
+order, so brackets are exactly those of one-midpoint-at-a-time bisection.
+Every row's result is independent of what else shares its batch.
 """
 
 from __future__ import annotations
@@ -33,7 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -45,7 +57,8 @@ from .metric import apply_inverse_batch, metric_batch
 from .problem import ProblemSpec, perturbed_function
 
 __all__ = ["ContinuationSchedule", "TrajectoryRecord", "integrate_flow",
-           "energy", "count_boundary", "BoundaryCountResult",
+           "energy", "count_boundary", "count_boundaries",
+           "iter_boundary_counts", "BoundaryCountResult",
            "continuation_trajectories", "ContinuationResult",
            "gamma_profile", "gamma_slope"]
 
@@ -322,7 +335,9 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
     inside = np.zeros((m, nt), dtype=bool)
     paths: List[List[np.ndarray]] = [[] for _ in range(m)] if record else []
 
-    drift0, F0, _ = field.eval(S, X)
+    # stage 1 (drift and energy rate) of the next step at each row's (S, X)
+    drift0, F0, erate0 = field.eval(S, X)
+    K1 = np.concatenate([drift0, erate0[:, None]], axis=1)
     f_max = F0.copy()
     f_min = F0.copy()
     h = 1e-3 * (1.0 + np.linalg.norm(X, axis=1)) \
@@ -338,12 +353,13 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
         Xa, Sa, ha = X[rows], S[rows], h[rows]
         kk = len(rows)
 
-        K = np.zeros((7, kk, n + 1))
-        for i in range(7):
-            xi = Xa.copy()
+        K = np.empty((7, kk, n + 1))
+        K[0] = K1[rows]
+        for i in range(1, 7):
+            xi = Xa
             for j in range(i):
                 xi = xi + (ha * _DP_A[i][j])[:, None] * K[j, :, :n]
-            d, _, er = field.eval(Sa + _DP_C[i] * ha, xi)
+            d, F7, er = field.eval(Sa + _DP_C[i] * ha, xi)
             K[i, :, :n] = d
             K[i, :, n] = er
 
@@ -366,7 +382,11 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
             S[acc] = Sa[accept] + ha[accept]
             steps[acc] += 1
 
-            _, Fv, _ = field.eval(S[acc], X[acc])
+            # _DP_A[6] == _DP_B5[:6] and _DP_C[6] == 1: stage 7 was
+            # evaluated at the accepted point (a finite error means every
+            # stage is finite, so the zero weights add exact zeros)
+            K1[acc] = K[6, accept]
+            Fv = F7[accept]
             f_max[acc] = np.maximum(f_max[acc], Fv)
             f_min[acc] = np.minimum(f_min[acc], Fv)
             if record:
@@ -608,94 +628,87 @@ class BoundaryCountResult:
     warnings: Tuple[str, ...] = ()
 
 
+# bisection rounds per batch: 2^3 - 1 = 7 midpoints, of which 3 are used
+_SPECULATE = 3
+
+
+def _midpoint_tree(lo: float, hi: float, depth: int,
+                   resolution: float) -> List[Optional[float]]:
+    """Midpoints the next ``depth`` bisection rounds could visit, in heap
+    order: node i halves its bracket, node 2i+1 the lower half and node
+    2i+2 the upper one.  None marks a bracket bisection would already
+    return at."""
+    brackets = [(lo, hi)]
+    mids: List[Optional[float]] = []
+    for node in range(2 ** depth - 1):
+        a, b = brackets[node]
+        mid = None if b - a < resolution else 0.5 * (a + b)
+        mids.append(mid)
+        brackets += [(a, b), (a, b)] if mid is None else [(a, mid), (mid, b)]
+    return mids
+
+
 def _bisect_flip(field: _Field, make_start, lo: float, hi: float,
                  t: int, targets: _TargetSet, budget: int, s_tail: float,
                  resolution: float = 1e-12, rounds: int = 60):
     """Tighten a side flip of target t between family parameters lo < hi.
 
     Returns the refined bracket.  Raises UnresolvedBasin when the side
-    classification stops bracketing before the resolution is reached."""
+    classification stops bracketing before the resolution is reached.
+    Each batch integrates every midpoint of the next _SPECULATE rounds;
+    the rounds then walk them exactly as one-midpoint bisection would."""
 
-    def side_at(par: float) -> int:
-        (row,) = _flow_batch(field, make_start(par)[None, :], targets,
-                             budget, s_tail)
-        return int(row.near_side[t])
+    def sides_at(pars: List[Optional[float]]) -> List[Optional[int]]:
+        live = [par for par in pars if par is not None]
+        if not live:
+            return [None] * len(pars)
+        rows = iter(_flow_batch(field, np.stack([make_start(par)
+                                                 for par in live]),
+                                targets, budget, s_tail))
+        return [None if par is None else int(next(rows).near_side[t])
+                for par in pars]
 
-    s_lo, s_hi = side_at(lo), side_at(hi)
-    for _ in range(rounds):
-        if hi - lo < resolution:
-            return lo, hi
-        mid = 0.5 * (lo + hi)
-        s_mid = side_at(mid)
-        if s_mid == s_lo:
-            lo = mid
-        elif s_mid == s_hi:
-            hi = mid
-        elif s_mid == 0:
-            return lo, hi     # landed on the connecting orbit itself
+    left = rounds
+    s_lo, s_hi = None, None
+    while left > 0:
+        mids = _midpoint_tree(lo, hi, min(_SPECULATE, left), resolution)
+        if s_lo is None:
+            s_lo, s_hi, *sides = sides_at([lo, hi] + mids)
         else:
-            raise UnresolvedBasin(
-                f"side of target {t} at family parameter {mid!r} came back "
-                f"{s_mid}; the bracket ({s_lo}, {s_hi}) did not separate "
-                f"above width {hi - lo:.3g}")
+            sides = sides_at(mids)
+        node = 0
+        while node < len(mids) and left > 0:
+            if hi - lo < resolution:
+                return lo, hi
+            left -= 1
+            mid = 0.5 * (lo + hi)
+            s_mid = sides[node]
+            if s_mid == s_lo:
+                lo = mid
+                node = 2 * node + 2
+            elif s_mid == s_hi:
+                hi = mid
+                node = 2 * node + 1
+            elif s_mid == 0:
+                return lo, hi     # landed on the connecting orbit itself
+            else:
+                raise UnresolvedBasin(
+                    f"side of target {t} at family parameter {mid!r} came "
+                    f"back {s_mid}; the bracket ({s_lo}, {s_hi}) did not "
+                    f"separate above width {hi - lo:.3g}")
     return lo, hi
 
 
-def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
-                   targets: Sequence[CriticalPoint],
-                   r_launch: float = 1e-4, n_scan: int = 72,
-                   budget: int = 40000, s_tail: float = 400.0,
-                   refine: bool = True) -> BoundaryCountResult:
-    """Signed counts of flowlines from one index-k critical point into the
-    index-(k-1) members of `targets`, autonomous field at the given eps.
-
-    k = 1 launches the two unstable endpoints; k = 2 scans a circle in the
-    oriented unstable plane and counts side flips of near passes at each
-    target, sharpening each flip by bisection when refine is set.  Window
-    exits count zero.  Lower-index points may be included in `targets` as
-    absorbers: arrival there terminates a scan row early but only the
-    index-(k-1) entries are counted.
-    """
-    k = source.index
-    if problem.domain.dimension > 3:
-        raise ConfigError(
-            "trajectory counting is limited to ambient dimension <= 3")
-    if k > 2:
-        raise ConfigError(
-            "unstable spheres of dimension >= 2 are not scanned; use the "
-            "Euler characteristic route for those problems")
-    sched = ContinuationSchedule.static(problem, eps)
-    field = _Field(problem, sched)
-    tset = _TargetSet(targets)
-    counts: Dict[int, int] = {j: 0 for j in range(len(targets))}
-    warnings: List[str] = []
-
-    if k == 0:
-        return BoundaryCountResult(0, counts, (), "none")
-
-    if k == 1:
+def _launches(source: CriticalPoint, r_launch: float, n_scan: int):
+    """A source's starts, scan parameters and start map: no starts for
+    index 0, both unstable endpoints for index 1, the oriented scan circle
+    for index 2."""
+    if source.index == 0:
+        return np.zeros((0, len(source.location))), None, None
+    if source.index == 1:
         e_u = source.frame[:, 0]
-        starts = np.stack([source.location + r_launch * e_u,
-                           source.location - r_launch * e_u])
-        rows = _flow_batch(field, starts, tset, budget, s_tail)
-        recs = []
-        for sgn, x0, row in zip((1, -1), starts, rows):
-            rec = _make_record(row, field, x0, None, source.value, tset,
-                               sign=sgn)
-            recs.append(rec)
-            if row.status == ARRIVED and targets[row.target].index == k - 1:
-                counts[row.target] += sgn
-                if not rec.energy_ok:
-                    warnings.append(
-                        f"energy identity violated on launch {sgn:+d}: "
-                        f"E_an={rec.E_an!r} E_top={rec.E_top!r}")
-            elif row.status in (BUDGET, COLLAPSE):
-                warnings.append(
-                    f"launch {sgn:+d} ended with {rec.termination}")
-        return BoundaryCountResult(k, counts, tuple(recs), "endpoints",
-                                   tuple(warnings))
-
-    # k == 2: oriented circle scan in the unstable plane
+        return np.stack([source.location + r_launch * e_u,
+                         source.location - r_launch * e_u]), None, None
     e1, e2 = source.frame[:, 0], source.frame[:, 1]
     phis = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
 
@@ -703,11 +716,42 @@ def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
         return source.location + r_launch * (math.cos(phi) * e1
                                              + math.sin(phi) * e2)
 
-    starts = np.stack([make_start(p) for p in phis])
-    rows = _flow_batch(field, starts, tset, budget, s_tail)
+    return np.stack([make_start(p) for p in phis]), phis, make_start
+
+
+def _endpoint_count(source: CriticalPoint, targets: Sequence[CriticalPoint],
+                    tset: _TargetSet, field: _Field, starts: np.ndarray,
+                    rows: List[_RowResult]) -> BoundaryCountResult:
+    counts: Dict[int, int] = {j: 0 for j in range(len(targets))}
+    warnings: List[str] = []
     recs = []
+    for sgn, x0, row in zip((1, -1), starts, rows):
+        rec = _make_record(row, field, x0, None, source.value, tset,
+                           sign=sgn)
+        recs.append(rec)
+        if row.status == ARRIVED and targets[row.target].index == 0:
+            counts[row.target] += sgn
+            if not rec.energy_ok:
+                warnings.append(
+                    f"energy identity violated on launch {sgn:+d}: "
+                    f"E_an={rec.E_an!r} E_top={rec.E_top!r}")
+        elif row.status in (BUDGET, COLLAPSE):
+            warnings.append(
+                f"launch {sgn:+d} ended with {rec.termination}")
+    return BoundaryCountResult(1, counts, tuple(recs), "endpoints",
+                               tuple(warnings))
+
+
+def _circle_count(source: CriticalPoint, targets: Sequence[CriticalPoint],
+                  tset: _TargetSet, field: _Field, phis: np.ndarray,
+                  make_start, rows: List[_RowResult], budget: int,
+                  s_tail: float, refine: bool) -> BoundaryCountResult:
+    n_scan = len(phis)
+    counts: Dict[int, int] = {j: 0 for j in range(len(targets))}
+    warnings: List[str] = []
+    flips = []
     for t in range(len(targets)):
-        if targets[t].index != k - 1:
+        if targets[t].index != 1:
             continue
         sides = [int(r.near_side[t]) for r in rows]
         for pos, sgn in _flip_count(sides, cyclic=True):
@@ -718,13 +762,16 @@ def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
                 lo, hi = _bisect_flip(field, make_start, lo, hi, t, tset,
                                       budget, s_tail)
             counts[t] += sgn
-            mid = 0.5 * (lo + hi)
-            (row,) = _flow_batch(field, make_start(mid)[None, :], tset,
-                                 budget, s_tail)
-            recs.append(_make_record(row, field, make_start(mid), None,
-                                     source.value, tset, sign=sgn))
+            flips.append((0.5 * (lo + hi), sgn))
+    recs = []
+    if flips:
+        mids = [make_start(mid) for mid, _ in flips]
+        for x0, (_, sgn), row in zip(mids, flips, _flow_batch(
+                field, np.stack(mids), tset, budget, s_tail)):
+            recs.append(_make_record(row, field, x0, None, source.value,
+                                     tset, sign=sgn))
     for t in range(len(targets)):
-        if (targets[t].index == k - 1 and counts[t] == 0
+        if (targets[t].index == 1 and counts[t] == 0
                 and any(r.status == ARRIVED and r.target == t
                         for r in rows)):
             warnings.append(
@@ -734,8 +781,77 @@ def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
         if r.status in (BUDGET, COLLAPSE):
             warnings.append(
                 f"a scan trajectory ended with {_STATUS_NAMES[r.status]}")
-    return BoundaryCountResult(k, counts, tuple(recs), "circle",
+    return BoundaryCountResult(2, counts, tuple(recs), "circle",
                                tuple(warnings))
+
+
+def iter_boundary_counts(problem: ProblemSpec, eps: float,
+                         sources: Sequence[CriticalPoint],
+                         targets: Sequence[CriticalPoint],
+                         r_launch: float = 1e-4, n_scan: int = 72,
+                         budget: int = 40000, s_tail: float = 400.0,
+                         refine: bool = True
+                         ) -> Iterator[BoundaryCountResult]:
+    """``count_boundaries`` one source at a time, in order.
+
+    The shared batch runs before the first result; each index-2 source
+    bisects its flips just before its own result, so a caller that stops
+    at a result never pays for (or sees errors from) later bisections.
+    """
+    if problem.domain.dimension > 3:
+        raise ConfigError(
+            "trajectory counting is limited to ambient dimension <= 3")
+    if any(p.index > 2 for p in sources):
+        raise ConfigError(
+            "unstable spheres of dimension >= 2 are not scanned; use the "
+            "Euler characteristic route for those problems")
+    field = _Field(problem, ContinuationSchedule.static(problem, eps))
+    tset = _TargetSet(targets)
+    launches = [_launches(p, r_launch, n_scan) for p in sources]
+    stacked = np.concatenate([lz[0] for lz in launches]) if sources else ()
+    rows = (_flow_batch(field, stacked, tset, budget, s_tail)
+            if len(stacked) else [])
+    at = 0
+    for p, (starts, phis, make_start) in zip(sources, launches):
+        p_rows = rows[at:at + len(starts)]
+        at += len(starts)
+        if p.index == 0:
+            yield BoundaryCountResult(
+                0, {j: 0 for j in range(len(targets))}, (), "none")
+        elif p.index == 1:
+            yield _endpoint_count(p, targets, tset, field, starts, p_rows)
+        else:
+            yield _circle_count(p, targets, tset, field, phis, make_start,
+                                p_rows, budget, s_tail, refine)
+
+
+def count_boundaries(problem: ProblemSpec, eps: float,
+                     sources: Sequence[CriticalPoint],
+                     targets: Sequence[CriticalPoint],
+                     **count) -> List[BoundaryCountResult]:
+    """Signed counts of flowlines from each source, of index k, into the
+    index-(k-1) members of the shared ``targets``, autonomous field at the
+    given eps.
+
+    k = 1 launches the two unstable endpoints; k = 2 scans a circle in the
+    oriented unstable plane and counts side flips of near passes at each
+    target, sharpening each flip by bisection when refine is set.  Window
+    exits count zero.  Lower-index points may be included in `targets` as
+    absorbers: arrival there terminates a row early but only the
+    index-(k-1) entries are counted.  Every launch and scan row of every
+    source runs in one batch.  Keyword arguments: r_launch, n_scan,
+    budget, s_tail, refine.
+    """
+    return list(iter_boundary_counts(problem, eps, sources, targets,
+                                     **count))
+
+
+def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
+                   targets: Sequence[CriticalPoint],
+                   **count) -> BoundaryCountResult:
+    """``count_boundaries`` for one source."""
+    (res,) = count_boundaries(problem, eps, [source], targets, **count)
+    return res
 
 
 @dataclass(frozen=True)
@@ -791,24 +907,28 @@ def continuation_trajectories(problem: ProblemSpec,
                                   -math.inf, math.inf, ())
 
     w = problem.window
+    tset = _TargetSet(targets)
+    ladders = []
+    for p in sources:
+        pars = _family_parameters(p.index, r_launch, reach)
+        e_u = p.frame[:, 0] if p.index else np.zeros(len(p.location))
+        ladders.append(p.location[None, :] + pars[:, None] * e_u[None, :])
     delta = schedule.delta
     halvings = 0
     while True:
         field = _Field(problem, schedule.with_delta(delta))
-        tset = _TargetSet(targets)
+        batch = iter(_flow_batch(field, np.concatenate(ladders), tset,
+                                 budget, s_tail))
         counts: Dict[Tuple[int, int], int] = {}
         recs: List[TrajectoryRecord] = []
         hi_exc = -math.inf
         lo_exc = math.inf
         violated = False
 
-        for si, p in enumerate(sources):
+        for si, (p, starts) in enumerate(zip(sources, ladders)):
             k = p.index
-            pars = _family_parameters(k, r_launch, reach)
-            e_u = p.frame[:, 0] if k else np.zeros(len(p.location))
-            starts = p.location[None, :] + pars[:, None] * e_u[None, :]
-            rows = _flow_batch(field, starts, tset, budget, s_tail)
-            center = rows[len(pars) // 2]
+            rows = [next(batch) for _ in starts]
+            center = rows[len(starts) // 2]
             hi_exc = max(hi_exc, max(r.f_max for r in rows))
             lo_exc = min(lo_exc, min(r.f_min for r in rows))
             if any(r.status == EXIT_ABOVE or r.f_max > w.b + w.sigma

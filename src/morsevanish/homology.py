@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
 from .flow import (BoundaryCountResult, ContinuationResult,
                    ContinuationSchedule, continuation_trajectories,
-                   count_boundary)
+                   iter_boundary_counts)
 from .intlinalg import (ChainComplexData, Matrix, SNF, homology_of_complex,
                         kernel_basis, matmul, smith_normal_form)
 from .problem import ProblemSpec
@@ -35,7 +36,8 @@ from .problem import ProblemSpec
 __all__ = [
     "MorseComplex", "HomologyResult", "ChainMap", "InducedMap", "D2Report",
     "DualityReport", "StabilizedHomology",
-    "assemble_complex", "boundary_counts", "window_complex",
+    "assemble_complex", "boundary_counts", "complex_from_counts",
+    "require_nondegenerate", "window_complex",
     "verify_d_squared", "homology",
     "cohomology", "chain_map", "chain_map_from_counts",
     "continuation_chain_map", "induced_map", "induced_maps_agree", "compose",
@@ -188,18 +190,64 @@ def assemble_complex(points: Sequence[CriticalPoint],
 def boundary_counts(problem: ProblemSpec, eps: float,
                     points: Sequence[CriticalPoint], **count
                     ) -> Iterable[Tuple[int, List[int], BoundaryCountResult]]:
-    """``count_boundary`` for each point of positive index k that has an
+    """Boundary counts for each point of positive index k that has an
     index-(k-1) point among ``points``, with every lower-index point as a
-    target (the deeper ones absorb).  Yields (source position, target
-    positions, result) one source at a time."""
+    target (the deeper ones absorb).  The sources of one index are counted
+    together, in one flow batch, when the first of them comes up.  Yields
+    (source position, target positions, result) in ``points`` order."""
     pts = list(points)
-    for i, p in enumerate(pts):
-        below = [j for j, q in enumerate(pts) if q.index < p.index]
-        if p.index == 0 or not any(
-                pts[j].index == p.index - 1 for j in below):
-            continue
-        yield i, below, count_boundary(problem, eps, p,
-                                       [pts[j] for j in below], **count)
+    sources = [i for i, p in enumerate(pts) if p.index > 0 and any(
+        q.index == p.index - 1 for q in pts)]
+    running: Dict[int, Iterator[BoundaryCountResult]] = {}
+    for i in sources:
+        k = pts[i].index
+        below = [j for j, q in enumerate(pts) if q.index < k]
+        if k not in running:
+            running[k] = iter_boundary_counts(
+                problem, eps, [pts[s] for s in sources if pts[s].index == k],
+                [pts[j] for j in below], **count)
+        yield i, below, next(running[k])
+
+
+def require_nondegenerate(points: Sequence[CriticalPoint],
+                          eps: float) -> None:
+    """Raise DegenerateCriticalPoint on the first degenerate window point."""
+    for p in points:
+        if p.degenerate:
+            raise DegenerateCriticalPoint(
+                f"window critical point at {np.round(p.location, 6)} is "
+                f"degenerate at eps = {eps:g}; morsify first")
+
+
+def complex_from_counts(problem: ProblemSpec, eps: float,
+                        points: Sequence[CriticalPoint],
+                        per_source: Iterable[Tuple[int,
+                                                   Iterable[Tuple[int, int]],
+                                                   Sequence[str]]],
+                        strict: bool = True) -> MorseComplex:
+    """The window complex from per-source counting results.
+
+    ``per_source`` yields (source position, (target position, count)
+    pairs, warnings) as ``boundary_counts`` produces them; pairs whose
+    index drop is not one are ignored.  With ``strict`` set, the first
+    source with warnings raises MissingCount, before later sources are
+    drawn; otherwise the warnings go into the complex's notes.
+    """
+    pts = list(points)
+    counts: Dict[Tuple[int, int], int] = {}
+    notes: List[str] = []
+    for i, pairs, warnings in per_source:
+        if warnings:
+            msgs = [f"source {i}: {w}" for w in warnings]
+            if strict:
+                raise MissingCount("; ".join(msgs))
+            notes.extend(msgs)
+        for j, c in pairs:
+            if pts[j].index == pts[i].index - 1:
+                counts[(i, j)] = c
+    return assemble_complex(pts, counts, problem=problem.name, eps=eps,
+                            window=(problem.window.a, problem.window.b),
+                            notes=notes)
 
 
 def window_complex(problem: ProblemSpec, eps: float,
@@ -226,28 +274,13 @@ def window_complex(problem: ProblemSpec, eps: float,
         pts = list(cs.inside_window())
     else:
         pts = list(points)
-    for p in pts:
-        if p.degenerate:
-            raise DegenerateCriticalPoint(
-                f"window critical point at {np.round(p.location, 6)} is "
-                f"degenerate at eps = {eps:g}; morsify first")
-
-    counts: Dict[Tuple[int, int], int] = {}
-    notes: List[str] = []
-    for i, below, res in boundary_counts(
-            problem, eps, pts, r_launch=r_launch, n_scan=n_scan,
-            budget=budget, s_tail=s_tail, refine=refine):
-        if res.warnings:
-            msgs = [f"source {i}: {w}" for w in res.warnings]
-            if strict:
-                raise MissingCount("; ".join(msgs))
-            notes.extend(msgs)
-        for t, j in enumerate(below):
-            if pts[j].index == pts[i].index - 1:
-                counts[(i, j)] = res.counts[t]
-    return assemble_complex(pts, counts, problem=problem.name, eps=eps,
-                            window=(problem.window.a, problem.window.b),
-                            notes=notes)
+    require_nondegenerate(pts, eps)
+    per_source = ((i, [(below[t], c) for t, c in res.counts.items()],
+                   res.warnings)
+                  for i, below, res in boundary_counts(
+                      problem, eps, pts, r_launch=r_launch, n_scan=n_scan,
+                      budget=budget, s_tail=s_tail, refine=refine))
+    return complex_from_counts(problem, eps, pts, per_source, strict=strict)
 
 
 # ---------------------------------------------------------------------------

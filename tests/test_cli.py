@@ -5,6 +5,7 @@ test's tmp_path, so the default cache location lands there too and the
 tests stay isolated from each other.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-import morsevanish.homology as homology_module
+import morsevanish.cli as cli_module
 from morsevanish.cli import (ArtifactCache, _canon, _complex_from_payload,
                              _is_window, _parse_grid, _point_from_record,
                              _point_record, _thaw, cache_root,
@@ -20,7 +21,6 @@ from morsevanish.cli import (ArtifactCache, _canon, _complex_from_payload,
                              load_config, main, problem_from_config)
 from morsevanish.critical import find_critical_points
 from morsevanish.errors import ConfigError, ConfigParse, CorruptCache
-from morsevanish.flow import count_boundary
 from morsevanish.homology import assemble_complex, homology, window_complex
 
 
@@ -453,26 +453,31 @@ class TestCommands:
             run(tmp_path, "crit", "--config", path, "--jobs", "4")
         assert err.value.code == 2
 
+    def count_calls(self, monkeypatch, warn=None):
+        """Record each boundary_counts call; optionally add a warning to
+        every result."""
+        calls = []
+        counting = cli_module.boundary_counts
+
+        def counted(*args, **kw):
+            calls.append(args[1])
+            for i, below, res in counting(*args, **kw):
+                if warn:
+                    res = dataclasses.replace(res, warnings=(warn,))
+                yield i, below, res
+
+        monkeypatch.setattr(cli_module, "boundary_counts", counted)
+        return calls
+
     @pytest.mark.parametrize("cfg", [Z3, SADDLE2], ids=["z3", "index2"])
     def test_flow_counts_are_the_complex_boundaries(self, tmp_path,
                                                     monkeypatch, cfg):
-        # count_boundary is deterministic; the memo only spares the
-        # complex stage from recounting what the flow stage counted
-        memo = {}
-
-        def once(problem, eps, source, targets, **kw):
-            key = (eps, source.location.tobytes(),
-                   tuple(t.location.tobytes() for t in targets),
-                   tuple(sorted(kw.items())))
-            if key not in memo:
-                memo[key] = count_boundary(problem, eps, source, targets,
-                                           **kw)
-            return memo[key]
-
-        monkeypatch.setattr(homology_module, "count_boundary", once)
+        # the complex stage builds from the flow stage's counts
+        calls = self.count_calls(monkeypatch)
         path = write_cfg(tmp_path, cfg)
         for stage in ("crit", "flow", "complex"):
             assert run(tmp_path, stage, "--config", path) == 0
+        assert calls == [cfg["eps"]]
         pts = [_point_from_record(r)
                for r in read_artifact(tmp_path, cfg, "crit")["points"]
                if _is_window(r)]
@@ -485,6 +490,43 @@ class TestCommands:
         want = read_artifact(tmp_path, cfg, "complex")["boundaries"]
         assert want and any(any(row) for M in want for row in M)
         assert [cx.boundary(k) for k in range(1, cx.top + 1)] == want
+
+    def test_complex_first_then_flow_counts_once(self, tmp_path,
+                                                 monkeypatch, capsys):
+        calls = self.count_calls(monkeypatch)
+        path = write_cfg(tmp_path, DW)
+        assert run(tmp_path, "complex", "--config", path) == 0
+        assert run(tmp_path, "flow", "--config", path) == 0
+        assert "(cached)" in capsys.readouterr().out.splitlines()[-1]
+        assert calls == [DW["eps"]]
+
+    def test_complex_checks_degeneracy_before_counting(self, tmp_path,
+                                                       monkeypatch, capsys):
+        calls = self.count_calls(monkeypatch)
+        window_points = cli_module._window_points
+
+        def one_degenerate(ctx, eps):
+            pts = window_points(ctx, eps)
+            return [dataclasses.replace(pts[0], degenerate=True)] + pts[1:]
+
+        monkeypatch.setattr(cli_module, "_window_points", one_degenerate)
+        path = write_cfg(tmp_path, DW)
+        assert run(tmp_path, "complex", "--config", path) == 2
+        assert "degenerate" in capsys.readouterr().err
+        assert calls == []
+
+    def test_flow_warnings_fail_the_complex(self, tmp_path, monkeypatch,
+                                            capsys):
+        self.count_calls(monkeypatch, warn="launch +1 ended with budget")
+        path = write_cfg(tmp_path, DW)
+        assert run(tmp_path, "flow", "--config", path) == 0
+        flow = read_artifact(tmp_path, DW, "flow")
+        (src,) = flow["sources"]
+        assert src["warnings"] == ["launch +1 ended with budget"]
+        capsys.readouterr()
+        assert run(tmp_path, "complex", "--config", path) == 2
+        assert (f"source {src['source']}: launch +1 ended with budget"
+                in capsys.readouterr().err)
 
     def test_report_manifest(self, tmp_path):
         path = write_cfg(tmp_path, DW)

@@ -103,6 +103,20 @@ def test_domain_violation_rational_power():
     assert np.isnan(out[0]) and out[1] == 2.0
 
 
+@pytest.mark.parametrize("text,at,node", [
+    ("u1*10^400", 2.0, "u1*10^400"),
+    ("u1^400", 1e3, "u1^400"),
+    ("1 + u1^400", 1e3, "u1^400"),     # the overflowing node, not the root
+])
+def test_overflow_is_a_domain_violation(text, at, node):
+    expr = parse_expression(text)
+    with pytest.raises(DomainViolation, match="overflowed") as err:
+        evaluate(expr, {"u1": at})
+    assert str(err.value).endswith(f" in {node}")
+    with pytest.raises(DomainViolation, match="overflowed"):
+        differentiate(expr, [at], ["u1"])
+
+
 def test_domain_violation_quotient():
     f = parse_expression("1/x")
     with pytest.raises(DomainViolation):
@@ -227,9 +241,8 @@ class TestEvalGrid:
         v1, g1 = eval_jet1(expr, pts, self.NAMES)
         assert np.all(np.isinf(vals)) and np.array_equal(v1, vals)
         assert g1.shape == (2, 3)
-        if text != "u1*10^400":
-            with pytest.raises(DomainViolation):
-                evaluate(expr, {"u1": 2.0, "u2": 1.0, "u3": 1.0})
+        with pytest.raises(DomainViolation):
+            evaluate(expr, {"u1": 2.0, "u2": 1.0, "u3": 1.0})
 
     def test_random_trees_cover_every_node_kind(self):
         kinds = set()

@@ -16,20 +16,25 @@ Reference data used below:
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import morsevanish.flow as flow_module
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import CriticalPoint, find_critical_points
 from morsevanish.errors import (BudgetExceeded, ConfigError, DeltaFloor,
-                                NotConverged)
+                                NotConverged, UnresolvedBasin)
 from morsevanish.expr import parse_expression
-from morsevanish.flow import (ContinuationSchedule, NEVER, _bisect_flip,
-                              _Field, _flip_count, _TargetSet,
-                              continuation_trajectories, count_boundary,
-                              energy, gamma_profile, gamma_slope,
-                              integrate_flow)
+from morsevanish.flow import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
+                              EXIT_BELOW, NEVER, RTOL, RUNNING, STEP_FLOOR,
+                              _DP_A, _DP_B4, _DP_B5, _DP_C,
+                              ContinuationSchedule, _bisect_flip, _Field,
+                              _flip_count, _flow_batch, _RowResult,
+                              _TargetSet, continuation_trajectories,
+                              count_boundaries, count_boundary, energy,
+                              gamma_profile, gamma_slope, integrate_flow)
 from morsevanish.metric import MetricSpec
 from morsevanish.problem import DomainModel, ProblemSpec, WindowSpec
 
@@ -377,3 +382,353 @@ class TestContinuation:
         targets = find_critical_points(rotated, 0.3).inside_window()
         res = continuation_trajectories(ambient, sched, sources, targets)
         assert res.counts == {(0, 0): 1}
+
+
+# ---------------------------------------------------------------------------
+# batching: one flow batch per counting job, FSAL, speculative bisection
+
+
+def assert_same_bits(a, b):
+    """Two _RowResults or TrajectoryRecords, field by field, bit for bit."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if va is None or vb is None:
+            assert va is vb, f.name
+            continue
+        va, vb = np.asarray(va), np.asarray(vb)
+        assert va.dtype == vb.dtype and va.shape == vb.shape, f.name
+        assert va.tobytes() == vb.tobytes(), f.name
+
+
+class CountingField:
+    """A _Field that counts its evaluations."""
+
+    def __init__(self, field):
+        self.field = field
+        self.problem, self.schedule = field.problem, field.schedule
+        self.names = field.names
+        self.calls = 0
+
+    def eval(self, S, X):
+        self.calls += 1
+        return self.field.eval(S, X)
+
+
+def flow_batch_7_plus_1(field, X0, targets, max_steps, s_tail, record=False):
+    """The integrator before FSAL: seven stages per attempted step plus
+    one more evaluation at the accepted points.  Returns the rows, the
+    loop iterations and the iterations that accepted some row."""
+    problem, sched = field.problem, field.schedule
+    w = problem.window
+    lo_cut, hi_cut = w.a - w.sigma, w.b + w.sigma
+    m, n = X0.shape
+    nt = len(targets)
+    X = np.array(X0, dtype=float)
+    E = np.zeros(m)
+    S = np.full(m, sched.ramp_start)
+    s_max = sched.ramp_end + s_tail
+    status = np.full(m, RUNNING)
+    target_of = np.full(m, -1)
+    steps = np.zeros(m, dtype=int)
+    near_min = np.full((m, nt), np.inf)
+    near_side = np.full((m, nt), NEVER, dtype=np.int8)
+    inside = np.zeros((m, nt), dtype=bool)
+    paths = [[] for _ in range(m)] if record else []
+    drift0, F0, _ = field.eval(S, X)
+    f_max = F0.copy()
+    f_min = F0.copy()
+    h = 1e-3 * (1.0 + np.linalg.norm(X, axis=1)) \
+        / (1.0 + np.linalg.norm(drift0, axis=1))
+    if record:
+        for r in range(m):
+            paths[r].append(np.concatenate([[S[r]], X[r], [F0[r]]]))
+    guard = 0
+    accepting = 0
+    while np.any(status == RUNNING) and guard < 60 * max_steps:
+        guard += 1
+        rows = np.flatnonzero(status == RUNNING)
+        Xa, Sa, ha = X[rows], S[rows], h[rows]
+        K = np.zeros((7, len(rows), n + 1))
+        for i in range(7):
+            xi = Xa.copy()
+            for j in range(i):
+                xi = xi + (ha * _DP_A[i][j])[:, None] * K[j, :, :n]
+            d, _, er = field.eval(Sa + _DP_C[i] * ha, xi)
+            K[i, :, :n] = d
+            K[i, :, n] = er
+        Y0 = np.concatenate([Xa, E[rows, None]], axis=1)
+        Y5 = Y0.copy()
+        Y4 = Y0.copy()
+        for i in range(7):
+            Y5 = Y5 + (ha * _DP_B5[i])[:, None] * K[i]
+            Y4 = Y4 + (ha * _DP_B4[i])[:, None] * K[i]
+        scale = RTOL * (1.0 + np.abs(Y5).max(axis=1))
+        err = np.abs(Y5 - Y4).max(axis=1) / scale
+        err = np.where(np.isfinite(err), err, np.inf)
+        accept = err <= 1.0
+        acc = rows[accept]
+        if acc.size:
+            accepting += 1
+            X[acc] = Y5[accept, :n]
+            E[acc] = Y5[accept, n]
+            S[acc] = Sa[accept] + ha[accept]
+            steps[acc] += 1
+            _, Fv, _ = field.eval(S[acc], X[acc])
+            f_max[acc] = np.maximum(f_max[acc], Fv)
+            f_min[acc] = np.minimum(f_min[acc], Fv)
+            if record:
+                for pos, r in enumerate(acc):
+                    paths[r].append(np.concatenate([[S[r]], X[r],
+                                                    [Fv[pos]]]))
+            status[acc[Fv < lo_cut]] = EXIT_BELOW
+            status[acc[Fv > hi_cut]] = EXIT_ABOVE
+            if nt:
+                live = acc[status[acc] == RUNNING]
+                if live.size:
+                    D = np.linalg.norm(
+                        X[live][:, None, :] - targets.Q[None, :, :], axis=2)
+                    for pos, r in enumerate(live):
+                        for t in range(nt):
+                            d = D[pos, t]
+                            if inside[r, t]:
+                                near_min[r, t] = min(near_min[r, t], d)
+                                if d > targets.r_near[t]:
+                                    inside[r, t] = False
+                                    cu = targets.unstable_coords(t, X[r])
+                                    near_side[r, t] = (
+                                        0 if len(cu) == 0
+                                        else (1 if cu[0] > 0 else -1))
+                            elif d < targets.r_near[t]:
+                                inside[r, t] = True
+                                near_min[r, t] = min(near_min[r, t], d)
+                            if (S[r] >= sched.ramp_end
+                                    and d < targets.r_arrive[t]
+                                    and targets.stable_dominant(t, X[r])):
+                                status[r] = ARRIVED
+                                target_of[r] = t
+                                near_side[r, t] = 0
+                                break
+            over = (steps[acc] >= max_steps) | (S[acc] > s_max)
+            status[acc[over & (status[acc] == RUNNING)]] = BUDGET
+        grow = 0.9 * np.maximum(err, 1e-16) ** -0.2
+        h[rows] = ha * np.clip(grow, 0.2, 5.0)
+        collapse = (h[rows] < STEP_FLOOR) & (status[rows] == RUNNING)
+        status[rows[collapse]] = COLLAPSE
+    status[status == RUNNING] = BUDGET
+    out = [_RowResult(
+        status=int(status[r]), target=int(target_of[r]), s_end=float(S[r]),
+        x_end=X[r].copy(), e_aug=float(E[r]), f_max=float(f_max[r]),
+        f_min=float(f_min[r]), steps=int(steps[r]),
+        near_min=near_min[r].copy(), near_side=near_side[r].copy(),
+        samples=np.array(paths[r]) if record else None) for r in range(m)]
+    return out, guard, accepting
+
+
+def endpoint_starts(points, r=1e-4):
+    return np.concatenate([np.stack([p.location + r * p.frame[:, 0],
+                                     p.location - r * p.frame[:, 0]])
+                           for p in points])
+
+
+def z3_case():
+    pts = find_critical_points(Z3, 0.3).inside_window()
+    field = _Field(Z3, ContinuationSchedule.static(Z3, 0.3))
+    starts = endpoint_starts([p for p in pts if p.index == 1])
+    return field, starts, _TargetSet([p for p in pts if p.index == 0])
+
+
+def dw_eps_path_case():
+    sources = find_critical_points(DW, 0.05).inside_window()
+    targets = find_critical_points(DW, 0.01).inside_window()
+    field = _Field(DW, ContinuationSchedule.eps_path(DW, 0.05, 0.01))
+    offsets = np.array([-0.02, -1e-4, 0.0, 1e-4, 0.02])
+    starts = np.concatenate([p.location[None, :] + offsets[:, None]
+                             for p in sources])
+    return field, starts, _TargetSet(targets)
+
+
+def square_absorbers_case():
+    pts = find_critical_points(SQ, 0.0).inside_window()
+    top = next(p for p in pts if p.index == 2)
+    field = _Field(SQ, ContinuationSchedule.static(SQ, 0.0))
+    phis = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    e1, e2 = top.frame[:, 0], top.frame[:, 1]
+    starts = np.stack([top.location + 1e-4 * (math.cos(a) * e1
+                                              + math.sin(a) * e2)
+                       for a in phis])
+    # minima absorb rows that miss the saddles
+    return field, starts, _TargetSet([p for p in pts if p.index < 2])
+
+
+CASES = {"z3-kahler-cone": z3_case, "double-well-eps-path": dw_eps_path_case,
+         "square-absorbers": square_absorbers_case}
+
+
+class TestFlowBatch:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stacked_rows_equal_rows_run_alone(self, case):
+        field, starts, tset = CASES[case]()
+        rows = _flow_batch(field, starts, tset, 60000, 400.0, record=True)
+        for x0, row in zip(starts, rows):
+            (alone,) = _flow_batch(field, x0[None, :], tset, 60000, 400.0,
+                                   record=True)
+            assert_same_bits(row, alone)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fsal_matches_the_7_plus_1_loop(self, case):
+        field, starts, tset = CASES[case]()
+        new, old = CountingField(field), CountingField(field)
+        rows = _flow_batch(new, starts, tset, 60000, 400.0, record=True)
+        want, iters, accepting = flow_batch_7_plus_1(
+            old, starts, tset, 60000, 400.0, record=True)
+        for row, ref in zip(rows, want):
+            assert_same_bits(row, ref)
+        # one launch evaluation, then 6 per attempted step against 7 plus
+        # one after each accepting step
+        assert new.calls == 1 + 6 * iters
+        assert old.calls == 1 + 7 * iters + accepting
+        assert accepting == iters
+        assert new.calls - 1 <= 6 / 8 * (old.calls - 1)
+
+
+def sequential_bisection(side, lo, hi, t, resolution, rounds):
+    """Bisection one midpoint at a time, as it was before batching."""
+    s_lo, s_hi = side(lo), side(hi)
+    for _ in range(rounds):
+        if hi - lo < resolution:
+            return lo, hi
+        mid = 0.5 * (lo + hi)
+        s_mid = side(mid)
+        if s_mid == s_lo:
+            lo = mid
+        elif s_mid == s_hi:
+            hi = mid
+        elif s_mid == 0:
+            return lo, hi
+        else:
+            raise UnresolvedBasin(
+                f"side of target {t} at family parameter {mid!r} came back "
+                f"{s_mid}; the bracket ({s_lo}, {s_hi}) did not separate "
+                f"above width {hi - lo:.3g}")
+    return lo, hi
+
+
+def step_side(cut, zero_band=0.0, never=None):
+    def side(par):
+        if never is not None and never[0] < par < never[1]:
+            return NEVER
+        if abs(par - cut) < zero_band:
+            return 0
+        return -1 if par < cut else 1
+    return side
+
+
+class TestSpeculativeBisection:
+    T = 2
+
+    def run_both(self, monkeypatch, side, lo, hi, resolution, rounds):
+        batches = []
+
+        def fake_flow_batch(field, X0, targets, max_steps, s_tail,
+                            record=False):
+            batches.append(len(X0))
+            near = np.full(self.T + 1, NEVER, dtype=np.int8)
+            out = []
+            for x in X0:
+                row = near.copy()
+                row[self.T] = side(float(x[0]))
+                out.append(SimpleNamespace(near_side=row))
+            return out
+
+        monkeypatch.setattr(flow_module, "_flow_batch", fake_flow_batch)
+
+        def outcome(fn):
+            try:
+                return fn()
+            except UnresolvedBasin as exc:
+                return ("raised", str(exc))
+
+        got = outcome(lambda: _bisect_flip(
+            None, lambda par: np.array([par]), lo, hi, self.T, None, 1, 1.0,
+            resolution=resolution, rounds=rounds))
+        want = outcome(lambda: sequential_bisection(
+            side, lo, hi, self.T, resolution, rounds))
+        return got, want, batches
+
+    @pytest.mark.parametrize("rounds,resolution", [
+        (60, 1e-12), (7, 1e-12), (5, 0.0), (60, 1e-3), (60, 0.3),
+        (1, 1e-12), (0, 1e-12)])
+    def test_brackets_equal_sequential_bisection(self, monkeypatch, rounds,
+                                                 resolution):
+        side = step_side(0.3141592653589793)
+        got, want, batches = self.run_both(monkeypatch, side, -0.2, 1.1,
+                                           resolution, rounds)
+        assert got == want
+        assert got[0] <= 0.3141592653589793 <= got[1]
+        # at most seven midpoints per batch, the endpoints ride in the first
+        assert all(n <= 7 for n in batches[1:])
+        assert not batches or batches[0] <= 9
+        assert len(batches) <= max(1, math.ceil(rounds / 3))
+
+    def test_landing_on_the_orbit_returns_early(self, monkeypatch):
+        side = step_side(0.5625, zero_band=1e-3)
+        got, want, batches = self.run_both(monkeypatch, side, 0.0, 1.0,
+                                           1e-12, 60)
+        assert got == want == (0.5, 0.625)
+        assert len(batches) == 2
+
+    @pytest.mark.parametrize("band", [(0.74, 0.76), (0.56, 0.57)])
+    def test_unresolved_basin_at_the_same_round(self, monkeypatch, band):
+        side = step_side(0.55, never=band)
+        got, want, _ = self.run_both(monkeypatch, side, 0.0, 1.0, 1e-12, 60)
+        assert got[0] == "raised"
+        assert got == want
+
+    def test_off_path_midpoints_change_nothing(self, monkeypatch):
+        # 0.59375 is integrated in the second batch but never visited
+        side = step_side(0.55, never=(0.58, 0.6))
+        got, want, _ = self.run_both(monkeypatch, side, 0.0, 1.0, 1e-12, 60)
+        assert got == want
+        assert got[0] <= 0.55 <= got[1]
+
+
+class TestBatchedCounting:
+    def test_count_boundaries_equals_one_source_at_a_time(self):
+        pts = find_critical_points(Z3, 0.3).inside_window()
+        saddles = [p for p in pts if p.index == 1]
+        minimum = [p for p in pts if p.index == 0]
+        together = count_boundaries(Z3, 0.3, saddles, minimum)
+        for saddle, res in zip(saddles, together):
+            alone = count_boundary(Z3, 0.3, saddle, minimum)
+            assert (res.counts, res.method, res.warnings) == \
+                (alone.counts, alone.method, alone.warnings)
+            for a, b in zip(res.trajectories, alone.trajectories):
+                assert_same_bits(a, b)
+
+    def test_mixed_indices_share_one_target_list(self):
+        pts = find_critical_points(SQ, 0.0).inside_window()
+        sources = [p for p in pts if p.index == 2] + \
+            [p for p in pts if p.index == 1][:2]
+        targets = [p for p in pts if p.index < 2]
+        together = count_boundaries(SQ, 0.0, sources, targets, refine=False)
+        for p, res in zip(sources, together):
+            alone = count_boundary(SQ, 0.0, p, targets, refine=False)
+            assert res.counts == alone.counts
+            assert res.method == alone.method
+            assert len(res.trajectories) == len(alone.trajectories)
+
+    def test_continuation_on_all_sources_equals_one_at_a_time(self):
+        sources = find_critical_points(DW, 0.05).inside_window()
+        targets = find_critical_points(DW, 0.01).inside_window()
+        sched = ContinuationSchedule.eps_path(DW, 0.05, 0.01)
+        res = continuation_trajectories(DW, sched, sources, targets)
+        assert len(res.trajectories) == len(sources)
+        for si, p in enumerate(sources):
+            alone = continuation_trajectories(DW, sched, [p], targets)
+            assert (alone.delta, alone.halvings) == (res.delta, res.halvings)
+            assert {t: c for (s, t), c in res.counts.items() if s == si} \
+                == {t: c for (_, t), c in alone.counts.items()}
+            (rec,) = alone.trajectories
+            assert_same_bits(res.trajectories[si],
+                             dataclasses.replace(rec, start_id=si))
