@@ -3,7 +3,13 @@
 The solver runs damped Newton from a batch of low-discrepancy starts, then
 certifies each surviving point with a Newton-Kantorovich test so that the
 reported locations come with a radius inside which the true critical point
-is pinned down.  Downstream stages lean on three facts established here:
+is pinned down.  Every start runs on its own: its step length comes from
+its own backtracking line search, it is done the moment its gradient norm
+drops below the tolerance, and it retires (counted in ``n_dead``) once six
+iterations pass without halving its best gradient norm.  A start's
+iterates therefore never depend on which other starts share the batch, and
+starts that go nowhere stop costing work early.  Downstream stages lean on
+three facts established here:
 
 * the Morse index is read off the metric Hessian pencil H v = w G v, whose
   signature matches the plain Hessian's, so the index never depends on the
@@ -140,78 +146,113 @@ class CriticalSet:
         return tuple(p for p in self.inside_window() if p.index == k)
 
 
+_RETIRE_AFTER = 6  # iterations a Newton row gets to halve its best |grad|
+_TRIES = 5         # step lengths 1, 1/2, ..., 1/16 per Newton iteration
+
+
+def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Newton steps H^-1 g, row by row where a Hessian is singular.
+
+    A singular row is shifted by a tiny multiple of the identity; a row
+    whose step is still not finite falls back to the gradient itself.
+    """
+    n = g.shape[1]
+    try:
+        step = np.linalg.solve(H, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(g)
+        for r in range(len(g)):
+            try:
+                step[r] = np.linalg.solve(H[r], g[r])
+            except np.linalg.LinAlgError:
+                mu = 1e-8 * (1.0 + float(np.abs(H[r]).max()))
+                step[r] = np.linalg.solve(H[r] + mu * np.eye(n), g[r])
+    nan_step = ~np.isfinite(step).all(axis=1)
+    step[nan_step] = g[nan_step]
+    return step
+
+
+def _backtrack(fe: Expression, names, domain, x: np.ndarray,
+               step: np.ndarray, base_gn: np.ndarray):
+    """Per-row backtracking along -step: the accepted points and their |grad|.
+
+    Each try evaluates only the rows that have not yet beaten their own
+    base_gn.  A row stops at its first improving step length; a row that
+    never improves keeps the best of its tries (the first one if every try
+    is non-finite).
+    """
+    best_X = np.empty_like(x)
+    best_gn = np.full(len(x), np.inf)
+    todo = np.arange(len(x))
+    t = 1.0
+    for k in range(_TRIES):
+        cand = domain.clamp_to_interior(x[todo] - t * step[todo])
+        _, gc = eval_jet1(fe, cand, names)
+        cn = np.linalg.norm(gc, axis=1)
+        cn = np.where(np.isfinite(cn), cn, np.inf)
+        take = (cn < best_gn[todo]) | (k == 0)
+        best_X[todo[take]] = cand[take]
+        best_gn[todo[take]] = cn[take]
+        todo = todo[~(cn < base_gn[todo])]
+        if todo.size == 0:
+            break
+        t *= 0.5
+    return best_X, best_gn
+
+
 def _newton_batch(fe: Expression, names, domain, X0: np.ndarray,
                   tol: float, max_iter: int):
-    """Damped Newton on the gradient, whole batch at once.
+    """Damped Newton on the gradient; each row runs on its own.
 
-    Returns (X, converged mask, dead mask, final gradient norms).
+    An iteration evaluates one Hessian per working row, takes the Newton
+    step and backtracks per row (`_backtrack`).  A row is done as soon as
+    its accepted point has |grad| < tol: the jet1 gradient found there is
+    bit for bit the one the next Hessian evaluation would give.  A row that
+    is not done retires when _RETIRE_AFTER iterations pass without halving
+    its best |grad| (which starts at its first norm), when its gradient is
+    not finite, or when it strays beyond the leash.  No row's iterates
+    depend on which other rows share the batch.
+
+    Returns (X, done mask, retired mask, |grad| at X).
     """
     X = domain.clamp_to_interior(np.array(X0, dtype=float))
-    m, n = X.shape
+    m = len(X)
     alive = np.ones(m, dtype=bool)
     done = np.zeros(m, dtype=bool)
     gnorm = np.full(m, np.inf)
-    stall = np.zeros(m, dtype=np.int8)
-    span = max(hi - lo for lo, hi in domain.box)
-    leash = 50.0 * span
-
+    best = None                        # |grad| at each row's last halving
+    age = np.zeros(m, dtype=np.int64)  # iterations since that halving
+    leash = 50.0 * max(hi - lo for lo, hi in domain.box)
     center = np.array([(lo + hi) / 2 for lo, hi in domain.box])
+
     for _ in range(max_iter):
-        work = alive & ~done
-        if not work.any():
+        idx = np.flatnonzero(alive & ~done)
+        if idx.size == 0:
             break
-        idx = np.flatnonzero(work)
         _, g, H = eval_jet2(fe, X[idx], names)
         gn = np.linalg.norm(g, axis=1)
         bad = ~np.isfinite(gn)
         alive[idx[bad]] = False
         hit = ~bad & (gn < tol)
         done[idx[hit]] = True
-        gnorm[idx] = np.where(np.isfinite(gn), gn, np.inf)
+        gnorm[idx] = np.where(bad, np.inf, gn)
+        if best is None:
+            best = gnorm.copy()
 
-        rows = idx[~bad & ~hit]
+        work = ~bad & ~hit
+        rows = idx[work]
         if rows.size == 0:
             continue
-        gw = g[~bad & ~hit]
-        Hw = H[~bad & ~hit]
-        try:
-            step = np.linalg.solve(Hw, gw[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.empty_like(gw)
-            for r in range(len(rows)):
-                try:
-                    step[r] = np.linalg.solve(Hw[r], gw[r])
-                except np.linalg.LinAlgError:
-                    mu = 1e-8 * (1.0 + float(np.abs(Hw[r]).max()))
-                    step[r] = np.linalg.solve(Hw[r] + mu * np.eye(n), gw[r])
-        nan_step = ~np.isfinite(step).all(axis=1)
-        if nan_step.any():
-            step[nan_step] = gw[nan_step]
-
-        base_gn = gnorm[rows]
-        best_X = None
-        best_gn = None
-        t = 1.0
-        for _try in range(5):
-            cand = domain.clamp_to_interior(X[rows] - t * step)
-            _, gc = eval_jet1(fe, cand, names)
-            cn = np.linalg.norm(gc, axis=1)
-            cn = np.where(np.isfinite(cn), cn, np.inf)
-            if best_gn is None:
-                best_X, best_gn = cand, cn
-            else:
-                better = cn < best_gn
-                best_X[better] = cand[better]
-                best_gn[better] = cn[better]
-            if np.all(best_gn < base_gn):
-                break
-            t *= 0.5
-        X[rows] = best_X
-        improved = best_gn < 0.999 * base_gn
-        stall[rows] = np.where(improved, 0, stall[rows] + 1)
-        alive[rows[stall[rows] >= 6]] = False
+        step = _newton_steps(g[work], H[work])
+        X[rows], gnorm[rows] = _backtrack(fe, names, domain, X[rows], step,
+                                          gnorm[rows])
+        done[rows[gnorm[rows] < tol]] = True
+        halved = gnorm[rows] < 0.5 * best[rows]
+        best[rows[halved]] = gnorm[rows[halved]]
+        age[rows] = np.where(halved, 0, age[rows] + 1)
+        rows = rows[~done[rows]]
         far = np.linalg.norm(X[rows] - center, axis=1) > leash
-        alive[rows[far]] = False
+        alive[rows[(age[rows] >= _RETIRE_AFTER) | far]] = False
 
     return X, done, ~alive, gnorm
 
@@ -300,9 +341,9 @@ def find_critical_points(problem: ProblemSpec, eps: float,
     rep_rows = [hits[j] for j in _collapse(X[hits], gnorm[hits], 1e-7 * (1 + span))]
 
     # certify representatives, then merge any whose balls overlap
-    radii = {}
-    for i in rep_rows:
-        radii[i] = certify_root(fe, names, X[i])
+    v, g, H = eval_jet2(fe, X[rep_rows], names)
+    at = {i: k for k, i in enumerate(rep_rows)}
+    radii = {i: certify_root(fe, names, X[i], g[k], H[k]) for i, k in at.items()}
     merged: List[int] = []
     for i in sorted(rep_rows, key=lambda r: gnorm[r]):
         ri = radii[i] if math.isfinite(radii[i]) else 1e-7 * (1 + span)
@@ -318,13 +359,12 @@ def find_critical_points(problem: ProblemSpec, eps: float,
     points = []
     for i in merged:
         x = X[i]
-        v, gb, Hb = eval_jet2(fe, x[None, :], names)
+        val = float(v[at[i]])
         G = metric_at(problem.metric, problem.tau, names, x)
-        w, V = oriented_pencil_eigs(Hb[0], G)
+        w, V = oriented_pencil_eigs(H[at[i]], G)
         scale = max(1.0, float(np.max(np.abs(w))))
         degenerate = float(np.min(np.abs(w))) < DEGENERACY_RTOL * scale
         tau_v = float(eval_values(problem.tau, x[None, :], names)[0])
-        val = float(v[0])
         points.append(CriticalPoint(
             location=x.copy(),
             value=val,

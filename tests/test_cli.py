@@ -9,6 +9,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +249,15 @@ class TestCache:
         monkeypatch.setattr(cli, "SCHEMA", cli.SCHEMA + 1)
         bumped_schema = c.key("h", "crit", {"eps": 0.1})
         assert len({base, bumped_version, bumped_schema}) == 3
+
+    def test_pyproject_version_is_the_package_version(self):
+        # the cache key carries __version__, so a release bump in one place
+        # only would keep serving payloads written by the previous solver
+        from morsevanish import __version__
+        text = (Path(__file__).resolve().parent.parent
+                / "pyproject.toml").read_text()
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.M)
+        assert declared and declared.group(1) == __version__
 
     def test_interrupted_store_keeps_the_old_entry(self, tmp_path,
                                                    monkeypatch):
