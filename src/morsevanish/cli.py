@@ -58,8 +58,7 @@ SCHEMA = 1
 
 # counting knobs shared by the flow and complex stages; they are part of
 # every cache key so a future change cannot resurrect stale entries
-_COUNT = {"r_launch": 1e-4, "n_scan": 72, "budget": 40000,
-          "s_tail": 400.0, "refine": True}
+_COUNT = {"r_launch": 1e-4, "budget": 40000}
 _CONTINUE_BUDGET = 60000
 
 
@@ -798,8 +797,7 @@ def cmd_continue(args) -> int:
     res = continuation_trajectories(ctx.problem, sched, cx_a.points(),
                                     cx_b.points(),
                                     r_launch=_COUNT["r_launch"],
-                                    budget=_CONTINUE_BUDGET,
-                                    s_tail=_COUNT["s_tail"])
+                                    budget=_CONTINUE_BUDGET)
     ind = continuation_chain_map(cx_a, cx_b, res)
     report = {
         "schema": SCHEMA, "command": "continue",

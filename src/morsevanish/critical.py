@@ -109,11 +109,6 @@ class CriticalPoint:
     def certified(self) -> bool:
         return math.isfinite(self.certificate_radius)
 
-    @property
-    def unstable_frame(self) -> np.ndarray:
-        """Columns spanning the unstable subspace (descent directions)."""
-        return self.frame[:, :self.index]
-
     def summary(self) -> dict:
         return {
             "location": [float(v) for v in self.location],
@@ -147,7 +142,7 @@ class CriticalSet:
 
 
 _RETIRE_AFTER = 6  # iterations a Newton row gets to halve its best |grad|
-_TRIES = 5         # step lengths 1, 1/2, ..., 1/16 per Newton iteration
+_TRIES = 5         # step lengths 1, 1/2, ..., 1/16 of the capped step
 
 
 def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -172,21 +167,38 @@ def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
     return step
 
 
+def _step_cap(domain, x: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Per-row full step length along -step: 1, or half the distance to a
+    finite domain end when that is shorter (fraction to the boundary)."""
+    cap = np.ones(len(x))
+    for i, (lo, hi) in enumerate(domain.intervals):
+        move = -step[:, i]
+        if math.isfinite(lo):
+            down = move < 0
+            cap[down] = np.minimum(cap[down],
+                                   0.5 * (x[down, i] - lo) / -move[down])
+        if math.isfinite(hi):
+            up = move > 0
+            cap[up] = np.minimum(cap[up], 0.5 * (hi - x[up, i]) / move[up])
+    return cap
+
+
 def _backtrack(fe: Expression, names, domain, x: np.ndarray,
                step: np.ndarray, base_gn: np.ndarray):
     """Per-row backtracking along -step: the accepted points and their |grad|.
 
-    Each try evaluates only the rows that have not yet beaten their own
-    base_gn.  A row stops at its first improving step length; a row that
-    never improves keeps the best of its tries (the first one if every try
-    is non-finite).
+    Each row's first try is its full step, capped by `_step_cap`; each
+    further try halves it.  Each try evaluates only the rows that have not
+    yet beaten their own base_gn.  A row stops at its first improving step
+    length; a row that never improves keeps the best of its tries (the
+    first one if every try is non-finite).
     """
     best_X = np.empty_like(x)
     best_gn = np.full(len(x), np.inf)
     todo = np.arange(len(x))
-    t = 1.0
+    t = _step_cap(domain, x, step)
     for k in range(_TRIES):
-        cand = domain.clamp_to_interior(x[todo] - t * step[todo])
+        cand = domain.clamp_to_interior(x[todo] - t[todo, None] * step[todo])
         _, gc = eval_jet1(fe, cand, names)
         cn = np.linalg.norm(gc, axis=1)
         cn = np.where(np.isfinite(cn), cn, np.inf)

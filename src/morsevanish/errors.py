@@ -71,10 +71,6 @@ class StepCollapse(MorsevanishError):
     """Adaptive step size fell below the hard floor."""
 
 
-class UnresolvedBasin(MorsevanishError):
-    """Basin-boundary refinement hit its resolution floor undecided."""
-
-
 class NotConverged(MorsevanishError):
     """Energy was requested for a trajectory that never settled."""
 

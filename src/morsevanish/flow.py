@@ -15,28 +15,51 @@ on 2 (F_start(x_start) - F_end(x_end)).  The topological energy of a
 connecting trajectory is 2 (F_start(p) - F_end(q)) from the limiting
 critical values; |E_an - E_top| small is the energy identity check.
 
-Counting conventions (ambient dimension <= 3, index difference 0 or 1):
-every critical point's eigenframe is oriented by making each column's first
-meaningful component positive, and its unstable directions come first.  A
-flowline launched along +e_u carries +1, along -e_u carries -1.  For
-one-parameter families (circle scans around index-2 points, offset ladders
-during continuation) the signed count at a target q is read off side flips
-of near passes: the family parameter sweeps across the stable manifold of q
+Counting conventions (ambient dimension n <= 3): every critical point's
+eigenframe is oriented by making each column's first meaningful component
+positive, and its unstable directions come first; the unstable manifold of
+an index-k point is oriented by its first k frame columns.  A flowline from
+p (index k) to q (index k - 1) counts +1 when the orientation of W^u(p)
+along it agrees with its velocity followed by the orientation of W^u(q)
+carried along it, and -1 otherwise.  Trajectories that leave the window
+count zero.
+
+* Index 1: launches at p +- r e_u.  A minimum's W^u is a point, so a
+  flowline along +e_u carries +1 and one along -e_u carries -1.
+* Top degree, index n >= 2, by Morse duality: in the complex of -f_eps the
+  indices become n - k and the boundary is the transpose (Schwarz, *Morse
+  Homology*, 1993; Banyaga & Hurtubise, *Lectures on Morse Homology*,
+  2004).  The flowlines into an index-(n-1) point q are the two branches
+  of its one-dimensional stable manifold, tangent at q to its last frame
+  column e_s.  So each q launches at q + sigma r e_s (sigma = +-1) under
+  the flow of -f_eps, with the window mirrored to (-b, -a) so that its
+  exits swap, and the index-n points are the sinks that branch may reach.
+  W^u(p) is open in R^n and oriented by sgn det(frame_p).  Near q the
+  forward flowline arriving from side sigma moves along -sigma e_s, and
+  W^u(q) is oriented by frame_q[:, :n-1], so a branch from side sigma that
+  reaches p counts
+      sgn det(frame_p) sgn det[-sigma e_s, frame_q[:, :n-1]]
+          = sigma (-1)^n sgn det(frame_p) sgn det(frame_q),
+  which in the plane is sigma sgn det(frame_p) sgn det(frame_q).  (For
+  n = 1 the same formula gives the index-1 rule above.)
+* Index k with 2 <= k < n (index 2 in R^3) is refused: neither W^u(p) nor
+  W^s(q) is one-dimensional there, so no endpoint launch finds the
+  flowlines; the Euler characteristic route covers those problems.
+
+Continuation counts index-preserving flowlines of a delta-slow path.  At
+a saddle the signed count is read off side flips of near passes along an
+offset ladder: the ladder parameter sweeps across the stable manifold of q
 and a pass switching from the -e_u(q) side to the +e_u(q) side counts +1.
-Trajectories that leave the window count zero.  Crossings narrower than the
-scan resolution are invisible; the bisection refinement only sharpens flips
-the scan already saw.
 
 How the work is batched: the integrator is Dormand-Prince 5(4), whose last
 stage sits at the accepted point (first same as last, FSAL), so each row
 keeps its stage 1 from the previous step and an attempted step costs six
-field evaluations.  Each counting job integrates its starts in one batch:
-``count_boundaries`` stacks the endpoint launches and scan circles of all
-its sources, ``continuation_trajectories`` the offset ladders of all its
-sources.  Bisection is speculative: one batch integrates the seven
-midpoints the next three rounds could visit, then the rounds walk them in
-order, so brackets are exactly those of one-midpoint-at-a-time bisection.
-Every row's result is independent of what else shares its batch.
+field evaluations.  A counting job integrates in at most two batches:
+``count_boundaries`` stacks the endpoint launches of all its index-1
+sources in one forward batch and the dual launches of all its top-degree
+sources in one reversed batch; ``continuation_trajectories`` stacks the
+offset ladders of all its sources.  Every row's result is independent of
+what else shares its batch.
 """
 
 from __future__ import annotations
@@ -44,27 +67,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .critical import CriticalPoint
 from .errors import (BudgetExceeded, ConfigError, DeltaFloor, NotConverged,
-                     StepCollapse, UnresolvedBasin)
+                     StepCollapse)
 from .expr import Const, Expression, Quotient, eval_jet1, eval_values
 from .metric import apply_inverse_batch, metric_batch
 from .problem import ProblemSpec, perturbed_function
 
 __all__ = ["ContinuationSchedule", "TrajectoryRecord", "integrate_flow",
            "energy", "count_boundary", "count_boundaries",
-           "iter_boundary_counts", "BoundaryCountResult",
+           "BoundaryCountResult",
            "continuation_trajectories", "ContinuationResult",
            "gamma_profile", "gamma_slope"]
 
 ENERGY_RTOL = 1e-6
 STEP_FLOOR = 1e-14
 RTOL = 1e-9
+# flow time a row may run past the end of the ramp before it is out of budget
+S_TAIL = 400.0
 
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
@@ -306,8 +330,7 @@ class _RowResult:
 
 
 def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
-                max_steps: int, s_tail: float,
-                record: bool = False) -> List[_RowResult]:
+                max_steps: int, record: bool = False) -> List[_RowResult]:
     """Integrate every row until it terminates; returns per-row results.
 
     Near-pass sides are tracked from launch on (the classification frames
@@ -326,7 +349,7 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
     X = np.array(X0, dtype=float)
     E = np.zeros(m)
     S = np.full(m, sched.ramp_start)
-    s_max = sched.ramp_end + s_tail
+    s_max = sched.ramp_end + S_TAIL
     status = np.full(m, RUNNING)
     target_of = np.full(m, -1)
     steps = np.zeros(m, dtype=int)
@@ -521,7 +544,7 @@ def _as_schedule(problem: ProblemSpec, eps_or_schedule) -> ContinuationSchedule:
 
 def integrate_flow(problem: ProblemSpec, eps_or_schedule, start,
                    targets: Sequence[CriticalPoint] = (),
-                   budget: int = 40000, s_tail: float = 400.0,
+                   budget: int = 40000,
                    record_path: bool = True) -> TrajectoryRecord:
     """One flowline from an interior start until arrival at a target,
     window exit past the sigma margin, or exhaustion; exhaustion raises
@@ -533,7 +556,7 @@ def integrate_flow(problem: ProblemSpec, eps_or_schedule, start,
     sched = _as_schedule(problem, eps_or_schedule)
     field = _Field(problem, sched)
     tset = _TargetSet(targets)
-    (row,) = _flow_batch(field, x0[None, :], tset, budget, s_tail,
+    (row,) = _flow_batch(field, x0[None, :], tset, budget,
                          record=record_path)
     start_value = None
     for i, p in enumerate(tset.points):
@@ -591,31 +614,23 @@ def energy(trajectory: TrajectoryRecord, problem: ProblemSpec,
     return E_an, E_top
 
 
-def _flip_count(sides: Sequence[int], cyclic: bool) -> List[Tuple[int, int]]:
-    """Signed stable-manifold crossings from a sequence of near-pass sides.
+def _flip_count(sides: Sequence[int]) -> List[int]:
+    """Signed stable-manifold crossings along a ladder of near-pass sides.
 
     Entries are -1/+1 (side at last ball exit), 0 (arrived at the target,
-    transparent), NEVER (no near pass, breaks adjacency).  A crossing is a
-    -1 -> +1 step between consecutive near entries (+1) or the reverse
-    (-1).  Returns (position of the left neighbor, sign) pairs.
+    transparent), NEVER (no near pass, breaks adjacency).  A -1 -> +1 step
+    between consecutive near entries is a crossing counted +1, the reverse
+    one -1.
     """
-    k = len(sides)
-    span = list(range(k)) * (2 if cyclic else 1)
     out = []
-    prev_side = None
-    prev_step = None
-    for step, pos in enumerate(span):
-        s = sides[pos]
-        if s == NEVER:
-            prev_side = None
-            continue
-        if s == 0:
-            continue
-        if prev_side is not None and s != prev_side and prev_step < k:
-            out.append((span[prev_step],
-                        1 if (prev_side, s) == (-1, 1) else -1))
-        prev_side = s
-        prev_step = step
+    prev = None
+    for side in sides:
+        if side == NEVER:
+            prev = None
+        elif side != 0:
+            if prev is not None and side != prev:
+                out.append(1 if side > prev else -1)
+            prev = side
     return out
 
 
@@ -628,95 +643,10 @@ class BoundaryCountResult:
     warnings: Tuple[str, ...] = ()
 
 
-# bisection rounds per batch: 2^3 - 1 = 7 midpoints, of which 3 are used
-_SPECULATE = 3
-
-
-def _midpoint_tree(lo: float, hi: float, depth: int,
-                   resolution: float) -> List[Optional[float]]:
-    """Midpoints the next ``depth`` bisection rounds could visit, in heap
-    order: node i halves its bracket, node 2i+1 the lower half and node
-    2i+2 the upper one.  None marks a bracket bisection would already
-    return at."""
-    brackets = [(lo, hi)]
-    mids: List[Optional[float]] = []
-    for node in range(2 ** depth - 1):
-        a, b = brackets[node]
-        mid = None if b - a < resolution else 0.5 * (a + b)
-        mids.append(mid)
-        brackets += [(a, b), (a, b)] if mid is None else [(a, mid), (mid, b)]
-    return mids
-
-
-def _bisect_flip(field: _Field, make_start, lo: float, hi: float,
-                 t: int, targets: _TargetSet, budget: int, s_tail: float,
-                 resolution: float = 1e-12, rounds: int = 60):
-    """Tighten a side flip of target t between family parameters lo < hi.
-
-    Returns the refined bracket.  Raises UnresolvedBasin when the side
-    classification stops bracketing before the resolution is reached.
-    Each batch integrates every midpoint of the next _SPECULATE rounds;
-    the rounds then walk them exactly as one-midpoint bisection would."""
-
-    def sides_at(pars: List[Optional[float]]) -> List[Optional[int]]:
-        live = [par for par in pars if par is not None]
-        if not live:
-            return [None] * len(pars)
-        rows = iter(_flow_batch(field, np.stack([make_start(par)
-                                                 for par in live]),
-                                targets, budget, s_tail))
-        return [None if par is None else int(next(rows).near_side[t])
-                for par in pars]
-
-    left = rounds
-    s_lo, s_hi = None, None
-    while left > 0:
-        mids = _midpoint_tree(lo, hi, min(_SPECULATE, left), resolution)
-        if s_lo is None:
-            s_lo, s_hi, *sides = sides_at([lo, hi] + mids)
-        else:
-            sides = sides_at(mids)
-        node = 0
-        while node < len(mids) and left > 0:
-            if hi - lo < resolution:
-                return lo, hi
-            left -= 1
-            mid = 0.5 * (lo + hi)
-            s_mid = sides[node]
-            if s_mid == s_lo:
-                lo = mid
-                node = 2 * node + 2
-            elif s_mid == s_hi:
-                hi = mid
-                node = 2 * node + 1
-            elif s_mid == 0:
-                return lo, hi     # landed on the connecting orbit itself
-            else:
-                raise UnresolvedBasin(
-                    f"side of target {t} at family parameter {mid!r} came "
-                    f"back {s_mid}; the bracket ({s_lo}, {s_hi}) did not "
-                    f"separate above width {hi - lo:.3g}")
-    return lo, hi
-
-
-def _launches(source: CriticalPoint, r_launch: float, n_scan: int):
-    """A source's starts, scan parameters and start map: no starts for
-    index 0, both unstable endpoints for index 1, the oriented scan circle
-    for index 2."""
-    if source.index == 0:
-        return np.zeros((0, len(source.location))), None, None
-    if source.index == 1:
-        e_u = source.frame[:, 0]
-        return np.stack([source.location + r_launch * e_u,
-                         source.location - r_launch * e_u]), None, None
-    e1, e2 = source.frame[:, 0], source.frame[:, 1]
-    phis = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
-
-    def make_start(phi: float) -> np.ndarray:
-        return source.location + r_launch * (math.cos(phi) * e1
-                                             + math.sin(phi) * e2)
-
-    return np.stack([make_start(p) for p in phis]), phis, make_start
+def _endpoints(p: CriticalPoint, column: int, r_launch: float) -> np.ndarray:
+    """The starts p + r_launch e and p - r_launch e, e = frame_p[:, column]."""
+    e = p.frame[:, column]
+    return np.stack([p.location + r_launch * e, p.location - r_launch * e])
 
 
 def _endpoint_count(source: CriticalPoint, targets: Sequence[CriticalPoint],
@@ -742,108 +672,114 @@ def _endpoint_count(source: CriticalPoint, targets: Sequence[CriticalPoint],
                                tuple(warnings))
 
 
-def _circle_count(source: CriticalPoint, targets: Sequence[CriticalPoint],
-                  tset: _TargetSet, field: _Field, phis: np.ndarray,
-                  make_start, rows: List[_RowResult], budget: int,
-                  s_tail: float, refine: bool) -> BoundaryCountResult:
-    n_scan = len(phis)
-    counts: Dict[int, int] = {j: 0 for j in range(len(targets))}
-    warnings: List[str] = []
-    flips = []
-    for t in range(len(targets)):
-        if targets[t].index != 1:
-            continue
-        sides = [int(r.near_side[t]) for r in rows]
-        for pos, sgn in _flip_count(sides, cyclic=True):
-            lo, hi = phis[pos], phis[(pos + 1) % n_scan]
-            if hi <= lo:
-                hi += 2.0 * math.pi
-            if refine:
-                lo, hi = _bisect_flip(field, make_start, lo, hi, t, tset,
-                                      budget, s_tail)
-            counts[t] += sgn
-            flips.append((0.5 * (lo + hi), sgn))
-    recs = []
-    if flips:
-        mids = [make_start(mid) for mid, _ in flips]
-        for x0, (_, sgn), row in zip(mids, flips, _flow_batch(
-                field, np.stack(mids), tset, budget, s_tail)):
-            recs.append(_make_record(row, field, x0, None, source.value,
-                                     tset, sign=sgn))
-    for t in range(len(targets)):
-        if (targets[t].index == 1 and counts[t] == 0
-                and any(r.status == ARRIVED and r.target == t
-                        for r in rows)):
-            warnings.append(
-                f"an arrival at target {t} was not bracketed by sided "
-                f"near passes; increase n_scan")
-    for r in rows:
-        if r.status in (BUDGET, COLLAPSE):
-            warnings.append(
-                f"a scan trajectory ended with {_STATUS_NAMES[r.status]}")
-    return BoundaryCountResult(2, counts, tuple(recs), "circle",
-                               tuple(warnings))
+def _as_sink(p: CriticalPoint, n: int) -> CriticalPoint:
+    """p as a critical point of -f_eps: value and index mirrored, frame
+    columns reversed so that the unstable directions come first again."""
+    return replace(p, value=-p.value, index=n - p.index,
+                   eigenvalues=-p.eigenvalues[::-1], frame=p.frame[:, ::-1])
 
 
-def iter_boundary_counts(problem: ProblemSpec, eps: float,
-                         sources: Sequence[CriticalPoint],
-                         targets: Sequence[CriticalPoint],
-                         r_launch: float = 1e-4, n_scan: int = 72,
-                         budget: int = 40000, s_tail: float = 400.0,
-                         refine: bool = True
-                         ) -> Iterator[BoundaryCountResult]:
-    """``count_boundaries`` one source at a time, in order.
+def _sgn_det(p: CriticalPoint) -> int:
+    return 1 if np.linalg.det(p.frame) > 0 else -1
 
-    The shared batch runs before the first result; each index-2 source
-    bisects its flips just before its own result, so a caller that stops
-    at a result never pays for (or sees errors from) later bisections.
-    """
-    if problem.domain.dimension > 3:
-        raise ConfigError(
-            "trajectory counting is limited to ambient dimension <= 3")
-    if any(p.index > 2 for p in sources):
-        raise ConfigError(
-            "unstable spheres of dimension >= 2 are not scanned; use the "
-            "Euler characteristic route for those problems")
-    field = _Field(problem, ContinuationSchedule.static(problem, eps))
-    tset = _TargetSet(targets)
-    launches = [_launches(p, r_launch, n_scan) for p in sources]
-    stacked = np.concatenate([lz[0] for lz in launches]) if sources else ()
-    rows = (_flow_batch(field, stacked, tset, budget, s_tail)
-            if len(stacked) else [])
-    at = 0
-    for p, (starts, phis, make_start) in zip(sources, launches):
-        p_rows = rows[at:at + len(starts)]
-        at += len(starts)
-        if p.index == 0:
-            yield BoundaryCountResult(
-                0, {j: 0 for j in range(len(targets))}, (), "none")
-        elif p.index == 1:
-            yield _endpoint_count(p, targets, tset, field, starts, p_rows)
-        else:
-            yield _circle_count(p, targets, tset, field, phis, make_start,
-                                p_rows, budget, s_tail, refine)
+
+def _dual_counts(problem: ProblemSpec, eps: float,
+                 sources: Sequence[CriticalPoint],
+                 targets: Sequence[CriticalPoint], r_launch: float,
+                 budget: int) -> List[BoundaryCountResult]:
+    """Counts for top-degree sources: both branches of the stable manifold
+    of every index-(n-1) target, integrated in one batch under the flow of
+    -f_eps with the window mirrored, and signed as the module docstring
+    derives."""
+    n = problem.domain.dimension
+    w = problem.window
+    mirrored = replace(problem, f=-problem.f,
+                       window=replace(w, a=-w.b, b=-w.a))
+    # -f_eps = (-f) + (-eps) / tau
+    field = _Field(mirrored, ContinuationSchedule.static(mirrored, -eps))
+    sinks = _TargetSet([_as_sink(p, n) for p in sources])
+    launch_from = [j for j, q in enumerate(targets) if q.index == n - 1]
+    starts = [_endpoints(targets[j], n - 1, r_launch) for j in launch_from]
+    rows = iter(_flow_batch(field, np.concatenate(starts), sinks, budget)
+                if starts else ())
+    counts = [{j: 0 for j in range(len(targets))} for _ in sources]
+    recs: List[List[TrajectoryRecord]] = [[] for _ in sources]
+    warnings: List[List[str]] = [[] for _ in sources]
+    for j, pair in zip(launch_from, starts):
+        q = targets[j]
+        for side, x0 in zip((1, -1), pair):
+            row = next(rows)
+            if row.status in (BUDGET, COLLAPSE):
+                for msgs in warnings:
+                    msgs.append(f"reversed launch {side:+d} from target {j} "
+                                f"ended with {_STATUS_NAMES[row.status]}")
+            if row.status != ARRIVED:
+                continue
+            s = row.target
+            sgn = side * (-1) ** n * _sgn_det(sources[s]) * _sgn_det(q)
+            counts[s][j] += sgn
+            # E_an and E_top come out as the forward flowline's energy;
+            # the value range is turned back into f_eps values too
+            rec = _make_record(row, field, x0, None, -q.value, sinks, sgn)
+            rec = replace(rec, target_id=j, f_max=-rec.f_min,
+                          f_min=-rec.f_max)
+            recs[s].append(rec)
+            if not rec.energy_ok:
+                warnings[s].append(
+                    f"energy identity violated on the reversed launch "
+                    f"{side:+d} from target {j}: E_an={rec.E_an!r} "
+                    f"E_top={rec.E_top!r}")
+    return [BoundaryCountResult(p.index, counts[s], tuple(recs[s]), "dual",
+                                tuple(warnings[s]))
+            for s, p in enumerate(sources)]
 
 
 def count_boundaries(problem: ProblemSpec, eps: float,
                      sources: Sequence[CriticalPoint],
-                     targets: Sequence[CriticalPoint],
-                     **count) -> List[BoundaryCountResult]:
+                     targets: Sequence[CriticalPoint], *,
+                     r_launch: float = 1e-4,
+                     budget: int = 40000) -> List[BoundaryCountResult]:
     """Signed counts of flowlines from each source, of index k, into the
     index-(k-1) members of the shared ``targets``, autonomous field at the
-    given eps.
+    given eps; each result's counts are keyed by position in ``targets``.
 
-    k = 1 launches the two unstable endpoints; k = 2 scans a circle in the
-    oriented unstable plane and counts side flips of near passes at each
-    target, sharpening each flip by bisection when refine is set.  Window
-    exits count zero.  Lower-index points may be included in `targets` as
-    absorbers: arrival there terminates a row early but only the
-    index-(k-1) entries are counted.  Every launch and scan row of every
-    source runs in one batch.  Keyword arguments: r_launch, n_scan,
-    budget, s_tail, refine.
+    k = 1 launches the two unstable endpoints; lower-index points in
+    ``targets`` absorb (arrival there ends a row early, but only the
+    index-(k-1) entries are counted).  Top degree k = n >= 2 launches from
+    the index-(n-1) targets under the reversed flow.  Window exits count
+    zero.  All index-1 launches run in one batch and all top-degree
+    launches in another.  Sources of index 2 <= k < n raise ConfigError.
     """
-    return list(iter_boundary_counts(problem, eps, sources, targets,
-                                     **count))
+    n = problem.domain.dimension
+    if n > 3:
+        raise ConfigError(
+            "trajectory counting is limited to ambient dimension <= 3")
+    middle = [p.index for p in sources if 1 < p.index < n]
+    if middle:
+        raise ConfigError(
+            f"a source of index {middle[0]} is not counted, only index 1 "
+            f"and the top index {n} are; use the Euler characteristic "
+            "route for this problem")
+    out: List[Optional[BoundaryCountResult]] = [
+        BoundaryCountResult(0, {j: 0 for j in range(len(targets))}, (),
+                            "none") if p.index == 0 else None
+        for p in sources]
+    ones = [s for s, p in enumerate(sources) if p.index == 1]
+    if ones:
+        field = _Field(problem, ContinuationSchedule.static(problem, eps))
+        tset = _TargetSet(targets)
+        starts = [_endpoints(sources[s], 0, r_launch) for s in ones]
+        rows = _flow_batch(field, np.concatenate(starts), tset, budget)
+        for i, s in enumerate(ones):
+            out[s] = _endpoint_count(sources[s], targets, tset, field,
+                                     starts[i], rows[2 * i:2 * i + 2])
+    tops = [s for s, p in enumerate(sources) if p.index > 1]
+    if tops:
+        for s, res in zip(tops, _dual_counts(
+                problem, eps, [sources[s] for s in tops], targets,
+                r_launch, budget)):
+            out[s] = res
+    return out
 
 
 def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
@@ -880,7 +816,7 @@ def continuation_trajectories(problem: ProblemSpec,
                               sources: Sequence[CriticalPoint],
                               targets: Sequence[CriticalPoint],
                               r_launch: float = 1e-4,
-                              budget: int = 60000, s_tail: float = 400.0,
+                              budget: int = 60000,
                               delta_floor: float = 1e-6,
                               reach: float = 0.3) -> ContinuationResult:
     """Signed index-preserving arrival counts for the delta-slow
@@ -918,7 +854,7 @@ def continuation_trajectories(problem: ProblemSpec,
     while True:
         field = _Field(problem, schedule.with_delta(delta))
         batch = iter(_flow_batch(field, np.concatenate(ladders), tset,
-                                 budget, s_tail))
+                                 budget))
         counts: Dict[Tuple[int, int], int] = {}
         recs: List[TrajectoryRecord] = []
         hi_exc = -math.inf
@@ -955,7 +891,7 @@ def continuation_trajectories(problem: ProblemSpec,
                     if targets[t].index != k:
                         continue
                     sides = [int(r.near_side[t]) for r in rows]
-                    for _, sgn in _flip_count(sides, cyclic=False):
+                    for sgn in _flip_count(sides):
                         counts[(si, t)] = counts.get((si, t), 0) + sgn
             recs.append(_make_record(center, field, p.location, si,
                                      p.value, tset, sign=1))

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
 from .flow import (BoundaryCountResult, ContinuationResult,
                    ContinuationSchedule, continuation_trajectories,
-                   iter_boundary_counts)
+                   count_boundaries)
 from .intlinalg import (ChainComplexData, Matrix, SNF, homology_of_complex,
                         kernel_basis, matmul, smith_normal_form)
 from .problem import ProblemSpec
@@ -189,24 +189,24 @@ def assemble_complex(points: Sequence[CriticalPoint],
 
 def boundary_counts(problem: ProblemSpec, eps: float,
                     points: Sequence[CriticalPoint], **count
-                    ) -> Iterable[Tuple[int, List[int], BoundaryCountResult]]:
+                    ) -> List[Tuple[int, List[int], BoundaryCountResult]]:
     """Boundary counts for each point of positive index k that has an
     index-(k-1) point among ``points``, with every lower-index point as a
     target (the deeper ones absorb).  The sources of one index are counted
-    together, in one flow batch, when the first of them comes up.  Yields
-    (source position, target positions, result) in ``points`` order."""
+    together.  Returns (source position, target positions, result) in
+    ``points`` order."""
     pts = list(points)
     sources = [i for i, p in enumerate(pts) if p.index > 0 and any(
         q.index == p.index - 1 for q in pts)]
-    running: Dict[int, Iterator[BoundaryCountResult]] = {}
-    for i in sources:
-        k = pts[i].index
-        below = [j for j, q in enumerate(pts) if q.index < k]
-        if k not in running:
-            running[k] = iter_boundary_counts(
-                problem, eps, [pts[s] for s in sources if pts[s].index == k],
-                [pts[j] for j in below], **count)
-        yield i, below, next(running[k])
+    below = {k: [j for j, q in enumerate(pts) if q.index < k]
+             for k in {pts[i].index for i in sources}}
+    results = {}
+    for k in sorted(below):
+        same = [i for i in sources if pts[i].index == k]
+        results.update(zip(same, count_boundaries(
+            problem, eps, [pts[i] for i in same],
+            [pts[j] for j in below[k]], **count)))
+    return [(i, below[pts[i].index], results[i]) for i in sources]
 
 
 def require_nondegenerate(points: Sequence[CriticalPoint],
@@ -252,9 +252,8 @@ def complex_from_counts(problem: ProblemSpec, eps: float,
 
 def window_complex(problem: ProblemSpec, eps: float,
                    n_starts: Optional[int] = None, seed: int = 0,
-                   r_launch: float = 1e-4, n_scan: int = 72,
-                   budget: int = 40000, s_tail: float = 400.0,
-                   refine: bool = True, strict: bool = True,
+                   r_launch: float = 1e-4, budget: int = 40000,
+                   strict: bool = True,
                    points: Optional[Sequence[CriticalPoint]] = None
                    ) -> MorseComplex:
     """Locate the window critical points of f_eps and count their
@@ -278,8 +277,7 @@ def window_complex(problem: ProblemSpec, eps: float,
     per_source = ((i, [(below[t], c) for t, c in res.counts.items()],
                    res.warnings)
                   for i, below, res in boundary_counts(
-                      problem, eps, pts, r_launch=r_launch, n_scan=n_scan,
-                      budget=budget, s_tail=s_tail, refine=refine))
+                      problem, eps, pts, r_launch=r_launch, budget=budget))
     return complex_from_counts(problem, eps, pts, per_source, strict=strict)
 
 
@@ -412,14 +410,11 @@ def euler_characteristic(points: Iterable[CriticalPoint]) -> int:
 @dataclass(frozen=True, eq=False)
 class ChainMap:
     """Degreewise integer matrices between two complexes, already checked
-    to commute with the boundaries exactly.  ``residual`` records the
-    largest violation found at construction time and is therefore always
-    zero on instances that exist."""
+    to commute with the boundaries exactly."""
 
     source: MorseComplex
     target: MorseComplex
     matrices: Tuple[Matrix, ...]
-    residual: int = 0
     notes: Tuple[str, ...] = ()
 
     @property
@@ -470,7 +465,7 @@ def chain_map(source: MorseComplex, target: MorseComplex,
             + (f"; {len(wit)} violations in total" if len(wit) > 1 else ""))
         err.witnesses = tuple(wit)
         raise err
-    return ChainMap(source, target, tuple(mats), 0, tuple(notes))
+    return ChainMap(source, target, tuple(mats), tuple(notes))
 
 
 def identity_chain_map(cx: MorseComplex) -> ChainMap:
@@ -699,7 +694,6 @@ def stabilized_homology(problem: ProblemSpec, eps_grid: Sequence[float],
                         checks: int = 2, seed: int = 0,
                         n_starts: Optional[int] = None, delta: float = 0.5,
                         r_launch: float = 1e-4, budget: int = 60000,
-                        s_tail: float = 400.0,
                         strict: bool = True) -> StabilizedHomology:
     """Morse homology at the small end of an admissible eps range.
 
@@ -727,8 +721,7 @@ def stabilized_homology(problem: ProblemSpec, eps_grid: Sequence[float],
                                               ladder[j - 1], delta=delta)
         res = continuation_trajectories(problem, sched, cxs[j].points(),
                                         cxs[j - 1].points(),
-                                        r_launch=r_launch, budget=budget,
-                                        s_tail=s_tail)
+                                        r_launch=r_launch, budget=budget)
         ind = continuation_chain_map(cxs[j], cxs[j - 1], res)
         maps.append(ind)
         stable = stable and ind.isomorphism

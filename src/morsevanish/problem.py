@@ -177,13 +177,6 @@ class ProblemSpec:
         notes = self.notes + ((note,) if note else ())
         return replace(self, f=f, notes=notes)
 
-    def with_window(self, window: WindowSpec) -> "ProblemSpec":
-        return replace(self, window=window)
-
-    def interior_seed(self) -> np.ndarray:
-        """Center of the search box; a guaranteed interior point."""
-        return np.array([(lo + hi) / 2 for lo, hi in self.domain.box])
-
 
 def perturbed_function(problem: ProblemSpec, eps: float) -> Expression:
     """f_eps = f + eps/tau; eps = 0 returns f itself (the same object)."""

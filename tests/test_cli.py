@@ -7,6 +7,7 @@ tests stay isolated from each other.
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from morsevanish.cli import (ArtifactCache, _canon, _complex_from_payload,
                              load_config, main, problem_from_config)
 from morsevanish.critical import find_critical_points
 from morsevanish.errors import ConfigError, ConfigParse, CorruptCache
+from morsevanish.flow import count_boundaries
 from morsevanish.homology import assemble_complex, homology, window_complex
 
 
@@ -35,9 +37,13 @@ DW = {"name": "double_well", "dimension": 1, "domain": "real_line",
       "f": "x^4 - x^2", "tau": "pow(1 + x^2, -1/2)", "eps": 0.05}
 Z3 = {"name": "z3", "dimension": 1, "eps": 0.1,
       "polynomial": {"terms": [{"monomial": [3], "re": 1, "im": 0}]}}
-# a maximum at the origin between two saddles: the circle-scan count
+# a maximum at the origin between two saddles: the top-degree count
 SADDLE2 = {"name": "saddle2", "dimension": 2, "eps": 0.05,
            "f": "x^4 - x^2 - y^2", "tau": "pow(1 + x^2 + y^2, -1/2)"}
+# an index-2 point at the origin of R^3, which is not counted
+SQUARE3 = {"name": "square3", "dimension": 3, "eps": 0.05,
+           "f": "x^4 - x^2 + y^4 - y^2 + z^2",
+           "tau": "pow(1 + x^2 + y^2 + z^2, -1)"}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -249,6 +255,13 @@ class TestCache:
         monkeypatch.setattr(cli, "SCHEMA", cli.SCHEMA + 1)
         bumped_schema = c.key("h", "crit", {"eps": 0.1})
         assert len({base, bumped_version, bumped_schema}) == 3
+
+    def test_count_knobs_are_the_counting_keywords(self):
+        # _COUNT goes into the flow and complex cache keys: a knob the
+        # counting layer no longer takes must not linger there
+        params = inspect.signature(count_boundaries).parameters.values()
+        knobs = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert set(cli_module._COUNT) == knobs
 
     def test_pyproject_version_is_the_package_version(self):
         # the cache key carries __version__, so a release bump in one place
@@ -538,6 +551,18 @@ class TestCommands:
         assert run(tmp_path, "complex", "--config", path) == 2
         assert (f"source {src['source']}: launch +1 ended with budget"
                 in capsys.readouterr().err)
+
+    def test_top_degree_warnings_fail_the_complex(self, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.setitem(cli_module._COUNT, "budget", 3)
+        path = write_cfg(tmp_path, SADDLE2)
+        assert run(tmp_path, "complex", "--config", path) == 2
+        assert "reversed launch +1 from target" in capsys.readouterr().err
+
+    def test_flow_refuses_index2_in_r3(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SQUARE3)
+        assert run(tmp_path, "flow", "--config", path) == 1
+        assert "Euler characteristic" in capsys.readouterr().err
 
     def test_report_manifest(self, tmp_path):
         path = write_cfg(tmp_path, DW)

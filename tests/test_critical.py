@@ -78,7 +78,7 @@ class TestFixtureZ2:
 
     def test_unstable_frame_shape(self):
         (p,) = find_critical_points(Z2, 0.1).points
-        U = p.unstable_frame
+        U = p.frame[:, :p.index]
         assert U.shape == (2, 1)
         # the unstable direction of u^2 - v^2 + eps r^2 is the v axis,
         # oriented so the first meaningful component is positive
@@ -435,3 +435,30 @@ def test_matches_the_stall_rule_solver(name, eps, monkeypatch):
                                                   X0[rows], tol, int(k) + 1)
         working = ~done & ~dead
         assert not working.any(), f"rows {rows[working]} outlive the stall rule"
+
+
+class TestRayDomainSteps:
+    def test_linear_y_converges_every_start(self):
+        # a full Newton step toward the end of (0, inf) is capped at half
+        # the way there, so no start lands next to y = 0 (|grad| ~ 1e17)
+        # and retires before converging
+        spec = catalog_lookup("linear_y").problem()
+        cs = find_critical_points(spec, 0.1)
+        assert (cs.n_converged, cs.n_starts) == (17, 17)
+        (p,) = cs.points
+        assert p.location[0] == pytest.approx(math.sqrt(0.1), abs=1e-9)
+
+    def test_cap_is_one_on_full_space(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 3))
+        step = 1e6 * rng.normal(size=(50, 3))
+        cap = critical._step_cap(DomainModel.full_space(3), X, step)
+        assert np.array_equal(cap, np.ones(50))
+
+    def test_cap_keeps_half_the_distance_to_an_end(self):
+        dom = DomainModel.from_intervals([(0.0, math.inf), (-1.0, 1.0)])
+        X = np.array([[2.0, 0.0], [2.0, 0.5], [2.0, 0.0]])
+        step = np.array([[8.0, 0.0], [-1.0, -2.0], [-1.0, 0.0]])
+        cap = critical._step_cap(dom, X, step)
+        # 2 - t 8 >= 1 gives 1/8; 0.5 + 2 t <= 0.75 gives 1/8; away from 0
+        assert cap.tolist() == [0.125, 0.125, 1.0]

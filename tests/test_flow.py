@@ -12,11 +12,15 @@ Reference data used below:
 * Re(z^3) + eps (1 + r^2)^(3/2): each of the three saddles sends exactly
   one flowline into the minimum at the origin and the other one out of
   the window.
+* x^4 - x^2 - y^2: a maximum at the origin between two saddles (+-m, 0),
+  and no minima; the maximum's boundary is one flowline into each saddle.
+* twin peaks x^2 - x^4 - y^2 - z^2 in R^3: two maxima (+-m, 0, 0) and an
+  index-2 point at the origin, each maximum sending one flowline into it,
+  so H_3 = Z and nothing else.
 """
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,17 +29,20 @@ import morsevanish.flow as flow_module
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import CriticalPoint, find_critical_points
 from morsevanish.errors import (BudgetExceeded, ConfigError, DeltaFloor,
-                                NotConverged, UnresolvedBasin)
+                                MissingCount, NotConverged)
 from morsevanish.expr import parse_expression
 from morsevanish.flow import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
-                              EXIT_BELOW, NEVER, RTOL, RUNNING, STEP_FLOOR,
-                              _DP_A, _DP_B4, _DP_B5, _DP_C,
-                              ContinuationSchedule, _bisect_flip, _Field,
+                              EXIT_BELOW, NEVER, RTOL, RUNNING, S_TAIL,
+                              STEP_FLOOR, _DP_A, _DP_B4, _DP_B5, _DP_C,
+                              ContinuationSchedule, _Field,
                               _flip_count, _flow_batch, _RowResult,
                               _TargetSet, continuation_trajectories,
                               count_boundaries, count_boundary, energy,
                               gamma_profile, gamma_slope, integrate_flow)
+from morsevanish.homology import (HomologyResult, homology, verify_d_squared,
+                                  window_complex)
 from morsevanish.metric import MetricSpec
+from morsevanish.oracle import sublevel_pair_homology
 from morsevanish.problem import DomainModel, ProblemSpec, WindowSpec
 
 
@@ -50,6 +57,8 @@ def make_problem(name, variables, f, tau, lam=1.0):
 DW = make_problem("double-well", ("x",), "x^4 - x^2", "pow(1 + x^2, -1/2)")
 SQ = make_problem("square", ("x", "y"), "x^4 - x^2 + y^4 - y^2",
                   "pow(1 + x^2 + y^2, -1)")
+SQ3 = make_problem("square3", ("x", "y", "z"), "x^4 - x^2 + y^4 - y^2 + z^2",
+                   "pow(1 + x^2 + y^2 + z^2, -1)")
 SLIDE = make_problem("slide", ("x",), "x", "pow(1 + x^2, -1/2)")
 Z2 = realify(AlgebraicProblem(1, (((2,), 1, 0),), name="z^2"))
 Z3 = realify(AlgebraicProblem(1, (((3,), 1, 0),), name="z^3"))
@@ -174,26 +183,18 @@ class TestEnergyQuadrature:
 
 class TestFlipCount:
     def test_simple_crossing(self):
-        assert _flip_count([-1, -1, 1, 1], cyclic=False) == [(1, 1)]
-        assert _flip_count([1, 1, -1], cyclic=False) == [(1, -1)]
+        assert _flip_count([-1, -1, 1, 1]) == [1]
+        assert _flip_count([1, 1, -1]) == [-1]
 
     def test_arrival_is_transparent(self):
-        assert _flip_count([-1, 0, 1], cyclic=False) == [(0, 1)]
+        assert _flip_count([-1, 0, 1]) == [1]
 
     def test_never_breaks_adjacency(self):
-        assert _flip_count([-1, NEVER, 1], cyclic=False) == []
+        assert _flip_count([-1, NEVER, 1]) == []
 
     def test_double_cross_cancels(self):
-        flips = _flip_count([-1, 1, -1], cyclic=False)
-        assert sum(sgn for _, sgn in flips) == 0
-
-    def test_cyclic_wrap(self):
-        sides = [0, 1, 1, NEVER, NEVER, -1, -1]
-        assert _flip_count(sides, cyclic=True) == [(6, 1)]
-
-    def test_cyclic_does_not_double_count(self):
-        sides = [-1, 1, NEVER]
-        assert _flip_count(sides, cyclic=True) == [(0, 1)]
+        flips = _flip_count([-1, 1, -1])
+        assert flips == [1, -1] and sum(flips) == 0
 
 
 class TestCountBoundary:
@@ -241,8 +242,8 @@ class TestCountBoundary:
         pts = find_critical_points(SQ, 0.0).inside_window()
         top = next(p for p in pts if p.index == 2)
         lower = [p for p in pts if p.index < 2]
-        res = count_boundary(SQ, 0.0, top, lower, refine=False)
-        assert res.method == "circle"
+        res = count_boundary(SQ, 0.0, top, lower)
+        assert res.method == "dual"
         saddle_counts = [res.counts[i] for i, p in enumerate(lower)
                          if p.index == 1]
         min_counts = [res.counts[i] for i, p in enumerate(lower)
@@ -261,44 +262,22 @@ class TestCountBoundary:
                 gap = np.abs(minima[i].location - saddle.location)
                 assert gap.min() < 0.05      # shares an axis coordinate
 
-    def test_bisection_refines_a_flip(self):
-        pts = find_critical_points(SQ, 0.0).inside_window()
-        top = next(p for p in pts if p.index == 2)
-        lower = [p for p in pts if p.index < 2]
-        right = next(i for i, p in enumerate(lower)
-                     if p.index == 1 and p.location[0] > 0.5)
-        sched = ContinuationSchedule.static(SQ, 0.0)
-        field = _Field(SQ, sched)
-        tset = _TargetSet(lower)
-        e1, e2 = top.frame[:, 0], top.frame[:, 1]
-
-        def make_start(phi):
-            return top.location + 1e-4 * (math.cos(phi) * e1
-                                          + math.sin(phi) * e2)
-
-        def side_at(phi):
-            from morsevanish.flow import _flow_batch
-            (row,) = _flow_batch(field, make_start(phi)[None, :], tset,
-                                 40000, 400.0)
-            return int(row.near_side[right])
-
-        # pick a bracket with honest -1 / +1 sides straddling the axis
-        lo = max(p for p in (-0.15, -0.1, -0.05) if side_at(p) == -1)
-        hi = min(p for p in (0.04, 0.09, 0.13) if side_at(p) == 1)
-        lo, hi = _bisect_flip(field, make_start, lo, hi, right, tset,
-                              budget=40000, s_tail=400.0, resolution=1e-6)
-        # the connecting orbit runs along the x axis at phi = 0; bisection
-        # either tightens around it or stops early by landing on it
-        assert hi - lo < 1e-4
-        assert lo <= 0.0 <= hi
-
     def test_high_index_unsupported(self):
+        # index 2 in R^3 is neither index 1 nor the top degree
+        pts = find_critical_points(SQ3, 0.0).inside_window()
+        (source,) = [p for p in pts if p.index == 2]
+        targets = [p for p in pts if p.index < 2]
+        with pytest.raises(ConfigError, match="Euler characteristic"):
+            count_boundary(SQ3, 0.0, source, targets)
+
+    def test_top_index_in_r3_is_counted(self):
         cup = make_problem("cup3", ("x", "y", "z"),
                            "-(x^2 + y^2 + z^2)", "pow(1 + x^2 + y^2 + z^2, -1)")
         (peak,) = find_critical_points(cup, 0.0).inside_window()
         assert peak.index == 3
-        with pytest.raises(ConfigError):
-            count_boundary(cup, 0.0, peak, [])
+        res = count_boundary(cup, 0.0, peak, [])
+        assert (res.counts, res.trajectories, res.method, res.warnings) == \
+            ({}, (), "dual", ())
 
     def test_high_dimension_unsupported(self):
         quad4 = make_problem("bowl4", ("x1", "x2", "x3", "x4"),
@@ -385,7 +364,7 @@ class TestContinuation:
 
 
 # ---------------------------------------------------------------------------
-# batching: one flow batch per counting job, FSAL, speculative bisection
+# batching: one flow batch per counting job, FSAL
 
 
 def assert_same_bits(a, b):
@@ -415,7 +394,7 @@ class CountingField:
         return self.field.eval(S, X)
 
 
-def flow_batch_7_plus_1(field, X0, targets, max_steps, s_tail, record=False):
+def flow_batch_7_plus_1(field, X0, targets, max_steps, record=False):
     """The integrator before FSAL: seven stages per attempted step plus
     one more evaluation at the accepted points.  Returns the rows, the
     loop iterations and the iterations that accepted some row."""
@@ -427,7 +406,7 @@ def flow_batch_7_plus_1(field, X0, targets, max_steps, s_tail, record=False):
     X = np.array(X0, dtype=float)
     E = np.zeros(m)
     S = np.full(m, sched.ramp_start)
-    s_max = sched.ramp_end + s_tail
+    s_max = sched.ramp_end + S_TAIL
     status = np.full(m, RUNNING)
     target_of = np.full(m, -1)
     steps = np.zeros(m, dtype=int)
@@ -569,9 +548,9 @@ class TestFlowBatch:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_stacked_rows_equal_rows_run_alone(self, case):
         field, starts, tset = CASES[case]()
-        rows = _flow_batch(field, starts, tset, 60000, 400.0, record=True)
+        rows = _flow_batch(field, starts, tset, 60000, record=True)
         for x0, row in zip(starts, rows):
-            (alone,) = _flow_batch(field, x0[None, :], tset, 60000, 400.0,
+            (alone,) = _flow_batch(field, x0[None, :], tset, 60000,
                                    record=True)
             assert_same_bits(row, alone)
 
@@ -579,9 +558,9 @@ class TestFlowBatch:
     def test_fsal_matches_the_7_plus_1_loop(self, case):
         field, starts, tset = CASES[case]()
         new, old = CountingField(field), CountingField(field)
-        rows = _flow_batch(new, starts, tset, 60000, 400.0, record=True)
+        rows = _flow_batch(new, starts, tset, 60000, record=True)
         want, iters, accepting = flow_batch_7_plus_1(
-            old, starts, tset, 60000, 400.0, record=True)
+            old, starts, tset, 60000, record=True)
         for row, ref in zip(rows, want):
             assert_same_bits(row, ref)
         # one launch evaluation, then 6 per attempted step against 7 plus
@@ -590,107 +569,6 @@ class TestFlowBatch:
         assert old.calls == 1 + 7 * iters + accepting
         assert accepting == iters
         assert new.calls - 1 <= 6 / 8 * (old.calls - 1)
-
-
-def sequential_bisection(side, lo, hi, t, resolution, rounds):
-    """Bisection one midpoint at a time, as it was before batching."""
-    s_lo, s_hi = side(lo), side(hi)
-    for _ in range(rounds):
-        if hi - lo < resolution:
-            return lo, hi
-        mid = 0.5 * (lo + hi)
-        s_mid = side(mid)
-        if s_mid == s_lo:
-            lo = mid
-        elif s_mid == s_hi:
-            hi = mid
-        elif s_mid == 0:
-            return lo, hi
-        else:
-            raise UnresolvedBasin(
-                f"side of target {t} at family parameter {mid!r} came back "
-                f"{s_mid}; the bracket ({s_lo}, {s_hi}) did not separate "
-                f"above width {hi - lo:.3g}")
-    return lo, hi
-
-
-def step_side(cut, zero_band=0.0, never=None):
-    def side(par):
-        if never is not None and never[0] < par < never[1]:
-            return NEVER
-        if abs(par - cut) < zero_band:
-            return 0
-        return -1 if par < cut else 1
-    return side
-
-
-class TestSpeculativeBisection:
-    T = 2
-
-    def run_both(self, monkeypatch, side, lo, hi, resolution, rounds):
-        batches = []
-
-        def fake_flow_batch(field, X0, targets, max_steps, s_tail,
-                            record=False):
-            batches.append(len(X0))
-            near = np.full(self.T + 1, NEVER, dtype=np.int8)
-            out = []
-            for x in X0:
-                row = near.copy()
-                row[self.T] = side(float(x[0]))
-                out.append(SimpleNamespace(near_side=row))
-            return out
-
-        monkeypatch.setattr(flow_module, "_flow_batch", fake_flow_batch)
-
-        def outcome(fn):
-            try:
-                return fn()
-            except UnresolvedBasin as exc:
-                return ("raised", str(exc))
-
-        got = outcome(lambda: _bisect_flip(
-            None, lambda par: np.array([par]), lo, hi, self.T, None, 1, 1.0,
-            resolution=resolution, rounds=rounds))
-        want = outcome(lambda: sequential_bisection(
-            side, lo, hi, self.T, resolution, rounds))
-        return got, want, batches
-
-    @pytest.mark.parametrize("rounds,resolution", [
-        (60, 1e-12), (7, 1e-12), (5, 0.0), (60, 1e-3), (60, 0.3),
-        (1, 1e-12), (0, 1e-12)])
-    def test_brackets_equal_sequential_bisection(self, monkeypatch, rounds,
-                                                 resolution):
-        side = step_side(0.3141592653589793)
-        got, want, batches = self.run_both(monkeypatch, side, -0.2, 1.1,
-                                           resolution, rounds)
-        assert got == want
-        assert got[0] <= 0.3141592653589793 <= got[1]
-        # at most seven midpoints per batch, the endpoints ride in the first
-        assert all(n <= 7 for n in batches[1:])
-        assert not batches or batches[0] <= 9
-        assert len(batches) <= max(1, math.ceil(rounds / 3))
-
-    def test_landing_on_the_orbit_returns_early(self, monkeypatch):
-        side = step_side(0.5625, zero_band=1e-3)
-        got, want, batches = self.run_both(monkeypatch, side, 0.0, 1.0,
-                                           1e-12, 60)
-        assert got == want == (0.5, 0.625)
-        assert len(batches) == 2
-
-    @pytest.mark.parametrize("band", [(0.74, 0.76), (0.56, 0.57)])
-    def test_unresolved_basin_at_the_same_round(self, monkeypatch, band):
-        side = step_side(0.55, never=band)
-        got, want, _ = self.run_both(monkeypatch, side, 0.0, 1.0, 1e-12, 60)
-        assert got[0] == "raised"
-        assert got == want
-
-    def test_off_path_midpoints_change_nothing(self, monkeypatch):
-        # 0.59375 is integrated in the second batch but never visited
-        side = step_side(0.55, never=(0.58, 0.6))
-        got, want, _ = self.run_both(monkeypatch, side, 0.0, 1.0, 1e-12, 60)
-        assert got == want
-        assert got[0] <= 0.55 <= got[1]
 
 
 class TestBatchedCounting:
@@ -711,9 +589,9 @@ class TestBatchedCounting:
         sources = [p for p in pts if p.index == 2] + \
             [p for p in pts if p.index == 1][:2]
         targets = [p for p in pts if p.index < 2]
-        together = count_boundaries(SQ, 0.0, sources, targets, refine=False)
+        together = count_boundaries(SQ, 0.0, sources, targets)
         for p, res in zip(sources, together):
-            alone = count_boundary(SQ, 0.0, p, targets, refine=False)
+            alone = count_boundary(SQ, 0.0, p, targets)
             assert res.counts == alone.counts
             assert res.method == alone.method
             assert len(res.trajectories) == len(alone.trajectories)
@@ -732,3 +610,95 @@ class TestBatchedCounting:
             (rec,) = alone.trajectories
             assert_same_bits(res.trajectories[si],
                              dataclasses.replace(rec, start_id=si))
+
+
+# ---------------------------------------------------------------------------
+# top degree by duality: launches from the index-(n-1) points, reversed flow
+
+
+SADDLE2 = make_problem("saddle2", ("x", "y"), "x^4 - x^2 - y^2",
+                       "pow(1 + x^2 + y^2, -1/2)")
+INDEX2 = make_problem("index2-scan", ("x", "y"), "x^4 - x^2 - y^2",
+                      "pow(1 + x^2 + y^2, -1)")
+TWIN = make_problem("twin-peaks", ("x", "y", "z"), "x^2 - x^4 - y^2 - z^2",
+                    "pow(1 + x^2 + y^2 + z^2, -1/2)")
+
+# d_2 of window_complex(spec, eps, seed=0) as counted by the 72-point
+# circle scan with bisection (version 0.2.0), recorded before that scan
+# gave way to the dual launches
+PINNED_D2 = [(SQ, 0.05, [[-1], [1], [-1], [1]]),
+             (SADDLE2, 0.05, [[-1], [1]]),
+             (INDEX2, 0.1, [[-1], [1]]),
+             (INDEX2, 0.05, [[-1], [1]])]
+PINNED_IDS = [f"{spec.name}-{eps}" for spec, eps, _ in PINNED_D2]
+
+
+def top_degree_case(spec, eps):
+    pts = find_critical_points(spec, eps).inside_window()
+    n = spec.domain.dimension
+    tops = [p for p in pts if p.index == n]
+    below = [p for p in pts if p.index < n]
+    return tops, below
+
+
+class TestTopDegree:
+    @pytest.mark.parametrize("spec,eps,d2", PINNED_D2, ids=PINNED_IDS)
+    def test_dual_launches_reproduce_the_circle_scan(self, spec, eps, d2):
+        cx = window_complex(spec, eps, seed=0)
+        assert cx.boundary(2) == d2
+        assert verify_d_squared(cx)
+
+    @pytest.mark.parametrize("spec,eps,d2", PINNED_D2, ids=PINNED_IDS)
+    def test_reversed_runs_report_the_forward_energy(self, spec, eps, d2):
+        tops, below = top_degree_case(spec, eps)
+        results = count_boundaries(spec, eps, tops, below)
+        arrivals = 0
+        for p, res in zip(tops, results):
+            assert res.method == "dual" and res.warnings == ()
+            for rec in res.trajectories:
+                q = below[rec.target_id]
+                assert q.index == 1
+                assert rec.termination == "converged-to"
+                assert rec.energy_ok
+                assert rec.E_top == 2 * (p.value - q.value)
+                # the value range is that of f_eps along the flowline
+                assert q.value - 1e-9 < rec.f_min <= rec.f_max \
+                    < p.value + 1e-9
+                arrivals += 1
+        assert arrivals == sum(abs(c) for res in results
+                               for c in res.counts.values()) > 0
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1])
+    def test_twin_peaks_in_r3_match_the_oracle(self, eps):
+        cx = window_complex(TWIN, eps, seed=0)
+        assert [cx.rank(k) for k in range(cx.top + 1)] == [0, 0, 1, 2]
+        assert all(abs(c) == 1 for c in cx.boundary(3)[0])
+        assert verify_d_squared(cx)
+        h = homology(cx)
+        assert h.same_as(HomologyResult({3: (1, ())}))
+        w = TWIN.window
+        oracle = sublevel_pair_homology(TWIN, eps, w.lam, w.Lam,
+                                        resolution=16)
+        assert h.same_as(oracle)
+
+    def test_unfinished_launch_warns_every_top_source(self):
+        tops, below = top_degree_case(TWIN, 0.1)
+        assert len(tops) == 2
+        for res in count_boundaries(TWIN, 0.1, tops, below, budget=3):
+            assert all(c == 0 for c in res.counts.values())
+            assert len(res.warnings) == 2
+            assert all("ended with budget" in w for w in res.warnings)
+        with pytest.raises(MissingCount, match="reversed launch"):
+            window_complex(TWIN, 0.1, seed=0, budget=3)
+        loose = window_complex(TWIN, 0.1, seed=0, budget=3, strict=False)
+        assert len(loose.notes) == 4
+
+    def test_energy_violation_warns_its_source(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "ENERGY_RTOL", 0.0)
+        tops, below = top_degree_case(SADDLE2, 0.05)
+        (res,) = count_boundaries(SADDLE2, 0.05, tops, below)
+        assert sorted(abs(c) for c in res.counts.values()) == [1, 1]
+        assert len(res.warnings) == 2
+        assert all("energy identity violated" in w for w in res.warnings)
+        with pytest.raises(MissingCount, match="energy identity"):
+            window_complex(SADDLE2, 0.05, seed=0)

@@ -100,11 +100,6 @@ class TestProblemSpec:
         with pytest.raises(ConfigError):
             make_problem(f="x + q")
 
-    def test_interior_seed(self):
-        p = make_problem(domain=DomainModel.from_intervals([(0.0, 1.0)]))
-        (s,) = p.interior_seed()
-        assert 0.0 < s < 1.0
-
 
 class TestPerturbedFunction:
     def test_eps_zero_is_f(self):
