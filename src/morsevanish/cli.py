@@ -649,7 +649,8 @@ def _oracle_payload(ctx: RunContext, eps: float):
     n = len(ctx.problem.variables)
     lam = ctx.problem.window.lam if args_lam(ctx) is None else args_lam(ctx)
     Lam = ctx.problem.window.Lam if args_Lam(ctx) is None else args_Lam(ctx)
-    res = int(ctx.args.res) if getattr(ctx.args, "res", None) else 32
+    res = getattr(ctx.args, "res", None)
+    res = 32 if res is None else int(res)
     params = {"eps": eps, "lambda": lam, "Lambda": Lam, "res": res}
     key = ctx.cache.key(ctx.cfg_hash, "oracle", params)
 

@@ -636,7 +636,6 @@ def _flip_count(sides: Sequence[int]) -> List[int]:
 
 @dataclass(frozen=True)
 class BoundaryCountResult:
-    source_index: int
     counts: Dict[int, int]            # position in `targets` -> signed count
     trajectories: Tuple[TrajectoryRecord, ...]
     method: str
@@ -668,7 +667,7 @@ def _endpoint_count(source: CriticalPoint, targets: Sequence[CriticalPoint],
         elif row.status in (BUDGET, COLLAPSE):
             warnings.append(
                 f"launch {sgn:+d} ended with {rec.termination}")
-    return BoundaryCountResult(1, counts, tuple(recs), "endpoints",
+    return BoundaryCountResult(counts, tuple(recs), "endpoints",
                                tuple(warnings))
 
 
@@ -729,9 +728,8 @@ def _dual_counts(problem: ProblemSpec, eps: float,
                     f"energy identity violated on the reversed launch "
                     f"{side:+d} from target {j}: E_an={rec.E_an!r} "
                     f"E_top={rec.E_top!r}")
-    return [BoundaryCountResult(p.index, counts[s], tuple(recs[s]), "dual",
-                                tuple(warnings[s]))
-            for s, p in enumerate(sources)]
+    return [BoundaryCountResult(c, tuple(r), "dual", tuple(w))
+            for c, r, w in zip(counts, recs, warnings)]
 
 
 def count_boundaries(problem: ProblemSpec, eps: float,
@@ -761,8 +759,8 @@ def count_boundaries(problem: ProblemSpec, eps: float,
             f"and the top index {n} are; use the Euler characteristic "
             "route for this problem")
     out: List[Optional[BoundaryCountResult]] = [
-        BoundaryCountResult(0, {j: 0 for j in range(len(targets))}, (),
-                            "none") if p.index == 0 else None
+        BoundaryCountResult({j: 0 for j in range(len(targets))}, (), "none")
+        if p.index == 0 else None
         for p in sources]
     ones = [s for s, p in enumerate(sources) if p.index == 1]
     if ones:

@@ -9,9 +9,10 @@ Everything here runs on arbitrary-precision Python ints.  Two layers:
   a whole chain complex before any dense work happens.  Cancelling a pair
   (tau, sigma) with <d tau, sigma> = +-1 is the usual Gaussian elimination
   move on complexes: it drops both cells, replaces the degree-k block D by
-  D - gamma * u^-1 * beta, and leaves homology unchanged.  Grid complexes
-  collapse almost entirely under it, which is what makes exact integer
-  homology of six-figure cubical complexes affordable.
+  D - gamma * u^-1 * beta, and leaves homology unchanged.  It is a loop
+  over Python dicts, so large cubical complexes are first shrunk by the
+  array collapse in ``oracle``, which removes the same kind of pair
+  wholesale; this reduction only finishes the remainder.
 """
 
 from __future__ import annotations

@@ -406,6 +406,12 @@ class TestCommands:
         assert run(tmp_path, "compare") == 1
         assert "--catalog" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("res", ["0", "-3"])
+    def test_resolution_below_one_exits_one(self, tmp_path, capsys, res):
+        assert run(tmp_path, "compare", "--catalog", "z^2",
+                   "--res", res) == 1
+        assert "at least one cell per axis" in capsys.readouterr().err
+
     def test_unknown_catalog_exits_one(self, tmp_path):
         assert run(tmp_path, "compare", "--catalog", "nope") == 1
 

@@ -29,8 +29,9 @@ from morsevanish.errors import (ConfigError, ResolutionTooCoarse,
                                 UnknownEntry)
 from morsevanish.expr import eval_values, parse_expression
 from morsevanish.homology import HomologyResult, window_complex, homology
+from morsevanish.intlinalg import homology_of_complex, reduce_complex
 from morsevanish.oracle import (CubicalPair, _axis_centers, _closed_counts,
-                                _dilate, _khalimsky, _grow_box,
+                                _collapse, _dilate, _khalimsky, _grow_box,
                                 _hand_problem, _relative_data, _top_masks,
                                 build_pair, catalog_lookup, catalog_names,
                                 euler_check, pair_euler_characteristic,
@@ -165,6 +166,71 @@ class TestCellMachinery:
         assert grown[0][1] > 4.0
         full, changed = _grow_box(((-3.0, 3.0),), ((-math.inf, math.inf),))
         assert changed and full == ((-6.0, 6.0),)
+
+
+def random_pairs(count=300):
+    """Seeded (total, sub) top-cell masks cycling through dimensions 1-3."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        shape = tuple(int(r) for r in rng.integers(1, (12, 7, 5)[n - 1],
+                                                   size=n))
+        total = rng.random(shape) < rng.uniform(0.3, 0.9)
+        sub = total & (rng.random(shape) < rng.uniform(0.0, 0.7))
+        yield seed, total, sub
+
+
+def alternating(dims):
+    return sum((-1) ** k * c for k, c in dims.items())
+
+
+class TestCollapse:
+    def test_collapse_keeps_the_homology(self):
+        answers = set()
+        for seed, total, sub in random_pairs():
+            rel = _khalimsky(total) & ~_khalimsky(sub)
+            raw = homology_of_complex(reduce_complex(*_relative_data(rel)))
+            reference = HomologyResult({k: (b, tuple(t))
+                                        for k, (b, t) in raw.items()})
+            pair = CubicalPair(((0.0, 1.0),) * total.ndim, total.shape,
+                               total, sub)
+            assert pair.homology().summary() == reference.summary(), seed
+            answers.add(repr(reference.summary()))
+        assert len(answers) >= 3
+
+    def test_remainder_is_a_complex_with_the_same_euler_count(self):
+        shrunk = 0
+        for seed, total, sub in random_pairs():
+            rel = _khalimsky(total) & ~_khalimsky(sub)
+            left = _collapse(rel)
+            dims, sparse = _relative_data(left)
+            assert alternating(dims) == alternating(_relative_data(rel)[0])
+            for k, cols in sparse.items():
+                below = sparse.get(k - 1, {})
+                for entries in cols.values():
+                    dd = {}
+                    for face, a in entries.items():
+                        for ridge, b in below.get(face, {}).items():
+                            dd[ridge] = dd.get(ridge, 0) + a * b
+                    assert not any(dd.values()), seed
+            shrunk += int(left.sum()) < int(rel.sum())
+        assert shrunk > 200
+
+    def test_emptied_degrees_keep_their_keys(self):
+        e = catalog_lookup("corner_2d")
+        pair = build_pair(e.problem(), e.eps, resolution=e.resolution)
+        rel = _khalimsky(pair.total_mask) & ~_khalimsky(pair.sub_mask)
+        assert rel.any() and not _collapse(rel).any()
+        assert pair.homology().summary() == {
+            str(k): {"betti": 0, "torsion": []} for k in range(3)}
+
+    def test_z4_keeps_three_circles(self):
+        e = catalog_lookup("z^4")
+        pair = build_pair(e.problem(), e.eps, resolution=e.resolution)
+        rel = _khalimsky(pair.total_mask) & ~_khalimsky(pair.sub_mask)
+        assert _relative_data(_collapse(rel))[0] == {1: 3}
+        assert pair.homology().groups == {0: (0, ()), 1: (3, ()),
+                                          2: (0, ())}
 
 
 class TestPairHomology:
