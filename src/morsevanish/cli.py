@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 configuration problem, 2 solver failure or a
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -872,6 +873,7 @@ def cmd_report(args) -> int:
 
 # ----------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="morsevanish",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AlphaTooSmall, ConfigError, ZeroPolynomial
 from .expr import (Const, Expression, FracPow, IntPow, Product, Sum, Var,
-                   eval_values)
+                   compile)
 from .metric import MetricSpec
 from .problem import DomainModel, ProblemSpec, WindowSpec
 
@@ -196,10 +196,7 @@ def realify(problem: AlgebraicProblem, theta: float = 0.0,
     cos/sin factors in front of the two exact parts.
     """
     names = real_variables(problem.n)
-    re_poly, im_poly = _expand_terms(problem)
-    re_expr = _poly_expression(re_poly, names)
-    im_expr = _poly_expression(im_poly, names)
-
+    re_expr, im_expr = real_imag_parts(problem)
     c, s = math.cos(theta), math.sin(theta)
     if theta == 0.0:
         f = re_expr
@@ -289,9 +286,9 @@ def check_compactification(problem: ProblemSpec, bound: float = 1e6,
     overall = 0.0
     ok = True
     for tag, P in _end_samples(problem.domain, rng, rays).items():
-        tf = (eval_values(problem.tau, P, problem.variables)
-              * eval_values(problem.f, P, problem.variables))
-        tv = eval_values(problem.tau, P, problem.variables)
+        tv, fv = compile((problem.tau, problem.f),
+                         problem.variables).values(P)
+        tf = tv * fv
         finite = np.isfinite(tf)
         worst = float(np.max(np.abs(tf[finite]))) if finite.any() else float("inf")
         end_ok = bool(finite.all()) and worst <= bound

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (DegenerateCriticalPoint, MorsificationFailed,
                      SolverBudgetExceeded)
-from .expr import (Const, Expression, Product, Sum, Var, as_fraction,
-                   eval_jet1, eval_jet2, eval_values)
+from .expr import (Const, Expression, Product, Sum, Tape, Var, as_fraction,
+                   compile, eval_jet2, eval_values)
 from .metric import metric_at
 from .problem import ProblemSpec, WindowSpec, perturbed_function
 
@@ -183,8 +183,8 @@ def _step_cap(domain, x: np.ndarray, step: np.ndarray) -> np.ndarray:
     return cap
 
 
-def _backtrack(fe: Expression, names, domain, x: np.ndarray,
-               step: np.ndarray, base_gn: np.ndarray):
+def _backtrack(tape: Tape, domain, x: np.ndarray, step: np.ndarray,
+               base_gn: np.ndarray):
     """Per-row backtracking along -step: the accepted points and their |grad|.
 
     Each row's first try is its full step, capped by `_step_cap`; each
@@ -199,7 +199,7 @@ def _backtrack(fe: Expression, names, domain, x: np.ndarray,
     t = _step_cap(domain, x, step)
     for k in range(_TRIES):
         cand = domain.clamp_to_interior(x[todo] - t[todo, None] * step[todo])
-        _, gc = eval_jet1(fe, cand, names)
+        (_, gc), = tape.jet1(cand)
         cn = np.linalg.norm(gc, axis=1)
         cn = np.where(np.isfinite(cn), cn, np.inf)
         take = (cn < best_gn[todo]) | (k == 0)
@@ -227,6 +227,7 @@ def _newton_batch(fe: Expression, names, domain, X0: np.ndarray,
 
     Returns (X, done mask, retired mask, |grad| at X).
     """
+    tape = compile((fe,), names)
     X = domain.clamp_to_interior(np.array(X0, dtype=float))
     m = len(X)
     alive = np.ones(m, dtype=bool)
@@ -241,7 +242,7 @@ def _newton_batch(fe: Expression, names, domain, X0: np.ndarray,
         idx = np.flatnonzero(alive & ~done)
         if idx.size == 0:
             break
-        _, g, H = eval_jet2(fe, X[idx], names)
+        (_, g, H), = tape.jet2(X[idx])
         gn = np.linalg.norm(g, axis=1)
         bad = ~np.isfinite(gn)
         alive[idx[bad]] = False
@@ -256,7 +257,7 @@ def _newton_batch(fe: Expression, names, domain, X0: np.ndarray,
         if rows.size == 0:
             continue
         step = _newton_steps(g[work], H[work])
-        X[rows], gnorm[rows] = _backtrack(fe, names, domain, X[rows], step,
+        X[rows], gnorm[rows] = _backtrack(tape, domain, X[rows], step,
                                           gnorm[rows])
         done[rows[gnorm[rows] < tol]] = True
         halved = gnorm[rows] < 0.5 * best[rows]
@@ -269,10 +270,11 @@ def _newton_batch(fe: Expression, names, domain, X0: np.ndarray,
     return X, done, ~alive, gnorm
 
 
-def certify_root(fe: Expression, names, x: np.ndarray,
-                 g: Optional[np.ndarray] = None,
+def certify_root(tape: Tape, x: np.ndarray, g: Optional[np.ndarray] = None,
                  H: Optional[np.ndarray] = None) -> float:
-    """Newton-Kantorovich radius around x, or nan if the test fails.
+    """Newton-Kantorovich radius around x for the gradient of the
+    expression in ``tape`` (``compile((f_eps,), names)``), or nan if the
+    test fails.
 
     With beta = |H^-1|, eta = |H^-1 g| and L a sampled Lipschitz bound for
     the Hessian, h = beta*L*eta <= 1/2 certifies a unique root within
@@ -281,7 +283,7 @@ def certify_root(fe: Expression, names, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     n = len(x)
     if g is None or H is None:
-        _, gb, Hb = eval_jet2(fe, x[None, :], names)
+        (_, gb, Hb), = tape.jet2(x[None, :])
         g, H = gb[0], Hb[0]
     try:
         Hinv = np.linalg.inv(H)
@@ -291,7 +293,7 @@ def certify_root(fe: Expression, names, x: np.ndarray,
     eta = float(np.linalg.norm(Hinv @ g, 2))
     h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
     probes = np.vstack([x + h * np.eye(n), x - h * np.eye(n)])
-    _, _, Hs = eval_jet2(fe, probes, names)
+    (_, _, Hs), = tape.jet2(probes)
     if not np.isfinite(Hs).all():
         return float("nan")
     L = 0.0
@@ -339,6 +341,7 @@ def find_critical_points(problem: ProblemSpec, eps: float,
 
     names = problem.variables
     fe = perturbed_function(problem, eps)
+    tape = compile((fe,), names)  # the one Newton compiles too
     X, done, dead, gnorm = _newton_batch(fe, names, problem.domain, X0,
                                          residual_tol, max_iter)
     hits = np.flatnonzero(done)
@@ -353,9 +356,9 @@ def find_critical_points(problem: ProblemSpec, eps: float,
     rep_rows = [hits[j] for j in _collapse(X[hits], gnorm[hits], 1e-7 * (1 + span))]
 
     # certify representatives, then merge any whose balls overlap
-    v, g, H = eval_jet2(fe, X[rep_rows], names)
+    (v, g, H), = tape.jet2(X[rep_rows])
     at = {i: k for k, i in enumerate(rep_rows)}
-    radii = {i: certify_root(fe, names, X[i], g[k], H[k]) for i, k in at.items()}
+    radii = {i: certify_root(tape, X[i], g[k], H[k]) for i, k in at.items()}
     merged: List[int] = []
     for i in sorted(rep_rows, key=lambda r: gnorm[r]):
         ri = radii[i] if math.isfinite(radii[i]) else 1e-7 * (1 + span)

@@ -12,19 +12,21 @@ Evaluation comes in two flavours:
   constraints, and raise :class:`DomainViolation` on a rational power of a
   non-positive base, a vanishing quotient denominator, or a value too large
   for a float.
-* ``eval_values`` / ``eval_jet1`` / ``eval_jet2`` evaluate a whole batch of
-  points at once on numpy arrays.  Out-of-domain rows poison to nan/inf
-  instead of raising, which is what the multi-start solvers want: a bad row
-  is discarded, the rest of the batch keeps going.
-* ``eval_grid`` evaluates values on the tensor product of per-axis
-  coordinate vectors by broadcasting, with the same poisoning rules.
+* ``compile(exprs, names)`` gives one :class:`Tape`, a flat instruction
+  list in which equal nodes share a slot across outputs (f_eps, 1/tau and
+  the metric share one tau).  It evaluates values and jets at a batch of
+  points, or values on a tensor grid, poisoning out-of-domain rows to
+  nan/inf instead of raising; ``eval_values`` / ``eval_jet1`` /
+  ``eval_jet2`` / ``eval_grid`` are its one-expression forms.
 
 Derivatives are exact (forward-mode, value/gradient/Hessian propagated
-together), not finite differences.
+together; Griewank and Walther, *Evaluating Derivatives*, 2008), not
+finite differences.
 """
 
 from __future__ import annotations
 
+import builtins
 import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -36,8 +38,8 @@ from .errors import DomainViolation, ExpressionParseError
 __all__ = [
     "Expression", "Const", "Var", "Sum", "Product", "IntPow", "FracPow",
     "Quotient", "const", "var", "rational_pow", "free_variables",
-    "evaluate", "differentiate", "eval_values", "eval_grid", "eval_jet1",
-    "eval_jet2", "parse_expression", "as_fraction",
+    "evaluate", "differentiate", "Tape", "compile", "eval_values",
+    "eval_grid", "eval_jet1", "eval_jet2", "parse_expression", "as_fraction",
 ]
 
 
@@ -258,242 +260,248 @@ def evaluate(expr: Expression, point: Mapping[str, float]):
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation with forward-mode jets
+# batched evaluation: expressions compiled to a tape
 #
-# Operands during batch evaluation are plain floats (constants), numpy arrays
-# of shape (m,), or _Jet1/_Jet2.  Binary ops are closed over that set via the
-# dunder methods below; nan/inf propagate silently.
+# Instructions are (op, a, b) with op in var/add/mul/recip/ipow/fpow and
+# operands a slot (int) or a folded constant (float); sums and products are
+# left-to-right chains and a quotient is num * recip(den).  Each mode runs
+# as generated straight-line numpy code with the float operations of the
+# product and chain rules in a fixed order, deleting slots after their last
+# use; jet modes put the live operand of a constant op first.
+
+_VALUES = {"var": "xs[{a}]", "add": "{A} + {B}", "mul": "{A} * {B}",
+           "recip": "1.0 / {A}", "ipow": "{A} ** ({k})",
+           "fpow": "_fpow({A}, {p})"}
+_G = "; g{o} = f1[:, None] * g{a}"
+_H = ("; h{o} = (f1[:, None, None] * h{a} + f2[:, None, None]"
+      " * (g{a}[:, :, None] * g{a}[:, None, :]))")
+_JET1 = {
+    "var": "v{o} = X[:, {a}].copy(); g{o} = np.zeros((m, n)); "
+           "g{o}[:, {a}] = 1.0",
+    "add": "v{o} = v{a} + v{b}; g{o} = g{a} + g{b}",
+    "addc": "v{o} = v{a} + {C}; g{o} = g{a}",
+    "mul": "v{o} = v{a} * v{b}; "
+           "g{o} = v{a}[:, None] * g{b} + v{b}[:, None] * g{a}",
+    "mulc": "v{o} = v{a} * {C}; g{o} = g{a} * {C}",
+    "recip": "v{o} = 1.0 / v{a}; f1 = -v{o} * v{o}" + _G,
+    "ipow": "v{o} = v{a} ** ({k}); f1 = float({k}) * v{a} ** ({k} - 1)" + _G,
+    "fpow": "w = np.where(v{a} > 0.0, v{a}, np.nan); v{o} = w ** ({p}); "
+            "f1 = {p} * w ** ({p} - 1.0)" + _G}
+_JET2 = {
+    "var": _JET1["var"] + "; h{o} = np.zeros((m, n, n))",
+    "add": _JET1["add"] + "; h{o} = h{a} + h{b}",
+    "addc": _JET1["addc"] + "; h{o} = h{a}",
+    "mul": _JET1["mul"] + "; h{o} = (v{a}[:, None, None] * h{b}"
+           " + v{b}[:, None, None] * h{a} + g{a}[:, :, None] * g{b}[:, None, :]"
+           " + g{b}[:, :, None] * g{a}[:, None, :])",
+    "mulc": _JET1["mulc"] + "; h{o} = h{a} * {C}",
+    "recip": "u = 1.0 / v{a}; u2 = u * u; v{o} = u; f1 = -u2; "
+             "f2 = 2.0 * u2 * u" + _G + _H,
+    "ipow": _JET1["ipow"]
+    + "; f2 = float({k} * ({k} - 1)) * v{a} ** ({k} - 2)" + _H,
+    "fpow": _JET1["fpow"] + "; f2 = {p} * ({p} - 1.0) * w ** ({p} - 2.0)" + _H}
+_MODES = {"values": (_VALUES, "v", "v{o} = "), "jet1": (_JET1, "vg", ""),
+          "jet2": (_JET2, "vgh", "")}
 
 
-class _Jet1:
-    __slots__ = ("v", "g")
-
-    def __init__(self, v, g):
-        self.v = v
-        self.g = g
-
-    def __add__(self, o):
-        if isinstance(o, _Jet1):
-            return _Jet1(self.v + o.v, self.g + o.g)
-        return _Jet1(self.v + o, self.g)
-
-    __radd__ = __add__
-
-    def __mul__(self, o):
-        if isinstance(o, _Jet1):
-            return _Jet1(self.v * o.v,
-                         self.v[:, None] * o.g + o.v[:, None] * self.g)
-        return _Jet1(self.v * o, self.g * o)
-
-    __rmul__ = __mul__
-
-    def _compose(self, f0, f1):
-        return _Jet1(f0, f1[:, None] * self.g)
-
-    def _recip(self):
-        u = 1.0 / self.v
-        return self._compose(u, -u * u)
-
-    def _ipow(self, k: int):
-        v = self.v
-        return self._compose(v ** k, float(k) * v ** (k - 1))
-
-    def _fpow(self, p: float):
-        v = np.where(self.v > 0.0, self.v, np.nan)
-        return self._compose(v ** p, p * v ** (p - 1.0))
+def _key(x):
+    # constants key on their bits: 0.0 and -0.0, or two nans, stay apart
+    return x if type(x) is int else np.float64(x).tobytes()
 
 
-class _Jet2:
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v, g, h):
-        self.v = v
-        self.g = g
-        self.h = h
-
-    def __add__(self, o):
-        if isinstance(o, _Jet2):
-            return _Jet2(self.v + o.v, self.g + o.g, self.h + o.h)
-        return _Jet2(self.v + o, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __mul__(self, o):
-        if isinstance(o, _Jet2):
-            v = self.v * o.v
-            g = self.v[:, None] * o.g + o.v[:, None] * self.g
-            h = (self.v[:, None, None] * o.h + o.v[:, None, None] * self.h
-                 + self.g[:, :, None] * o.g[:, None, :]
-                 + o.g[:, :, None] * self.g[:, None, :])
-            return _Jet2(v, g, h)
-        return _Jet2(self.v * o, self.g * o, self.h * o)
-
-    __rmul__ = __mul__
-
-    def _compose(self, f0, f1, f2):
-        # chain rule for a scalar function applied to this jet
-        g = f1[:, None] * self.g
-        h = (f1[:, None, None] * self.h
-             + f2[:, None, None] * (self.g[:, :, None] * self.g[:, None, :]))
-        return _Jet2(f0, g, h)
-
-    def _recip(self):
-        u = 1.0 / self.v
-        u2 = u * u
-        return self._compose(u, -u2, 2.0 * u2 * u)
-
-    def _ipow(self, k: int):
-        v = self.v
-        return self._compose(v ** k, float(k) * v ** (k - 1),
-                             float(k * (k - 1)) * v ** (k - 2))
-
-    def _fpow(self, p: float):
-        v = np.where(self.v > 0.0, self.v, np.nan)
-        return self._compose(v ** p, p * v ** (p - 1.0),
-                             p * (p - 1.0) * v ** (p - 2.0))
+def _reads(op, a, b):
+    return [x for x in ((a, b) if op in ("add", "mul") else (a,))
+            if type(x) is int] if op != "var" else []
 
 
-# Constant subtrees are plain floats.  They divide and power in np.float64,
-# which poisons to inf/nan where Python floats raise, and come back as float
-# so that no numpy scalar meets a jet.
-
-
-def _recip_any(x):
-    if isinstance(x, (_Jet1, _Jet2)):
-        return x._recip()
-    if isinstance(x, float):
-        return float(1.0 / np.float64(x))
-    return 1.0 / x
-
-
-def _ipow_any(x, k: int):
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return x
-    if isinstance(x, (_Jet1, _Jet2)):
-        return x._ipow(k)
-    if isinstance(x, float):
-        return float(np.float64(x) ** k)
-    return x ** k
-
-
-def _fpow_any(x, p: float):
-    if isinstance(x, (_Jet1, _Jet2)):
-        return x._fpow(p)
+def _fpow(x, p):
     return np.where(x > 0.0, x, np.nan) ** p
 
 
-def _eval_batch(expr: Expression, env: Mapping[str, object]):
-    if isinstance(expr, Const):
-        return float(expr.value)
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Sum):
-        acc = _eval_batch(expr.terms[0], env)
-        for t in expr.terms[1:]:
-            acc = acc + _eval_batch(t, env)
-        return acc
-    if isinstance(expr, Product):
-        acc = _eval_batch(expr.factors[0], env)
-        for f in expr.factors[1:]:
-            acc = acc * _eval_batch(f, env)
-        return acc
-    if isinstance(expr, IntPow):
-        return _ipow_any(_eval_batch(expr.base, env), expr.exponent)
-    if isinstance(expr, FracPow):
-        return _fpow_any(_eval_batch(expr.base, env), float(expr.exponent))
-    if isinstance(expr, Quotient):
-        return _eval_batch(expr.num, env) * _recip_any(_eval_batch(expr.den, env))
-    raise TypeError(f"not an expression node: {expr!r}")
+# constant instructions fold in np.float64 where Python floats would raise
+_FOLD = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b,
+         "recip": lambda a, _: float(1.0 / np.float64(a)),
+         "ipow": lambda a, k: float(np.float64(a) ** k), "fpow": _fpow}
 
 
-@functools.lru_cache(maxsize=256)
-def _free_names(expr: Expression) -> frozenset:
-    # nodes define no __eq__, so the cache is keyed by object identity; it
-    # holds the expression, so a cached id is never reused by another tree
-    return frozenset(free_variables(expr))
+_module = functools.lru_cache(maxsize=512)(functools.partial(
+    builtins.compile, filename="<expression tape>", mode="exec"))
 
 
-def _check_names(expr, names):
-    missing = _free_names(expr).difference(names)
-    if missing:
-        raise KeyError(f"expression uses variables {sorted(missing)} "
-                       f"not present in {list(names)}")
+class Tape:
+    """Expressions compiled into one instruction list (see ``compile``);
+    every evaluation returns one entry per output."""
+
+    def __init__(self, exprs: Sequence[Expression], names: Sequence[str]):
+        self.names = tuple(names)
+        missing = set().union(*map(free_variables, exprs)) - set(self.names)
+        if missing:
+            raise KeyError(f"expression uses variables {sorted(missing)} "
+                           f"not present in {list(self.names)}")
+        self._code, self._slot = [], {}
+        with np.errstate(all="ignore"):
+            self.outputs = tuple(self._operand(e) for e in exprs)
+        self._fns = {}
+
+    def __len__(self):
+        return len(self._code)
+
+    def _operand(self, e):
+        """The slot (int) or folded constant (float) of node e."""
+        if isinstance(e, Const):
+            return float(e.value)
+        if isinstance(e, Var):
+            return self._emit("var", self.names.index(e.name), None)
+        if isinstance(e, (Sum, Product)):
+            op = "add" if isinstance(e, Sum) else "mul"
+            items = e.terms if isinstance(e, Sum) else e.factors
+            acc = self._operand(items[0])
+            for item in items[1:]:
+                acc = self._emit(op, acc, self._operand(item))
+            return acc
+        if isinstance(e, IntPow):
+            if e.exponent in (0, 1):
+                return 1.0 if e.exponent == 0 else self._operand(e.base)
+            return self._emit("ipow", self._operand(e.base), e.exponent)
+        if isinstance(e, FracPow):
+            return self._emit("fpow", self._operand(e.base),
+                              float(e.exponent))
+        if isinstance(e, Quotient):
+            num = self._operand(e.num)
+            return self._emit("mul", num,
+                              self._emit("recip", self._operand(e.den), None))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def _emit(self, op, a, b):
+        """Slot of the instruction (op, a, b), or its folded constant."""
+        if op != "var" and not _reads(op, a, b):
+            return _FOLD[op](a, b)
+        key = (op, _key(a), _key(b) if op in ("add", "mul") else b)
+        if key not in self._slot:
+            self._slot[key] = len(self._code)
+            self._code.append((op, a, b))
+        return self._slot[key]
+
+    def _source(self, mode: str):
+        """The generated source of one mode and the constants it reads.
+        A slot read once is written into its reader's expression in values
+        mode, where numpy may reuse the temporary array in place."""
+        table, parts, assign = _MODES[mode]
+        outs = {o for o in self.outputs if type(o) is int}
+        reads = [x for ins in self._code for x in _reads(*ins)]
+        inline = {x for x in reads if reads.count(x) == 1
+                  and x not in outs} if mode == "values" else set()
+        consts, last = {}, {}
+
+        def name(x, line):
+            if type(x) is not int:
+                return consts.setdefault(_key(x), (f"c{len(consts)}", x))[0]
+            if x in inline:
+                return f"({text(x, line)})"
+            last[x] = line
+            return f"v{x}"
+
+        def text(i, line):
+            op, a, b = self._code[i]
+            fill = {"o": i, "a": a, "b": b, "k": b, "p": repr(b)}
+            if op in ("add", "mul"):
+                fill.update(A=name(a, line), B=name(b, line))
+                if mode != "values" and type(b) is not int:
+                    op, fill["C"] = op + "c", fill["B"]
+                elif mode != "values" and type(a) is not int:
+                    op, fill["a"], fill["C"] = op + "c", b, fill["A"]
+            elif op != "var":
+                fill["A"] = name(a, line)
+            return table[op].format(**fill)
+
+        body = [(i, text(i, i)) for i in range(len(self._code))
+                if i not in inline]
+        lines = [f"def run({'xs' if mode == 'values' else 'X, m, n'}):"]
+        for i, stmt in body:
+            lines.append("    " + assign.format(o=i) + stmt)
+            dead = [x for x, j in last.items() if j == i and x not in outs]
+            if dead:
+                lines.append("    del " + ", ".join(
+                    p + str(x) for x in dead for p in parts))
+        rets = [f"({', '.join(p + str(o) for p in parts)})"
+                if type(o) is int else name(o, None) for o in self.outputs]
+        lines.append(f"    return ({''.join(x + ', ' for x in rets)})")
+        return "\n".join(lines) + "\n", dict(consts.values())
+
+    def _run(self, mode, *args):
+        if mode not in self._fns:
+            text, scope = self._source(mode)
+            scope.update(np=np, _fpow=_fpow)
+            exec(_module(text), scope)
+            self._fns[mode] = scope["run"]
+        with np.errstate(all="ignore"):
+            return self._fns[mode](*args)
+
+    def values(self, points: np.ndarray) -> list:
+        """Values at a batch of points: (m, n) -> one (m,) per output."""
+        points = np.asarray(points, dtype=float)
+        m, n = points.shape
+        return [o if isinstance(o, np.ndarray) else np.full(m, float(o))
+                for o in self._run("values", list(points.T))]
+
+    def grid(self, axes: Sequence[np.ndarray]) -> list:
+        """Values on the tensor grid of the 1-D ``axes``, bit for bit those
+        at the stacked grid points; variable j broadcasts along axis j, so
+        a result may be a read-only view when its output skips one."""
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if len(axes) != len(self.names):
+            raise ValueError(f"{len(axes)} axes for {len(self.names)} "
+                             "variable names")
+        return [np.broadcast_to(o, tuple(a.size for a in axes))
+                for o in self._run("values", np.ix_(*axes))]
+
+    def jet1(self, points: np.ndarray) -> list:
+        """Values and gradients: (m,), (m, n) per output."""
+        return self._jets("jet1", points)
+
+    def jet2(self, points: np.ndarray) -> list:
+        """Values, gradients and symmetric Hessians per output."""
+        return self._jets("jet2", points)
+
+    def _jets(self, mode, points):
+        points = np.asarray(points, dtype=float)
+        m, n = points.shape
+        shapes = ((m, n), (m, n, n))[:int(mode[-1])]
+        return [o if isinstance(o, tuple) else (np.full(m, float(o)),)
+                + tuple(np.zeros(shape) for shape in shapes)
+                for o in self._run(mode, points, m, n)]
+
+
+# keyed by node identity (no __eq__); holding the nodes keeps ids unique
+_compiled = functools.lru_cache(maxsize=256)(Tape)
+
+
+def compile(exprs: Sequence[Expression], names: Sequence[str]) -> Tape:
+    """One tape for all of ``exprs`` over the variables ``names``; the same
+    expression objects and names give back the same tape.  Raises KeyError
+    when an expression uses a variable not in ``names``."""
+    return _compiled(tuple(exprs), tuple(names))
 
 
 def eval_values(expr: Expression, points: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Values at a batch of points; shape (m, n) -> (m,). nan where undefined."""
-    points = np.asarray(points, dtype=float)
-    m, n = points.shape
-    _check_names(expr, names)
-    env = {name: points[:, j] for j, name in enumerate(names)}
-    with np.errstate(all="ignore"):
-        out = _eval_batch(expr, env)
-    if not isinstance(out, np.ndarray):
-        out = np.full(m, float(out))
-    return out
+    return compile((expr,), names).values(points)[0]
 
 
 def eval_grid(expr: Expression, axes: Sequence[np.ndarray],
               names: Sequence[str]) -> np.ndarray:
-    """Values on the tensor grid of the 1-D ``axes``; nan where undefined.
-
-    Variable j enters as ``axes[j]`` shaped to broadcast along axis j, so
-    each node is computed once per combination of the variables below it:
-    ``u1^2*u2`` costs a slab over two axes, not the whole grid.  Every grid
-    entry goes through the same float operations as in ``eval_values`` on
-    the stacked grid points, so the two agree bit for bit.  The result has
-    shape ``tuple(len(a) for a in axes)`` and may be a read-only broadcast
-    view when the expression skips a variable.
-    """
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    if len(axes) != len(names):
-        raise ValueError(f"{len(axes)} axes for {len(names)} variable names")
-    _check_names(expr, names)
-    n = len(axes)
-    env = {name: a.reshape((1,) * j + (-1,) + (1,) * (n - j - 1))
-           for j, (name, a) in enumerate(zip(names, axes))}
-    with np.errstate(all="ignore"):
-        out = _eval_batch(expr, env)
-    return np.broadcast_to(out, tuple(a.size for a in axes))
+    """Values on the tensor grid of the 1-D ``axes`` (see ``Tape.grid``)."""
+    return compile((expr,), names).grid(axes)[0]
 
 
 def eval_jet1(expr: Expression, points: np.ndarray, names: Sequence[str]):
     """Values and gradients at a batch of points: (m,), (m, n)."""
-    points = np.asarray(points, dtype=float)
-    m, n = points.shape
-    _check_names(expr, names)
-    env = {}
-    for j, name in enumerate(names):
-        g = np.zeros((m, n))
-        g[:, j] = 1.0
-        env[name] = _Jet1(points[:, j].copy(), g)
-    with np.errstate(all="ignore"):
-        out = _eval_batch(expr, env)
-    if not isinstance(out, _Jet1):
-        return np.full(m, float(out)), np.zeros((m, n))
-    return out.v, out.g
+    return compile((expr,), names).jet1(points)[0]
 
 
 def eval_jet2(expr: Expression, points: np.ndarray, names: Sequence[str]):
-    """Values, gradients and Hessians at a batch: (m,), (m,n), (m,n,n).
-
-    The Hessian is symmetric by construction of the product/chain rules.
-    """
-    points = np.asarray(points, dtype=float)
-    m, n = points.shape
-    _check_names(expr, names)
-    env = {}
-    for j, name in enumerate(names):
-        g = np.zeros((m, n))
-        g[:, j] = 1.0
-        env[name] = _Jet2(points[:, j].copy(), g, np.zeros((m, n, n)))
-    with np.errstate(all="ignore"):
-        out = _eval_batch(expr, env)
-    if not isinstance(out, _Jet2):
-        return np.full(m, float(out)), np.zeros((m, n)), np.zeros((m, n, n))
-    return out.v, out.g, out.h
+    """Values, gradients and Hessians at a batch: (m,), (m,n), (m,n,n)."""
+    return compile((expr,), names).jet2(points)[0]
 
 
 def differentiate(expr: Expression, point: Sequence[float], names: Sequence[str]):

@@ -74,8 +74,8 @@ import numpy as np
 from .critical import CriticalPoint
 from .errors import (BudgetExceeded, ConfigError, DeltaFloor, NotConverged,
                      StepCollapse)
-from .expr import Const, Expression, Quotient, eval_jet1, eval_values
-from .metric import apply_inverse_batch, metric_batch
+from .expr import Const, Expression, Quotient, compile
+from .metric import apply_inverse, metric_batch, metric_exprs
 from .problem import ProblemSpec, perturbed_function
 
 __all__ = ["ContinuationSchedule", "TrajectoryRecord", "integrate_flow",
@@ -160,42 +160,12 @@ class ContinuationSchedule:
         return ContinuationSchedule(comps, w, dw, delta,
                                     label=f"eps:{e0:g}->{e1:g}")
 
-    @staticmethod
-    def theta_path(alg_problem, theta_from: float, theta_to: float,
-                   eps: float, delta: float = 0.5):
-        """Schedule rotating the angle in Re(e^{i theta} F) at fixed eps.
-
-        Returns (schedule, ambient problem); the ambient ProblemSpec is the
-        compactified plane the rotation happens in, built at theta_from.
-        """
-        from .compactify import real_imag_parts, realify
-
-        ambient = realify(alg_problem, theta=theta_from)
-        re_x, im_x = real_imag_parts(alg_problem)
-        comps = (re_x, im_x, Quotient(Const(Fraction(1)), ambient.tau))
-        t0, t1 = float(theta_from), float(theta_to)
-
-        def w(t):
-            th = t0 + t * (t1 - t0)
-            return np.stack([np.cos(th), -np.sin(th),
-                             np.full_like(th, float(eps))], axis=1)
-
-        def dw(t):
-            th = t0 + t * (t1 - t0)
-            return np.stack([-np.sin(th) * (t1 - t0),
-                             -np.cos(th) * (t1 - t0),
-                             np.zeros_like(th)], axis=1)
-
-        sched = ContinuationSchedule(comps, w, dw, delta,
-                                     label=f"theta:{t0:g}->{t1:g} eps={eps:g}")
-        return sched, ambient
-
     def values_at(self, S, X: np.ndarray, names) -> np.ndarray:
         t = gamma_profile(self.delta * np.asarray(S, dtype=float))
         W = self.weight_path(np.atleast_1d(t))
         out = np.zeros(len(X))
-        for i, comp in enumerate(self.components):
-            out += W[:, i] * eval_values(comp, X, names)
+        for i, v in enumerate(compile(self.components, names).values(X)):
+            out += W[:, i] * v
         return out
 
     def end_values(self, X: np.ndarray, names) -> np.ndarray:
@@ -208,37 +178,37 @@ class ContinuationSchedule:
 
 
 class _Field:
-    """Batched right side -grad_g F with value and energy-rate bookkeeping."""
+    """Batched right side -grad_g F with value and energy-rate bookkeeping,
+    one jet1 call of one tape (components and metric inputs) per batch."""
 
     def __init__(self, problem: ProblemSpec, schedule: ContinuationSchedule):
         self.problem = problem
         self.schedule = schedule
         self.names = problem.variables
+        self._tape = compile(schedule.components + metric_exprs(
+            problem.metric, problem.tau), self.names)
 
     def eval(self, S: np.ndarray, X: np.ndarray):
         """Returns (drift, F values, energy rate) for a batch of rows."""
         sch = self.schedule
-        t = gamma_profile(sch.delta * S)
+        k = len(sch.components)
+        jets = self._tape.jet1(X)
+        # constant weights: one row of them broadcasts against the batch
+        t = np.zeros(1) if sch.autonomous else gamma_profile(sch.delta * S)
         W = sch.weight_path(t)
         vals = np.zeros(len(X))
         grads = np.zeros_like(X)
-        comp_vals = []
-        for i, comp in enumerate(sch.components):
-            v, g = eval_jet1(comp, X, self.names)
-            comp_vals.append(v)
+        for i, (v, g) in enumerate(jets[:k]):
             vals += W[:, i] * v
             grads += W[:, i, None] * g
-        w = apply_inverse_batch(self.problem.metric, self.problem.tau,
-                                self.names, X, grads)
-        grad_sq = np.einsum("ij,ij->i", grads, w)
-        if sch.autonomous:
-            dF_ds = np.zeros(len(X))
-        else:
+        w = apply_inverse(self.problem.metric, jets[k:], grads)
+        erate = 2.0 * np.einsum("ij,ij->i", grads, w)
+        if not sch.autonomous:
             ramp = (sch.delta * gamma_slope(sch.delta * S))[:, None]
             dW = sch.dweight_path(t) * ramp
-            dF_ds = sum(dW[:, i] * comp_vals[i]
-                        for i in range(len(sch.components)))
-        return -w, vals, 2.0 * grad_sq - 2.0 * dF_ds
+            erate = erate - 2.0 * sum(dW[:, i] * jets[i][0]
+                                      for i in range(k))
+        return -w, vals, erate
 
 
 # Dormand-Prince 5(4) tableau
@@ -282,17 +252,12 @@ class _TargetSet:
         # near-pass ball: big enough to classify flybys, small enough to
         # keep distinct targets separated
         m = len(self.points)
-        sep = np.full(m, np.inf)
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    sep[i] = min(sep[i],
-                                 float(np.linalg.norm(self.Q[i] - self.Q[j])))
         self.r_near = np.zeros(m)
         for i, p in enumerate(self.points):
-            r = 0.15 * (1.0 + float(np.linalg.norm(p.location)))
-            if math.isfinite(sep[i]):
-                r = min(r, 0.3 * sep[i])
+            sep = min((float(np.linalg.norm(self.Q[i] - self.Q[j]))
+                       for j in range(m) if j != i), default=math.inf)
+            r = min(0.15 * (1.0 + float(np.linalg.norm(p.location))),
+                    0.3 * sep)
             self.r_near[i] = max(r, 20.0 * self.r_arrive[i])
 
     def __len__(self):
@@ -327,6 +292,41 @@ class _RowResult:
     near_min: np.ndarray     # per-target closest approach while inside
     near_side: np.ndarray    # per-target side at last ball exit, 0 arrived
     samples: Optional[np.ndarray]
+
+
+def _near_passes(targets: _TargetSet, live: np.ndarray, Xl: np.ndarray,
+                 past_ramp: np.ndarray, inside: np.ndarray,
+                 near_min: np.ndarray, near_side: np.ndarray,
+                 status: np.ndarray, target_of: np.ndarray) -> None:
+    """Near passes and arrivals of the rows ``live`` (now at Xl) after an
+    accepted step, updated in place over (rows, targets) arrays; frame
+    coordinates are computed only where a row leaves a ball or may arrive."""
+    D = np.linalg.norm(Xl[:, None, :] - targets.Q[None, :, :], axis=2)
+    was_in = inside[live]
+    # a row stays in a ball up to its rim but enters only strictly inside
+    now_in = D < targets.r_near
+    np.less_equal(D, targets.r_near, out=now_in, where=was_in)
+    arrive = np.logical_and(D < targets.r_arrive, past_ramp[:, None])
+    track = was_in | now_in
+    done = set()
+    # pairs come row by row in target order, so once a row arrives its
+    # later targets are skipped and keep their state
+    for p, t in zip(*np.nonzero(arrive | (was_in > now_in))):
+        if p in done:
+            continue
+        r = live[p]
+        if not arrive[p, t]:
+            cu = targets.unstable_coords(t, Xl[p])
+            near_side[r, t] = 0 if len(cu) == 0 else (1 if cu[0] > 0 else -1)
+        elif targets.stable_dominant(t, Xl[p]):
+            done.add(p)
+            status[r], target_of[r], near_side[r, t] = ARRIVED, t, 0
+            now_in[p, t + 1:] = was_in[p, t + 1:]
+            track[p, t + 1:] = False
+    near = near_min[live]
+    np.minimum(near, D, out=near, where=track)
+    inside[live] = now_in
+    near_min[live] = near
 
 
 def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
@@ -380,8 +380,9 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
         K[0] = K1[rows]
         for i in range(1, 7):
             xi = Xa
+            hA = ha[:, None] * _DP_A[i]
             for j in range(i):
-                xi = xi + (ha * _DP_A[i][j])[:, None] * K[j, :, :n]
+                xi = xi + hA[:, j, None] * K[j, :, :n]
             d, F7, er = field.eval(Sa + _DP_C[i] * ha, xi)
             K[i, :, :n] = d
             K[i, :, n] = er
@@ -389,9 +390,10 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
         Y0 = np.concatenate([Xa, E[rows, None]], axis=1)
         Y5 = Y0.copy()
         Y4 = Y0.copy()
+        hB5, hB4 = ha[:, None] * _DP_B5, ha[:, None] * _DP_B4
         for i in range(7):
-            Y5 = Y5 + (ha * _DP_B5[i])[:, None] * K[i]
-            Y4 = Y4 + (ha * _DP_B4[i])[:, None] * K[i]
+            Y5 = Y5 + hB5[:, i, None] * K[i]
+            Y4 = Y4 + hB4[:, i, None] * K[i]
 
         scale = RTOL * (1.0 + np.abs(Y5).max(axis=1))
         err = np.abs(Y5 - Y4).max(axis=1) / scale
@@ -420,32 +422,11 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
             status[acc[Fv < lo_cut]] = EXIT_BELOW
             status[acc[Fv > hi_cut]] = EXIT_ABOVE
 
-            if nt:
-                live = acc[status[acc] == RUNNING]
-                if live.size:
-                    D = np.linalg.norm(
-                        X[live][:, None, :] - targets.Q[None, :, :], axis=2)
-                    for pos, r in enumerate(live):
-                        for t in range(nt):
-                            d = D[pos, t]
-                            if inside[r, t]:
-                                near_min[r, t] = min(near_min[r, t], d)
-                                if d > targets.r_near[t]:
-                                    inside[r, t] = False
-                                    cu = targets.unstable_coords(t, X[r])
-                                    near_side[r, t] = (
-                                        0 if len(cu) == 0
-                                        else (1 if cu[0] > 0 else -1))
-                            elif d < targets.r_near[t]:
-                                inside[r, t] = True
-                                near_min[r, t] = min(near_min[r, t], d)
-                            if (S[r] >= sched.ramp_end
-                                    and d < targets.r_arrive[t]
-                                    and targets.stable_dominant(t, X[r])):
-                                status[r] = ARRIVED
-                                target_of[r] = t
-                                near_side[r, t] = 0
-                                break
+            live = acc[status[acc] == RUNNING] if nt else acc[:0]
+            if live.size:
+                _near_passes(targets, live, X[live],
+                             S[live] >= sched.ramp_end, inside, near_min,
+                             near_side, status, target_of)
 
             over = (steps[acc] >= max_steps) | (S[acc] > s_max)
             status[acc[over & (status[acc] == RUNNING)]] = BUDGET

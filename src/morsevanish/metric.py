@@ -23,10 +23,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, NotPositiveDefinite
-from .expr import Expression, eval_jet1, eval_values
+from .expr import Expression, compile, eval_jet1
 
-__all__ = ["MetricSpec", "metric_at", "metric_batch", "gradient_field",
-           "apply_inverse_batch", "KINDS"]
+__all__ = ["MetricSpec", "metric_at", "metric_batch", "metric_exprs",
+           "gradient_field", "apply_inverse", "apply_inverse_batch", "KINDS"]
 
 KINDS = ("euclidean", "cone-euclidean", "kahler-cone", "custom")
 
@@ -59,31 +59,52 @@ def _complex_rotate(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def metric_exprs(spec: MetricSpec, tau: Expression) -> Tuple[Expression, ...]:
+    """What the metric reads: nothing, tau, or the custom entries by row."""
+    if spec.kind == "euclidean":
+        return ()
+    if spec.kind == "custom":
+        return tuple(e for row in spec.custom for e in row)
+    return (tau,)
+
+
+def _matrices(spec: MetricSpec, jets, m: int, n: int) -> np.ndarray:
+    """Metric matrices (m, n, n) from the jet1 outputs of ``metric_exprs``."""
+    if spec.kind == "euclidean":
+        return np.broadcast_to(np.eye(n), (m, n, n)).copy()
+    if spec.kind == "cone-euclidean":
+        return np.eye(n)[None, :, :] / jets[0][0][:, None, None]
+    if spec.kind == "kahler-cone":
+        if n % 2 != 0:
+            raise ConfigError("kahler-cone metric needs an even-dimensional problem")
+        tv, tg = jets[0]
+        a = tg / tv[:, None]
+        b = _complex_rotate(a)
+        return (a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :]
+                + np.eye(n)[None, :, :]) / tv[:, None, None]
+    return np.stack([v for v, _ in jets], axis=1).reshape(m, n, n)
+
+
+def apply_inverse(spec: MetricSpec, jets, df: np.ndarray) -> np.ndarray:
+    """Solve g(x) w = df(x) row-wise, g from the jet1 outputs of
+    ``metric_exprs`` at the same rows, with closed forms where the metric
+    admits them: the gradient vector field of f."""
+    if spec.kind == "euclidean":
+        return np.array(df, dtype=float, copy=True)
+    if spec.kind == "cone-euclidean":
+        return jets[0][0][:, None] * df
+    G = _matrices(spec, jets, *df.shape)
+    return np.linalg.solve(G, df[..., None])[..., 0]
+
+
 def metric_batch(spec: MetricSpec, tau: Expression, names: Sequence[str],
                  X: np.ndarray, certify: bool = False) -> np.ndarray:
     """Metric matrices at a batch of points, shape (m, n, n)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    m, n = X.shape
-    if spec.kind == "euclidean":
-        G = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-    elif spec.kind == "cone-euclidean":
-        tv = eval_values(tau, X, names)
-        G = np.eye(n)[None, :, :] / tv[:, None, None]
-    elif spec.kind == "kahler-cone":
-        if n % 2 != 0:
-            raise ConfigError("kahler-cone metric needs an even-dimensional problem")
-        tv, tg = eval_jet1(tau, X, names)
-        a = tg / tv[:, None]
-        b = _complex_rotate(a)
-        G = (a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :]
-             + np.eye(n)[None, :, :]) / tv[:, None, None]
-    else:
-        G = np.empty((m, n, n))
-        for i in range(n):
-            for j in range(n):
-                G[:, i, j] = eval_values(spec.custom[i][j], X, names)
+    jets = compile(metric_exprs(spec, tau), names).jet1(X)
+    G = _matrices(spec, jets, *X.shape)
     if certify:
-        for k in range(m):
+        for k in range(len(X)):
             _certify(G[k], X[k])
     return G
 
@@ -103,34 +124,21 @@ def _certify(G: np.ndarray, x: np.ndarray) -> None:
 def metric_at(spec: MetricSpec, tau: Expression, names: Sequence[str],
               point: Sequence[float]) -> np.ndarray:
     """Certified metric matrix at one point."""
-    x = np.asarray(point, dtype=float)
-    G = metric_batch(spec, tau, names, x[None, :])[0]
-    _certify(G, x)
-    return G
+    return metric_batch(spec, tau, names, [point], certify=True)[0]
 
 
 def apply_inverse_batch(spec: MetricSpec, tau: Expression, names: Sequence[str],
                         X: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Solve g(x) w = df(x) row-wise: the gradient vector field of f.
-
-    Exploits closed forms where the metric admits them so flow integration
-    does not pay for dense solves in the common cases.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if spec.kind == "euclidean":
-        return np.array(df, dtype=float, copy=True)
-    if spec.kind == "cone-euclidean":
-        tv = eval_values(tau, X, names)
-        return tv[:, None] * df
-    G = metric_batch(spec, tau, names, X)
-    return np.linalg.solve(G, df[..., None])[..., 0]
+    """``apply_inverse`` at a batch of points X."""
+    jets = compile(metric_exprs(spec, tau), names).jet1(np.atleast_2d(X))
+    return apply_inverse(spec, jets, df)
 
 
 def gradient_field(problem, eps: float, point: Sequence[float]) -> np.ndarray:
     """Gradient of f_eps at a point, taken in the problem's metric.
 
     The metric is certified at the point first; the solve is the one
-    flows use, ``apply_inverse_batch``.
+    flows use, ``apply_inverse``.
     """
     from .problem import perturbed_function
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .compactify import AlgebraicProblem, realify
 from .errors import ConfigError, ResolutionTooCoarse, UnknownEntry
-from .expr import eval_grid, parse_expression
+from .expr import compile, parse_expression
 from .homology import HomologyResult, euler_characteristic
 from .intlinalg import homology_of_complex, reduce_complex
 from .metric import MetricSpec
@@ -94,12 +94,13 @@ def _top_masks(fe, names, box, res, lam, Lam):
     neither mask.  Evaluation is chunked along the first axis so the
     value array never gets out of hand in dimension four.
     """
+    tape = compile((fe,), names)
     axes = _axis_centers(box, res)
     total = np.empty(res, dtype=bool)
     sub = np.empty(res, dtype=bool)
     step = max(1, _CHUNK // math.prod(res[1:]))
     for i0 in range(0, res[0], step):
-        vals = eval_grid(fe, [axes[0][i0:i0 + step]] + axes[1:], names)
+        (vals,) = tape.grid([axes[0][i0:i0 + step]] + axes[1:])
         np.less_equal(vals, Lam, out=total[i0:i0 + step])
         np.less_equal(vals, -lam, out=sub[i0:i0 + step])
     return total, sub

@@ -412,6 +412,15 @@ class TestCommands:
                    "--res", res) == 1
         assert "at least one cell per axis" in capsys.readouterr().err
 
+    def test_one_parser_serves_every_call(self, tmp_path):
+        assert cli_module._build_parser() is cli_module._build_parser()
+        path = write_cfg(tmp_path, DW)
+        assert run(tmp_path, "crit", "--config", path, "--eps", "0.1") == 0
+        assert read_artifact(tmp_path, DW, "crit")["eps"] == 0.1
+        # nothing of the last parse carries over into the next one
+        assert run(tmp_path, "crit", "--config", path) == 0
+        assert read_artifact(tmp_path, DW, "crit")["eps"] == 0.05
+
     def test_unknown_catalog_exits_one(self, tmp_path):
         assert run(tmp_path, "compare", "--catalog", "nope") == 1
 

@@ -1,7 +1,9 @@
 """Expression evaluation and forward-mode derivatives.
 
 The derivative oracle here is central finite differences at step 1e-5,
-implemented independently of the jet arithmetic under test.
+implemented independently of the jet arithmetic under test.  The compiled
+tape is also checked byte for byte against the recursive jet evaluator it
+replaced, kept below as the reference.
 """
 
 from fractions import Fraction
@@ -11,9 +13,9 @@ import pytest
 
 from morsevanish.errors import DomainViolation, ExpressionParseError
 from morsevanish.expr import (
-    Const, FracPow, IntPow, Product, Quotient, Sum, Var,
-    differentiate, eval_grid, eval_jet1, eval_jet2, eval_values, evaluate,
-    free_variables, parse_expression, rational_pow, to_infix, var,
+    Const, Expression, FracPow, IntPow, Product, Quotient, Sum, Var,
+    compile, differentiate, eval_grid, eval_jet1, eval_jet2, eval_values,
+    evaluate, free_variables, parse_expression, rational_pow, to_infix, var,
 )
 
 
@@ -274,3 +276,270 @@ class TestEvalGrid:
     def test_axis_count_must_match_names(self):
         with pytest.raises(ValueError, match="2 axes for 3"):
             eval_grid(parse_expression("u1"), self.AXES[:2], self.NAMES)
+
+
+# ---------------------------------------------------------------------------
+# the recursive jet evaluator the tape replaced, kept as the reference
+#
+# Operands are plain floats (constant subtrees), numpy arrays (values and
+# grids) or _Jet1/_Jet2; constants divide and power in np.float64.
+
+
+class _Jet1:
+    __slots__ = ("v", "g")
+
+    def __init__(self, v, g):
+        self.v = v
+        self.g = g
+
+    def __add__(self, o):
+        if isinstance(o, _Jet1):
+            return _Jet1(self.v + o.v, self.g + o.g)
+        return _Jet1(self.v + o, self.g)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, _Jet1):
+            return _Jet1(self.v * o.v,
+                         self.v[:, None] * o.g + o.v[:, None] * self.g)
+        return _Jet1(self.v * o, self.g * o)
+
+    __rmul__ = __mul__
+
+    def _compose(self, f0, f1):
+        return _Jet1(f0, f1[:, None] * self.g)
+
+    def _recip(self):
+        u = 1.0 / self.v
+        return self._compose(u, -u * u)
+
+    def _ipow(self, k):
+        v = self.v
+        return self._compose(v ** k, float(k) * v ** (k - 1))
+
+    def _fpow(self, p):
+        v = np.where(self.v > 0.0, self.v, np.nan)
+        return self._compose(v ** p, p * v ** (p - 1.0))
+
+
+class _Jet2:
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v, g, h):
+        self.v = v
+        self.g = g
+        self.h = h
+
+    def __add__(self, o):
+        if isinstance(o, _Jet2):
+            return _Jet2(self.v + o.v, self.g + o.g, self.h + o.h)
+        return _Jet2(self.v + o, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, _Jet2):
+            v = self.v * o.v
+            g = self.v[:, None] * o.g + o.v[:, None] * self.g
+            h = (self.v[:, None, None] * o.h + o.v[:, None, None] * self.h
+                 + self.g[:, :, None] * o.g[:, None, :]
+                 + o.g[:, :, None] * self.g[:, None, :])
+            return _Jet2(v, g, h)
+        return _Jet2(self.v * o, self.g * o, self.h * o)
+
+    __rmul__ = __mul__
+
+    def _compose(self, f0, f1, f2):
+        g = f1[:, None] * self.g
+        h = (f1[:, None, None] * self.h
+             + f2[:, None, None] * (self.g[:, :, None] * self.g[:, None, :]))
+        return _Jet2(f0, g, h)
+
+    def _recip(self):
+        u = 1.0 / self.v
+        u2 = u * u
+        return self._compose(u, -u2, 2.0 * u2 * u)
+
+    def _ipow(self, k):
+        v = self.v
+        return self._compose(v ** k, float(k) * v ** (k - 1),
+                             float(k * (k - 1)) * v ** (k - 2))
+
+    def _fpow(self, p):
+        v = np.where(self.v > 0.0, self.v, np.nan)
+        return self._compose(v ** p, p * v ** (p - 1.0),
+                             p * (p - 1.0) * v ** (p - 2.0))
+
+
+def _recip_any(x):
+    if isinstance(x, (_Jet1, _Jet2)):
+        return x._recip()
+    if isinstance(x, float):
+        return float(1.0 / np.float64(x))
+    return 1.0 / x
+
+
+def _ipow_any(x, k):
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return x
+    if isinstance(x, (_Jet1, _Jet2)):
+        return x._ipow(k)
+    if isinstance(x, float):
+        return float(np.float64(x) ** k)
+    return x ** k
+
+
+def _fpow_any(x, p):
+    if isinstance(x, (_Jet1, _Jet2)):
+        return x._fpow(p)
+    return np.where(x > 0.0, x, np.nan) ** p
+
+
+def _eval_batch(expr, env):
+    if isinstance(expr, Const):
+        return float(expr.value)
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Sum):
+        acc = _eval_batch(expr.terms[0], env)
+        for t in expr.terms[1:]:
+            acc = acc + _eval_batch(t, env)
+        return acc
+    if isinstance(expr, Product):
+        acc = _eval_batch(expr.factors[0], env)
+        for f in expr.factors[1:]:
+            acc = acc * _eval_batch(f, env)
+        return acc
+    if isinstance(expr, IntPow):
+        return _ipow_any(_eval_batch(expr.base, env), expr.exponent)
+    if isinstance(expr, FracPow):
+        return _fpow_any(_eval_batch(expr.base, env), float(expr.exponent))
+    if isinstance(expr, Quotient):
+        return _eval_batch(expr.num, env) * _recip_any(
+            _eval_batch(expr.den, env))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def ref_values(expr, points, names):
+    m = len(points)
+    env = {name: points[:, j] for j, name in enumerate(names)}
+    with np.errstate(all="ignore"):
+        out = _eval_batch(expr, env)
+    return out if isinstance(out, np.ndarray) else np.full(m, float(out))
+
+
+def ref_grid(expr, axes, names):
+    n = len(axes)
+    env = {name: a.reshape((1,) * j + (-1,) + (1,) * (n - j - 1))
+           for j, (name, a) in enumerate(zip(names, axes))}
+    with np.errstate(all="ignore"):
+        out = _eval_batch(expr, env)
+    return np.broadcast_to(out, tuple(a.size for a in axes))
+
+
+def ref_jet(expr, points, names, order):
+    m, n = points.shape
+    env = {}
+    for j, name in enumerate(names):
+        g = np.zeros((m, n))
+        g[:, j] = 1.0
+        env[name] = (_Jet1(points[:, j].copy(), g) if order == 1 else
+                     _Jet2(points[:, j].copy(), g, np.zeros((m, n, n))))
+    with np.errstate(all="ignore"):
+        out = _eval_batch(expr, env)
+    if order == 1:
+        if not isinstance(out, _Jet1):
+            return np.full(m, float(out)), np.zeros((m, n))
+        return out.v, out.g
+    if not isinstance(out, _Jet2):
+        return np.full(m, float(out)), np.zeros((m, n)), np.zeros((m, n, n))
+    return out.v, out.g, out.h
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestTape:
+    NAMES = TestEvalGrid.NAMES
+    AXES = TestEvalGrid.AXES
+    # every axis value of the grid, plus rows that hit nan and inf
+    POINTS = np.array([[-2.0, -1.5, -1.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.25],
+                       [2.0, -0.5, 3.0], [-1.0, 0.5, 0.0], [0.5, 1e-300, 7.0]])
+    POISONED = ["u1/0", "0^-1", "1/(1-1)", "u1*10^400", "pow(-1, 1/2)*u2"]
+    TEXTS = POISONED + ["pow(u1^2 + u3, -3/2) / (u1 - u2^-2)", "7/3", "u2",
+                        "u1^-1 * u3 + pow(u3, 1/2)", "u1^0 + u2^1",
+                        "2*pow(2, 1/2)*u1 + pow(3, 1/2) + u1*pow(5, 1/2)",
+                        # -0.0 folds apart from 0.0; a nan constant meets
+                        # the opposite-signed nan of inf - inf
+                        "u1/(-1*0) + u2/0", "pow(-1, 1/2) + (u1/0 - u1/0)",
+                        "(u2/0 - u2/0) * pow(-1, 1/2)"]
+
+    def exprs(self):
+        trees = [random_tree(np.random.default_rng(seed), self.NAMES, 4)
+                 for seed in range(40)]
+        return trees + [parse_expression(t) for t in self.TEXTS]
+
+    def test_every_mode_matches_the_reference_bytewise(self):
+        for expr in self.exprs():
+            tape = compile((expr,), self.NAMES)
+            why = to_infix(expr)
+            assert same_bytes(tape.values(self.POINTS)[0],
+                              ref_values(expr, self.POINTS, self.NAMES)), why
+            assert same_bytes(tape.grid(self.AXES)[0],
+                              ref_grid(expr, self.AXES, self.NAMES)), why
+            for order, got in ((1, tape.jet1(self.POINTS)[0]),
+                               (2, tape.jet2(self.POINTS)[0])):
+                want = ref_jet(expr, self.POINTS, self.NAMES, order)
+                assert all(map(same_bytes, got, want)), (order, why)
+
+    def test_one_tape_equals_one_tape_per_output(self):
+        exprs = self.exprs()
+        # shared subtrees across outputs, as f_eps and tau share tau
+        exprs += [Sum((exprs[5], exprs[7])), Quotient(Const(1), exprs[5])]
+        joint = compile(exprs, self.NAMES)
+        alone = [compile((e,), self.NAMES) for e in exprs]
+        assert len(joint) < sum(map(len, alone))
+        for mode, arg in (("values", self.POINTS), ("grid", self.AXES),
+                          ("jet1", self.POINTS), ("jet2", self.POINTS)):
+            got = getattr(joint, mode)(arg)
+            want = [getattr(t, mode)(arg)[0] for t in alone]
+            for g, w in zip(got, want):
+                assert all(map(same_bytes, g, w)) if isinstance(g, tuple) \
+                    else same_bytes(g, w), mode
+
+    def test_shared_tau_costs_one_set_of_instructions(self):
+        f = parse_expression("x^4 - x^2 - y^2")
+        tau = parse_expression("pow(1 + x^2 + y^2, -1/2)")
+        fe = Sum((f, Quotient(Const(Fraction(1, 10)), tau)))
+        names = ("x", "y")
+        both = compile((fe, tau), names)
+        assert len(both) == len(compile((fe,), names))
+        assert len(both) < (len(compile((fe,), names))
+                            + len(compile((tau,), names)))
+        # a second parse of the same text is hash-consed onto the same slots
+        again = compile((fe, parse_expression("pow(1 + x^2 + y^2, -1/2)")),
+                        names)
+        assert len(again) == len(both)
+
+    def test_constant_blowups_poison_in_every_mode(self):
+        exprs = [parse_expression(t) for t in self.POISONED]
+        tape = compile(exprs, self.NAMES)
+        # u1/0 is nan where u1 = 0 (0 * inf), so only non-finite is asked
+        for v, (v1, g1), (v2, g2, h2), grid in zip(
+                tape.values(self.POINTS), tape.jet1(self.POINTS),
+                tape.jet2(self.POINTS), tape.grid(self.AXES)):
+            assert not np.isfinite(v).any() and not np.isfinite(grid).any()
+            assert same_bytes(v1, v) and same_bytes(v2, v)
+            assert g1.shape == (6, 3) and h2.shape == (6, 3, 3)
+
+    def test_compiling_again_gives_the_same_tape(self):
+        expr = parse_expression("u1*u2 + pow(u3, 1/2)")
+        assert compile((expr,), self.NAMES) is compile([expr],
+                                                       list(self.NAMES))
+        assert isinstance(expr, Expression)
