@@ -87,11 +87,6 @@ def _canon(obj):
     return obj
 
 
-def _thaw(v) -> float:
-    """Read a float back, accepting the "inf"/"-inf"/"nan" spellings."""
-    return float(v)
-
-
 def canonical_dumps(obj) -> str:
     return json.dumps(_canon(obj), sort_keys=True)
 
@@ -196,7 +191,11 @@ def _metric_from(cfg: dict) -> MetricSpec:
 def _domain_from(cfg: dict, n: int) -> DomainModel:
     dom = cfg.get("domain", "real_line")
     if dom == "real_line":
-        return DomainModel.full_space(n)
+        return DomainModel.full_space(
+            n, _number(cfg.get("box_halfwidth", 3.0), "box_halfwidth"))
+    if "box_halfwidth" in cfg:
+        raise ConfigError("box_halfwidth applies to real_line domains; an "
+                          "interval domain takes its box from the intervals")
     if not isinstance(dom, list) or len(dom) != n:
         raise ConfigError('domain must be "real_line" or a list of '
                           f"{n} {{min, max}} objects")
@@ -405,19 +404,20 @@ def _point_record(p: CriticalPoint) -> dict:
 
 
 def _point_from_record(rec: dict) -> CriticalPoint:
+    # float() reads back the "inf"/"-inf"/"nan" strings _canon writes
     return CriticalPoint(
-        location=np.array([_thaw(v) for v in rec["location"]], dtype=float),
-        value=_thaw(rec["value"]),
+        location=np.array([float(v) for v in rec["location"]], dtype=float),
+        value=float(rec["value"]),
         index=int(rec["index"]),
-        eigenvalues=np.array([_thaw(v) for v in rec["eigenvalues"]],
+        eigenvalues=np.array([float(v) for v in rec["eigenvalues"]],
                              dtype=float),
-        frame=np.array([[_thaw(v) for v in row] for row in rec["frame"]],
+        frame=np.array([[float(v) for v in row] for row in rec["frame"]],
                        dtype=float),
-        grad_norm=_thaw(rec["grad_norm"]),
-        certificate_radius=_thaw(rec["certificate_radius"]),
+        grad_norm=float(rec["grad_norm"]),
+        certificate_radius=float(rec["certificate_radius"]),
         degenerate=bool(rec["degenerate"]),
         window_status=str(rec["window_status"]),
-        tau_value=_thaw(rec["tau"]),
+        tau_value=float(rec["tau"]),
         drifting=bool(rec["drifting"]),
     )
 
@@ -603,8 +603,8 @@ def _complex_from_payload(problem_name: str, payload: dict):
             for j, c in enumerate(row):
                 counts[(offsets[k] + j, offsets[k - 1] + i)] = int(c)
     return assemble_complex(
-        pts, counts, problem=problem_name, eps=_thaw(payload["eps"]),
-        window=(_thaw(payload["window"][0]), _thaw(payload["window"][1])),
+        pts, counts, problem=problem_name, eps=float(payload["eps"]),
+        window=(float(payload["window"][0]), float(payload["window"][1])),
         notes=tuple(payload["notes"]))
 
 
@@ -648,8 +648,10 @@ def cmd_homology(args) -> int:
 
 def _oracle_payload(ctx: RunContext, eps: float):
     n = len(ctx.problem.variables)
-    lam = ctx.problem.window.lam if args_lam(ctx) is None else args_lam(ctx)
-    Lam = ctx.problem.window.Lam if args_Lam(ctx) is None else args_Lam(ctx)
+    lam = getattr(ctx.args, "lam", None)
+    Lam = getattr(ctx.args, "Lam", None)
+    lam = ctx.problem.window.lam if lam is None else lam
+    Lam = ctx.problem.window.Lam if Lam is None else Lam
     res = getattr(ctx.args, "res", None)
     res = 32 if res is None else int(res)
     params = {"eps": eps, "lambda": lam, "Lambda": Lam, "res": res}
@@ -667,16 +669,6 @@ def _oracle_payload(ctx: RunContext, eps: float):
 
     payload, hit = ctx.cache.fetch(key, compute)
     return {**payload, "lambda": lam, "Lambda": Lam, "resolution": res}, hit
-
-
-def args_lam(ctx: RunContext) -> Optional[float]:
-    v = getattr(ctx.args, "lam", None)
-    return None if v is None else float(v)
-
-
-def args_Lam(ctx: RunContext) -> Optional[float]:
-    v = getattr(ctx.args, "Lam", None)
-    return None if v is None else float(v)
 
 
 def cmd_oracle(args) -> int:

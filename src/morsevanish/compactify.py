@@ -233,6 +233,10 @@ class EndReport:
     ok: bool
 
 
+_TAU_F_BOUND = 1e6  # the largest |tau*f| a compactifying pair may reach
+_RAYS = 16          # sample rays toward each end
+
+
 @dataclass(frozen=True)
 class CompactificationReport:
     ok: bool
@@ -241,13 +245,13 @@ class CompactificationReport:
     ends: Tuple[EndReport, ...] = field(default=())
 
 
-def _end_samples(domain: DomainModel, rng: np.random.Generator,
-                 rays: int) -> Dict[str, np.ndarray]:
+def _end_samples(domain: DomainModel,
+                 rng: np.random.Generator) -> Dict[str, np.ndarray]:
     """Sample batches marching toward each declared end of the domain."""
     n = domain.dimension
     lo = np.array([b[0] for b in domain.box])
     hi = np.array([b[1] for b in domain.box])
-    base = lo + (hi - lo) * rng.random((rays, n))
+    base = lo + (hi - lo) * rng.random((_RAYS, n))
     out: Dict[str, np.ndarray] = {}
     depths = 10.0 ** np.arange(0, 7)
     for axis, side, limit in domain.ends():
@@ -266,36 +270,35 @@ def _end_samples(domain: DomainModel, rng: np.random.Generator,
             rows.append(P)
         out[tag] = np.concatenate(rows)
     if domain.is_full_space:
-        dirs = rng.standard_normal((rays, n))
+        dirs = rng.standard_normal((_RAYS, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         rows = [t * dirs for t in depths]
         out["|x|->inf"] = np.concatenate(rows)
     return out
 
 
-def check_compactification(problem: ProblemSpec, bound: float = 1e6,
-                           rays: int = 16, seed: int = 0) -> CompactificationReport:
-    """Sample tau*f along rays toward every end and test boundedness.
+def check_compactification(problem: ProblemSpec) -> CompactificationReport:
+    """Sample tau*f along _RAYS rays toward every end and test boundedness.
 
-    Pass/fail is |tau*f| <= bound at every sample; whether tau actually
+    Pass/fail is |tau*f| <= _TAU_F_BOUND at every sample; whether tau actually
     decays at each end is reported alongside but not enforced, since a
     finite end where tau stays positive is just an ordinary boundary.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     reports = []
     overall = 0.0
     ok = True
-    for tag, P in _end_samples(problem.domain, rng, rays).items():
+    for tag, P in _end_samples(problem.domain, rng).items():
         tv, fv = compile((problem.tau, problem.f),
                          problem.variables).values(P)
         tf = tv * fv
         finite = np.isfinite(tf)
         worst = float(np.max(np.abs(tf[finite]))) if finite.any() else float("inf")
-        end_ok = bool(finite.all()) and worst <= bound
+        end_ok = bool(finite.all()) and worst <= _TAU_F_BOUND
         far = float(tv[-1]) if np.isfinite(tv[-1]) else float("inf")
         near = float(np.nanmax(tv)) if np.isfinite(tv).any() else float("inf")
         vanishes = math.isfinite(far) and far < max(1e-3, 1e-3 * near)
         reports.append(EndReport(tag, worst, far, vanishes, end_ok))
         overall = max(overall, worst)
         ok = ok and end_ok
-    return CompactificationReport(ok, bound, overall, tuple(reports))
+    return CompactificationReport(ok, _TAU_F_BOUND, overall, tuple(reports))

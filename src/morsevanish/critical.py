@@ -141,8 +141,10 @@ class CriticalSet:
         return tuple(p for p in self.inside_window() if p.index == k)
 
 
-_RETIRE_AFTER = 6  # iterations a Newton row gets to halve its best |grad|
-_TRIES = 5         # step lengths 1, 1/2, ..., 1/16 of the capped step
+_RETIRE_AFTER = 6      # iterations a Newton row gets to halve its best |grad|
+_TRIES = 5             # step lengths 1, 1/2, ..., 1/16 of the capped step
+_RESIDUAL_TOL = 1e-10  # |grad| below which a Newton row has converged
+_MAX_ITER = 80         # Newton iterations per solve
 
 
 def _newton_steps(g: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -326,7 +328,6 @@ def _collapse(X: np.ndarray, gnorm: np.ndarray, tol: float):
 
 def find_critical_points(problem: ProblemSpec, eps: float,
                          n_starts: Optional[int] = None, seed: int = 0,
-                         residual_tol: float = 1e-10, max_iter: int = 80,
                          extra_starts: Optional[np.ndarray] = None,
                          allow_empty: bool = False) -> CriticalSet:
     """Locate, deduplicate and certify the critical points of f_eps."""
@@ -343,14 +344,14 @@ def find_critical_points(problem: ProblemSpec, eps: float,
     fe = perturbed_function(problem, eps)
     tape = compile((fe,), names)  # the one Newton compiles too
     X, done, dead, gnorm = _newton_batch(fe, names, problem.domain, X0,
-                                         residual_tol, max_iter)
+                                         _RESIDUAL_TOL, _MAX_ITER)
     hits = np.flatnonzero(done)
     if hits.size == 0:
         if allow_empty:
             return CriticalSet(problem.name, eps, (), len(X0), 0, int(dead.sum()))
         raise SolverBudgetExceeded(
             f"no critical point converged from {len(X0)} starts within "
-            f"{max_iter} iterations (best residual {np.min(gnorm):.3g})")
+            f"{_MAX_ITER} iterations (best residual {np.min(gnorm):.3g})")
 
     span = float(np.max(hi - lo))
     rep_rows = [hits[j] for j in _collapse(X[hits], gnorm[hits], 1e-7 * (1 + span))]
@@ -398,8 +399,8 @@ def find_critical_points(problem: ProblemSpec, eps: float,
                        int(done.sum()), int(dead.sum()))
 
 
-def morse_index(problem: ProblemSpec, eps: float, point: Sequence[float],
-                rtol: float = DEGENERACY_RTOL) -> int:
+def morse_index(problem: ProblemSpec, eps: float,
+                point: Sequence[float]) -> int:
     """Number of negative pencil eigenvalues at a (certified) critical point."""
     x = np.asarray(point, dtype=float)
     fe = perturbed_function(problem, eps)
@@ -407,38 +408,39 @@ def morse_index(problem: ProblemSpec, eps: float, point: Sequence[float],
     G = metric_at(problem.metric, problem.tau, problem.variables, x)
     w, _ = oriented_pencil_eigs(Hb[0], G)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if float(np.min(np.abs(w))) < rtol * scale:
+    if float(np.min(np.abs(w))) < DEGENERACY_RTOL * scale:
         raise DegenerateCriticalPoint(
             f"Hessian pencil at {x.tolist()} has a near-zero eigenvalue; "
             f"the Morse index is not defined there")
     return int(np.sum(w < 0))
 
 
-def morsify(problem: ProblemSpec, eps: float, magnitude: float = 1e-6,
-            attempts: int = 8, seed: int = 0,
-            n_starts: Optional[int] = None) -> ProblemSpec:
+_TILT = 1e-6        # size of morsify's first tilt; each retry doubles it
+_TILT_ATTEMPTS = 8
+
+
+def morsify(problem: ProblemSpec, eps: float) -> ProblemSpec:
     """Tilt f by a small random linear term until every window critical
     point is nondegenerate.  Returns the tilted problem; raises
     MorsificationFailed when the attempt budget runs out."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     names = problem.variables
-    base = find_critical_points(problem, eps, n_starts=n_starts, seed=seed,
-                                allow_empty=True)
+    base = find_critical_points(problem, eps, allow_empty=True)
     if all(not p.degenerate for p in base.inside_window()):
         return problem
-    for k in range(attempts):
+    for k in range(_TILT_ATTEMPTS):
         c = rng.standard_normal(len(names))
-        c *= magnitude * (2.0 ** k) / np.linalg.norm(c)
+        c *= _TILT * (2.0 ** k) / np.linalg.norm(c)
         tilt = tuple(Product((Const(as_fraction(float(ci))), Var(nm)))
                      for ci, nm in zip(c, names))
         tilted = problem.with_f(Sum((problem.f,) + tilt),
-                                note=f"tilted by {magnitude * 2.0 ** k:.2g} to split degeneracy")
-        cs = find_critical_points(tilted, eps, n_starts=n_starts, seed=seed,
-                                  allow_empty=True)
+                                note=f"tilted by {_TILT * 2.0 ** k:.2g} "
+                                     "to split degeneracy")
+        cs = find_critical_points(tilted, eps, allow_empty=True)
         if cs.points and all(not p.degenerate for p in cs.inside_window()):
             return tilted
     raise MorsificationFailed(
-        f"degenerate critical points survived {attempts} random tilts")
+        f"degenerate critical points survived {_TILT_ATTEMPTS} random tilts")
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +603,13 @@ class ThetaSweepReport:
 
 
 def sweep_theta(alg_problem, thetas: Sequence[float],
-                eps_grid: Sequence[float], n_starts: Optional[int] = None,
-                seed: int = 0) -> ThetaSweepReport:
+                eps_grid: Sequence[float], seed: int = 0) -> ThetaSweepReport:
     from .compactify import realify
 
     sweeps = []
     for th in thetas:
         sweeps.append(sweep_epsilon(realify(alg_problem, theta=float(th)),
-                                    eps_grid, n_starts=n_starts, seed=seed))
+                                    eps_grid, seed=seed))
     lam = max(s.lambda_est for s in sweeps)
     eps0s = [s.eps0 for s in sweeps]
     if all(math.isfinite(e) for e in eps0s):

@@ -782,11 +782,14 @@ class ContinuationResult:
     warnings: Tuple[str, ...] = ()
 
 
-def _family_parameters(k: int, r_launch: float, reach: float) -> np.ndarray:
+_REACH = 0.3  # widest continuation launch offset
+
+
+def _family_parameters(k: int, r_launch: float) -> np.ndarray:
     """Offsets along the oriented unstable direction, clustered near zero."""
     if k == 0:
         return np.array([0.0])
-    ladder = np.geomspace(r_launch, reach, 14)
+    ladder = np.geomspace(r_launch, _REACH, 14)
     return np.concatenate([-ladder[::-1], [0.0], ladder])
 
 
@@ -796,8 +799,8 @@ def continuation_trajectories(problem: ProblemSpec,
                               targets: Sequence[CriticalPoint],
                               r_launch: float = 1e-4,
                               budget: int = 60000,
-                              delta_floor: float = 1e-6,
-                              reach: float = 0.3) -> ContinuationResult:
+                              delta_floor: float = 1e-6
+                              ) -> ContinuationResult:
     """Signed index-preserving arrival counts for the delta-slow
     interpolation, halving delta from the schedule's value until the runs
     are confined.
@@ -825,7 +828,7 @@ def continuation_trajectories(problem: ProblemSpec,
     tset = _TargetSet(targets)
     ladders = []
     for p in sources:
-        pars = _family_parameters(p.index, r_launch, reach)
+        pars = _family_parameters(p.index, r_launch)
         e_u = p.frame[:, 0] if p.index else np.zeros(len(p.location))
         ladders.append(p.location[None, :] + pars[:, None] * e_u[None, :])
     delta = schedule.delta

@@ -250,12 +250,8 @@ def complex_from_counts(problem: ProblemSpec, eps: float,
                             notes=notes)
 
 
-def window_complex(problem: ProblemSpec, eps: float,
-                   n_starts: Optional[int] = None, seed: int = 0,
-                   r_launch: float = 1e-4, budget: int = 40000,
-                   strict: bool = True,
-                   points: Optional[Sequence[CriticalPoint]] = None
-                   ) -> MorseComplex:
+def window_complex(problem: ProblemSpec, eps: float, seed: int = 0,
+                   budget: int = 40000, strict: bool = True) -> MorseComplex:
     """Locate the window critical points of f_eps and count their
     boundary flowlines into one Morse complex.
 
@@ -263,21 +259,15 @@ def window_complex(problem: ProblemSpec, eps: float,
     absorbers.  With ``strict`` set (the default), any warning from the
     counting stage raises MissingCount, since a count that came with a
     warning is not one to build homology on; pass strict=False to get the
-    complex anyway with the warnings in its notes.  ``points`` skips the
-    critical point search and counts flowlines between exactly the given
-    window points, for callers that already ran the search elsewhere.
+    complex anyway with the warnings in its notes.
     """
-    if points is None:
-        cs = find_critical_points(problem, eps, n_starts=n_starts,
-                                  seed=seed, allow_empty=True)
-        pts = list(cs.inside_window())
-    else:
-        pts = list(points)
+    cs = find_critical_points(problem, eps, seed=seed, allow_empty=True)
+    pts = list(cs.inside_window())
     require_nondegenerate(pts, eps)
     per_source = ((i, [(below[t], c) for t, c in res.counts.items()],
                    res.warnings)
-                  for i, below, res in boundary_counts(
-                      problem, eps, pts, r_launch=r_launch, budget=budget))
+                  for i, below, res in boundary_counts(problem, eps, pts,
+                                                       budget=budget))
     return complex_from_counts(problem, eps, pts, per_source, strict=strict)
 
 
@@ -484,8 +474,7 @@ def _flat_places(cx: MorseComplex) -> List[Tuple[int, int]]:
 
 def chain_map_from_counts(source: MorseComplex, target: MorseComplex,
                           counts: Union[Mapping[Tuple[int, int], int],
-                                        ContinuationResult],
-                          notes: Sequence[str] = ()) -> ChainMap:
+                                        ContinuationResult]) -> ChainMap:
     """Chain map whose degree blocks are filled from continuation counts.
 
     ``counts`` is keyed by (source position, target position) into the
@@ -494,9 +483,9 @@ def chain_map_from_counts(source: MorseComplex, target: MorseComplex,
     absent pairs are zero.  A ContinuationResult is accepted directly and
     contributes its warnings to the map's notes.
     """
-    extra: Tuple[str, ...] = ()
+    notes: Tuple[str, ...] = ()
     if isinstance(counts, ContinuationResult):
-        extra = counts.warnings + (
+        notes = counts.warnings + (
             f"continuation ran at delta {counts.delta:g} "
             f"after {counts.halvings} halvings",)
         counts = counts.counts
@@ -516,7 +505,7 @@ def chain_map_from_counts(source: MorseComplex, target: MorseComplex,
                     "the counts must preserve the Morse index")
             continue
         mats[ks][rt][cs] = int(c)
-    return chain_map(source, target, mats, tuple(notes) + extra)
+    return chain_map(source, target, mats, notes)
 
 
 def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
@@ -690,38 +679,35 @@ class StabilizedHomology:
     notes: Tuple[str, ...] = ()
 
 
-def stabilized_homology(problem: ProblemSpec, eps_grid: Sequence[float],
-                        checks: int = 2, seed: int = 0,
-                        n_starts: Optional[int] = None, delta: float = 0.5,
-                        r_launch: float = 1e-4, budget: int = 60000,
-                        strict: bool = True) -> StabilizedHomology:
+_CHECKS = 2  # grid values above eps* that stabilized_homology continues from
+
+
+def stabilized_homology(problem: ProblemSpec,
+                        eps_grid: Sequence[float]) -> StabilizedHomology:
     """Morse homology at the small end of an admissible eps range.
 
     Runs the eps sweep to find where bounded and divergent critical
     values separate, assembles the complex at the smallest admissible
-    grid value, then walks down from up to ``checks`` neighbouring grid
+    grid value, then walks down from up to _CHECKS neighbouring grid
     values and requires each continuation step to induce an isomorphism.
     ``stable`` reports whether all steps did.
     """
-    report = sweep_epsilon(problem, eps_grid, n_starts=n_starts, seed=seed)
+    report = sweep_epsilon(problem, eps_grid)
     if not math.isfinite(report.eps0):
         raise ConfigError(
             f"eps grid for {problem.name!r} never separates bounded from "
             "divergent critical values; deepen or widen the grid")
     ladder = sorted(e for e in report.eps_grid
-                    if e <= report.eps0)[:checks + 1]
-    cxs = [window_complex(problem, e, seed=seed, n_starts=n_starts,
-                          r_launch=r_launch, strict=strict)
-           for e in ladder]
+                    if e <= report.eps0)[:_CHECKS + 1]
+    cxs = [window_complex(problem, e) for e in ladder]
     maps: List[InducedMap] = []
     notes: List[str] = []
     stable = True
     for j in range(len(ladder) - 1, 0, -1):
         sched = ContinuationSchedule.eps_path(problem, ladder[j],
-                                              ladder[j - 1], delta=delta)
+                                              ladder[j - 1])
         res = continuation_trajectories(problem, sched, cxs[j].points(),
-                                        cxs[j - 1].points(),
-                                        r_launch=r_launch, budget=budget)
+                                        cxs[j - 1].points())
         ind = continuation_chain_map(cxs[j], cxs[j - 1], res)
         maps.append(ind)
         stable = stable and ind.isomorphism
@@ -750,13 +736,11 @@ class DualityReport:
     ok: bool
 
 
-def duality_ranks(problem: ProblemSpec, eps: float,
-                  **window_kwargs) -> DualityReport:
+def duality_ranks(problem: ProblemSpec, eps: float) -> DualityReport:
     """Compare rank HM_k of (f, -|eps|) against rank HM_{n-k} of
     (-f, +|eps|); ``ok`` when they agree in every degree."""
     n = problem.domain.dimension
-    h_p = homology(window_complex(problem, -abs(eps), **window_kwargs))
-    h_d = homology(window_complex(dual_problem(problem), abs(eps),
-                                  **window_kwargs))
+    h_p = homology(window_complex(problem, -abs(eps)))
+    h_d = homology(window_complex(dual_problem(problem), abs(eps)))
     ok = all(h_p.betti(k) == h_d.betti(n - k) for k in range(n + 1))
     return DualityReport(n, h_p, h_d, ok)

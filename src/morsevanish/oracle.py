@@ -380,19 +380,22 @@ def _grow_box(box, intervals):
     return tuple(out), changed
 
 
+_HOMOLOGY_DOUBLINGS = 5
+_EULER_DOUBLINGS = 3
+
+
 def sublevel_pair_homology(problem: ProblemSpec, eps: float,
                            lam: Optional[float] = None,
                            Lam: Optional[float] = None,
-                           resolution=32, max_doublings: int = 5,
-                           verify: bool = True) -> HomologyResult:
+                           resolution=32) -> HomologyResult:
     """Relative integer homology of ({f_eps <= Lam}, {f_eps <= -lam}).
 
-    The box starts at the problem's search box and doubles, at fixed
-    cell size, until either the relative region keeps one clear cell
-    away from every wall (truncation is then exact) or the computed
-    groups stop changing between consecutive boxes.  With ``verify`` the
-    final box is recomputed at twice the resolution and both answers
-    must agree.
+    The box starts at the problem's search box and doubles (at most
+    _HOMOLOGY_DOUBLINGS times), at fixed cell size, until either the
+    relative region keeps one clear cell away from every wall (truncation
+    is then exact) or the computed groups stop changing between
+    consecutive boxes.  The final box is then recomputed at twice the
+    resolution and both answers must agree.
 
     Raises ResolutionTooCoarse when the growth budget runs out or the
     refinement cross-check disagrees.
@@ -405,7 +408,7 @@ def sublevel_pair_homology(problem: ProblemSpec, eps: float,
     res = _per_axis(resolution, n)
     cell = [(hi - lo) / r for (lo, hi), r in zip(box, res)]
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_HOMOLOGY_DOUBLINGS + 1):
         pair = build_pair(problem, eps, lam, Lam, box=box, resolution=res)
         h = pair.homology()
         if not _touches_rim(pair.relative_mask):
@@ -422,26 +425,26 @@ def sublevel_pair_homology(problem: ProblemSpec, eps: float,
     else:
         raise ResolutionTooCoarse(
             f"relative homology kept changing as the box grew to {box}")
-    if verify:
-        fine = build_pair(problem, eps, lam, Lam, box=box,
-                          resolution=tuple(2 * r for r in res))
-        if not fine.homology().same_as(h):
-            raise ResolutionTooCoarse(
-                "relative homology changes under a 2x grid refinement; "
-                "raise the resolution")
+    fine = build_pair(problem, eps, lam, Lam, box=box,
+                      resolution=tuple(2 * r for r in res))
+    if not fine.homology().same_as(h):
+        raise ResolutionTooCoarse(
+            "relative homology changes under a 2x grid refinement; "
+            "raise the resolution")
     return h
 
 
 def pair_euler_characteristic(problem: ProblemSpec, eps: float,
                               lam: Optional[float] = None,
                               Lam: Optional[float] = None,
-                              resolution=64, max_doublings: int = 3) -> int:
+                              resolution=64) -> int:
     """Alternating relative cell count of the pair, ambient dim <= 4.
 
-    The box doubles at a fixed cell count until the count stops moving,
-    so cells coarsen as the box grows.  This is the blunt instrument
-    for dimension four, where exact homology is out of reach; in lower
-    dimensions prefer sublevel_pair_homology.
+    The box doubles (at most _EULER_DOUBLINGS times) at a fixed cell
+    count until the count stops moving, so cells coarsen as the box
+    grows.  This is the blunt instrument for dimension four, where exact
+    homology is out of reach; in lower dimensions prefer
+    sublevel_pair_homology.
     """
     n = len(problem.variables)
     if n > 4:
@@ -449,7 +452,7 @@ def pair_euler_characteristic(problem: ProblemSpec, eps: float,
     box = tuple(problem.domain.box)
     res = _per_axis(resolution, n)
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_EULER_DOUBLINGS + 1):
         pair = build_pair(problem, eps, lam, Lam, box=box, resolution=res)
         chi = pair.euler
         if not _touches_rim(pair.relative_mask):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,10 @@ __all__ = ["DomainModel", "WindowSpec", "ProblemSpec", "perturbed_function",
            "evaluate", "differentiate"]
 
 _INF = float("inf")
+_BOX_MARGIN = 1e-3   # search box inset from a finite end (times the width
+                     # when both ends are finite)
+_BOX_REACH = 3.0     # search box extent along an unbounded side
+_CLAMP_RTOL = 1e-9   # relative inset of solver iterates from a finite end
 
 
 @dataclass(frozen=True)
@@ -59,56 +63,53 @@ class DomainModel:
         return all(lo == -_INF and hi == _INF for lo, hi in self.intervals)
 
     @classmethod
-    def full_space(cls, n: int, box_halfwidth: float = 3.0) -> "DomainModel":
+    def full_space(cls, n: int,
+                   box_halfwidth: float = _BOX_REACH) -> "DomainModel":
         iv = tuple((-_INF, _INF) for _ in range(n))
         bx = tuple((-box_halfwidth, box_halfwidth) for _ in range(n))
         return cls(iv, bx)
 
     @classmethod
-    def from_intervals(cls, intervals: Sequence[Tuple[float, float]],
-                       box: Optional[Sequence[Tuple[float, float]]] = None,
-                       margin: float = 1e-3,
-                       infinite_halfwidth: float = 3.0) -> "DomainModel":
+    def from_intervals(cls, intervals: Sequence[Tuple[float, float]]
+                       ) -> "DomainModel":
         ivs = tuple((float(lo), float(hi)) for lo, hi in intervals)
-        if box is None:
-            bx = []
-            for lo, hi in ivs:
-                if math.isfinite(lo) and math.isfinite(hi):
-                    pad = margin * (hi - lo)
-                    bx.append((lo + pad, hi - pad))
-                elif math.isfinite(lo):
-                    bx.append((lo + margin, lo + infinite_halfwidth))
-                elif math.isfinite(hi):
-                    bx.append((hi - infinite_halfwidth, hi - margin))
-                else:
-                    bx.append((-infinite_halfwidth, infinite_halfwidth))
-            box = bx
-        return cls(ivs, tuple((float(a), float(b)) for a, b in box))
+        box = []
+        for lo, hi in ivs:
+            if math.isfinite(lo) and math.isfinite(hi):
+                pad = _BOX_MARGIN * (hi - lo)
+                box.append((lo + pad, hi - pad))
+            elif math.isfinite(lo):
+                box.append((lo + _BOX_MARGIN, lo + _BOX_REACH))
+            elif math.isfinite(hi):
+                box.append((hi - _BOX_REACH, hi - _BOX_MARGIN))
+            else:
+                box.append((-_BOX_REACH, _BOX_REACH))
+        return cls(ivs, tuple(box))
 
-    def contains(self, x: Sequence[float], margin: float = 0.0) -> bool:
-        for v, (lo, hi) in zip(x, self.intervals):
-            if not (lo + margin < v < hi - margin):
-                return False
-        return True
+    def contains(self, x: Sequence[float]) -> bool:
+        return all(lo < v < hi for v, (lo, hi) in zip(x, self.intervals))
 
-    def clamp_to_interior(self, X: np.ndarray, rel_margin: float = 1e-9) -> np.ndarray:
+    def clamp_to_interior(self, X: np.ndarray) -> np.ndarray:
         """Project a batch of points into the open domain, for solver iterates."""
         out = np.array(X, dtype=float, copy=True)
         for i, (lo, hi) in enumerate(self.intervals):
             if math.isfinite(lo) and math.isfinite(hi):
-                pad = rel_margin * (hi - lo)
+                pad = _CLAMP_RTOL * (hi - lo)
                 np.clip(out[:, i], lo + pad, hi - pad, out=out[:, i])
             elif math.isfinite(lo):
-                np.clip(out[:, i], lo + rel_margin * max(1.0, abs(lo)), None, out=out[:, i])
+                np.clip(out[:, i], lo + _CLAMP_RTOL * max(1.0, abs(lo)), None,
+                        out=out[:, i])
             elif math.isfinite(hi):
-                np.clip(out[:, i], None, hi - rel_margin * max(1.0, abs(hi)), out=out[:, i])
+                np.clip(out[:, i], None, hi - _CLAMP_RTOL * max(1.0, abs(hi)),
+                        out=out[:, i])
         return out
 
     def ends(self):
-        """Declared non-compact ends as (axis, side) pairs; side in {-1,+1}.
+        """Both ends of every axis as (axis, side, limit) triples, side in
+        {-1, +1} and limit the interval end (+-inf on an unbounded side).
 
-        Axis None stands for the single end at infinity of a full-space
-        factor set; each infinite axis side is one entry.
+        The single end at infinity of a full-space domain is not among
+        them; samplers that need it test ``is_full_space``.
         """
         out = []
         for i, (lo, hi) in enumerate(self.intervals):

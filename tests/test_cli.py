@@ -19,7 +19,7 @@ import pytest
 import morsevanish.cli as cli_module
 from morsevanish.cli import (ArtifactCache, _canon, _complex_from_payload,
                              _is_window, _parse_grid, _point_from_record,
-                             _point_record, _thaw, cache_root,
+                             _point_record, cache_root,
                              canonical_dumps, config_digest, dump_json,
                              load_config, main, problem_from_config)
 from morsevanish.critical import find_critical_points
@@ -124,6 +124,21 @@ class TestProblemBuilding:
         assert lo == pytest.approx(1e-3)
         assert hi == pytest.approx(3.0)
 
+    def test_box_halfwidth_sizes_the_real_line_box(self):
+        cfg = {"dimension": 1, "f": "x^2", "tau": "1/(1+x^2)",
+               "box_halfwidth": 7}
+        spec, _ = problem_from_config(cfg, "t")
+        assert spec.domain.box == ((-7.0, 7.0),)
+
+    def test_box_halfwidth_rejected_on_interval_domains(self, tmp_path):
+        cfg = {"dimension": 1, "variables": ["y"], "f": "y", "tau": "y",
+               "eps": 0.1, "domain": [{"min": 0, "max": "inf"}],
+               "box_halfwidth": 7}
+        with pytest.raises(ConfigError, match="box_halfwidth"):
+            problem_from_config(cfg, "t")
+        assert run(tmp_path, "crit", "--config",
+                   write_cfg(tmp_path, cfg)) == 1
+
     def test_domain_length_checked(self):
         cfg = {**DW, "domain": [{"min": 0, "max": 1}, {"min": 0, "max": 1}]}
         with pytest.raises(ConfigError, match="1"):
@@ -191,8 +206,9 @@ class TestCanonicalJson:
         out = _canon({"a": float("inf"), "b": float("-inf"),
                       "c": float("nan")})
         assert out == {"a": "inf", "b": "-inf", "c": "nan"}
-        assert _thaw(out["a"]) == math.inf
-        assert math.isnan(_thaw(out["c"]))
+        assert float(out["a"]) == math.inf
+        assert float(out["b"]) == -math.inf
+        assert math.isnan(float(out["c"]))
 
     def test_numpy_types(self):
         out = _canon({"f": np.float64(0.5), "i": np.int32(7),

@@ -1,8 +1,13 @@
-"""Import hygiene: every name a package module imports is used there.
+"""Import and option hygiene.
 
-A name counts as used when the module loads it anywhere (attribute chains
-count through their root name), mentions it in a string annotation, or
-lists it in ``__all__``.  ``from __future__`` imports are exempt.
+Every name a package module imports is used there.  A name counts as used
+when the module loads it anywhere (attribute chains count through their
+root name), mentions it in a string annotation, or lists it in
+``__all__``.  ``from __future__`` imports are exempt.
+
+Every defaulted parameter of a package function is passed by some call to
+a function of that name in ``src/``, ``tests/`` or ``perfbench/``: a
+default that no caller overrides is a constant, not an option.
 """
 
 import ast
@@ -10,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "morsevanish"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "morsevanish"
 MODULES = sorted(PACKAGE.glob("*.py"))
+CALLERS = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def _imported(tree):
@@ -78,3 +86,84 @@ def test_the_check_sees_an_unused_import():
     used = _used(tree)
     assert [n for n, _ in _imported(tree) if n not in used] == \
         ["Tuple", "os"]
+
+
+def _defaulted(tree):
+    """(call name, parameter, positional slot or None, line) for each
+    defaulted parameter of each def.  Methods other than static ones skip
+    their first parameter; ``__init__`` is called by its class name."""
+    out = []
+
+    def visit(node, cls):
+        for ch in ast.iter_child_nodes(node):
+            if isinstance(ch, ast.ClassDef):
+                visit(ch, ch.name)
+                continue
+            if not isinstance(ch, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(ch, cls)
+                continue
+            a = ch.args
+            pos = a.posonlyargs + a.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in ch.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            name = cls if cls is not None and ch.name == "__init__" \
+                else ch.name
+            first = len(pos) - len(a.defaults)
+            out.extend((name, p.arg, i - skip, ch.lineno)
+                       for i, p in enumerate(pos) if i >= first)
+            out.extend((name, p.arg, None, ch.lineno)
+                       for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None)
+            visit(ch, None)
+
+    visit(tree, None)
+    return out
+
+
+def _calls(trees):
+    """Calls grouped by the called name (a bare name or an attribute)."""
+    by_name = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                by_name.setdefault(name, []).append(node)
+    return by_name
+
+
+def _passes(call, param, slot):
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if slot is None:
+        return False
+    return slot < len(call.args) or any(
+        isinstance(a, ast.Starred) for a in call.args[:slot + 1])
+
+
+def _never_set(defs_tree, calls):
+    return [f"{name}({param}) line {line}"
+            for name, param, slot, line in _defaulted(defs_tree)
+            if not any(_passes(c, param, slot) for c in calls.get(name, ()))]
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    calls = _calls(ast.parse(p.read_text(), filename=str(p))
+                   for p in CALLERS)
+    unset = [f"{path.name}: {miss}" for path in MODULES
+             for miss in _never_set(ast.parse(path.read_text()), calls)]
+    assert not unset, "no caller ever sets: " + ", ".join(unset)
+
+
+def test_the_check_sees_a_parameter_no_caller_sets():
+    defs = ast.parse("def f(a, b=1, *, c=2): pass\n"
+                     "def g(x=0, y=0): pass\n"
+                     "class K:\n"
+                     "    def __init__(self, u=1): pass\n"
+                     "    def m(self, v=1, w=2): pass\n")
+    calls = _calls([ast.parse("f(1, 2)\n"
+                              "g(**opts)\n"
+                              "K(u=3).m(4)\n")])
+    assert _never_set(defs, calls) == ["f(c) line 1", "m(w) line 5"]
