@@ -45,8 +45,9 @@ from .critical import (CriticalPoint, find_critical_points, sweep_epsilon,
 from .errors import (ConfigError, ConfigParse, CorruptCache,
                      ExpressionParseError, MorsevanishError, UnknownEntry)
 from .expr import parse_expression
-from .flow import ContinuationSchedule, continuation_trajectories
-from .homology import (HomologyResult, _format_group, assemble_complex,
+from .flow import (BOUNDARY_BUDGET, R_LAUNCH, BoundaryCountResult,
+                   ContinuationSchedule, continuation_trajectories)
+from .homology import (HomologyResult, MorseComplex, _format_group,
                        boundary_counts, complex_from_counts,
                        continuation_chain_map, homology,
                        require_nondegenerate, verify_d_squared)
@@ -56,11 +57,6 @@ from .oracle import (catalog_lookup, euler_check, pair_euler_characteristic,
 from .problem import DomainModel, ProblemSpec, WindowSpec
 
 SCHEMA = 1
-
-# counting knobs shared by the flow and complex stages; they are part of
-# every cache key so a future change cannot resurrect stale entries
-_COUNT = {"r_launch": 1e-4, "budget": 40000}
-_CONTINUE_BUDGET = 60000
 
 
 # ---------------------------------------------------------------- json
@@ -155,6 +151,13 @@ def _number(v, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {v!r}")
 
 
+def _integer(v, what: str, least: int) -> int:
+    """v itself if it is a JSON integer of at least ``least``."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {v!r}")
+    return v
+
+
 def _window_from(cfg: dict) -> Optional[WindowSpec]:
     w = cfg.get("window")
     if w is None:
@@ -179,7 +182,8 @@ def _metric_from(cfg: dict) -> MetricSpec:
     kind = m.get("kind", "euclidean")
     if kind == "custom":
         rows = m.get("matrix")
-        if not rows:
+        if not rows or not isinstance(rows, list) or not all(
+                isinstance(row, list) for row in rows):
             raise ConfigError("a custom metric needs a matrix of "
                               "expression strings")
         matrix = tuple(tuple(parse_expression(str(e)) for e in row)
@@ -227,39 +231,51 @@ def problem_from_config(cfg: dict, fallback_name: str
     if "polynomial" in cfg:
         if "f" in cfg or "tau" in cfg:
             raise ConfigError("give either a polynomial or f/tau, not both")
-        if "variables" in cfg:
-            raise ConfigError("realified variable names are fixed; drop "
-                              "the variables key from polynomial configs")
+        fixed = sorted({"variables", "domain", "metric"} & set(cfg))
+        if fixed:
+            raise ConfigError(
+                f"a realified polynomial lives on full space with the "
+                f"Kahler cone metric and fixed variable names; drop "
+                f"{fixed} from polynomial configs")
         poly = cfg["polynomial"]
-        if not isinstance(poly, dict) or not poly.get("terms"):
+        if not isinstance(poly, dict) or not isinstance(
+                poly.get("terms"), list) or not poly["terms"]:
             raise ConfigError("polynomial needs a non-empty terms list")
         if "dimension" not in cfg:
             raise ConfigError("polynomial configs must state the number "
                               "of complex variables as dimension")
-        n = int(cfg["dimension"])
+        n = _integer(cfg["dimension"], "dimension", 1)
         terms = []
         for i, t in enumerate(poly["terms"]):
-            if "monomial" not in t:
-                raise ConfigError(f"polynomial term {i} has no monomial")
-            mono = tuple(int(e) for e in t["monomial"])
+            if not isinstance(t, dict) or "monomial" not in t:
+                raise ConfigError(f"polynomial term {i} must be an object "
+                                  "with a monomial")
+            if not isinstance(t["monomial"], list):
+                raise ConfigError(f"term {i} monomial must be a list of "
+                                  "exponents")
+            mono = tuple(_integer(e, f"term {i} exponent", 0)
+                         for e in t["monomial"])
             terms.append((mono, _fraction(t.get("re", 0), f"term {i} re"),
                           _fraction(t.get("im", 0), f"term {i} im")))
         alpha = poly.get("alpha")
-        alg = AlgebraicProblem(n, tuple(terms),
-                               alpha=None if alpha is None else int(alpha),
-                               name=name)
-        spec = realify(alg, theta=float(poly.get("theta", 0.0)),
+        alg = AlgebraicProblem(
+            n, tuple(terms), name=name,
+            alpha=None if alpha is None else _integer(alpha, "alpha", 1))
+        spec = realify(alg, theta=_number(poly.get("theta", 0.0), "theta"),
                        window=_window_from(cfg),
-                       box_halfwidth=float(cfg.get("box_halfwidth", 3.0)))
+                       box_halfwidth=_number(cfg.get("box_halfwidth", 3.0),
+                                             "box_halfwidth"))
         return spec, alg
 
     for key in ("dimension", "f", "tau"):
         if key not in cfg:
             raise ConfigError(f"config is missing {key!r}")
-    n = int(cfg["dimension"])
+    n = _integer(cfg["dimension"], "dimension", 1)
     names = cfg.get("variables")
     if names is None:
         names = _DEFAULT_NAMES.get(n) or tuple(f"x{i + 1}" for i in range(n))
+    elif not isinstance(names, list):
+        raise ConfigError(f"variables must be a list of names, got {names!r}")
     names = tuple(str(v) for v in names)
     if len(names) != n:
         raise ConfigError(f"variables lists {len(names)} names for "
@@ -277,15 +293,19 @@ def _parse_grid(spec: Optional[str]) -> Tuple[float, ...]:
     if not spec:
         raise ConfigError("no eps grid given: pass --grid or put "
                           '"grid" in the config')
+    if not isinstance(spec, str):
+        raise ConfigError(f"grid must be a string, got {spec!r}")
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
 
         def scaled(side: str):
             base, _, expo = side.partition("^")
-            if not expo:
-                raise ConfigError(f"grid bound {side!r} is not base^exponent")
-            return float(base), int(expo)
+            try:
+                return float(base), int(expo)
+            except ValueError:
+                raise ConfigError(f"grid bound {side!r} is not "
+                                  "base^exponent")
         b1, e1 = scaled(lo)
         b2, e2 = scaled(hi)
         if b1 != b2:
@@ -518,24 +538,24 @@ def cmd_sweep_theta(args) -> int:
 # ------------------------------------------------ flow and complex stages
 
 def _flow_payload(ctx: RunContext, eps: float):
-    params = {"eps": eps, "seed": ctx.seed, **_COUNT}
+    # the counting defaults are part of the key, so a change to one of
+    # them cannot resurrect stale entries
+    params = {"eps": eps, "seed": ctx.seed, "r_launch": R_LAUNCH,
+              "budget": BOUNDARY_BUDGET}
     key = ctx.cache.key(ctx.cfg_hash, "flow", params)
 
     def compute():
         pts = _window_points(ctx, eps)
         sources = []
         traj = []
-        for i, below, res in boundary_counts(ctx.problem, eps, pts,
-                                             **_COUNT):
+        for i, res in boundary_counts(ctx.problem, eps, pts):
             sources.append({
                 "source": i, "index": pts[i].index, "method": res.method,
-                "counts": [[below[t], c]
-                           for t, c in sorted(res.counts.items())],
+                "counts": sorted(res.counts.items()),
                 "warnings": list(res.warnings),
             })
             for rec in res.trajectories:
-                target = below[rec.target_id] if rec.target_id is not None \
-                    else -1
+                target = -1 if rec.target_id is None else rec.target_id
                 traj.append([i, rec.termination, target, rec.sign,
                              rec.E_an, rec.E_top, rec.f_max, rec.f_min,
                              rec.steps, rec.s_end])
@@ -563,56 +583,21 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _complex_payload(ctx: RunContext, eps: float):
-    """The window complex, assembled from the flow stage's counts."""
-    params = {"eps": eps, "seed": ctx.seed, **_COUNT}
-    key = ctx.cache.key(ctx.cfg_hash, "complex", params)
-
-    def compute():
-        pts = _window_points(ctx, eps)
-        require_nondegenerate(pts, eps)
-        flow, _ = _flow_payload(ctx, eps)
-        cx = complex_from_counts(
-            ctx.problem, eps, pts,
-            ((s["source"], s["counts"], s["warnings"])
-             for s in flow["sources"]))
-        return {
-            "problem": cx.problem, "eps": eps, "seed": ctx.seed,
-            "window": [cx.window[0], cx.window[1]],
-            "ranks": [cx.rank(k) for k in range(cx.top + 1)],
-            "generators": [[_point_record(p) for p in grp]
-                           for grp in cx.generators],
-            "boundaries": [cx.boundary(k) for k in range(1, cx.top + 1)],
-            "notes": list(cx.notes),
-        }
-    return ctx.cache.fetch(key, compute)
-
-
-def _complex_from_payload(problem_name: str, payload: dict):
-    groups = [[_point_from_record(r) for r in grp]
-              for grp in payload["generators"]]
-    pts = [p for grp in groups for p in grp]
-    offsets = []
-    at = 0
-    for grp in groups:
-        offsets.append(at)
-        at += len(grp)
-    counts: Dict[Tuple[int, int], int] = {}
-    for k, M in enumerate(payload["boundaries"], start=1):
-        for i, row in enumerate(M):
-            for j, c in enumerate(row):
-                counts[(offsets[k] + j, offsets[k - 1] + i)] = int(c)
-    return assemble_complex(
-        pts, counts, problem=problem_name, eps=float(payload["eps"]),
-        window=(float(payload["window"][0]), float(payload["window"][1])),
-        notes=tuple(payload["notes"]))
+def _window_complex(ctx: RunContext, eps: float) -> MorseComplex:
+    """The window complex, assembled from the cached crit and flow
+    payloads (counting them first if they are not cached yet)."""
+    pts = _window_points(ctx, eps)
+    require_nondegenerate(pts, eps)
+    flow, _ = _flow_payload(ctx, eps)
+    return complex_from_counts(ctx.problem, eps, pts, (
+        (s["source"], BoundaryCountResult(dict(s["counts"]), (), s["method"],
+                                          tuple(s["warnings"])))
+        for s in flow["sources"]))
 
 
 def _checked_homology(ctx: RunContext, eps: float):
-    """The cached window complex, its passing d.d = 0 report, and its
-    homology."""
-    payload, _ = _complex_payload(ctx, eps)
-    cx = _complex_from_payload(payload["problem"], payload)
+    """The window complex, its passing d.d = 0 report, and its homology."""
+    cx = _window_complex(ctx, eps)
     d2 = verify_d_squared(cx)
     if not d2:
         raise MorsevanishError(f"boundary square check failed: "
@@ -623,11 +608,19 @@ def _checked_homology(ctx: RunContext, eps: float):
 def cmd_complex(args) -> int:
     ctx = _context(args)
     eps = ctx.eps()
-    payload, hit = _complex_payload(ctx, eps)
-    report = {"schema": SCHEMA, "command": "complex", **payload}
+    cx = _window_complex(ctx, eps)
+    ranks = [cx.rank(k) for k in range(cx.top + 1)]
+    report = {
+        "schema": SCHEMA, "command": "complex",
+        "problem": cx.problem, "eps": eps, "seed": ctx.seed,
+        "window": [cx.window[0], cx.window[1]], "ranks": ranks,
+        "generators": [[_point_record(p) for p in grp]
+                       for grp in cx.generators],
+        "boundaries": [cx.boundary(k) for k in range(1, cx.top + 1)],
+        "notes": list(cx.notes),
+    }
     path = dump_json(ctx.stage_path("complex"), report)
-    cached = " (cached)" if hit else ""
-    print(f"ranks {payload['ranks']}{cached} -> {path}")
+    print(f"ranks {ranks} -> {path}")
     return 0
 
 
@@ -782,16 +775,12 @@ def cmd_compare(args) -> int:
 def cmd_continue(args) -> int:
     ctx = _context(args)
     e_from, e_to = float(args.eps_from), float(args.eps_to)
-    pay_a, _ = _complex_payload(ctx, e_from)
-    pay_b, _ = _complex_payload(ctx, e_to)
-    cx_a = _complex_from_payload(pay_a["problem"], pay_a)
-    cx_b = _complex_from_payload(pay_b["problem"], pay_b)
+    cx_a = _window_complex(ctx, e_from)
+    cx_b = _window_complex(ctx, e_to)
     sched = ContinuationSchedule.eps_path(ctx.problem, e_from, e_to,
                                           delta=float(args.delta))
     res = continuation_trajectories(ctx.problem, sched, cx_a.points(),
-                                    cx_b.points(),
-                                    r_launch=_COUNT["r_launch"],
-                                    budget=_CONTINUE_BUDGET)
+                                    cx_b.points())
     ind = continuation_chain_map(cx_a, cx_b, res)
     report = {
         "schema": SCHEMA, "command": "continue",

@@ -89,6 +89,11 @@ STEP_FLOOR = 1e-14
 RTOL = 1e-9
 # flow time a row may run past the end of the ramp before it is out of budget
 S_TAIL = 400.0
+# counting defaults: launch offset from a critical point, and the step
+# budgets of a boundary (or single flow) row and of a continuation row
+R_LAUNCH = 1e-4
+BOUNDARY_BUDGET = 40000
+CONTINUATION_BUDGET = 60000
 
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
@@ -525,7 +530,7 @@ def _as_schedule(problem: ProblemSpec, eps_or_schedule) -> ContinuationSchedule:
 
 def integrate_flow(problem: ProblemSpec, eps_or_schedule, start,
                    targets: Sequence[CriticalPoint] = (),
-                   budget: int = 40000,
+                   budget: int = BOUNDARY_BUDGET,
                    record_path: bool = True) -> TrajectoryRecord:
     """One flowline from an interior start until arrival at a target,
     window exit past the sigma margin, or exhaustion; exhaustion raises
@@ -716,8 +721,9 @@ def _dual_counts(problem: ProblemSpec, eps: float,
 def count_boundaries(problem: ProblemSpec, eps: float,
                      sources: Sequence[CriticalPoint],
                      targets: Sequence[CriticalPoint], *,
-                     r_launch: float = 1e-4,
-                     budget: int = 40000) -> List[BoundaryCountResult]:
+                     r_launch: float = R_LAUNCH,
+                     budget: int = BOUNDARY_BUDGET
+                     ) -> List[BoundaryCountResult]:
     """Signed counts of flowlines from each source, of index k, into the
     index-(k-1) members of the shared ``targets``, autonomous field at the
     given eps; each result's counts are keyed by position in ``targets``.
@@ -785,11 +791,11 @@ class ContinuationResult:
 _REACH = 0.3  # widest continuation launch offset
 
 
-def _family_parameters(k: int, r_launch: float) -> np.ndarray:
+def _family_parameters(k: int) -> np.ndarray:
     """Offsets along the oriented unstable direction, clustered near zero."""
     if k == 0:
         return np.array([0.0])
-    ladder = np.geomspace(r_launch, _REACH, 14)
+    ladder = np.geomspace(R_LAUNCH, _REACH, 14)
     return np.concatenate([-ladder[::-1], [0.0], ladder])
 
 
@@ -797,8 +803,6 @@ def continuation_trajectories(problem: ProblemSpec,
                               schedule: ContinuationSchedule,
                               sources: Sequence[CriticalPoint],
                               targets: Sequence[CriticalPoint],
-                              r_launch: float = 1e-4,
-                              budget: int = 60000,
                               delta_floor: float = 1e-6
                               ) -> ContinuationResult:
     """Signed index-preserving arrival counts for the delta-slow
@@ -828,7 +832,7 @@ def continuation_trajectories(problem: ProblemSpec,
     tset = _TargetSet(targets)
     ladders = []
     for p in sources:
-        pars = _family_parameters(p.index, r_launch)
+        pars = _family_parameters(p.index)
         e_u = p.frame[:, 0] if p.index else np.zeros(len(p.location))
         ladders.append(p.location[None, :] + pars[:, None] * e_u[None, :])
     delta = schedule.delta
@@ -836,7 +840,7 @@ def continuation_trajectories(problem: ProblemSpec,
     while True:
         field = _Field(problem, schedule.with_delta(delta))
         batch = iter(_flow_batch(field, np.concatenate(ladders), tset,
-                                 budget))
+                                 CONTINUATION_BUDGET))
         counts: Dict[Tuple[int, int], int] = {}
         recs: List[TrajectoryRecord] = []
         hi_exc = -math.inf

@@ -26,7 +26,7 @@ import numpy as np
 from .critical import CriticalPoint, find_critical_points, sweep_epsilon
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
-from .flow import (BoundaryCountResult, ContinuationResult,
+from .flow import (BOUNDARY_BUDGET, BoundaryCountResult, ContinuationResult,
                    ContinuationSchedule, continuation_trajectories,
                    count_boundaries)
 from .intlinalg import (ChainComplexData, Matrix, SNF, homology_of_complex,
@@ -107,19 +107,6 @@ class MorseComplex:
     def euler(self) -> int:
         return sum((-1) ** k * self.rank(k) for k in range(self.top + 1))
 
-    def summary(self) -> dict:
-        return {
-            "problem": self.problem,
-            "eps": self.eps,
-            "window": [self.window[0], self.window[1]],
-            "ranks": [self.rank(k) for k in range(self.top + 1)],
-            "generators": [[p.summary() for p in grp]
-                           for grp in self.generators],
-            "boundaries": [self.boundary(k)
-                           for k in range(1, self.top + 1)],
-            "notes": list(self.notes),
-        }
-
 
 def assemble_complex(points: Sequence[CriticalPoint],
                      counts: Mapping[Tuple[int, int], int],
@@ -187,26 +174,39 @@ def assemble_complex(points: Sequence[CriticalPoint],
                         tuple(mats), tuple(notes))
 
 
+def _keyed(res: BoundaryCountResult, below: List[int]
+           ) -> BoundaryCountResult:
+    """res with each target position t, an index into ``below``, replaced
+    by below[t] in its counts and trajectory records."""
+    return replace(
+        res, counts={below[t]: c for t, c in res.counts.items()},
+        trajectories=tuple(
+            rec if rec.target_id is None
+            else replace(rec, target_id=below[rec.target_id])
+            for rec in res.trajectories))
+
+
 def boundary_counts(problem: ProblemSpec, eps: float,
                     points: Sequence[CriticalPoint], **count
-                    ) -> List[Tuple[int, List[int], BoundaryCountResult]]:
+                    ) -> List[Tuple[int, BoundaryCountResult]]:
     """Boundary counts for each point of positive index k that has an
     index-(k-1) point among ``points``, with every lower-index point as a
     target (the deeper ones absorb).  The sources of one index are counted
-    together.  Returns (source position, target positions, result) in
-    ``points`` order."""
+    together.  Returns (source position, result) in ``points`` order; the
+    counts and trajectory targets of each result are keyed by positions in
+    ``points`` too."""
     pts = list(points)
     sources = [i for i, p in enumerate(pts) if p.index > 0 and any(
         q.index == p.index - 1 for q in pts)]
-    below = {k: [j for j, q in enumerate(pts) if q.index < k]
-             for k in {pts[i].index for i in sources}}
     results = {}
-    for k in sorted(below):
+    for k in sorted({pts[i].index for i in sources}):
         same = [i for i in sources if pts[i].index == k]
-        results.update(zip(same, count_boundaries(
-            problem, eps, [pts[i] for i in same],
-            [pts[j] for j in below[k]], **count)))
-    return [(i, below[pts[i].index], results[i]) for i in sources]
+        below = [j for j, q in enumerate(pts) if q.index < k]
+        counted = count_boundaries(problem, eps, [pts[i] for i in same],
+                                   [pts[j] for j in below], **count)
+        results.update((i, _keyed(res, below))
+                       for i, res in zip(same, counted))
+    return [(i, results[i]) for i in sources]
 
 
 def require_nondegenerate(points: Sequence[CriticalPoint],
@@ -221,28 +221,27 @@ def require_nondegenerate(points: Sequence[CriticalPoint],
 
 def complex_from_counts(problem: ProblemSpec, eps: float,
                         points: Sequence[CriticalPoint],
-                        per_source: Iterable[Tuple[int,
-                                                   Iterable[Tuple[int, int]],
-                                                   Sequence[str]]],
+                        per_source: Iterable[Tuple[int, BoundaryCountResult]],
                         strict: bool = True) -> MorseComplex:
     """The window complex from per-source counting results.
 
-    ``per_source`` yields (source position, (target position, count)
-    pairs, warnings) as ``boundary_counts`` produces them; pairs whose
-    index drop is not one are ignored.  With ``strict`` set, the first
-    source with warnings raises MissingCount, before later sources are
-    drawn; otherwise the warnings go into the complex's notes.
+    ``per_source`` yields (source position, result) with the result's
+    counts keyed by positions in ``points``, as ``boundary_counts``
+    returns them; counts whose index drop is not one are ignored.  With
+    ``strict`` set, the first source with warnings raises MissingCount,
+    before later sources are drawn; otherwise the warnings go into the
+    complex's notes.
     """
     pts = list(points)
     counts: Dict[Tuple[int, int], int] = {}
     notes: List[str] = []
-    for i, pairs, warnings in per_source:
-        if warnings:
-            msgs = [f"source {i}: {w}" for w in warnings]
+    for i, res in per_source:
+        if res.warnings:
+            msgs = [f"source {i}: {w}" for w in res.warnings]
             if strict:
                 raise MissingCount("; ".join(msgs))
             notes.extend(msgs)
-        for j, c in pairs:
+        for j, c in res.counts.items():
             if pts[j].index == pts[i].index - 1:
                 counts[(i, j)] = c
     return assemble_complex(pts, counts, problem=problem.name, eps=eps,
@@ -251,7 +250,8 @@ def complex_from_counts(problem: ProblemSpec, eps: float,
 
 
 def window_complex(problem: ProblemSpec, eps: float, seed: int = 0,
-                   budget: int = 40000, strict: bool = True) -> MorseComplex:
+                   budget: int = BOUNDARY_BUDGET,
+                   strict: bool = True) -> MorseComplex:
     """Locate the window critical points of f_eps and count their
     boundary flowlines into one Morse complex.
 
@@ -264,11 +264,9 @@ def window_complex(problem: ProblemSpec, eps: float, seed: int = 0,
     cs = find_critical_points(problem, eps, seed=seed, allow_empty=True)
     pts = list(cs.inside_window())
     require_nondegenerate(pts, eps)
-    per_source = ((i, [(below[t], c) for t, c in res.counts.items()],
-                   res.warnings)
-                  for i, below, res in boundary_counts(problem, eps, pts,
-                                                       budget=budget))
-    return complex_from_counts(problem, eps, pts, per_source, strict=strict)
+    return complex_from_counts(
+        problem, eps, pts, boundary_counts(problem, eps, pts, budget=budget),
+        strict=strict)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ tests stay isolated from each other.
 """
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -17,15 +18,14 @@ import numpy as np
 import pytest
 
 import morsevanish.cli as cli_module
-from morsevanish.cli import (ArtifactCache, _canon, _complex_from_payload,
-                             _is_window, _parse_grid, _point_from_record,
-                             _point_record, cache_root,
+from morsevanish import flow
+from morsevanish.cli import (ArtifactCache, _canon, _is_window, _parse_grid,
+                             _point_from_record, _point_record, cache_root,
                              canonical_dumps, config_digest, dump_json,
                              load_config, main, problem_from_config)
 from morsevanish.critical import find_critical_points
 from morsevanish.errors import ConfigError, ConfigParse, CorruptCache
-from morsevanish.flow import count_boundaries
-from morsevanish.homology import assemble_complex, homology, window_complex
+from morsevanish.homology import assemble_complex, window_complex
 
 
 @pytest.fixture(autouse=True)
@@ -170,6 +170,43 @@ class TestProblemBuilding:
         with pytest.raises(ConfigError, match="variables"):
             problem_from_config({**Z3, "variables": ["u", "v"]}, "t")
 
+    @pytest.mark.parametrize("key, value", [
+        ("domain", [{"min": 0, "max": 1}]), ("metric", "euclidean")])
+    def test_polynomial_rejects_domain_and_metric(self, key, value):
+        # a realified polynomial always gets full space and the Kahler
+        # cone metric, so these keys could only be ignored
+        with pytest.raises(ConfigError, match=key):
+            problem_from_config({**Z3, key: value}, "t")
+
+    @pytest.mark.parametrize("stage, cfg, extra", [
+        ("crit", {**DW, "dimension": "two"}, ()),
+        # no variables to check against, so only the dimension can refuse
+        ("crit", {**DW, "dimension": 0, "f": "1", "tau": "1"}, ()),
+        ("crit", {**Z3, "polynomial": {"terms": 5}}, ()),
+        ("crit", {**Z3, "polynomial": {"terms": [5]}}, ()),
+        ("crit", {**Z3, "polynomial": {"terms": [{"monomial": 3}]}}, ()),
+        ("crit", {**Z3, "polynomial": {"terms": [{"monomial": ["a"]}]}}, ()),
+        ("crit", {**Z3, "polynomial": {**Z3["polynomial"], "theta": "abc"}},
+         ()),
+        ("crit", {**Z3, "polynomial": {**Z3["polynomial"], "alpha": "x"}},
+         ()),
+        ("crit", {**Z3, "box_halfwidth": "wide"}, ()),
+        ("crit", {**DW, "variables": 5}, ()),
+        ("crit", {**DW, "metric": {"kind": "custom", "matrix": 5}}, ()),
+        ("sweep-eps", DW, ("--grid", "x^1..x^3")),
+        ("sweep-eps", DW, ("--grid", "2^a..2^3")),
+        ("sweep-eps", {**DW, "grid": [0.4, 0.2]}, ()),
+    ], ids=["dimension-word", "dimension-zero", "terms-not-list", "term-not-object", "monomial-not-list",
+            "monomial-word", "theta-word", "alpha-word",
+            "box-halfwidth-word", "variables-not-list", "matrix-not-list",
+            "grid-base-word", "grid-exponent-word",
+            "grid-not-string"])
+    def test_malformed_value_exits_one(self, tmp_path, capsys, stage, cfg,
+                                       extra):
+        path = write_cfg(tmp_path, cfg)
+        assert run(tmp_path, stage, "--config", path, *extra) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_rational(self):
         cfg = {"dimension": 1, "eps": 0.1,
                "polynomial": {"terms": [{"monomial": [2], "re": "x"}]}}
@@ -272,12 +309,27 @@ class TestCache:
         bumped_schema = c.key("h", "crit", {"eps": 0.1})
         assert len({base, bumped_version, bumped_schema}) == 3
 
-    def test_count_knobs_are_the_counting_keywords(self):
-        # _COUNT goes into the flow and complex cache keys: a knob the
-        # counting layer no longer takes must not linger there
-        params = inspect.signature(count_boundaries).parameters.values()
-        knobs = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
-        assert set(cli_module._COUNT) == knobs
+    def test_count_knobs_are_the_counting_keywords(self, tmp_path,
+                                                   monkeypatch):
+        # the flow cache key carries every counting knob at the value the
+        # count runs with: a knob the counting layer no longer takes, or
+        # a default changed in one place only, must not linger there
+        keys = []
+        key = ArtifactCache.key
+
+        def spy(self, config_hash, stage, params):
+            keys.append((stage, params))
+            return key(self, config_hash, stage, params)
+
+        monkeypatch.setattr(ArtifactCache, "key", spy)
+        assert run(tmp_path, "flow", "--config", write_cfg(tmp_path, DW)) == 0
+        (params,) = [p for stage, p in keys if stage == "flow"]
+        knobs = {p.name: p.default for p in inspect.signature(
+            flow.count_boundaries).parameters.values()
+            if p.kind is p.KEYWORD_ONLY}
+        assert knobs == {"r_launch": flow.R_LAUNCH,
+                         "budget": flow.BOUNDARY_BUDGET}
+        assert params == {"eps": DW["eps"], "seed": 0, **knobs}
 
     def test_pyproject_version_is_the_package_version(self):
         # the cache key carries __version__, so a release bump in one place
@@ -330,22 +382,6 @@ class TestPointRoundtrip:
             assert np.allclose(q.frame, p.frame)
             assert q.window_status == p.window_status
             assert q.drifting == p.drifting
-
-    def test_complex_rebuild_preserves_homology(self):
-        spec, _ = problem_from_config(dict(DW), "t")
-        cx = window_complex(spec, 0.05, seed=0)
-        payload = {
-            "problem": cx.problem, "eps": cx.eps,
-            "window": list(cx.window),
-            "generators": [[_point_record(p) for p in grp]
-                           for grp in cx.generators],
-            "boundaries": [cx.boundary(k) for k in range(1, cx.top + 1)],
-            "notes": list(cx.notes),
-        }
-        payload = json.loads(json.dumps(_canon(payload)))
-        back = _complex_from_payload("t", payload)
-        assert homology(back).same_as(homology(cx))
-        assert back.boundaries == cx.boundaries
 
 
 class TestCommands:
@@ -516,10 +552,10 @@ class TestCommands:
 
         def counted(*args, **kw):
             calls.append(args[1])
-            for i, below, res in counting(*args, **kw):
+            for i, res in counting(*args, **kw):
                 if warn:
                     res = dataclasses.replace(res, warnings=(warn,))
-                yield i, below, res
+                yield i, res
 
         monkeypatch.setattr(cli_module, "boundary_counts", counted)
         return calls
@@ -545,6 +581,19 @@ class TestCommands:
         want = read_artifact(tmp_path, cfg, "complex")["boundaries"]
         assert want and any(any(row) for M in want for row in M)
         assert [cx.boundary(k) for k in range(1, cx.top + 1)] == want
+
+    @pytest.mark.parametrize("cfg", [Z3, SADDLE2], ids=["z3", "index2"])
+    def test_complex_artifact_is_the_window_complex(self, tmp_path, cfg):
+        # the CLI assembles from its cached counts the complex the library
+        # counts directly; SADDLE2 takes the dual top-degree route
+        path = write_cfg(tmp_path, cfg)
+        assert run(tmp_path, "complex", "--config", path) == 0
+        art = read_artifact(tmp_path, cfg, "complex")
+        spec, _ = problem_from_config(cfg, "t")
+        cx = window_complex(spec, cfg["eps"], seed=0)
+        assert art["ranks"] == [cx.rank(k) for k in range(cx.top + 1)]
+        assert art["boundaries"] == [cx.boundary(k)
+                                     for k in range(1, cx.top + 1)]
 
     def test_complex_first_then_flow_counts_once(self, tmp_path,
                                                  monkeypatch, capsys):
@@ -585,7 +634,8 @@ class TestCommands:
 
     def test_top_degree_warnings_fail_the_complex(self, tmp_path,
                                                   monkeypatch, capsys):
-        monkeypatch.setitem(cli_module._COUNT, "budget", 3)
+        monkeypatch.setattr(cli_module, "boundary_counts", functools.partial(
+            cli_module.boundary_counts, budget=3))
         path = write_cfg(tmp_path, SADDLE2)
         assert run(tmp_path, "complex", "--config", path) == 2
         assert "reversed launch +1 from target" in capsys.readouterr().err
