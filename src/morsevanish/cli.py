@@ -46,7 +46,7 @@ from .errors import (ConfigError, ConfigParse, CorruptCache,
                      ExpressionParseError, MorsevanishError, UnknownEntry)
 from .expr import parse_expression
 from .flow import (BOUNDARY_BUDGET, R_LAUNCH, BoundaryCountResult,
-                   ContinuationSchedule, continuation_trajectories)
+                   continuation_trajectories)
 from .homology import (HomologyResult, MorseComplex, _format_group,
                        boundary_counts, complex_from_counts,
                        continuation_chain_map, homology,
@@ -777,10 +777,8 @@ def cmd_continue(args) -> int:
     e_from, e_to = float(args.eps_from), float(args.eps_to)
     cx_a = _window_complex(ctx, e_from)
     cx_b = _window_complex(ctx, e_to)
-    sched = ContinuationSchedule.eps_path(ctx.problem, e_from, e_to,
-                                          delta=float(args.delta))
-    res = continuation_trajectories(ctx.problem, sched, cx_a.points(),
-                                    cx_b.points())
+    res = continuation_trajectories(ctx.problem, e_from, e_to, cx_a.points(),
+                                    cx_b.points(), delta=float(args.delta))
     ind = continuation_chain_map(cx_a, cx_b, res)
     report = {
         "schema": SCHEMA, "command": "continue",

@@ -1,10 +1,11 @@
 """Negative gradient flows: integration, energies, and trajectory counting.
 
-The flow equation is x'(s) = -grad_g F(x(s), s) where F is either a fixed
-f_eps (autonomous case) or a slow interpolation between two parameter values
-driven by t = gamma(delta * s).  The ramp gamma is the clamped C^1 smoothstep
-on [-1, 1], so integration starts at s = -1/delta with exactly the initial
-function and the field is autonomous again from s = +1/delta on.
+The flow equation is x'(s) = -grad_g F(x(s), s) with F(x, s) =
+f + eps(s)/tau.  Either eps is fixed (the autonomous flow of f_eps), or it
+runs delta-slowly between two values, eps(s) = eps_from + gamma(delta s)
+(eps_to - eps_from).  The ramp gamma is the clamped C^1 smoothstep on
+[-1, 1], so integration starts at s = -1/delta with exactly f_{eps_from}
+and the field is autonomous again from s = +1/delta on.
 
 Alongside the position the integrator carries one extra state,
 
@@ -66,19 +67,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .critical import CriticalPoint
 from .errors import (BudgetExceeded, ConfigError, DeltaFloor, NotConverged,
                      StepCollapse)
-from .expr import Const, Expression, Quotient, compile
+from .expr import Const, Quotient, compile
 from .metric import apply_inverse, metric_batch, metric_exprs
-from .problem import ProblemSpec, perturbed_function
+from .problem import ProblemSpec
 
-__all__ = ["ContinuationSchedule", "TrajectoryRecord", "integrate_flow",
+__all__ = ["TrajectoryRecord", "integrate_flow",
            "energy", "count_boundary", "count_boundaries",
            "BoundaryCountResult",
            "continuation_trajectories", "ContinuationResult",
@@ -110,109 +110,57 @@ def gamma_slope(s):
     return 3.0 * u * (1.0 - u)
 
 
-@dataclass(frozen=True)
-class ContinuationSchedule:
-    """A straight path in parameter space traversed delta-slowly.
+class _Field:
+    """The batched right side -grad_g F of F(x, s) = f + eps(s)/tau, with
+    value and energy-rate bookkeeping, from one jet1 call of one tape
+    (f, 1/tau and the metric inputs) per batch.
 
-    The flowing function is F(x, s) = sum_i w_i(t) comp_i(x) with
-    t = gamma(delta * s).  Constant weights make the field autonomous.
+    eps(s) = eps + gamma(delta s) (eps_to - eps); without ``eps_to`` the
+    field is the autonomous one of f_eps.
     """
 
-    components: Tuple[Expression, ...]
-    weight_path: Callable[[np.ndarray], np.ndarray]     # t (m,) -> (m, k)
-    dweight_path: Callable[[np.ndarray], np.ndarray]
-    delta: float
-    label: str
-    autonomous: bool = False
-
-    @property
-    def ramp_start(self) -> float:
-        return 0.0 if self.autonomous else -1.0 / self.delta
-
-    @property
-    def ramp_end(self) -> float:
-        return 0.0 if self.autonomous else 1.0 / self.delta
-
-    def with_delta(self, delta: float) -> "ContinuationSchedule":
-        return replace(self, delta=delta)
-
-    @staticmethod
-    def static(problem: ProblemSpec, eps: float) -> "ContinuationSchedule":
-        fe = perturbed_function(problem, eps)
-
-        def w(t):
-            return np.ones((len(t), 1))
-
-        def dw(t):
-            return np.zeros((len(t), 1))
-
-        return ContinuationSchedule((fe,), w, dw, delta=1.0,
-                                    label=f"eps={eps:g}", autonomous=True)
-
-    @staticmethod
-    def eps_path(problem: ProblemSpec, eps_from: float, eps_to: float,
-                 delta: float = 0.5) -> "ContinuationSchedule":
-        comps = (problem.f, Quotient(Const(Fraction(1)), problem.tau))
-        e0, e1 = float(eps_from), float(eps_to)
-
-        def w(t):
-            return np.stack([np.ones_like(t), e0 + t * (e1 - e0)], axis=1)
-
-        def dw(t):
-            return np.stack([np.zeros_like(t), np.full_like(t, e1 - e0)],
-                            axis=1)
-
-        return ContinuationSchedule(comps, w, dw, delta,
-                                    label=f"eps:{e0:g}->{e1:g}")
-
-    def values_at(self, S, X: np.ndarray, names) -> np.ndarray:
-        t = gamma_profile(self.delta * np.asarray(S, dtype=float))
-        W = self.weight_path(np.atleast_1d(t))
-        out = np.zeros(len(X))
-        for i, v in enumerate(compile(self.components, names).values(X)):
-            out += W[:, i] * v
-        return out
-
-    def end_values(self, X: np.ndarray, names) -> np.ndarray:
-        S = np.full(len(X), self.ramp_end + 1.0)
-        return self.values_at(S, X, names)
-
-    def start_value(self, x: np.ndarray, names) -> float:
-        S = np.full(1, self.ramp_start - 1.0)
-        return float(self.values_at(S, x[None, :], names)[0])
-
-
-class _Field:
-    """Batched right side -grad_g F with value and energy-rate bookkeeping,
-    one jet1 call of one tape (components and metric inputs) per batch."""
-
-    def __init__(self, problem: ProblemSpec, schedule: ContinuationSchedule):
+    def __init__(self, problem: ProblemSpec, eps: float,
+                 eps_to: Optional[float] = None, delta: float = 1.0):
         self.problem = problem
-        self.schedule = schedule
+        self.eps, self.delta = float(eps), delta
+        self.eps_to = None if eps_to is None else float(eps_to)
         self.names = problem.variables
-        self._tape = compile(schedule.components + metric_exprs(
-            problem.metric, problem.tau), self.names)
+        self._tape = compile((problem.f, Quotient(Const(1), problem.tau))
+                             + metric_exprs(problem.metric, problem.tau),
+                             self.names)
+        # the flow times between which eps moves; 0.0 - 0.0 is +0.0
+        self.ramp_end = 0.0 if eps_to is None else 1.0 / delta
+        self.ramp_start = 0.0 - self.ramp_end
+
+    def _eps(self, S):
+        if self.eps_to is None:
+            return self.eps
+        t = gamma_profile(self.delta * np.asarray(S, dtype=float))
+        return self.eps + t * (self.eps_to - self.eps)
+
+    def values_at(self, S, X: np.ndarray) -> np.ndarray:
+        vf, vr = self._tape.values(X)[:2]
+        return vf + self._eps(S) * vr
+
+    def start_value(self, x: np.ndarray) -> float:
+        S = np.full(1, self.ramp_start - 1.0)
+        return float(self.values_at(S, x[None, :])[0])
+
+    def end_values(self, X: np.ndarray) -> np.ndarray:
+        return self.values_at(np.full(len(X), self.ramp_end + 1.0), X)
 
     def eval(self, S: np.ndarray, X: np.ndarray):
         """Returns (drift, F values, energy rate) for a batch of rows."""
-        sch = self.schedule
-        k = len(sch.components)
         jets = self._tape.jet1(X)
-        # constant weights: one row of them broadcasts against the batch
-        t = np.zeros(1) if sch.autonomous else gamma_profile(sch.delta * S)
-        W = sch.weight_path(t)
-        vals = np.zeros(len(X))
-        grads = np.zeros_like(X)
-        for i, (v, g) in enumerate(jets[:k]):
-            vals += W[:, i] * v
-            grads += W[:, i, None] * g
-        w = apply_inverse(self.problem.metric, jets[k:], grads)
+        (vf, gf), (vr, gr) = jets[:2]
+        e = self._eps(S)
+        vals = vf + e * vr
+        grads = gf + np.reshape(e, (-1, 1)) * gr
+        w = apply_inverse(self.problem.metric, jets[2:], grads)
         erate = 2.0 * np.einsum("ij,ij->i", grads, w)
-        if not sch.autonomous:
-            ramp = (sch.delta * gamma_slope(sch.delta * S))[:, None]
-            dW = sch.dweight_path(t) * ramp
-            erate = erate - 2.0 * sum(dW[:, i] * jets[i][0]
-                                      for i in range(k))
+        if self.eps_to is not None:
+            ramp = self.delta * gamma_slope(self.delta * S)
+            erate = erate - 2.0 * (((self.eps_to - self.eps) * ramp) * vr)
         return -w, vals, erate
 
 
@@ -345,16 +293,15 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
     exits terminate a row at a - sigma (below) or b + sigma (above) at any
     time.
     """
-    problem, sched = field.problem, field.schedule
-    w = problem.window
+    w = field.problem.window
     lo_cut, hi_cut = w.a - w.sigma, w.b + w.sigma
     m, n = X0.shape
     nt = len(targets)
 
     X = np.array(X0, dtype=float)
     E = np.zeros(m)
-    S = np.full(m, sched.ramp_start)
-    s_max = sched.ramp_end + S_TAIL
+    S = np.full(m, field.ramp_start)
+    s_max = field.ramp_end + S_TAIL
     status = np.full(m, RUNNING)
     target_of = np.full(m, -1)
     steps = np.zeros(m, dtype=int)
@@ -430,7 +377,7 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
             live = acc[status[acc] == RUNNING] if nt else acc[:0]
             if live.size:
                 _near_passes(targets, live, X[live],
-                             S[live] >= sched.ramp_end, inside, near_min,
+                             S[live] >= field.ramp_end, inside, near_min,
                              near_side, status, target_of)
 
             over = (steps[acc] >= max_steps) | (S[acc] > s_max)
@@ -458,7 +405,6 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
 @dataclass(frozen=True)
 class TrajectoryRecord:
     start: np.ndarray
-    start_id: Optional[int]
     termination: str
     target_id: Optional[int]
     sign: int
@@ -489,7 +435,7 @@ class TrajectoryRecord:
 
 
 def _make_record(row: _RowResult, field: _Field, start: np.ndarray,
-                 start_id, start_value: Optional[float],
+                 start_value: Optional[float],
                  targets: _TargetSet, sign: int = 1) -> TrajectoryRecord:
     """Assemble the public record.
 
@@ -498,37 +444,28 @@ def _make_record(row: _RowResult, field: _Field, start: np.ndarray,
     the arrival ball correction 2 (F(end) - q.value) are folded into E_an
     so it is comparable with E_top between critical values.
     """
-    sched = field.schedule
-    names = field.names
     term = _STATUS_NAMES[row.status]
     target_id = row.target if row.status == ARRIVED else None
 
-    x0_val = sched.start_value(np.asarray(start, dtype=float), names)
+    x0_val = field.start_value(np.asarray(start, dtype=float))
     E_an = row.e_aug
     if start_value is not None:
         E_an += 2.0 * (start_value - x0_val)
     E_top = float("nan")
     if row.status == ARRIVED:
         q = targets.points[row.target]
-        end_val = float(sched.end_values(row.x_end[None, :], names)[0])
+        end_val = float(field.end_values(row.x_end[None, :])[0])
         E_an += 2.0 * (end_val - q.value)
         base = start_value if start_value is not None else x0_val
         E_top = 2.0 * (base - q.value)
     return TrajectoryRecord(
-        start=np.array(start, dtype=float), start_id=start_id,
-        termination=term, target_id=target_id, sign=sign,
+        start=np.array(start, dtype=float), termination=term, target_id=target_id, sign=sign,
         E_an=E_an, E_top=E_top, f_max=row.f_max, f_min=row.f_min,
         steps=row.steps, s_end=row.s_end, end=row.x_end,
         samples=row.samples)
 
 
-def _as_schedule(problem: ProblemSpec, eps_or_schedule) -> ContinuationSchedule:
-    if isinstance(eps_or_schedule, ContinuationSchedule):
-        return eps_or_schedule
-    return ContinuationSchedule.static(problem, float(eps_or_schedule))
-
-
-def integrate_flow(problem: ProblemSpec, eps_or_schedule, start,
+def integrate_flow(problem: ProblemSpec, eps: float, start,
                    targets: Sequence[CriticalPoint] = (),
                    budget: int = BOUNDARY_BUDGET,
                    record_path: bool = True) -> TrajectoryRecord:
@@ -539,8 +476,7 @@ def integrate_flow(problem: ProblemSpec, eps_or_schedule, start,
     if not problem.domain.contains(x0):
         raise ConfigError(
             f"flow start {x0.tolist()} is not inside the domain")
-    sched = _as_schedule(problem, eps_or_schedule)
-    field = _Field(problem, sched)
+    field = _Field(problem, eps)
     tset = _TargetSet(targets)
     (row,) = _flow_batch(field, x0[None, :], tset, budget,
                          record=record_path)
@@ -549,7 +485,7 @@ def integrate_flow(problem: ProblemSpec, eps_or_schedule, start,
         if np.linalg.norm(x0 - p.location) <= tset.r_arrive[i]:
             start_value = p.value
             break
-    rec = _make_record(row, field, x0, None, start_value, tset)
+    rec = _make_record(row, field, x0, start_value, tset)
     if row.status == BUDGET:
         raise BudgetExceeded(
             f"flow from {x0.tolist()} did not terminate in {budget} steps "
@@ -561,8 +497,7 @@ def integrate_flow(problem: ProblemSpec, eps_or_schedule, start,
     return rec
 
 
-def energy(trajectory: TrajectoryRecord, problem: ProblemSpec,
-           eps_or_schedule,
+def energy(trajectory: TrajectoryRecord, problem: ProblemSpec, eps: float,
            endpoint_values: Optional[Tuple[float, float]] = None
            ) -> Tuple[float, float]:
     """(E_an, E_top) for a stored path by direct quadrature of
@@ -572,8 +507,7 @@ def energy(trajectory: TrajectoryRecord, problem: ProblemSpec,
     non-solution path E_an strictly exceeds E_top.  E_top needs converged
     endpoints or explicitly supplied endpoint critical values.
     """
-    sched = _as_schedule(problem, eps_or_schedule)
-    field = _Field(problem, sched)
+    field = _Field(problem, eps)
     if trajectory.samples is None or len(trajectory.samples) < 3:
         raise NotConverged("no stored samples to integrate the energy over")
     Spts = trajectory.samples[:, 0]
@@ -641,8 +575,7 @@ def _endpoint_count(source: CriticalPoint, targets: Sequence[CriticalPoint],
     warnings: List[str] = []
     recs = []
     for sgn, x0, row in zip((1, -1), starts, rows):
-        rec = _make_record(row, field, x0, None, source.value, tset,
-                           sign=sgn)
+        rec = _make_record(row, field, x0, source.value, tset, sign=sgn)
         recs.append(rec)
         if row.status == ARRIVED and targets[row.target].index == 0:
             counts[row.target] += sgn
@@ -681,7 +614,7 @@ def _dual_counts(problem: ProblemSpec, eps: float,
     mirrored = replace(problem, f=-problem.f,
                        window=replace(w, a=-w.b, b=-w.a))
     # -f_eps = (-f) + (-eps) / tau
-    field = _Field(mirrored, ContinuationSchedule.static(mirrored, -eps))
+    field = _Field(mirrored, -eps)
     sinks = _TargetSet([_as_sink(p, n) for p in sources])
     launch_from = [j for j, q in enumerate(targets) if q.index == n - 1]
     starts = [_endpoints(targets[j], n - 1, r_launch) for j in launch_from]
@@ -705,7 +638,7 @@ def _dual_counts(problem: ProblemSpec, eps: float,
             counts[s][j] += sgn
             # E_an and E_top come out as the forward flowline's energy;
             # the value range is turned back into f_eps values too
-            rec = _make_record(row, field, x0, None, -q.value, sinks, sgn)
+            rec = _make_record(row, field, x0, -q.value, sinks, sgn)
             rec = replace(rec, target_id=j, f_max=-rec.f_min,
                           f_min=-rec.f_max)
             recs[s].append(rec)
@@ -751,7 +684,7 @@ def count_boundaries(problem: ProblemSpec, eps: float,
         for p in sources]
     ones = [s for s, p in enumerate(sources) if p.index == 1]
     if ones:
-        field = _Field(problem, ContinuationSchedule.static(problem, eps))
+        field = _Field(problem, eps)
         tset = _TargetSet(targets)
         starts = [_endpoints(sources[s], 0, r_launch) for s in ones]
         rows = _flow_batch(field, np.concatenate(starts), tset, budget)
@@ -781,8 +714,6 @@ class ContinuationResult:
     delta: float
     confined: bool
     halvings: int
-    excursion_high: float
-    excursion_low: float
     trajectories: Tuple[TrajectoryRecord, ...]
     # no continuation path warns at present; chain_map_from_counts reads it
     warnings: Tuple[str, ...] = ()
@@ -799,15 +730,15 @@ def _family_parameters(k: int) -> np.ndarray:
     return np.concatenate([-ladder[::-1], [0.0], ladder])
 
 
-def continuation_trajectories(problem: ProblemSpec,
-                              schedule: ContinuationSchedule,
+def continuation_trajectories(problem: ProblemSpec, eps_from: float,
+                              eps_to: float,
                               sources: Sequence[CriticalPoint],
                               targets: Sequence[CriticalPoint],
-                              delta_floor: float = 1e-6
+                              delta: float = 0.5, delta_floor: float = 1e-6
                               ) -> ContinuationResult:
-    """Signed index-preserving arrival counts for the delta-slow
-    interpolation, halving delta from the schedule's value until the runs
-    are confined.
+    """Signed index-preserving arrival counts for the delta-slow path from
+    f_{eps_from} to f_{eps_to}, halving delta from the given value until
+    the runs are confined.
 
     Confinement means no trajectory climbs above b + sigma, and the
     zero-offset launch of every source either settles at a same-index
@@ -825,8 +756,7 @@ def continuation_trajectories(problem: ProblemSpec,
         raise ConfigError("continuation counting handles sources of index "
                           "0 and 1 only")
     if not sources:
-        return ContinuationResult({}, schedule.delta, True, 0,
-                                  -math.inf, math.inf, ())
+        return ContinuationResult({}, delta, True, 0, ())
 
     w = problem.window
     tset = _TargetSet(targets)
@@ -835,24 +765,19 @@ def continuation_trajectories(problem: ProblemSpec,
         pars = _family_parameters(p.index)
         e_u = p.frame[:, 0] if p.index else np.zeros(len(p.location))
         ladders.append(p.location[None, :] + pars[:, None] * e_u[None, :])
-    delta = schedule.delta
     halvings = 0
     while True:
-        field = _Field(problem, schedule.with_delta(delta))
+        field = _Field(problem, eps_from, eps_to, delta)
         batch = iter(_flow_batch(field, np.concatenate(ladders), tset,
                                  CONTINUATION_BUDGET))
         counts: Dict[Tuple[int, int], int] = {}
         recs: List[TrajectoryRecord] = []
-        hi_exc = -math.inf
-        lo_exc = math.inf
         violated = False
 
         for si, (p, starts) in enumerate(zip(sources, ladders)):
             k = p.index
             rows = [next(batch) for _ in starts]
             center = rows[len(starts) // 2]
-            hi_exc = max(hi_exc, max(r.f_max for r in rows))
-            lo_exc = min(lo_exc, min(r.f_min for r in rows))
             if any(r.status == EXIT_ABOVE or r.f_max > w.b + w.sigma
                    for r in rows):
                 violated = True
@@ -879,12 +804,12 @@ def continuation_trajectories(problem: ProblemSpec,
                     sides = [int(r.near_side[t]) for r in rows]
                     for sgn in _flip_count(sides):
                         counts[(si, t)] = counts.get((si, t), 0) + sgn
-            recs.append(_make_record(center, field, p.location, si,
-                                     p.value, tset, sign=1))
+            recs.append(_make_record(center, field, p.location, p.value,
+                                     tset, sign=1))
 
         if not violated:
             return ContinuationResult(counts, delta, True, halvings,
-                                      hi_exc, lo_exc, tuple(recs))
+                                      tuple(recs))
         delta *= 0.5
         halvings += 1
         if delta < delta_floor:

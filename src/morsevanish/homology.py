@@ -27,8 +27,7 @@ from .critical import CriticalPoint, find_critical_points, sweep_epsilon
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
 from .flow import (BOUNDARY_BUDGET, BoundaryCountResult, ContinuationResult,
-                   ContinuationSchedule, continuation_trajectories,
-                   count_boundaries)
+                   continuation_trajectories, count_boundaries)
 from .intlinalg import (ChainComplexData, Matrix, SNF, homology_of_complex,
                         kernel_basis, matmul, smith_normal_form)
 from .problem import ProblemSpec
@@ -702,10 +701,8 @@ def stabilized_homology(problem: ProblemSpec,
     notes: List[str] = []
     stable = True
     for j in range(len(ladder) - 1, 0, -1):
-        sched = ContinuationSchedule.eps_path(problem, ladder[j],
-                                              ladder[j - 1])
-        res = continuation_trajectories(problem, sched, cxs[j].points(),
-                                        cxs[j - 1].points())
+        res = continuation_trajectories(problem, ladder[j], ladder[j - 1],
+                                        cxs[j].points(), cxs[j - 1].points())
         ind = continuation_chain_map(cxs[j], cxs[j - 1], res)
         maps.append(ind)
         stable = stable and ind.isomorphism

@@ -27,8 +27,8 @@ from morsevanish.critical import (find_critical_points, sweep_epsilon,
                                   sweep_theta)
 from morsevanish.errors import ConfigError, MorsevanishError
 from morsevanish.expr import eval_jet2, eval_values, parse_expression
-from morsevanish.flow import (ContinuationSchedule, continuation_trajectories,
-                              count_boundary, energy, integrate_flow)
+from morsevanish.flow import (continuation_trajectories, count_boundary,
+                              energy, integrate_flow)
 from morsevanish.homology import (chain_map, continuation_chain_map,
                                   euler_characteristic, homology,
                                   induced_map, induced_maps_agree,
@@ -261,8 +261,7 @@ def test_criterion_06_continuation_isomorphisms():
     maps = {}
     for i, hi in enumerate(grid):
         for lo in grid[i + 1:]:
-            sched = ContinuationSchedule.eps_path(spec, hi, lo)
-            res = continuation_trajectories(spec, sched, cxs[hi].points(),
+            res = continuation_trajectories(spec, hi, lo, cxs[hi].points(),
                                             cxs[lo].points())
             assert res.confined, (hi, lo)
             ind = continuation_chain_map(cxs[hi], cxs[lo], res)
@@ -299,8 +298,7 @@ def test_criterion_07_window_confinement():
         hi, lo = entry.eps, ratio * entry.eps
         cx_hi = window_complex(spec, hi, seed=0)
         cx_lo = window_complex(spec, lo, seed=0)
-        sched = ContinuationSchedule.eps_path(spec, hi, lo)
-        res = continuation_trajectories(spec, sched, cx_hi.points(),
+        res = continuation_trajectories(spec, hi, lo, cx_hi.points(),
                                         cx_lo.points())
         w = spec.window
         assert res.confined, name

@@ -29,13 +29,12 @@ import morsevanish.flow as flow_module
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import CriticalPoint, find_critical_points
 from morsevanish.errors import (BudgetExceeded, ConfigError, DeltaFloor,
-                                MissingCount, NotConverged)
+                                MissingCount, NotConverged, StepCollapse)
 from morsevanish.expr import parse_expression
 from morsevanish.flow import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
                               EXIT_BELOW, NEVER, RTOL, RUNNING, S_TAIL,
                               STEP_FLOOR, _DP_A, _DP_B4, _DP_B5, _DP_C,
-                              ContinuationSchedule, _Field,
-                              _flip_count, _flow_batch, _RowResult,
+                              _Field, _flip_count, _flow_batch, _RowResult,
                               _TargetSet, continuation_trajectories,
                               count_boundaries, count_boundary, energy,
                               gamma_profile, gamma_slope, integrate_flow)
@@ -120,6 +119,13 @@ class TestIntegrate:
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             integrate_flow(SLIDE, 0.5, [0.0], budget=3)
+
+    def test_step_collapse_raises(self, monkeypatch):
+        # no step of the slide flow is as long as 1
+        monkeypatch.setattr(flow_module, "STEP_FLOOR", 1.0)
+        with pytest.raises(StepCollapse,
+                           match=r"integrator step fell below 1\.0 at s="):
+            integrate_flow(SLIDE, 0.5, [0.0])
 
     def test_outside_domain_raises(self):
         ray = ProblemSpec("ray", ("y",),
@@ -295,15 +301,13 @@ class TestContinuation:
                            "pow(1 + x^2 + y^2, -1/2)")
         pts = find_critical_points(hat, 0.05).inside_window()
         (peak,) = [p for p in pts if p.index == 2]
-        sched = ContinuationSchedule.eps_path(hat, 0.05, 0.025)
         with pytest.raises(ConfigError, match="index 0 and 1"):
-            continuation_trajectories(hat, sched, [peak], pts)
+            continuation_trajectories(hat, 0.05, 0.025, [peak], pts)
 
     def test_z2_constant_family_is_identity(self):
         sources = find_critical_points(Z2, 0.4).inside_window()
         targets = find_critical_points(Z2, 0.1).inside_window()
-        sched = ContinuationSchedule.eps_path(Z2, 0.4, 0.1)
-        res = continuation_trajectories(Z2, sched, sources, targets)
+        res = continuation_trajectories(Z2, 0.4, 0.1, sources, targets)
         assert res.counts == {(0, 0): 1}
         assert res.confined and res.halvings == 0
         assert res.delta == pytest.approx(0.5)
@@ -311,8 +315,7 @@ class TestContinuation:
     def test_double_well_matches_points_bijectively(self):
         sources = find_critical_points(DW, 0.05).inside_window()
         targets = find_critical_points(DW, 0.01).inside_window()
-        sched = ContinuationSchedule.eps_path(DW, 0.05, 0.01)
-        res = continuation_trajectories(DW, sched, sources, targets)
+        res = continuation_trajectories(DW, 0.05, 0.01, sources, targets)
         pairing = {}
         for (si, ti), c in res.counts.items():
             assert c == 1
@@ -331,8 +334,7 @@ class TestContinuation:
                           WindowSpec.finite_action(1.0, 10.0, 0.25))
         sources = find_critical_points(ray, 0.09).inside_window()
         targets = find_critical_points(ray, 0.04).inside_window()
-        sched = ContinuationSchedule.eps_path(ray, 0.09, 0.04)
-        res = continuation_trajectories(ray, sched, sources, targets)
+        res = continuation_trajectories(ray, 0.09, 0.04, sources, targets)
         assert res.counts == {(0, 0): 1}
         assert targets[0].location[0] == pytest.approx(0.2, abs=1e-6)
 
@@ -340,16 +342,15 @@ class TestContinuation:
         sources = find_critical_points(DW, 0.05).inside_window()
         targets = find_critical_points(DW, 0.01).inside_window()
         for delta in (0.5, 0.25):
-            sched = ContinuationSchedule.eps_path(DW, 0.05, 0.01, delta)
-            res = continuation_trajectories(DW, sched, sources, targets)
+            res = continuation_trajectories(DW, 0.05, 0.01, sources,
+                                            targets, delta)
             assert res.confined and res.halvings == 0
 
     def test_window_escape_raises_delta_floor(self):
         sources = find_critical_points(Z2, 0.4).inside_window()
         targets = find_critical_points(Z2, 0.1).inside_window()
-        sched = ContinuationSchedule.eps_path(Z2, 0.4, 3.0)
         with pytest.raises(DeltaFloor):
-            continuation_trajectories(Z2, sched, sources, targets,
+            continuation_trajectories(Z2, 0.4, 3.0, sources, targets,
                                       delta_floor=1e-3)
 
 
@@ -375,8 +376,8 @@ class CountingField:
 
     def __init__(self, field):
         self.field = field
-        self.problem, self.schedule = field.problem, field.schedule
-        self.names = field.names
+        self.problem, self.names = field.problem, field.names
+        self.ramp_start, self.ramp_end = field.ramp_start, field.ramp_end
         self.calls = 0
 
     def eval(self, S, X):
@@ -388,15 +389,14 @@ def flow_batch_7_plus_1(field, X0, targets, max_steps, record=False):
     """The integrator before FSAL: seven stages per attempted step plus
     one more evaluation at the accepted points.  Returns the rows, the
     loop iterations and the iterations that accepted some row."""
-    problem, sched = field.problem, field.schedule
-    w = problem.window
+    w = field.problem.window
     lo_cut, hi_cut = w.a - w.sigma, w.b + w.sigma
     m, n = X0.shape
     nt = len(targets)
     X = np.array(X0, dtype=float)
     E = np.zeros(m)
-    S = np.full(m, sched.ramp_start)
-    s_max = sched.ramp_end + S_TAIL
+    S = np.full(m, field.ramp_start)
+    s_max = field.ramp_end + S_TAIL
     status = np.full(m, RUNNING)
     target_of = np.full(m, -1)
     steps = np.zeros(m, dtype=int)
@@ -471,7 +471,7 @@ def flow_batch_7_plus_1(field, X0, targets, max_steps, record=False):
                             elif d < targets.r_near[t]:
                                 inside[r, t] = True
                                 near_min[r, t] = min(near_min[r, t], d)
-                            if (S[r] >= sched.ramp_end
+                            if (S[r] >= field.ramp_end
                                     and d < targets.r_arrive[t]
                                     and targets.stable_dominant(t, X[r])):
                                 status[r] = ARRIVED
@@ -502,7 +502,7 @@ def endpoint_starts(points, r=1e-4):
 
 def z3_case():
     pts = find_critical_points(Z3, 0.3).inside_window()
-    field = _Field(Z3, ContinuationSchedule.static(Z3, 0.3))
+    field = _Field(Z3, 0.3)
     starts = endpoint_starts([p for p in pts if p.index == 1])
     return field, starts, _TargetSet([p for p in pts if p.index == 0])
 
@@ -510,7 +510,7 @@ def z3_case():
 def dw_eps_path_case():
     sources = find_critical_points(DW, 0.05).inside_window()
     targets = find_critical_points(DW, 0.01).inside_window()
-    field = _Field(DW, ContinuationSchedule.eps_path(DW, 0.05, 0.01))
+    field = _Field(DW, 0.05, 0.01, 0.5)
     offsets = np.array([-0.02, -1e-4, 0.0, 1e-4, 0.02])
     starts = np.concatenate([p.location[None, :] + offsets[:, None]
                              for p in sources])
@@ -520,7 +520,7 @@ def dw_eps_path_case():
 def square_absorbers_case():
     pts = find_critical_points(SQ, 0.0).inside_window()
     top = next(p for p in pts if p.index == 2)
-    field = _Field(SQ, ContinuationSchedule.static(SQ, 0.0))
+    field = _Field(SQ, 0.0)
     phis = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     e1, e2 = top.frame[:, 0], top.frame[:, 1]
     starts = np.stack([top.location + 1e-4 * (math.cos(a) * e1
@@ -651,17 +651,15 @@ class TestBatchedCounting:
     def test_continuation_on_all_sources_equals_one_at_a_time(self):
         sources = find_critical_points(DW, 0.05).inside_window()
         targets = find_critical_points(DW, 0.01).inside_window()
-        sched = ContinuationSchedule.eps_path(DW, 0.05, 0.01)
-        res = continuation_trajectories(DW, sched, sources, targets)
+        res = continuation_trajectories(DW, 0.05, 0.01, sources, targets)
         assert len(res.trajectories) == len(sources)
         for si, p in enumerate(sources):
-            alone = continuation_trajectories(DW, sched, [p], targets)
+            alone = continuation_trajectories(DW, 0.05, 0.01, [p], targets)
             assert (alone.delta, alone.halvings) == (res.delta, res.halvings)
             assert {t: c for (s, t), c in res.counts.items() if s == si} \
                 == {t: c for (_, t), c in alone.counts.items()}
             (rec,) = alone.trajectories
-            assert_same_bits(res.trajectories[si],
-                             dataclasses.replace(rec, start_id=si))
+            assert_same_bits(res.trajectories[si], rec)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from morsevanish.critical import CriticalPoint
 from morsevanish.errors import (ConfigError, DegenerateCriticalPoint,
                                 MissingCount, NotChainMap)
 from morsevanish.expr import parse_expression
-from morsevanish.flow import ContinuationSchedule, continuation_trajectories
+from morsevanish.flow import continuation_trajectories
 from morsevanish.homology import (HomologyResult, assemble_complex,
                                   chain_map, cohomology, compose,
                                   continuation_chain_map, duality_ranks,
@@ -314,8 +314,7 @@ class TestChainMaps:
 
 class TestContinuation:
     def test_eps_drop_is_identity_on_the_nose(self, dw_cx, dw_cx_small):
-        sched = ContinuationSchedule.eps_path(DW, 0.05, 0.01)
-        res = continuation_trajectories(DW, sched, dw_cx.points(),
+        res = continuation_trajectories(DW, 0.05, 0.01, dw_cx.points(),
                                         dw_cx_small.points())
         ind = continuation_chain_map(dw_cx, dw_cx_small, res)
         assert ind.isomorphism
@@ -327,8 +326,7 @@ class TestContinuation:
         mid = window_complex(DW, 0.02)
 
         def leg(src, tgt, e0, e1):
-            sched = ContinuationSchedule.eps_path(DW, e0, e1)
-            res = continuation_trajectories(DW, sched, src.points(),
+            res = continuation_trajectories(DW, e0, e1, src.points(),
                                             tgt.points())
             return continuation_chain_map(src, tgt, res)
 
