@@ -639,12 +639,18 @@ def cmd_homology(args) -> int:
     return 0
 
 
-def _oracle_payload(ctx: RunContext, eps: float):
-    n = len(ctx.problem.variables)
+def _levels(ctx: RunContext) -> Tuple[float, float]:
+    """lambda and Lambda of the sublevel pair: the flags, else the
+    problem's."""
+    w = ctx.problem.window
     lam = getattr(ctx.args, "lam", None)
     Lam = getattr(ctx.args, "Lam", None)
-    lam = ctx.problem.window.lam if lam is None else lam
-    Lam = ctx.problem.window.Lam if Lam is None else Lam
+    return (w.lam if lam is None else lam, w.Lam if Lam is None else Lam)
+
+
+def _oracle_payload(ctx: RunContext, eps: float):
+    n = len(ctx.problem.variables)
+    lam, Lam = _levels(ctx)
     res = getattr(ctx.args, "res", None)
     res = 32 if res is None else int(res)
     params = {"eps": eps, "lambda": lam, "Lambda": Lam, "res": res}
@@ -720,6 +726,17 @@ def cmd_compare(args) -> int:
         eps = entry.eps
     else:
         eps = ctx.eps()
+
+    # the pair sees critical values in [b, Lambda) that the window drops
+    b, Lam = ctx.problem.window.b, _levels(ctx)[1]
+    crit, _ = _crit_payload(ctx, eps)
+    gap = sorted(v for v in (float(r["value"]) for r in crit["points"])
+                 if b <= v < Lam)
+    if gap:
+        raise ConfigError(
+            f"critical value {gap[0]:.6g} of f_eps lies in [b, Lambda) = "
+            f"[{b:g}, {Lam:g}), where the oracle's pair sees it and the "
+            "window does not; lower --Lambda to it or widen the window")
 
     n = len(ctx.problem.variables)
     oracle_payload, _ = _oracle_payload(ctx, eps)
@@ -802,27 +819,6 @@ def cmd_continue(args) -> int:
 
 # -------------------------------------------------------- manifest stage
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a run produced: artifact digests plus a pass/fail summary.
-
-    Replaying any stage with the same config and seed rewrites its
-    artifact byte for byte, so digests are stable identifiers; only the
-    written_at timestamps move.
-    """
-
-    config_hash: str
-    seed: int
-    tool_version: str
-    stages: Dict[str, dict]
-    summary: Dict[str, str]
-
-    def as_dict(self) -> dict:
-        return {"schema": SCHEMA, "config_hash": self.config_hash,
-                "seed": self.seed, "tool_version": self.tool_version,
-                "stages": self.stages, "summary": self.summary}
-
-
 def cmd_report(args) -> int:
     ctx = _context(args)
     run_dir = ctx.out_dir / ctx.cfg_hash
@@ -843,9 +839,13 @@ def cmd_report(args) -> int:
             summary["compare"] = json.loads(f.read_text())["verdict"]
         elif f.suffix == ".json":
             summary[f.stem] = "ok"
-    manifest = RunManifest(ctx.cfg_hash, ctx.seed, __version__, stages,
-                           summary)
-    path = dump_json(run_dir / "manifest.json", manifest.as_dict())
+    # what the run produced: replaying a stage with the same config and
+    # seed rewrites its artifact byte for byte, so the digests are stable
+    # identifiers and only the written_at timestamps move
+    manifest = {"schema": SCHEMA, "config_hash": ctx.cfg_hash,
+                "seed": ctx.seed, "tool_version": __version__,
+                "stages": stages, "summary": summary}
+    path = dump_json(run_dir / "manifest.json", manifest)
     print(f"{len(stages)} artifacts, summary {summary} -> {path}")
     return 0
 

@@ -124,10 +124,9 @@ class _Field:
         self.problem = problem
         self.eps, self.delta = float(eps), delta
         self.eps_to = None if eps_to is None else float(eps_to)
-        self.names = problem.variables
         self._tape = compile((problem.f, Quotient(Const(1), problem.tau))
                              + metric_exprs(problem.metric, problem.tau),
-                             self.names)
+                             problem.variables)
         # the flow times between which eps moves; 0.0 - 0.0 is +0.0
         self.ramp_end = 0.0 if eps_to is None else 1.0 / delta
         self.ramp_start = 0.0 - self.ramp_end
@@ -459,7 +458,8 @@ def _make_record(row: _RowResult, field: _Field, start: np.ndarray,
         base = start_value if start_value is not None else x0_val
         E_top = 2.0 * (base - q.value)
     return TrajectoryRecord(
-        start=np.array(start, dtype=float), termination=term, target_id=target_id, sign=sign,
+        start=np.array(start, dtype=float), termination=term,
+        target_id=target_id, sign=sign,
         E_an=E_an, E_top=E_top, f_max=row.f_max, f_min=row.f_min,
         steps=row.steps, s_end=row.s_end, end=row.x_end,
         samples=row.samples)

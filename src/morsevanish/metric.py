@@ -6,9 +6,12 @@ Three built-in families plus user-supplied matrices:
 * ``cone-euclidean``: g = Id / tau.  Its gradient has the closed form
   grad f = tau * df, which keeps flow right-hand sides cheap.
 * ``kahler-cone``: on R^{2n} identified with C^n,
-  g = ((dtau/tau)^T (dtau/tau) + ((dtau o I)/tau)^T ((dtau o I)/tau) + Id) / tau
-  where I is the complex-structure block rotation.  This is the metric the
-  complex-polynomial pipeline installs.
+  g = (a a^T + b b^T + Id) / tau with a = dtau/tau and b = J a, where J is
+  the complex-structure block rotation.  This is the metric the
+  complex-polynomial pipeline installs.  Since a and b are orthogonal and
+  equally long, the gradient has the closed form
+  grad f = tau (df - (a (a.df) + b (b.df)) / (1 + |a|^2)); no matrix is
+  built or solved.
 * ``custom``: a symmetric matrix of expressions in the problem variables.
 
 Every evaluation point gets a Cholesky certificate; an indefinite or badly
@@ -68,6 +71,15 @@ def metric_exprs(spec: MetricSpec, tau: Expression) -> Tuple[Expression, ...]:
     return (tau,)
 
 
+def _kahler_parts(jets, n: int):
+    """tau, a = dtau/tau and b = J a at the rows of the tau jet."""
+    if n % 2 != 0:
+        raise ConfigError("kahler-cone metric needs an even-dimensional problem")
+    tv, tg = jets[0]
+    a = tg / tv[:, None]
+    return tv, a, _complex_rotate(a)
+
+
 def _matrices(spec: MetricSpec, jets, m: int, n: int) -> np.ndarray:
     """Metric matrices (m, n, n) from the jet1 outputs of ``metric_exprs``."""
     if spec.kind == "euclidean":
@@ -75,11 +87,7 @@ def _matrices(spec: MetricSpec, jets, m: int, n: int) -> np.ndarray:
     if spec.kind == "cone-euclidean":
         return np.eye(n)[None, :, :] / jets[0][0][:, None, None]
     if spec.kind == "kahler-cone":
-        if n % 2 != 0:
-            raise ConfigError("kahler-cone metric needs an even-dimensional problem")
-        tv, tg = jets[0]
-        a = tg / tv[:, None]
-        b = _complex_rotate(a)
+        tv, a, b = _kahler_parts(jets, n)
         return (a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :]
                 + np.eye(n)[None, :, :]) / tv[:, None, None]
     return np.stack([v for v, _ in jets], axis=1).reshape(m, n, n)
@@ -93,6 +101,14 @@ def apply_inverse(spec: MetricSpec, jets, df: np.ndarray) -> np.ndarray:
         return np.array(df, dtype=float, copy=True)
     if spec.kind == "cone-euclidean":
         return jets[0][0][:, None] * df
+    if spec.kind == "kahler-cone":
+        # a and b are orthogonal of equal length, so the inverse of
+        # I + a a^T + b b^T is I - (a a^T + b b^T) / (1 + |a|^2)
+        tv, a, b = _kahler_parts(jets, df.shape[1])
+        c = 1.0 + np.einsum("ij,ij->i", a, a)
+        pa = np.einsum("ij,ij->i", a, df) / c
+        pb = np.einsum("ij,ij->i", b, df) / c
+        return tv[:, None] * (df - a * pa[:, None] - b * pb[:, None])
     G = _matrices(spec, jets, *df.shape)
     return np.linalg.solve(G, df[..., None])[..., 0]
 

@@ -11,7 +11,10 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,14 @@ SADDLE2 = {"name": "saddle2", "dimension": 2, "eps": 0.05,
 SQUARE3 = {"name": "square3", "dimension": 3, "eps": 0.05,
            "f": "x^4 - x^2 + y^4 - y^2 + z^2",
            "tau": "pow(1 + x^2 + y^2 + z^2, -1)"}
+# x^3 - 3x + y^3 - 3y on C^2: at eps 0.1 its critical values are about
+# -3.52, 0.52 (twice) and 4.57, and 4.57 lies in [b, Lambda) = [1, 10)
+GAP = {"name": "gap", "dimension": 2, "eps": 0.1,
+       "polynomial": {"terms": [
+           {"monomial": [3, 0], "re": 1, "im": 0},
+           {"monomial": [1, 0], "re": -3, "im": 0},
+           {"monomial": [0, 3], "re": 1, "im": 0},
+           {"monomial": [0, 1], "re": -3, "im": 0}]}}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -454,6 +465,18 @@ class TestCommands:
         assert degree1["morse"] == degree1["oracle"] == "Z^2"
         assert degree1["catalog"] == "Z" and degree1["ok"] is False
 
+    def test_compare_refuses_a_critical_value_in_the_gap(
+            self, tmp_path, capsys, monkeypatch):
+        oracle_runs = []
+        monkeypatch.setattr(cli_module, "_oracle_payload",
+                            lambda *a: oracle_runs.append(a))
+        path = write_cfg(tmp_path, GAP)
+        assert run(tmp_path, "compare", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert "critical value 4.57054 " in err and "[1, 10)" in err
+        assert oracle_runs == []
+        assert not (run_dir(tmp_path, GAP) / "compare.json").exists()
+
     def test_compare_needs_some_problem(self, tmp_path, capsys):
         assert run(tmp_path, "compare") == 1
         assert "--catalog" in capsys.readouterr().err
@@ -693,6 +716,26 @@ class TestDeterminism:
             outs.append((d / "runs" / config_digest(DW) /
                          "homology.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_continue_is_byte_identical_across_hash_seeds(self, tmp_path):
+        # two interpreters with different string hashing: no file, cache
+        # entries included, may depend on the iteration order of a set
+        path = write_cfg(tmp_path, DW)
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        trees = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+            subprocess.run([sys.executable, "-m", "morsevanish.cli",
+                            "continue", "--config", path, "--eps-from", "0.25",
+                            "--eps-to", "0.125", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            trees.append({str(f.relative_to(out)): f.read_bytes()
+                          for f in out.rglob("*") if f.is_file()})
+        assert any(name.startswith("cache") for name in trees[0])
+        assert trees[0] == trees[1]
 
     def test_config_hash_ignores_key_order(self):
         assert config_digest({"a": 1, "b": 2}) == \

@@ -376,7 +376,7 @@ class CountingField:
 
     def __init__(self, field):
         self.field = field
-        self.problem, self.names = field.problem, field.names
+        self.problem = field.problem
         self.ramp_start, self.ramp_end = field.ramp_start, field.ramp_end
         self.calls = 0
 

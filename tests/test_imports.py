@@ -1,6 +1,7 @@
 """Import and option hygiene.
 
-Every name a package module imports is used there.  A name counts as used
+Every name a package module imports is used there, and every name in a
+module's ``__all__`` resolves on the loaded module.  A name counts as used
 when the module loads it anywhere (attribute chains count through their
 root name), mentions it in a string annotation, or lists it in
 ``__all__``.  ``from __future__`` imports are exempt.
@@ -11,6 +12,8 @@ default that no caller overrides is a constant, not an option.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,25 @@ def test_the_check_sees_an_unused_import():
     used = _used(tree)
     assert [n for n, _ in _imported(tree) if n not in used] == \
         ["Tuple", "os"]
+
+
+def _stale_exports(module):
+    return [n for n in getattr(module, "__all__", ())
+            if not hasattr(module, n)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_export_resolves(path):
+    name = "morsevanish" + ("" if path.stem == "__init__"
+                            else "." + path.stem)
+    stale = _stale_exports(importlib.import_module(name))
+    assert not stale, f"{path.name} exports undefined names: {stale}"
+
+
+def test_the_check_sees_a_stale_export():
+    module = types.ModuleType("m")
+    exec("__all__ = ['kept', 'gone']\nkept = 1\n", module.__dict__)
+    assert _stale_exports(module) == ["gone"]
 
 
 def _defaulted(tree):

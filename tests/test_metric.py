@@ -104,6 +104,22 @@ class TestGradients:
         G = metric_batch(p.metric, p.tau, p.variables, X)
         assert np.allclose(np.einsum("kij,kj->ki", G, w), df, atol=1e-10)
 
+    @pytest.mark.parametrize("alg", [
+        AlgebraicProblem(1, (((3,), 1, 0),)),
+        AlgebraicProblem(2, (((1, 0), 1, 0), ((2, 1), 1, 0)))],
+        ids=["z^3", "x_plus_x2y"])
+    def test_kahler_closed_form_matches_solve(self, alg):
+        p = realify(alg)
+        n = len(p.variables)
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-2, 2, size=(2000, n))
+        df = rng.standard_normal((2000, n))
+        w = apply_inverse_batch(p.metric, p.tau, p.variables, X, df)
+        G = metric_batch(p.metric, p.tau, p.variables, X)
+        want = np.linalg.solve(G, df[..., None])[..., 0]
+        err = np.linalg.norm(w - want, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+
     def test_cone_batch_shortcut_matches_dense(self):
         spec = MetricSpec("cone-euclidean")
         X = np.linspace(-2, 2, 9)[:, None]
