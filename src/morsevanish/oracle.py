@@ -9,6 +9,14 @@ that pair is computed exactly over Z.  None of the gradient-flow
 machinery is involved, which is the point: numbers coming out of this
 module are an independent check on the Morse complex.
 
+The grid is evaluated in blocks of about 2^15 points (``_CHUNK``), cut
+across as many leading axes as it takes, so the tape's temporaries for
+a block stay in L2 cache even in dimension four.  Closing the top cells
+works on the masks packed one bit per cell into little-endian 64-bit
+words along the last axis, with a spare bit at the top of every row:
+dilation along a leading axis is an OR of shifted words, along the last
+axis a one-bit shift, and a degree's cell count is a popcount.
+
 The relative complex lives as a boolean mask on the doubled-index
 (Khalimsky) grid, and it is shrunk there before any sparse matrix
 exists: whole-array passes of free-face collapse and coreduction
@@ -67,7 +75,8 @@ __all__ = [
     "euler_check", "catalog_lookup", "catalog_names",
 ]
 
-_CHUNK = 1 << 21
+# points per grid block: the tape's temporaries for one block fit in L2
+_CHUNK = 1 << 15
 
 
 def _per_axis(resolution, n: int) -> Tuple[int, ...]:
@@ -87,43 +96,88 @@ def _axis_centers(box, res) -> list:
             for (lo, hi), r in zip(box, res)]
 
 
+def _blocks(res):
+    """Index tuples cutting the grid into blocks of at most _CHUNK points.
+
+    The trailing axes that fit in a block are taken whole, the next axis
+    is cut into runs and the leading axes before it go one index at a
+    time, so a block's value array stays about cache-sized whatever the
+    dimension.
+    """
+    k = 0
+    while math.prod(res[k + 1:]) > _CHUNK:
+        k += 1
+    step = max(1, _CHUNK // math.prod(res[k + 1:]))
+    for head in itertools.product(*(range(r) for r in res[:k])):
+        for i0 in range(0, res[k], step):
+            yield (tuple(slice(i, i + 1) for i in head)
+                   + (slice(i0, i0 + step),))
+
+
 def _top_masks(fe, names, box, res, lam, Lam):
     """Boolean top-cell arrays for {f_eps <= Lam} and {f_eps <= -lam}.
 
     Centers where the function is undefined evaluate to nan and land in
-    neither mask.  Evaluation is chunked along the first axis so the
-    value array never gets out of hand in dimension four.
+    neither mask.  Evaluation runs block by block (``_blocks``) so the
+    temporaries of the tape stay in cache in dimension four.
     """
     tape = compile((fe,), names)
     axes = _axis_centers(box, res)
     total = np.empty(res, dtype=bool)
     sub = np.empty(res, dtype=bool)
-    step = max(1, _CHUNK // math.prod(res[1:]))
-    for i0 in range(0, res[0], step):
-        (vals,) = tape.grid([axes[0][i0:i0 + step]] + axes[1:])
-        np.less_equal(vals, Lam, out=total[i0:i0 + step])
-        np.less_equal(vals, -lam, out=sub[i0:i0 + step])
+    for block in _blocks(res):
+        (vals,) = tape.grid([a[i] for a, i in zip(axes, block)]
+                            + axes[len(block):])
+        np.less_equal(vals, Lam, out=total[block])
+        np.less_equal(vals, -lam, out=sub[block])
     return total, sub
 
 
-def _dilate(arr: np.ndarray, j: int) -> np.ndarray:
-    """Vertex coverage along axis j: cell i marks positions i and i+1."""
-    shape = arr.shape[:j] + (arr.shape[j] + 1,) + arr.shape[j + 1:]
-    out = np.zeros(shape, dtype=bool)
+def _pack(top: np.ndarray) -> np.ndarray:
+    """The mask as little-endian 64-bit words along its last axis.
+
+    Bit i of a row is cell i.  Each row keeps at least one spare bit at
+    its top, room for the one extra vertex that dilation along the last
+    axis adds.
+    """
+    words = top.shape[-1] // 64 + 1
+    out = np.zeros(top.shape[:-1] + (8 * words,), dtype=np.uint8)
+    out[..., :(top.shape[-1] + 7) // 8] = np.packbits(top, axis=-1,
+                                                      bitorder="little")
+    return out.view("<u8")
+
+
+def _dilate(words: np.ndarray, j: int) -> np.ndarray:
+    """Vertex coverage along axis j: cell i marks positions i and i+1.
+
+    Along a leading axis this is the shifted OR of whole words; along
+    the packed last axis it is ``w | w << 1`` with each word's top bit
+    carried into the next word.  The carry runs over the flattened
+    words, which is safe because the spare bit keeps every row's top bit
+    clear, so nothing crosses from one row into the next.
+    """
+    if j == words.ndim - 1:
+        flat = words.reshape(-1)
+        out = flat | (flat << 1)
+        out[1:] |= flat[:-1] >> 63
+        return out.reshape(words.shape)
+    shape = words.shape[:j] + (words.shape[j] + 1,) + words.shape[j + 1:]
+    out = np.zeros(shape, dtype=words.dtype)
     head = (slice(None),) * j
-    out[head + (slice(0, -1),)] = arr
-    out[head + (slice(1, None),)] |= arr
+    out[head + (slice(0, -1),)] = words
+    out[head + (slice(1, None),)] |= words
     return out
 
 
 def _span_patterns(top: np.ndarray):
     """Yield (spans, cells) for each of the 2^n spanning patterns.
 
-    ``cells`` marks the closure's cells that span exactly the axes j with
-    ``spans[j]``: the top mask dilated along every other axis.  The
-    patterns are walked as a binary tree that decides one axis per level
-    and shares each dilation with the whole subtree below it, so there
-    are 2^n - 1 dilations in place of n 2^(n-1).
+    ``cells`` marks, in packed words (``_pack``), the closure's cells
+    that span exactly the axes j with ``spans[j]``: the top mask dilated
+    along every other axis.  The patterns are walked as a binary tree
+    that decides one axis per level and shares each dilation with the
+    whole subtree below it, so there are 2^n - 1 dilations in place of
+    n 2^(n-1).
     """
     def walk(arr, spans):
         j = len(spans)
@@ -133,14 +187,14 @@ def _span_patterns(top: np.ndarray):
         yield from walk(_dilate(arr, j), spans + (False,))
         yield from walk(arr, spans + (True,))
 
-    return walk(top, ())
+    return walk(_pack(top), ())
 
 
 def _closed_counts(top: np.ndarray) -> list:
     """Cell counts per degree of the closure of the given top cells."""
     counts = [0] * (top.ndim + 1)
     for spans, cells in _span_patterns(top):
-        counts[sum(spans)] += int(np.count_nonzero(cells))
+        counts[sum(spans)] += int(np.bitwise_count(cells).sum())
     return counts
 
 
@@ -153,7 +207,10 @@ def _khalimsky(top: np.ndarray) -> np.ndarray:
     """
     kh = np.zeros(tuple(2 * r + 1 for r in top.shape), dtype=bool)
     for spans, cells in _span_patterns(top):
-        kh[tuple(slice(int(s), None, 2) for s in spans)] = cells
+        row = top.shape[-1] + (not spans[-1])
+        kh[tuple(slice(int(s), None, 2) for s in spans)] = np.unpackbits(
+            cells.astype("<u8", copy=False).view(np.uint8), axis=-1,
+            count=row, bitorder="little")
     return kh
 
 
@@ -296,10 +353,6 @@ class CubicalPair:
     def dimension(self) -> int:
         return len(self.resolution)
 
-    @property
-    def relative_mask(self) -> np.ndarray:
-        return self.total_mask & ~self.sub_mask
-
     def cell_counts(self) -> Tuple[int, ...]:
         """Relative cell counts per degree of the closed pair."""
         full = _closed_counts(self.total_mask)
@@ -351,10 +404,17 @@ def build_pair(problem: ProblemSpec, eps: float,
     return CubicalPair(box, res, total, sub)
 
 
-def _touches_rim(mask: np.ndarray) -> bool:
-    for j in range(mask.ndim):
-        if mask.take(0, axis=j).any() or mask.take(-1, axis=j).any():
-            return True
+def _touches_rim(pair: CubicalPair) -> bool:
+    """Whether the relative region total & ~sub reaches a wall of the box.
+
+    Only the 2n faces of the grid are read, never the whole relative
+    mask.
+    """
+    for j in range(pair.dimension):
+        for end in (0, -1):
+            total = pair.total_mask.take(end, axis=j)
+            if (total & ~pair.sub_mask.take(end, axis=j)).any():
+                return True
     return False
 
 
@@ -411,7 +471,7 @@ def sublevel_pair_homology(problem: ProblemSpec, eps: float,
     for _ in range(_HOMOLOGY_DOUBLINGS + 1):
         pair = build_pair(problem, eps, lam, Lam, box=box, resolution=res)
         h = pair.homology()
-        if not _touches_rim(pair.relative_mask):
+        if not _touches_rim(pair):
             break
         if prev is not None and h.same_as(prev):
             break
@@ -455,7 +515,7 @@ def pair_euler_characteristic(problem: ProblemSpec, eps: float,
     for _ in range(_EULER_DOUBLINGS + 1):
         pair = build_pair(problem, eps, lam, Lam, box=box, resolution=res)
         chi = pair.euler
-        if not _touches_rim(pair.relative_mask):
+        if not _touches_rim(pair):
             return chi
         if prev is not None and chi == prev:
             return chi

@@ -31,7 +31,7 @@ from morsevanish.expr import eval_values, parse_expression
 from morsevanish.homology import HomologyResult, window_complex, homology
 from morsevanish.intlinalg import homology_of_complex, reduce_complex
 from morsevanish.oracle import (CubicalPair, _axis_centers, _closed_counts,
-                                _collapse, _dilate, _khalimsky, _grow_box,
+                                _collapse, _khalimsky, _grow_box,
                                 _hand_problem, _relative_data, _top_masks,
                                 build_pair, catalog_lookup, catalog_names,
                                 euler_check, pair_euler_characteristic,
@@ -60,6 +60,18 @@ def dense_boundaries(total, sub):
     return out
 
 
+def dilate_reference(arr, j):
+    """Vertex coverage along axis j on a bool array: cell i marks
+    positions i and i+1.  The packed dilation in the oracle must agree
+    with this bit for bit."""
+    shape = arr.shape[:j] + (arr.shape[j] + 1,) + arr.shape[j + 1:]
+    out = np.zeros(shape, dtype=bool)
+    head = (slice(None),) * j
+    out[head + (slice(0, -1),)] = arr
+    out[head + (slice(1, None),)] |= arr
+    return out
+
+
 def closed_counts_reference(top):
     """One dilated copy per spanning pattern, each dilated on its own."""
     n = top.ndim
@@ -68,7 +80,7 @@ def closed_counts_reference(top):
         arr = top
         for j in range(n):
             if not spans[j]:
-                arr = _dilate(arr, j)
+                arr = dilate_reference(arr, j)
         counts[sum(spans)] += int(arr.sum())
     return counts
 
@@ -83,19 +95,24 @@ def khalimsky_reference(top):
             if spans[j]:
                 idx.append(slice(1, None, 2))
             else:
-                arr = _dilate(arr, j)
+                arr = dilate_reference(arr, j)
                 idx.append(slice(0, None, 2))
         kh[tuple(idx)] = arr
     return kh
 
 
 class TestCellMachinery:
+    # last-axis lengths around the 64-bit word boundaries of the packed
+    # tree, in one to four dimensions
     @pytest.mark.parametrize("shape", [(7,), (5, 4), (4, 3, 5), (3, 4, 2, 3),
-                                       (1, 1, 1, 1)])
-    @pytest.mark.parametrize("seed", range(3))
+                                       (1, 1, 1, 1)] + [
+        head + (r,) for r in (63, 64, 65, 127, 128)
+        for head in ((), (2,), (2, 3), (2, 2, 2))])
+    # seeds 3 and 4 are the all-false and the all-true mask
+    @pytest.mark.parametrize("seed", range(5))
     def test_dilation_tree_matches_per_pattern_loop(self, shape, seed):
         rng = np.random.default_rng(seed)
-        top = rng.random(shape) < (0.2, 0.5, 0.8)[seed]
+        top = rng.random(shape) < (0.2, 0.5, 0.8, 0.0, 1.0)[seed]
         counts = _closed_counts(top)
         assert counts == closed_counts_reference(top)
         assert all(type(c) is int for c in counts)  # JSON-serialisable
@@ -114,6 +131,27 @@ class TestCellMachinery:
         vals = eval_values(fe, pts, names).reshape(res)
         # 30 // (3 * 4) = 2 rows per chunk, and 7 rows leave a short tail
         monkeypatch.setattr(oracle, "_CHUNK", 30)
+        total, sub = _top_masks(fe, names, box, res, 0.5, 1.0)
+        assert np.array_equal(total, vals <= 1.0)
+        assert np.array_equal(sub, vals <= -0.5)
+        assert sub.any() and (total & ~sub).any() and not total.all()
+
+    def test_4d_blocks_match_points(self, monkeypatch):
+        fe = parse_expression("x*w - y^2 + z*pow(1 + x^2, -1/2) + w^3")
+        names = ("x", "y", "z", "w")
+        box = ((-1.0, 1.0), (-1.5, 1.0), (-1.0, 1.0), (-0.5, 1.5))
+        res = (3, 5, 4, 6)
+        axes = _axis_centers(box, res)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        vals = eval_values(fe, pts, names).reshape(res)
+        # 50 < 5 * 4 * 6, so axis 0 goes one index at a time and axis 1
+        # in runs of 50 // (4 * 6) = 2, the last one a short tail
+        monkeypatch.setattr(oracle, "_CHUNK", 50)
+        blocks = list(oracle._blocks(res))
+        assert len(blocks) == 9
+        assert [b[1] for b in blocks[:3]] == [slice(0, 2), slice(2, 4),
+                                              slice(4, 6)]
         total, sub = _top_masks(fe, names, box, res, 0.5, 1.0)
         assert np.array_equal(total, vals <= 1.0)
         assert np.array_equal(sub, vals <= -0.5)
@@ -327,6 +365,13 @@ class TestEulerRoute:
         e = catalog_lookup("x_plus_x2y")
         chi = pair_euler_characteristic(e.problem(), e.eps, resolution=16)
         assert chi == 1 and type(chi) is int
+
+    def test_flagship_cell_counts_pinned(self):
+        # counted by the unpacked bool dilation tree the packed one replaced
+        e = catalog_lookup("x_plus_x2y")
+        pair = build_pair(e.problem(), 0.1, 1, 10, resolution=16)
+        assert pair.cell_counts() == (32609, 127712, 186768, 120884, 29220)
+        assert pair.euler == 1
 
     def test_planar_chi_matches_homology(self):
         e = catalog_lookup("z^4")
