@@ -72,6 +72,13 @@ def dilate_reference(arr, j):
     return out
 
 
+def point_values(fe, names, box, res):
+    """f at every cell center, evaluated as one stacked list of points."""
+    mesh = np.meshgrid(*_axis_centers(box, res), indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return eval_values(fe, pts, names).reshape(res)
+
+
 def closed_counts_reference(top):
     """One dilated copy per spanning pattern, each dilated on its own."""
     n = top.ndim
@@ -125,10 +132,7 @@ class TestCellMachinery:
         names = ("x", "y", "z")
         box = ((-2.0, 2.0), (-1.0, 1.5), (-1.0, 1.0))
         res = (7, 3, 4)
-        axes = _axis_centers(box, res)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        vals = eval_values(fe, pts, names).reshape(res)
+        vals = point_values(fe, names, box, res)
         # 30 // (3 * 4) = 2 rows per chunk, and 7 rows leave a short tail
         monkeypatch.setattr(oracle, "_CHUNK", 30)
         total, sub = _top_masks(fe, names, box, res, 0.5, 1.0)
@@ -141,10 +145,7 @@ class TestCellMachinery:
         names = ("x", "y", "z", "w")
         box = ((-1.0, 1.0), (-1.5, 1.0), (-1.0, 1.0), (-0.5, 1.5))
         res = (3, 5, 4, 6)
-        axes = _axis_centers(box, res)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        vals = eval_values(fe, pts, names).reshape(res)
+        vals = point_values(fe, names, box, res)
         # 50 < 5 * 4 * 6, so axis 0 goes one index at a time and axis 1
         # in runs of 50 // (4 * 6) = 2, the last one a short tail
         monkeypatch.setattr(oracle, "_CHUNK", 50)
