@@ -42,7 +42,7 @@ from . import __version__
 from .compactify import AlgebraicProblem, realify
 from .critical import (CriticalPoint, find_critical_points, sweep_epsilon,
                        sweep_theta)
-from .errors import (ConfigError, ConfigParse, CorruptCache,
+from .errors import (ConfigError, ConfigParse, CorruptCache, CountingRefused,
                      ExpressionParseError, MorsevanishError, UnknownEntry)
 from .expr import parse_expression
 from .flow import (BOUNDARY_BUDGET, R_LAUNCH, BoundaryCountResult,
@@ -738,17 +738,16 @@ def cmd_compare(args) -> int:
             f"[{b:g}, {Lam:g}), where the oracle's pair sees it and the "
             "window does not; lower --Lambda to it or widen the window")
 
-    n = len(ctx.problem.variables)
     oracle_payload, _ = _oracle_payload(ctx, eps)
     catalog_summary = entry.expected.summary() if entry else None
 
-    if n <= 3:
+    try:
         cx, _, hm = _checked_homology(ctx, eps)
         morse_summary = hm.summary()
         morse_points = cx.points()
-    else:
-        # no flowline counting in this dimension; the Euler count of the
-        # window points still cross-checks the oracle
+    except CountingRefused:
+        # a window point's index has no counting route; the Euler count
+        # of the window points still cross-checks the oracle
         morse_summary = None
         morse_points = _window_points(ctx, eps)
 
@@ -802,7 +801,6 @@ def cmd_continue(args) -> int:
         "problem": ctx.problem.name,
         "eps_from": e_from, "eps_to": e_to,
         "delta": res.delta, "halvings": res.halvings,
-        "confined": res.confined,
         "matrices": [list(m) for m in ind.chain.matrices],
         "induced": [list(m) for m in ind.matrices],
         "isomorphism": ind.isomorphism,

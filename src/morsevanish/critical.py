@@ -36,7 +36,8 @@ from .expr import (Const, Expression, Product, Sum, Tape, Var, as_fraction,
 from .metric import metric_at
 from .problem import ProblemSpec, WindowSpec, perturbed_function
 
-__all__ = ["CriticalPoint", "CriticalSet", "find_critical_points",
+__all__ = ["CriticalPoint", "CriticalSet", "canonical_key",
+           "find_critical_points",
            "morse_index", "certify_root", "morsify", "halton_points",
            "default_starts", "oriented_pencil_eigs", "sweep_epsilon",
            "sweep_theta", "SweepReport", "ValueChain", "ThetaSweepReport"]
@@ -326,6 +327,12 @@ def _collapse(X: np.ndarray, gnorm: np.ndarray, tol: float):
     return reps
 
 
+def canonical_key(p: CriticalPoint):
+    """The order of found points, and of a complex's generators in each
+    degree: by value, then by coordinates, both rounded."""
+    return (round(p.value, 12), tuple(np.round(p.location, 9)))
+
+
 def find_critical_points(problem: ProblemSpec, eps: float,
                          n_starts: Optional[int] = None, seed: int = 0,
                          extra_starts: Optional[np.ndarray] = None,
@@ -394,7 +401,7 @@ def find_critical_points(problem: ProblemSpec, eps: float,
             tau_value=tau_v,
             drifting=tau_v < DRIFT_TAU,
         ))
-    points.sort(key=lambda p: (round(p.value, 12), tuple(np.round(p.location, 9))))
+    points.sort(key=canonical_key)
     return CriticalSet(problem.name, eps, tuple(points), len(X0),
                        int(done.sum()), int(dead.sum()))
 

@@ -39,6 +39,10 @@ class ConfigParse(ConfigError):
         self.col = col
 
 
+class CountingRefused(ConfigError):
+    """A source's Morse index has no flowline counting route."""
+
+
 class ZeroPolynomial(MorsevanishError):
     """The zero polynomial has no well-defined pole order."""
 

@@ -16,36 +16,37 @@ on 2 (F_start(x_start) - F_end(x_end)).  The topological energy of a
 connecting trajectory is 2 (F_start(p) - F_end(q)) from the limiting
 critical values; |E_an - E_top| small is the energy identity check.
 
-Counting conventions (ambient dimension n <= 3): every critical point's
-eigenframe is oriented by making each column's first meaningful component
-positive, and its unstable directions come first; the unstable manifold of
-an index-k point is oriented by its first k frame columns.  A flowline from
-p (index k) to q (index k - 1) counts +1 when the orientation of W^u(p)
-along it agrees with its velocity followed by the orientation of W^u(q)
-carried along it, and -1 otherwise.  Trajectories that leave the window
-count zero.
+Counting conventions: every critical point's eigenframe is oriented by
+making each column's first meaningful component positive, and its unstable
+directions come first; the unstable manifold of an index-k point is
+oriented by its first k frame columns.  A flowline from p (index k) to q
+(index k - 1) counts +1 when the orientation of W^u(p) along it agrees
+with its velocity followed by the orientation of W^u(q) carried along it,
+and -1 otherwise.  Trajectories that leave the window count zero.  Only
+index-1 points are launched from, both branches of their one-dimensional
+unstable manifold at p +- r e_u:
 
-* Index 1: launches at p +- r e_u.  A minimum's W^u is a point, so a
-  flowline along +e_u carries +1 and one along -e_u carries -1.
-* Top degree, index n >= 2, by Morse duality: in the complex of -f_eps the
-  indices become n - k and the boundary is the transpose (Schwarz, *Morse
-  Homology*, 1993; Banyaga & Hurtubise, *Lectures on Morse Homology*,
-  2004).  The flowlines into an index-(n-1) point q are the two branches
-  of its one-dimensional stable manifold, tangent at q to its last frame
-  column e_s.  So each q launches at q + sigma r e_s (sigma = +-1) under
-  the flow of -f_eps, with the window mirrored to (-b, -a) so that its
-  exits swap, and the index-n points are the sinks that branch may reach.
-  W^u(p) is open in R^n and oriented by sgn det(frame_p).  Near q the
-  forward flowline arriving from side sigma moves along -sigma e_s, and
-  W^u(q) is oriented by frame_q[:, :n-1], so a branch from side sigma that
-  reaches p counts
+* Index 1: the launchers are the sources.  A minimum's W^u is a point, so
+  a flowline along +e_u carries +1 and one along -e_u carries -1.
+* Top degree, index n >= 2, is index 1 of the dual problem: in the complex
+  of -f_eps the indices become n - k and the boundary is the transpose
+  (Schwarz, *Morse Homology*, 1993; Banyaga & Hurtubise, *Lectures on
+  Morse Homology*, 2004).  The index-(n-1) targets q are the launchers,
+  as index-1 points of -f_eps whose unstable direction e_s is their last
+  frame column, with the window mirrored to (-b, -a) so that its exits
+  swap; the index-n sources are the sinks a branch may reach.  W^u(p) is
+  open in R^n and oriented by sgn det(frame_p).  Near q the forward
+  flowline arriving from side sigma moves along -sigma e_s, and W^u(q) is
+  oriented by frame_q[:, :n-1], so a branch from side sigma that reaches
+  p counts
       sgn det(frame_p) sgn det[-sigma e_s, frame_q[:, :n-1]]
           = sigma (-1)^n sgn det(frame_p) sgn det(frame_q),
   which in the plane is sigma sgn det(frame_p) sgn det(frame_q).  (For
   n = 1 the same formula gives the index-1 rule above.)
-* Index k with 2 <= k < n (index 2 in R^3) is refused: neither W^u(p) nor
-  W^s(q) is one-dimensional there, so no endpoint launch finds the
-  flowlines; the Euler characteristic route covers those problems.
+* Index k with 2 <= k < n is refused with CountingRefused, in any
+  dimension: neither W^u(p) nor W^s(q) is one-dimensional there, so no
+  index-1 launch finds the flowlines; the Euler characteristic route
+  covers those problems.
 
 Continuation counts index-preserving flowlines of a delta-slow path.  At
 a saddle the signed count is read off side flips of near passes along an
@@ -56,8 +57,8 @@ How the work is batched: the integrator is Dormand-Prince 5(4), whose last
 stage sits at the accepted point (first same as last, FSAL), so each row
 keeps its stage 1 from the previous step and an attempted step costs six
 field evaluations.  A counting job integrates in at most two batches:
-``count_boundaries`` stacks the endpoint launches of all its index-1
-sources in one forward batch and the dual launches of all its top-degree
+``count_boundaries`` stacks the launches of all its index-1 sources in one
+forward batch and those of the index-(n-1) targets of all its top-degree
 sources in one reversed batch; ``continuation_trajectories`` stacks the
 offset ladders of all its sources.  Every row's result is independent of
 what else shares its batch.
@@ -72,11 +73,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .critical import CriticalPoint
-from .errors import (BudgetExceeded, ConfigError, DeltaFloor, NotConverged,
-                     StepCollapse)
+from .errors import (BudgetExceeded, ConfigError, CountingRefused, DeltaFloor,
+                     NotConverged, StepCollapse)
 from .expr import Const, Quotient, compile
 from .metric import apply_inverse, metric_batch, metric_exprs
-from .problem import ProblemSpec
+from .problem import ProblemSpec, dual_problem
 
 __all__ = ["TrajectoryRecord", "integrate_flow",
            "energy", "count_boundary", "count_boundaries",
@@ -562,32 +563,19 @@ class BoundaryCountResult:
     warnings: Tuple[str, ...] = ()
 
 
-def _endpoints(p: CriticalPoint, column: int, r_launch: float) -> np.ndarray:
-    """The starts p + r_launch e and p - r_launch e, e = frame_p[:, column]."""
-    e = p.frame[:, column]
-    return np.stack([p.location + r_launch * e, p.location - r_launch * e])
-
-
-def _endpoint_count(source: CriticalPoint, targets: Sequence[CriticalPoint],
-                    tset: _TargetSet, field: _Field, starts: np.ndarray,
-                    rows: List[_RowResult]) -> BoundaryCountResult:
-    counts: Dict[int, int] = {j: 0 for j in range(len(targets))}
-    warnings: List[str] = []
-    recs = []
-    for sgn, x0, row in zip((1, -1), starts, rows):
-        rec = _make_record(row, field, x0, source.value, tset, sign=sgn)
-        recs.append(rec)
-        if row.status == ARRIVED and targets[row.target].index == 0:
-            counts[row.target] += sgn
-            if not rec.energy_ok:
-                warnings.append(
-                    f"energy identity violated on launch {sgn:+d}: "
-                    f"E_an={rec.E_an!r} E_top={rec.E_top!r}")
-        elif row.status in (BUDGET, COLLAPSE):
-            warnings.append(
-                f"launch {sgn:+d} ended with {rec.termination}")
-    return BoundaryCountResult(counts, tuple(recs), "endpoints",
-                               tuple(warnings))
+def _branches(field: _Field, launchers: Sequence[CriticalPoint],
+              tset: _TargetSet, r_launch: float, budget: int):
+    """Both branches of the one-dimensional unstable manifold of every
+    index-1 launcher, integrated in one batch.  Returns (launcher
+    position, side, start, row) in launcher order, side +1 first, from the
+    start p + side r_launch frame_p[:, 0]."""
+    launches = [(i, side, p.location + side * r_launch * p.frame[:, 0])
+                for i, p in enumerate(launchers) for side in (1, -1)]
+    if not launches:
+        return []
+    rows = _flow_batch(field, np.stack([x0 for _, _, x0 in launches]), tset,
+                       budget)
+    return [(i, side, x0, row) for (i, side, x0), row in zip(launches, rows)]
 
 
 def _as_sink(p: CriticalPoint, n: int) -> CriticalPoint:
@@ -601,56 +589,6 @@ def _sgn_det(p: CriticalPoint) -> int:
     return 1 if np.linalg.det(p.frame) > 0 else -1
 
 
-def _dual_counts(problem: ProblemSpec, eps: float,
-                 sources: Sequence[CriticalPoint],
-                 targets: Sequence[CriticalPoint], r_launch: float,
-                 budget: int) -> List[BoundaryCountResult]:
-    """Counts for top-degree sources: both branches of the stable manifold
-    of every index-(n-1) target, integrated in one batch under the flow of
-    -f_eps with the window mirrored, and signed as the module docstring
-    derives."""
-    n = problem.domain.dimension
-    w = problem.window
-    mirrored = replace(problem, f=-problem.f,
-                       window=replace(w, a=-w.b, b=-w.a))
-    # -f_eps = (-f) + (-eps) / tau
-    field = _Field(mirrored, -eps)
-    sinks = _TargetSet([_as_sink(p, n) for p in sources])
-    launch_from = [j for j, q in enumerate(targets) if q.index == n - 1]
-    starts = [_endpoints(targets[j], n - 1, r_launch) for j in launch_from]
-    rows = iter(_flow_batch(field, np.concatenate(starts), sinks, budget)
-                if starts else ())
-    counts = [{j: 0 for j in range(len(targets))} for _ in sources]
-    recs: List[List[TrajectoryRecord]] = [[] for _ in sources]
-    warnings: List[List[str]] = [[] for _ in sources]
-    for j, pair in zip(launch_from, starts):
-        q = targets[j]
-        for side, x0 in zip((1, -1), pair):
-            row = next(rows)
-            if row.status in (BUDGET, COLLAPSE):
-                for msgs in warnings:
-                    msgs.append(f"reversed launch {side:+d} from target {j} "
-                                f"ended with {_STATUS_NAMES[row.status]}")
-            if row.status != ARRIVED:
-                continue
-            s = row.target
-            sgn = side * (-1) ** n * _sgn_det(sources[s]) * _sgn_det(q)
-            counts[s][j] += sgn
-            # E_an and E_top come out as the forward flowline's energy;
-            # the value range is turned back into f_eps values too
-            rec = _make_record(row, field, x0, -q.value, sinks, sgn)
-            rec = replace(rec, target_id=j, f_max=-rec.f_min,
-                          f_min=-rec.f_max)
-            recs[s].append(rec)
-            if not rec.energy_ok:
-                warnings[s].append(
-                    f"energy identity violated on the reversed launch "
-                    f"{side:+d} from target {j}: E_an={rec.E_an!r} "
-                    f"E_top={rec.E_top!r}")
-    return [BoundaryCountResult(c, tuple(r), "dual", tuple(w))
-            for c, r, w in zip(counts, recs, warnings)]
-
-
 def count_boundaries(problem: ProblemSpec, eps: float,
                      sources: Sequence[CriticalPoint],
                      targets: Sequence[CriticalPoint], *,
@@ -661,43 +599,77 @@ def count_boundaries(problem: ProblemSpec, eps: float,
     index-(k-1) members of the shared ``targets``, autonomous field at the
     given eps; each result's counts are keyed by position in ``targets``.
 
-    k = 1 launches the two unstable endpoints; lower-index points in
+    k = 1 launches the two unstable branches; lower-index points in
     ``targets`` absorb (arrival there ends a row early, but only the
-    index-(k-1) entries are counted).  Top degree k = n >= 2 launches from
-    the index-(n-1) targets under the reversed flow.  Window exits count
-    zero.  All index-1 launches run in one batch and all top-degree
-    launches in another.  Sources of index 2 <= k < n raise ConfigError.
+    index-(k-1) entries are counted).  Top degree k = n >= 2 is index 1
+    of the dual problem: the index-(n-1) targets launch under the flow of
+    -f_eps.  Window exits count zero.  All index-1 launches run in one
+    batch and all top-degree launches in another.  Sources of index
+    2 <= k < n raise CountingRefused.
     """
     n = problem.domain.dimension
-    if n > 3:
-        raise ConfigError(
-            "trajectory counting is limited to ambient dimension <= 3")
     middle = [p.index for p in sources if 1 < p.index < n]
     if middle:
-        raise ConfigError(
+        raise CountingRefused(
             f"a source of index {middle[0]} is not counted, only index 1 "
             f"and the top index {n} are; use the Euler characteristic "
             "route for this problem")
-    out: List[Optional[BoundaryCountResult]] = [
-        BoundaryCountResult({j: 0 for j in range(len(targets))}, (), "none")
-        if p.index == 0 else None
-        for p in sources]
+    counts = [{j: 0 for j in range(len(targets))} for _ in sources]
+    recs: List[List[TrajectoryRecord]] = [[] for _ in sources]
+    warnings: List[List[str]] = [[] for _ in sources]
     ones = [s for s, p in enumerate(sources) if p.index == 1]
     if ones:
         field = _Field(problem, eps)
         tset = _TargetSet(targets)
-        starts = [_endpoints(sources[s], 0, r_launch) for s in ones]
-        rows = _flow_batch(field, np.concatenate(starts), tset, budget)
-        for i, s in enumerate(ones):
-            out[s] = _endpoint_count(sources[s], targets, tset, field,
-                                     starts[i], rows[2 * i:2 * i + 2])
+        for i, side, x0, row in _branches(field, [sources[s] for s in ones],
+                                          tset, r_launch, budget):
+            s = ones[i]
+            rec = _make_record(row, field, x0, sources[s].value, tset, side)
+            recs[s].append(rec)
+            if row.status == ARRIVED and targets[row.target].index == 0:
+                counts[s][row.target] += side
+                if not rec.energy_ok:
+                    warnings[s].append(
+                        f"energy identity violated on launch {side:+d}: "
+                        f"E_an={rec.E_an!r} E_top={rec.E_top!r}")
+            elif row.status in (BUDGET, COLLAPSE):
+                warnings[s].append(
+                    f"launch {side:+d} ended with {rec.termination}")
     tops = [s for s, p in enumerate(sources) if p.index > 1]
     if tops:
-        for s, res in zip(tops, _dual_counts(
-                problem, eps, [sources[s] for s in tops], targets,
-                r_launch, budget)):
-            out[s] = res
-    return out
+        # -f_eps = (-f) + (-eps) / tau; its sinks are the top sources
+        field = _Field(dual_problem(problem), -eps)
+        sinks = _TargetSet([_as_sink(sources[s], n) for s in tops])
+        launch_from = [j for j, q in enumerate(targets) if q.index == n - 1]
+        for i, side, x0, row in _branches(
+                field, [_as_sink(targets[j], n) for j in launch_from],
+                sinks, r_launch, budget):
+            j = launch_from[i]
+            q = targets[j]
+            if row.status in (BUDGET, COLLAPSE):
+                for s in tops:
+                    warnings[s].append(
+                        f"reversed launch {side:+d} from target {j} ended "
+                        f"with {_STATUS_NAMES[row.status]}")
+            if row.status != ARRIVED:
+                continue
+            s = tops[row.target]
+            sgn = side * (-1) ** n * _sgn_det(sources[s]) * _sgn_det(q)
+            counts[s][j] += sgn
+            # E_an and E_top come out as the forward flowline's energy;
+            # the value range is turned back into f_eps values too
+            rec = _make_record(row, field, x0, -q.value, sinks, sgn)
+            recs[s].append(replace(rec, target_id=j, f_max=-rec.f_min,
+                                   f_min=-rec.f_max))
+            if not rec.energy_ok:
+                warnings[s].append(
+                    f"energy identity violated on the reversed launch "
+                    f"{side:+d} from target {j}: E_an={rec.E_an!r} "
+                    f"E_top={rec.E_top!r}")
+    methods = {0: "none", 1: "endpoints"}
+    return [BoundaryCountResult(c, tuple(r), methods.get(p.index, "dual"),
+                                tuple(w))
+            for p, c, r, w in zip(sources, counts, recs, warnings)]
 
 
 def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
@@ -712,7 +684,6 @@ def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
 class ContinuationResult:
     counts: Dict[Tuple[int, int], int]   # (source pos, target pos) -> count
     delta: float
-    confined: bool
     halvings: int
     trajectories: Tuple[TrajectoryRecord, ...]
     # no continuation path warns at present; chain_map_from_counts reads it
@@ -746,17 +717,15 @@ def continuation_trajectories(problem: ProblemSpec, eps_from: float,
     that at delta_floor raises DeltaFloor.  Counts at saddles come from
     side flips across the launch ladder, so an identity path reports the
     identity matrix without needing exact center arrivals.  Sources must
-    have index 0 or 1: an index-2 source raises ConfigError, because no
-    signed count over a two-dimensional unstable manifold is implemented.
+    have index 0 or 1: a source of higher index raises CountingRefused,
+    because no signed count over a higher-dimensional unstable manifold is
+    implemented.
     """
-    if problem.domain.dimension > 3:
-        raise ConfigError(
-            "trajectory counting is limited to ambient dimension <= 3")
     if any(p.index > 1 for p in sources):
-        raise ConfigError("continuation counting handles sources of index "
-                          "0 and 1 only")
+        raise CountingRefused("continuation counting handles sources of "
+                              "index 0 and 1 only")
     if not sources:
-        return ContinuationResult({}, delta, True, 0, ())
+        return ContinuationResult({}, delta, 0, ())
 
     w = problem.window
     tset = _TargetSet(targets)
@@ -808,8 +777,7 @@ def continuation_trajectories(problem: ProblemSpec, eps_from: float,
                                      tset, sign=1))
 
         if not violated:
-            return ContinuationResult(counts, delta, True, halvings,
-                                      tuple(recs))
+            return ContinuationResult(counts, delta, halvings, tuple(recs))
         delta *= 0.5
         halvings += 1
         if delta < delta_floor:

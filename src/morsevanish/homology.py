@@ -23,14 +23,15 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from .critical import CriticalPoint, find_critical_points, sweep_epsilon
+from .critical import (CriticalPoint, canonical_key, find_critical_points,
+                       sweep_epsilon)
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
 from .flow import (BOUNDARY_BUDGET, BoundaryCountResult, ContinuationResult,
                    continuation_trajectories, count_boundaries)
 from .intlinalg import (ChainComplexData, Matrix, SNF, homology_of_complex,
                         kernel_basis, matmul, smith_normal_form)
-from .problem import ProblemSpec
+from .problem import ProblemSpec, dual_problem
 
 __all__ = [
     "MorseComplex", "HomologyResult", "ChainMap", "InducedMap", "D2Report",
@@ -40,18 +41,13 @@ __all__ = [
     "verify_d_squared", "homology",
     "cohomology", "chain_map", "chain_map_from_counts",
     "continuation_chain_map", "induced_map", "induced_maps_agree", "compose",
-    "identity_chain_map", "stabilized_homology", "dual_problem",
-    "duality_ranks", "euler_characteristic",
+    "identity_chain_map", "stabilized_homology", "duality_ranks",
+    "euler_characteristic",
 ]
 
 
 def _zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def _canonical_key(p: CriticalPoint):
-    # identical to the ordering find_critical_points itself applies
-    return (round(p.value, 12), tuple(np.round(p.location, 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +134,7 @@ def assemble_complex(points: Sequence[CriticalPoint],
     for i, p in enumerate(pts):
         order[p.index].append(i)
     for grp in order:
-        grp.sort(key=lambda i: _canonical_key(pts[i]))
+        grp.sort(key=lambda i: canonical_key(pts[i]))
     slot = {i: s for grp in order for s, i in enumerate(grp)}
 
     mats: List[Matrix] = []
@@ -713,16 +709,6 @@ def stabilized_homology(problem: ProblemSpec,
                               stable, tuple(notes))
 
 
-def dual_problem(problem: ProblemSpec) -> ProblemSpec:
-    """The same problem with f negated.
-
-    Critical points survive with index k turned into n - k.  Combined
-    with flipping the sign of eps on the original, this is the
-    reversed-sign homology at the level the rank comparison below can
-    see."""
-    return replace(problem, name=problem.name + "-neg", f=-problem.f)
-
-
 @dataclass(frozen=True)
 class DualityReport:
     dimension: int
@@ -732,8 +718,9 @@ class DualityReport:
 
 
 def duality_ranks(problem: ProblemSpec, eps: float) -> DualityReport:
-    """Compare rank HM_k of (f, -|eps|) against rank HM_{n-k} of
-    (-f, +|eps|); ``ok`` when they agree in every degree."""
+    """Compare rank HM_k of (f, -|eps|) on the window (a, b) against rank
+    HM_{n-k} of (-f, +|eps|) on the mirrored window (-b, -a); ``ok`` when
+    they agree in every degree."""
     n = problem.domain.dimension
     h_p = homology(window_complex(problem, -abs(eps)))
     h_d = homology(window_complex(dual_problem(problem), abs(eps)))

@@ -55,12 +55,11 @@ def matmul(A: Matrix, B: Matrix, cols: Optional[int] = None) -> Matrix:
 
 @dataclass
 class SNF:
-    """D = S A T with S, T unimodular; inverses tracked when requested."""
+    """D = S A T with S, T unimodular, and T's inverse Tinv."""
 
     D: Matrix
     S: Matrix
     T: Matrix
-    Sinv: Matrix
     Tinv: Matrix
     rank: int
 
@@ -83,12 +82,11 @@ def smith_normal_form(A: Sequence[Sequence[int]], transforms: bool = True) -> SN
     rows = len(D)
     cols = len(D[0]) if rows else 0
     S = identity(rows)
-    Sinv = identity(rows)
     T = identity(cols)
     Tinv = identity(cols)
 
     def row_op(i, j, c):
-        # row i += c * row j ; keep S A T = D and A = Sinv D Tinv
+        # row i += c * row j ; keep S A T = D
         Di, Dj = D[i], D[j]
         for t in range(cols):
             Di[t] += c * Dj[t]
@@ -96,8 +94,6 @@ def smith_normal_form(A: Sequence[Sequence[int]], transforms: bool = True) -> SN
             Si, Sj = S[i], S[j]
             for t in range(rows):
                 Si[t] += c * Sj[t]
-            for r in range(rows):
-                Sinv[r][j] -= c * Sinv[r][i]
 
     def col_op(i, j, c):
         # col i += c * col j
@@ -114,8 +110,6 @@ def smith_normal_form(A: Sequence[Sequence[int]], transforms: bool = True) -> SN
         D[i], D[j] = D[j], D[i]
         if transforms:
             S[i], S[j] = S[j], S[i]
-            for r in range(rows):
-                Sinv[r][i], Sinv[r][j] = Sinv[r][j], Sinv[r][i]
 
     def swap_cols(i, j):
         for r in range(rows):
@@ -129,8 +123,6 @@ def smith_normal_form(A: Sequence[Sequence[int]], transforms: bool = True) -> SN
         D[i] = [-x for x in D[i]]
         if transforms:
             S[i] = [-x for x in S[i]]
-            for r in range(rows):
-                Sinv[r][i] = -Sinv[r][i]
 
     k = 0
     limit = min(rows, cols)
@@ -215,7 +207,7 @@ def smith_normal_form(A: Sequence[Sequence[int]], transforms: bool = True) -> SN
                     negate_row(i)
                 if D[i + 1][i + 1] < 0:
                     negate_row(i + 1)
-    return SNF(D, S, T, Sinv, Tinv, rank)
+    return SNF(D, S, T, Tinv, rank)
 
 
 def kernel_basis(A: Sequence[Sequence[int]], ncols: int) -> Tuple[Matrix, List[int], SNF]:

@@ -21,8 +21,8 @@ from .expr import (Const, Expression, Quotient, Sum, as_fraction,
                    differentiate, evaluate, free_variables)
 from .metric import MetricSpec
 
-__all__ = ["DomainModel", "WindowSpec", "ProblemSpec", "perturbed_function",
-           "evaluate", "differentiate"]
+__all__ = ["DomainModel", "WindowSpec", "ProblemSpec", "dual_problem",
+           "perturbed_function", "evaluate", "differentiate"]
 
 _INF = float("inf")
 _BOX_MARGIN = 1e-3   # search box inset from a finite end (times the width
@@ -177,6 +177,18 @@ class ProblemSpec:
     def with_f(self, f: Expression, note: str = "") -> "ProblemSpec":
         notes = self.notes + ((note,) if note else ())
         return replace(self, f=f, notes=notes)
+
+
+def dual_problem(problem: ProblemSpec) -> ProblemSpec:
+    """The problem of -f, with the window mirrored to (-b, -a).
+
+    Critical points survive with index k turned into n - k and value v
+    into -v, so with eps negated too, -f_eps = (-f) + (-eps)/tau has the
+    same window points as f_eps, and its flowlines are theirs reversed.
+    """
+    w = problem.window
+    return replace(problem, name=problem.name + "-neg", f=-problem.f,
+                   window=replace(w, a=-w.b, b=-w.a))
 
 
 def perturbed_function(problem: ProblemSpec, eps: float) -> Expression:

@@ -25,7 +25,7 @@ from morsevanish import cli
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import (find_critical_points, sweep_epsilon,
                                   sweep_theta)
-from morsevanish.errors import ConfigError, MorsevanishError
+from morsevanish.errors import CountingRefused, MorsevanishError
 from morsevanish.expr import eval_jet2, eval_values, parse_expression
 from morsevanish.flow import (continuation_trajectories, count_boundary,
                               energy, integrate_flow)
@@ -216,14 +216,15 @@ def test_criterion_05_flagship_euler_route():
 
     # The window holds a single index-2 point, so the boundary operator
     # is empty and the complex needs no trajectory counting at all; its
-    # homology comes out as rank one in degree two.  Counting itself
-    # stays refused in ambient dimension four, which is why richer
-    # four-dimensional windows are out of reach.
+    # homology comes out as rank one in degree two.  Counting an index-2
+    # source is refused in R^4, as a middle index (neither 1 nor the top
+    # degree 4), which is why windows with index-2 points next to index-1
+    # points are out of reach.
     cx = window_complex(spec, entry.eps, seed=0)
     hm = homology(cx)
     assert hm.same_as(entry.expected)
     assert hm.betti(2) == 1
-    with pytest.raises(ConfigError):
+    with pytest.raises(CountingRefused):
         count_boundary(spec, entry.eps, cx.points()[0], [])
     print(f"criterion 5: bounded value cluster over the sweep; "
           f"sum (-1)^index = {chi_morse} = oracle chi at 64^4 "
@@ -263,7 +264,6 @@ def test_criterion_06_continuation_isomorphisms():
         for lo in grid[i + 1:]:
             res = continuation_trajectories(spec, hi, lo, cxs[hi].points(),
                                             cxs[lo].points())
-            assert res.confined, (hi, lo)
             ind = continuation_chain_map(cxs[hi], cxs[lo], res)
             assert_commutes(ind.chain)
             assert ind.isomorphism, (hi, lo, ind.failures)
@@ -301,7 +301,6 @@ def test_criterion_07_window_confinement():
         res = continuation_trajectories(spec, hi, lo, cx_hi.points(),
                                         cx_lo.points())
         w = spec.window
-        assert res.confined, name
         assert res.halvings >= 0
         for rec in res.trajectories:
             assert rec.f_max <= w.b + w.sigma + 1e-9, name

@@ -507,6 +507,21 @@ class TestCommands:
         assert art["oracle_method"] == "cell-count"
         assert art["euler"] == {"morse": 1, "oracle": 1, "ok": True}
         assert art["verdict"] == "pass"
+        # the window's one index-2 point needs no counting: H_2 = Z
+        assert [(r["degree"], r["morse"]) for r in art["rows"]] == \
+            [(0, "0"), (1, "0"), (2, "Z")]
+
+    def test_compare_falls_back_to_euler_when_counting_is_refused(
+            self, tmp_path):
+        # index 2 in R^3 has no counting route, so the Morse column stays
+        # empty and the Euler count of the window points is the check
+        path = write_cfg(tmp_path, SQUARE3)
+        assert run(tmp_path, "compare", "--config", path, "--res", "16") == 0
+        art = read_artifact(tmp_path, SQUARE3, "compare")
+        assert art["oracle_method"] == "cubical"
+        assert art["rows"] and all(r["morse"] is None for r in art["rows"])
+        assert art["euler"]["ok"] is True
+        assert art["verdict"] == "pass"
 
     def test_flow_artifacts(self, tmp_path):
         path = write_cfg(tmp_path, DW)
@@ -557,7 +572,6 @@ class TestCommands:
                    "--eps-from", "0.1", "--eps-to", "0.05") == 0
         art = read_artifact(tmp_path, DW, "continue")
         assert art["isomorphism"] is True
-        assert art["confined"] is True
         assert art["failures"] == []
         assert art["source_homology"] == art["target_homology"]
 

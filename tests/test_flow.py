@@ -17,6 +17,8 @@ Reference data used below:
 * twin peaks x^2 - x^4 - y^2 - z^2 in R^3: two maxima (+-m, 0, 0) and an
   index-2 point at the origin, each maximum sending one flowline into it,
   so H_3 = Z and nothing else.
+* the same two landscapes in R^4, x1^4 - x1^2 + x2^2 + x3^2 + x4^2 and
+  its negation: a double well with H_0 = Z, and twin peaks with H_4 = Z.
 """
 
 import dataclasses
@@ -28,8 +30,9 @@ import pytest
 import morsevanish.flow as flow_module
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import CriticalPoint, find_critical_points
-from morsevanish.errors import (BudgetExceeded, ConfigError, DeltaFloor,
-                                MissingCount, NotConverged, StepCollapse)
+from morsevanish.errors import (BudgetExceeded, ConfigError, CountingRefused,
+                                DeltaFloor, MissingCount, NotConverged,
+                                StepCollapse)
 from morsevanish.expr import parse_expression
 from morsevanish.flow import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
                               EXIT_BELOW, NEVER, RTOL, RUNNING, S_TAIL,
@@ -38,10 +41,12 @@ from morsevanish.flow import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
                               _TargetSet, continuation_trajectories,
                               count_boundaries, count_boundary, energy,
                               gamma_profile, gamma_slope, integrate_flow)
-from morsevanish.homology import (HomologyResult, homology, verify_d_squared,
-                                  window_complex)
+from morsevanish.homology import (HomologyResult, continuation_chain_map,
+                                  duality_ranks, euler_characteristic,
+                                  homology, verify_d_squared, window_complex)
 from morsevanish.metric import MetricSpec
-from morsevanish.oracle import sublevel_pair_homology
+from morsevanish.oracle import (pair_euler_characteristic,
+                                sublevel_pair_homology)
 from morsevanish.problem import DomainModel, ProblemSpec, WindowSpec
 
 
@@ -273,7 +278,7 @@ class TestCountBoundary:
         pts = find_critical_points(SQ3, 0.0).inside_window()
         (source,) = [p for p in pts if p.index == 2]
         targets = [p for p in pts if p.index < 2]
-        with pytest.raises(ConfigError, match="Euler characteristic"):
+        with pytest.raises(CountingRefused, match="Euler characteristic"):
             count_boundary(SQ3, 0.0, source, targets)
 
     def test_top_index_in_r3_is_counted(self):
@@ -285,14 +290,18 @@ class TestCountBoundary:
         assert (res.counts, res.trajectories, res.method, res.warnings) == \
             ({}, (), "dual", ())
 
-    def test_high_dimension_unsupported(self):
+    def test_middle_index_in_r4_is_refused(self):
+        # the refusal goes by index alone: index 2 in R^4 is neither
+        # index 1 nor the top degree, whatever else the problem holds
         quad4 = make_problem("bowl4", ("x1", "x2", "x3", "x4"),
                              "x1^2 + x2^2 + x3^2 + x4^2",
                              "pow(1 + x1^2 + x2^2 + x3^2 + x4^2, -1)")
-        fake = CriticalPoint(np.zeros(4), 0.0, 1, np.ones(4), np.eye(4),
+        fake = CriticalPoint(np.zeros(4), 0.0, 2, np.ones(4), np.eye(4),
                              0.0, 1e-8, False, "inside", 1.0, False)
-        with pytest.raises(ConfigError):
+        with pytest.raises(CountingRefused, match="index 2"):
             count_boundary(quad4, 0.0, fake, [])
+        with pytest.raises(CountingRefused, match="index 0 and 1"):
+            continuation_trajectories(quad4, 0.0, 0.0, [fake], [])
 
 
 class TestContinuation:
@@ -301,7 +310,7 @@ class TestContinuation:
                            "pow(1 + x^2 + y^2, -1/2)")
         pts = find_critical_points(hat, 0.05).inside_window()
         (peak,) = [p for p in pts if p.index == 2]
-        with pytest.raises(ConfigError, match="index 0 and 1"):
+        with pytest.raises(CountingRefused, match="index 0 and 1"):
             continuation_trajectories(hat, 0.05, 0.025, [peak], pts)
 
     def test_z2_constant_family_is_identity(self):
@@ -309,7 +318,7 @@ class TestContinuation:
         targets = find_critical_points(Z2, 0.1).inside_window()
         res = continuation_trajectories(Z2, 0.4, 0.1, sources, targets)
         assert res.counts == {(0, 0): 1}
-        assert res.confined and res.halvings == 0
+        assert res.halvings == 0
         assert res.delta == pytest.approx(0.5)
 
     def test_double_well_matches_points_bijectively(self):
@@ -344,7 +353,7 @@ class TestContinuation:
         for delta in (0.5, 0.25):
             res = continuation_trajectories(DW, 0.05, 0.01, sources,
                                             targets, delta)
-            assert res.confined and res.halvings == 0
+            assert res.halvings == 0
 
     def test_window_escape_raises_delta_floor(self):
         sources = find_critical_points(Z2, 0.4).inside_window()
@@ -752,3 +761,57 @@ class TestTopDegree:
         assert all("energy identity violated" in w for w in res.warnings)
         with pytest.raises(MissingCount, match="energy identity"):
             window_complex(SADDLE2, 0.05, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# R^4: index 1 and the top degree by the same launches as in the plane
+
+
+R4 = ("x1", "x2", "x3", "x4")
+R4_TAU = "pow(1 + x1^2 + x2^2 + x3^2 + x4^2, -1/2)"
+DW4 = make_problem("double-well4", R4, "x1^4 - x1^2 + x2^2 + x3^2 + x4^2",
+                   R4_TAU)
+TWIN4 = make_problem("twin-peaks4", R4, "x1^2 - x1^4 - x2^2 - x3^2 - x4^2",
+                     R4_TAU)
+
+
+def oracle_chi_16(spec, eps):
+    w = spec.window
+    return pair_euler_characteristic(spec, eps, w.lam, w.Lam, resolution=16)
+
+
+class TestFourDimensions:
+    def test_double_well(self):
+        cx = window_complex(DW4, 0.05, seed=0)
+        assert [cx.rank(k) for k in range(cx.top + 1)] == [2, 1]
+        # +e_u points along +x1, so the right minimum receives +1
+        assert cx.boundary(1) == [[-1], [1]]
+        assert homology(cx).same_as(HomologyResult({0: (1, ())}))
+        assert euler_characteristic(cx.points()) == \
+            oracle_chi_16(DW4, 0.05) == 1
+        # the dual side is the twin peaks, counted from their index-3 point
+        assert duality_ranks(DW4, 0.05).ok
+        cx_hi = window_complex(DW4, 0.1, seed=0)
+        res = continuation_trajectories(DW4, 0.1, 0.05, cx_hi.points(),
+                                        cx.points())
+        assert continuation_chain_map(cx_hi, cx, res).isomorphism
+
+    def test_twin_peaks(self):
+        cx = window_complex(TWIN4, 0.05, seed=0)
+        assert [cx.rank(k) for k in range(cx.top + 1)] == [0, 0, 0, 1, 2]
+        # the maxima share their eigenvalue on x2..x4, so their frames'
+        # orientations are the solver's choice; each entry is the module
+        # docstring's sigma sgn det(frame_p) sgn det(frame_q), n = 4, with
+        # sigma the side of q's stable direction on which p lies
+        (q,) = cx.generators[3]
+        e_s = q.frame[:, 3]
+        want = [int(np.sign(e_s @ (p.location - q.location))
+                    * np.sign(np.linalg.det(p.frame))
+                    * np.sign(np.linalg.det(q.frame)))
+                for p in cx.generators[4]]
+        assert cx.boundary(4) == [want]
+        assert sorted(map(abs, want)) == [1, 1]
+        assert verify_d_squared(cx)
+        assert homology(cx).same_as(HomologyResult({4: (1, ())}))
+        assert euler_characteristic(cx.points()) == \
+            oracle_chi_16(TWIN4, 0.05) == 1

@@ -14,6 +14,7 @@ Reference data used below (hand-checked before freezing):
   swap degrees through the ambient dimension when eps flips sign.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -358,3 +359,16 @@ class TestStabilizedAndDuality:
         rep = duality_ranks(BOWL, 0.05)
         assert rep.ok
         assert rep.primal.betti(0) == 1 and rep.dual.betti(1) == 1
+
+    def test_duality_mirrors_an_asymmetric_window(self):
+        # on (-0.2, 1) the minima of f_{-0.05} (about -0.31) fall below
+        # the window and leave the saddle (about -0.05) alone: H_1 = Z.
+        # The dual window is (-1, 0.2): it keeps the minimum of -f at
+        # about 0.05 and drops the two maxima at about 0.31, so H_0 = Z;
+        # the unmirrored window would keep all three.
+        spec = dataclasses.replace(DW, window=WindowSpec(-0.2, 1.0, 1.0,
+                                                         10.0, 0.05))
+        rep = duality_ranks(spec, 0.05)
+        assert rep.primal.groups == {0: (0, ()), 1: (1, ())}
+        assert rep.dual.groups == {0: (1, ())}
+        assert rep.ok

