@@ -7,4 +7,4 @@ parameter paths, and cross-checks everything against an independent
 cubical model of the corresponding relative homology.
 """
 
-__version__ = "0.2.3"
+__version__ = "0.2.4"

@@ -72,18 +72,48 @@ def halton_points(m: int, n: int, skip: int = 20) -> np.ndarray:
     return out
 
 
+def _axis_basis(B: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The G-orthonormal basis of span(B) that the coordinate axes give.
+
+    B's columns are G-orthonormal.  Each axis in turn is G-projected onto
+    their span (B B^T G e_i), which does not depend on which basis B is,
+    and G-orthogonalized against the vectors already taken; one whose
+    remainder is below DEGENERACY_RTOL of its own G-length is skipped.
+    An eigenspace spanned by axes gets the (G-normalized) identity.
+    """
+    out: List[np.ndarray] = []
+    for i in range(len(G)):
+        v = B @ (B.T @ G[:, i])
+        for q in out:
+            v = v - q * (q @ G @ v)
+        norm = math.sqrt(max(float(v @ G @ v), 0.0))
+        if norm > DEGENERACY_RTOL * math.sqrt(G[i, i]):
+            out.append(v / norm)
+            if len(out) == B.shape[1]:
+                break
+    return np.stack(out, axis=1)
+
+
 def oriented_pencil_eigs(H: np.ndarray, G: np.ndarray):
     """Eigenpairs of H v = w G v with a G-orthonormal, oriented basis.
 
     Columns of the returned V are ordered by ascending eigenvalue and
     flipped so the first component above noise level is positive; this
     pins down the orientation conventions used when counting flow lines.
+    Inside a repeated eigenvalue (neighbours closer than DEGENERACY_RTOL
+    of the largest magnitude) the solver's basis is arbitrary, so
+    ``_axis_basis`` replaces it.
     """
     L = np.linalg.cholesky(G)
     Linv = np.linalg.inv(L)
     A = Linv @ H @ Linv.T
     w, Y = np.linalg.eigh(0.5 * (A + A.T))
     V = Linv.T @ Y
+    scale = max(1.0, float(np.max(np.abs(w))))
+    cuts = np.flatnonzero(np.diff(w) >= DEGENERACY_RTOL * scale) + 1
+    for block in np.split(np.arange(len(w)), cuts):
+        if len(block) > 1:
+            V[:, block] = _axis_basis(V[:, block], G)
     for k in range(V.shape[1]):
         col = V[:, k]
         nz = np.flatnonzero(np.abs(col) > 1e-9 * np.linalg.norm(col))

@@ -1,18 +1,10 @@
 """Exact integer linear algebra for chain complexes.
 
-Everything here runs on arbitrary-precision Python ints.  Two layers:
-
-* dense Smith normal form with optional unimodular transforms, for the
-  small matrices of Morse complexes and for the tail ends of reduced
-  cubical complexes;
-* a sparse unit-pivot reduction that cancels invertible incidences across
-  a whole chain complex before any dense work happens.  Cancelling a pair
-  (tau, sigma) with <d tau, sigma> = +-1 is the usual Gaussian elimination
-  move on complexes: it drops both cells, replaces the degree-k block D by
-  D - gamma * u^-1 * beta, and leaves homology unchanged.  It is a loop
-  over Python dicts, so large cubical complexes are first shrunk by the
-  array collapse in ``oracle``, which removes the same kind of pair
-  wholesale; this reduction only finishes the remainder.
+Everything here runs on arbitrary-precision Python ints: a dense Smith
+normal form with optional unimodular transforms, for the small matrices
+of Morse complexes and for the cells of a cubical complex that survive
+the array collapse in ``oracle``, and ``reduce_complex``, which writes
+such survivors, given as sparse boundary columns, as dense matrices.
 """
 
 from __future__ import annotations
@@ -37,10 +29,11 @@ def matmul(A: Matrix, B: Matrix, cols: Optional[int] = None) -> Matrix:
     rows (a rank-zero middle degree) cannot carry."""
     n, k = len(A), len(B)
     m = (len(B[0]) if B else 0) if cols is None else cols
+    if n and len(A[0]) != k:
+        raise ValueError(f"shape mismatch: {n}x{len(A[0])} times {k}x{m}")
     out = [[0] * m for _ in range(n)]
     if not (n and k and m):
         return out
-    assert len(A[0]) == k, "shape mismatch"
     for i in range(n):
         Ai = A[i]
         for j in range(m):
@@ -76,7 +69,7 @@ def smith_normal_form(A: Sequence[Sequence[int]], transforms: bool = True) -> SN
 
     Pivots on a smallest-magnitude entry, clears its row and column, and
     repairs the divisibility chain at the end.  Fine for the matrix sizes
-    produced after sparse reduction.
+    of Morse complexes and of collapsed cubical complexes.
     """
     D = [list(map(int, row)) for row in A]
     rows = len(D)
@@ -277,156 +270,31 @@ def homology_of_complex(data: ChainComplexData) -> Dict[int, Tuple[int, List[int
     return out
 
 
-# ---------------------------------------------------------------------------
-# sparse unit-pivot reduction
-
-
-class _SparseBoundary:
-    """One boundary matrix as dict-of-dicts in both orientations."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self):
-        self.rows: Dict[int, Dict[int, int]] = {}
-        self.cols: Dict[int, Dict[int, int]] = {}
-
-    def set(self, row: int, col: int, val: int):
-        if val:
-            self.rows.setdefault(row, {})[col] = val
-            self.cols.setdefault(col, {})[row] = val
-
-    def add(self, row: int, col: int, val: int):
-        if not val:
-            return
-        r = self.rows.setdefault(row, {})
-        new = r.get(col, 0) + val
-        if new:
-            r[col] = new
-            self.cols.setdefault(col, {})[row] = new
-        else:
-            del r[col]
-            if not r:
-                del self.rows[row]
-            c = self.cols[col]
-            del c[row]
-            if not c:
-                del self.cols[col]
-
-    def drop_row(self, row: int):
-        for col in list(self.rows.get(row, ())):
-            c = self.cols[col]
-            del c[row]
-            if not c:
-                del self.cols[col]
-        self.rows.pop(row, None)
-
-    def drop_col(self, col: int):
-        for row in list(self.cols.get(col, ())):
-            r = self.rows[row]
-            del r[col]
-            if not r:
-                del self.rows[row]
-        self.cols.pop(col, None)
-
-
 def reduce_complex(dims: Dict[int, int],
                    sparse_boundaries: Dict[int, Dict[int, Dict[int, int]]]
                    ) -> ChainComplexData:
-    """Cancel all unit incidences, then return the small dense remainder.
+    """Dense form of a complex given by sparse boundary columns.
 
     ``sparse_boundaries[k]`` maps column id (a k-cell) to {row id: coeff}
     over (k-1)-cells.  Cell ids only need to be unique within their degree.
-    Homology of the returned complex equals homology of the input.
+    The cells of degree k are the columns of d_k and the rows of d_{k+1}
+    in sorted id order, then as many isolated cells as ``dims[k]`` still
+    asks for.
     """
-    degrees = sorted(dims)
-    mats: Dict[int, _SparseBoundary] = {}
-    # populate cell sets from dims via the boundary dicts plus isolated cells
-    cells: Dict[int, set] = {k: set() for k in degrees}
-    for k in degrees:
-        sb = _SparseBoundary()
-        for col, entries in sparse_boundaries.get(k, {}).items():
-            for row, coeff in entries.items():
-                sb.set(row, col, coeff)
-        mats[k] = sb
-    for k in degrees:
-        cells[k].update(sparse_boundaries.get(k, {}).keys())
-        if k + 1 in sparse_boundaries:
-            for entries in sparse_boundaries[k + 1].values():
-                cells[k].update(entries.keys())
-    # isolated cells without any incidences are still cells; callers encode
-    # them by listing the degree in dims with the right count. We recover
-    # the count difference as extra anonymous cells.
-    extra: Dict[int, int] = {}
-    for k in degrees:
-        extra[k] = dims[k] - len(cells[k])
-        if extra[k] < 0:
-            raise ValueError(f"degree {k}: more incident cells than dims says")
-
-    def cancel(k: int, row: int, col: int):
-        """Cancel the unit entry (row, col) of d_k."""
-        sb = mats[k]
-        u = sb.rows[row][col]
-        # other columns hitting this row
-        other_cols = [(c, v) for c, v in list(sb.rows[row].items()) if c != col]
-        pivot_col = dict(sb.cols[col])
-        del pivot_col[row]
-        sb.drop_col(col)
-        sb.drop_row(row)
-        for c, v in other_cols:
-            # column c -= (v/u) * pivot column
-            q = v * u  # u in {1,-1} so v/u == v*u
-            for r, w in pivot_col.items():
-                sb.add(r, c, -q * w)
-            # the (row, c) entry is gone with drop_row already
-        # drop the cancelled k-cell from d_{k+1} rows
-        up = mats.get(k + 1)
-        if up is not None:
-            up.drop_row(col)
-        # drop the cancelled (k-1)-cell from d_{k-1} columns
-        down = mats.get(k - 1)
-        if down is not None:
-            down.drop_col(row)
-        cells[k].discard(col)
-        cells[k - 1].discard(row)
-
-    # repeatedly sweep for unit entries; a queue per degree
-    progress = True
-    while progress:
-        progress = False
-        for k in degrees:
-            sb = mats[k]
-            # snapshot candidates; entries mutate under cancellation
-            stack = [(r, c) for r, rowdict in sb.rows.items()
-                     for c, v in rowdict.items() if v == 1 or v == -1]
-            while stack:
-                row, col = stack.pop()
-                rowdict = sb.rows.get(row)
-                if not rowdict or col not in rowdict:
-                    continue
-                if abs(rowdict[col]) != 1:
-                    continue
-                cancel(k, row, col)
-                progress = True
-                # harvest new unit entries touched by the update lazily:
-                # the outer while loop will sweep again
-    # assemble dense remainder
-    new_dims: Dict[int, int] = {}
     index_of: Dict[int, Dict[int, int]] = {}
-    for k in degrees:
-        ordered = sorted(cells[k])
-        index_of[k] = {cid: i for i, cid in enumerate(ordered)}
-        new_dims[k] = len(ordered) + extra[k]
+    for k in dims:
+        ids = set(sparse_boundaries.get(k, ()))
+        for entries in sparse_boundaries.get(k + 1, {}).values():
+            ids.update(entries)
+        if len(ids) > dims[k]:
+            raise ValueError(f"degree {k}: more incident cells than dims says")
+        index_of[k] = {cid: i for i, cid in enumerate(sorted(ids))}
     boundaries: Dict[int, Matrix] = {}
-    for k in degrees:
-        if k - 1 not in new_dims:
-            continue
-        rows = new_dims[k - 1]
-        cols = new_dims[k]
-        M = [[0] * cols for _ in range(rows)]
-        sb = mats[k]
-        for col, entries in sb.cols.items():
-            j = index_of[k][col]
-            for row, coeff in entries.items():
-                M[index_of[k - 1][row]][j] = coeff
-        boundaries[k] = M
-    return ChainComplexData(new_dims, boundaries)
+    for k in dims:
+        if k - 1 in dims:
+            M = [[0] * dims[k] for _ in range(dims[k - 1])]
+            for col, entries in sparse_boundaries.get(k, {}).items():
+                for row, coeff in entries.items():
+                    M[index_of[k - 1][row]][index_of[k][col]] = coeff
+            boundaries[k] = M
+    return ChainComplexData(dict(dims), boundaries)

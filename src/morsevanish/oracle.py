@@ -24,10 +24,10 @@ exists: whole-array passes of free-face collapse and coreduction
 FoCM 14, 2014) remove pairs of cells whose incidence is a unit pivot
 with nothing else in its row or column.  Such a pair changes no
 boundary among the cells that stay, so the few survivors are read off
-into sparse boundaries and finished by the unit-pivot reduction and the
-dense Smith normal form of ``intlinalg``.  Every degree the relative
-complex had is still reported, with a zero group where the collapse
-emptied it.
+into sparse boundaries and go straight to the dense Smith normal form
+of ``intlinalg``; on every catalog entry up to 3-D they are exactly
+the Betti numbers.  Every degree the relative complex had is still
+reported, with a zero group where the collapse emptied it.
 
 Truncating at a box is exact (excision) whenever the relative region
 keeps one clear cell of margin from every wall.  Problems whose

@@ -169,6 +169,51 @@ class TestMorseIndex:
             morse_index(prob, 0.0, [0.0])
 
 
+def _rotate_repeated_block(monkeypatch, lo, hi):
+    """Make np.linalg.eigh return a rotated basis for eigenvalues lo:hi."""
+    real_eigh = np.linalg.eigh
+    Q = np.linalg.qr(np.random.default_rng(5).normal(size=(hi - lo,) * 2))[0]
+
+    def rotated(A):
+        w, Y = real_eigh(A)
+        Y = Y.copy()
+        Y[:, lo:hi] = Y[:, lo:hi] @ Q
+        return w, Y
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+
+
+class TestEigenframe:
+    def test_axis_eigenspace_gives_scaled_axes(self, monkeypatch):
+        # pencil eigenvalues -4, -2, -2, -2; the -2 block is spanned by
+        # x2..x4, so the frame is the G-normalized identity whatever basis
+        # the solver returns inside that block
+        G = np.diag([1.0, 2.0, 0.5, 1.0])
+        H = G @ np.diag([-4.0, -2.0, -2.0, -2.0])
+        _rotate_repeated_block(monkeypatch, 1, 4)
+        w, V = critical.oriented_pencil_eigs(H, G)
+        assert w == pytest.approx([-4.0, -2.0, -2.0, -2.0])
+        assert np.allclose(V, np.diag(1.0 / np.sqrt(np.diag(G))),
+                           atol=1e-12)
+
+    def test_rotated_eigenspace_frame_ignores_the_solver_basis(
+            self, monkeypatch):
+        # a G-orthonormal eigenbasis in general position, so no axis lies
+        # in the repeated eigenspace of 1
+        rng = np.random.default_rng(9)
+        M = rng.normal(size=(4, 4))
+        G = M @ M.T + 4.0 * np.eye(4)
+        R = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        E = np.linalg.inv(np.linalg.cholesky(G)).T @ R
+        H = G @ E @ np.diag([-3.0, 1.0, 1.0, 5.0]) @ E.T @ G
+        w, V = critical.oriented_pencil_eigs(H, G)
+        _rotate_repeated_block(monkeypatch, 1, 3)
+        w_rot, V_rot = critical.oriented_pencil_eigs(H, G)
+        assert np.array_equal(w, w_rot)
+        assert np.allclose(V_rot, V, atol=1e-9)
+        assert np.allclose(V.T @ G @ V, np.eye(4), atol=1e-9)
+        assert np.allclose(H @ V, G @ V @ np.diag(w), atol=1e-9)
+
+
 class TestSolverEdges:
     def test_no_critical_points_raises(self):
         prob = ProblemSpec("slope", ("x",), DomainModel.full_space(1),

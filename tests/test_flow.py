@@ -799,10 +799,10 @@ class TestFourDimensions:
     def test_twin_peaks(self):
         cx = window_complex(TWIN4, 0.05, seed=0)
         assert [cx.rank(k) for k in range(cx.top + 1)] == [0, 0, 0, 1, 2]
-        # the maxima share their eigenvalue on x2..x4, so their frames'
-        # orientations are the solver's choice; each entry is the module
-        # docstring's sigma sgn det(frame_p) sgn det(frame_q), n = 4, with
-        # sigma the side of q's stable direction on which p lies
+        # each entry is the module docstring's sigma sgn det(frame_p)
+        # sgn det(frame_q), n = 4, with sigma the side of q's stable
+        # direction on which p lies; the maxima's repeated eigenvalue on
+        # x2..x4 gets the axes as its frame, so d_4 does not move with eps
         (q,) = cx.generators[3]
         e_s = q.frame[:, 3]
         want = [int(np.sign(e_s @ (p.location - q.location))
@@ -811,6 +811,7 @@ class TestFourDimensions:
                 for p in cx.generators[4]]
         assert cx.boundary(4) == [want]
         assert sorted(map(abs, want)) == [1, 1]
+        assert window_complex(TWIN4, 0.1, seed=0).boundary(4) == [want]
         assert verify_d_squared(cx)
         assert homology(cx).same_as(HomologyResult({4: (1, ())}))
         assert euler_characteristic(cx.points()) == \

@@ -263,6 +263,19 @@ class TestCollapse:
         assert pair.homology().summary() == {
             str(k): {"betti": 0, "torsion": []} for k in range(3)}
 
+    @pytest.mark.parametrize("name", [n for n in catalog_names()
+                                      if catalog_lookup(n).ambient <= 3])
+    def test_collapse_leaves_only_the_betti_numbers(self, name):
+        # nothing is left for an elimination after the collapse: the
+        # survivors of each degree are exactly its free generators
+        e = catalog_lookup(name)
+        betti = {k: b for k, (b, _) in e.expected.groups.items() if b}
+        for resolution in (e.resolution, 2 * e.resolution):
+            pair = build_pair(e.problem(), e.eps, e.lam, e.Lam,
+                              resolution=resolution)
+            rel = _khalimsky(pair.total_mask) & ~_khalimsky(pair.sub_mask)
+            assert _relative_data(_collapse(rel))[0] == betti, resolution
+
     def test_z4_keeps_three_circles(self):
         e = catalog_lookup("z^4")
         pair = build_pair(e.problem(), e.eps, resolution=e.resolution)
