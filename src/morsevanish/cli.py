@@ -47,12 +47,12 @@ from .errors import (ConfigError, ConfigParse, CorruptCache, CountingRefused,
 from .expr import parse_expression
 from .flow import (BOUNDARY_BUDGET, R_LAUNCH, BoundaryCountResult,
                    continuation_trajectories)
-from .homology import (HomologyResult, MorseComplex, _format_group,
-                       boundary_counts, complex_from_counts,
-                       continuation_chain_map, homology,
-                       require_nondegenerate, verify_d_squared)
+from .homology import (MorseComplex, boundary_counts, complex_from_counts,
+                       continuation_chain_map, euler_characteristic,
+                       homology, require_nondegenerate, verify_d_squared)
+from .intlinalg import HomologyResult, _format_group
 from .metric import MetricSpec
-from .oracle import (catalog_lookup, euler_check, pair_euler_characteristic,
+from .oracle import (catalog_lookup, pair_euler_characteristic,
                      sublevel_pair_homology)
 from .problem import DomainModel, ProblemSpec, WindowSpec
 
@@ -762,16 +762,18 @@ def cmd_compare(args) -> int:
         rows.append({"degree": k, "morse": m, "oracle": o, "catalog": c,
                      "ok": agree})
 
-    erep = euler_check(morse_points, int(oracle_payload["euler"]))
-    ok = ok and erep.ok
+    chi_morse = euler_characteristic(morse_points)
+    chi_oracle = int(oracle_payload["euler"])
+    euler_ok = chi_morse == chi_oracle
+    ok = ok and euler_ok
     report = {
         "schema": SCHEMA, "command": "compare",
         "problem": ctx.problem.name, "eps": eps,
         "catalog_entry": entry.name if entry else None,
         "oracle_method": oracle_payload["method"],
         "rows": rows,
-        "euler": {"morse": erep.morse_sum, "oracle": erep.oracle_euler,
-                  "ok": erep.ok},
+        "euler": {"morse": chi_morse, "oracle": chi_oracle,
+                  "ok": euler_ok},
         "ok": ok, "verdict": "pass" if ok else "fail",
     }
     path = dump_json(ctx.stage_path("compare"), report)
@@ -780,8 +782,8 @@ def cmd_compare(args) -> int:
               f"oracle={row['oracle'] or '-':<10} "
               f"catalog={row['catalog'] or '-':<10} "
               f"{'ok' if row['ok'] else 'MISMATCH'}")
-    print(f"  euler: morse={erep.morse_sum} oracle={erep.oracle_euler} "
-          f"{'ok' if erep.ok else 'MISMATCH'}")
+    print(f"  euler: morse={chi_morse} oracle={chi_oracle} "
+          f"{'ok' if euler_ok else 'MISMATCH'}")
     print(f"{report['verdict']} -> {path}")
     return 0 if ok else 2
 

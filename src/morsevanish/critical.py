@@ -79,11 +79,16 @@ def _axis_basis(B: np.ndarray, G: np.ndarray) -> np.ndarray:
     their span (B B^T G e_i), which does not depend on which basis B is,
     and G-orthogonalized against the vectors already taken; one whose
     remainder is below DEGENERACY_RTOL of its own G-length is skipped.
-    An eigenspace spanned by axes gets the (G-normalized) identity.
+    A projection within DEGENERACY_RTOL of its axis is the axis exactly,
+    so an eigenspace spanned by axes gets the (G-normalized) identity
+    with no rounding left off the axes.
     """
     out: List[np.ndarray] = []
+    axes = np.eye(len(G))
     for i in range(len(G)):
         v = B @ (B.T @ G[:, i])
+        if np.linalg.norm(v - axes[i]) <= DEGENERACY_RTOL:
+            v = axes[i]
         for q in out:
             v = v - q * (q @ G @ v)
         norm = math.sqrt(max(float(v @ G @ v), 0.0))
@@ -303,11 +308,11 @@ def _newton_batch(fe: Expression, names, domain, X0: np.ndarray,
     return X, done, ~alive, gnorm
 
 
-def certify_root(tape: Tape, x: np.ndarray, g: Optional[np.ndarray] = None,
-                 H: Optional[np.ndarray] = None) -> float:
-    """Newton-Kantorovich radius around x for the gradient of the
-    expression in ``tape`` (``compile((f_eps,), names)``), or nan if the
-    test fails.
+def certify_root(tape: Tape, x: np.ndarray, g: np.ndarray,
+                 H: np.ndarray) -> float:
+    """Newton-Kantorovich radius around x for the gradient g and Hessian
+    H at x of the expression in ``tape`` (``compile((f_eps,), names)``),
+    or nan if the test fails.
 
     With beta = |H^-1|, eta = |H^-1 g| and L a sampled Lipschitz bound for
     the Hessian, h = beta*L*eta <= 1/2 certifies a unique root within
@@ -315,9 +320,6 @@ def certify_root(tape: Tape, x: np.ndarray, g: Optional[np.ndarray] = None,
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    if g is None or H is None:
-        (_, gb, Hb), = tape.jet2(x[None, :])
-        g, H = gb[0], Hb[0]
     try:
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError:

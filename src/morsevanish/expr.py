@@ -37,7 +37,7 @@ from .errors import DomainViolation, ExpressionParseError
 
 __all__ = [
     "Expression", "Const", "Var", "Sum", "Product", "IntPow", "FracPow",
-    "Quotient", "const", "var", "rational_pow", "free_variables",
+    "Quotient", "var", "rational_pow", "free_variables",
     "evaluate", "differentiate", "Tape", "compile", "eval_values",
     "eval_grid", "eval_jet1", "eval_jet2", "parse_expression", "as_fraction",
 ]
@@ -165,10 +165,6 @@ class Quotient(Expression):
     def __init__(self, num: Expression, den: Expression):
         self.num = num
         self.den = den
-
-
-def const(x) -> Const:
-    return Const(as_fraction(x))
 
 
 def var(name: str) -> Var:

@@ -29,7 +29,8 @@ from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
 from .flow import (BOUNDARY_BUDGET, BoundaryCountResult, ContinuationResult,
                    continuation_trajectories, count_boundaries)
-from .intlinalg import (ChainComplexData, Matrix, SNF, homology_of_complex,
+from .intlinalg import (SNF, ChainComplexData, HomologyResult, Matrix,
+                        _format_group, homology_of_complex, identity,
                         kernel_basis, matmul, smith_normal_form)
 from .problem import ProblemSpec, dual_problem
 
@@ -306,68 +307,13 @@ def verify_d_squared(cx: MorseComplex) -> D2Report:
     return D2Report(not wit, tuple(wit))
 
 
-def _format_group(betti: int, torsion: Sequence[int]) -> str:
-    parts = []
-    if betti == 1:
-        parts.append("Z")
-    elif betti > 1:
-        parts.append(f"Z^{betti}")
-    parts.extend(f"Z/{d}" for d in torsion)
-    return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class HomologyResult:
-    """Betti number and torsion invariant factors per degree."""
-
-    groups: Dict[int, Tuple[int, Tuple[int, ...]]]
-
-    def betti(self, k: int) -> int:
-        return self.groups.get(k, (0, ()))[0]
-
-    def torsion(self, k: int) -> Tuple[int, ...]:
-        return self.groups.get(k, (0, ()))[1]
-
-    @property
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.groups))
-
-    @property
-    def euler(self) -> int:
-        return sum((-1) ** k * b for k, (b, _) in self.groups.items())
-
-    def same_as(self, other: "HomologyResult") -> bool:
-        """Equality as graded groups, ignoring degrees that are trivial.
-
-        Complexes built by different pipelines rarely agree on which
-        rank-zero degrees they bother to record.
-        """
-        for k in set(self.groups) | set(other.groups):
-            if self.betti(k) != other.betti(k):
-                return False
-            if self.torsion(k) != other.torsion(k):
-                return False
-        return True
-
-    def summary(self) -> dict:
-        return {str(k): {"betti": b, "torsion": list(t)}
-                for k, (b, t) in sorted(self.groups.items())}
-
-    def describe(self) -> str:
-        if not self.groups:
-            return "trivial"
-        return ", ".join(f"H_{k} = {_format_group(b, t)}"
-                         for k, (b, t) in sorted(self.groups.items()))
-
-
 def homology(cx: MorseComplex) -> HomologyResult:
     """Integer homology of the complex, degree by degree.
 
     Assumes the complex passed verify_d_squared; the Smith normal form
     numbers are meaningless otherwise.
     """
-    raw = homology_of_complex(cx.chain_data())
-    return HomologyResult({k: (b, tuple(t)) for k, (b, t) in raw.items()})
+    return homology_of_complex(cx.chain_data())
 
 
 def cohomology(h: HomologyResult) -> HomologyResult:
@@ -452,12 +398,8 @@ def chain_map(source: MorseComplex, target: MorseComplex,
 
 
 def identity_chain_map(cx: MorseComplex) -> ChainMap:
-    mats = []
-    for k in range(cx.top + 1):
-        n = cx.rank(k)
-        mats.append([[1 if i == j else 0 for j in range(n)]
-                     for i in range(n)])
-    return chain_map(cx, cx, mats)
+    return chain_map(cx, cx, [identity(cx.rank(k))
+                              for k in range(cx.top + 1)])
 
 
 def _flat_places(cx: MorseComplex) -> List[Tuple[int, int]]:

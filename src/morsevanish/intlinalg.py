@@ -1,10 +1,14 @@
 """Exact integer linear algebra for chain complexes.
 
-Everything here runs on arbitrary-precision Python ints: a dense Smith
-normal form with optional unimodular transforms, for the small matrices
-of Morse complexes and for the cells of a cubical complex that survive
-the array collapse in ``oracle``, and ``reduce_complex``, which writes
-such survivors, given as sparse boundary columns, as dense matrices.
+This is the one exact layer that the Morse complexes of ``homology`` and
+the cubical oracle both stand on, and it imports nothing else of the
+package.  Everything here runs on arbitrary-precision Python ints: a
+dense Smith normal form with optional unimodular transforms, for the
+small matrices of Morse complexes and for the cells of a cubical complex
+that survive the array collapse in ``oracle``; ``reduce_complex``, which
+writes such survivors, given as sparse boundary columns, as dense
+matrices; and ``homology_of_complex``, which reads a ``HomologyResult``
+off the Smith forms of a complex's boundaries.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SNF", "smith_normal_form", "kernel_basis", "matmul", "identity",
-    "homology_of_complex", "ChainComplexData", "reduce_complex",
+    "homology_of_complex", "ChainComplexData", "HomologyResult",
+    "reduce_complex",
 ]
 
 Matrix = List[List[int]]
@@ -67,9 +72,15 @@ class SNF:
 def smith_normal_form(A: Sequence[Sequence[int]], transforms: bool = True) -> SNF:
     """Smith normal form over the integers.
 
-    Pivots on a smallest-magnitude entry, clears its row and column, and
-    repairs the divisibility chain at the end.  Fine for the matrix sizes
-    of Morse complexes and of collapsed cubical complexes.
+    Pivots on a smallest-magnitude entry of the trailing block (the
+    first in row-major order) and clears its row and column.  Until the
+    pivot divides every entry of the rest of its block, a row it does
+    not divide is added to the pivot row and the clearing repeats, which
+    lowers the pivot; so each pivot divides all later ones and the
+    divisibility chain holds in one pass (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, Alg. 2.4.14).  Fine for
+    the matrix sizes of Morse complexes and of collapsed cubical
+    complexes.
     """
     D = [list(map(int, row)) for row in A]
     rows = len(D)
@@ -120,87 +131,46 @@ def smith_normal_form(A: Sequence[Sequence[int]], transforms: bool = True) -> SN
     k = 0
     limit = min(rows, cols)
     while k < limit:
-        # find smallest nonzero entry in the trailing block
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = D[i][j]
-                if v != 0 and (best is None or abs(v) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-                    if abs(v) == 1:
-                        break
-            if best is not None and abs(D[best[0]][best[1]]) == 1:
-                break
+        best = min(((abs(D[i][j]), i, j) for i in range(k, rows)
+                    for j in range(k, cols) if D[i][j]), default=None)
         if best is None:
             break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
-        # clear row and column; repeat because remainders can reappear
+        swap_rows(k, best[1])
+        swap_cols(k, best[2])
+        # clear column and row; a nonzero remainder is smaller than the
+        # pivot, takes its place and the clearing starts over
         while True:
             pivot = D[k][k]
-            dirty = False
             for i in range(k + 1, rows):
                 if D[i][k]:
                     q = D[i][k] // pivot
                     if q:
                         row_op(i, k, -q)
                     if D[i][k]:
-                        # remainder smaller than pivot: swap it up
                         swap_rows(k, i)
-                        dirty = True
                         break
-            if dirty:
-                continue
-            for j in range(k + 1, cols):
-                if D[k][j]:
-                    q = D[k][j] // pivot
-                    if q:
-                        col_op(j, k, -q)
+            else:
+                for j in range(k + 1, cols):
                     if D[k][j]:
-                        swap_cols(k, j)
-                        dirty = True
+                        q = D[k][j] // pivot
+                        if q:
+                            col_op(j, k, -q)
+                        if D[k][j]:
+                            swap_cols(k, j)
+                            break
+                else:
+                    # the pivot must divide the rest of its block; a row
+                    # it does not divide is added to the pivot row
+                    bad = next((i for i in range(k + 1, rows)
+                                if any(D[i][j] % pivot
+                                       for j in range(k + 1, cols))), None)
+                    if bad is None:
                         break
-            if not dirty:
-                break
+                    row_op(k, bad, 1)
         if D[k][k] < 0:
             negate_row(k)
         k += 1
-
-    rank = sum(1 for i in range(limit) if D[i][i] != 0)
-
-    # repair divisibility: d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if b % a != 0:
-                changed = True
-                # fold the two diagonal entries together with the classic
-                # 2x2 trick: add col i+1 to col i, then re-pivot the block
-                col_op(i, i + 1, 1)
-                while True:
-                    pivot = D[i][i]
-                    if D[i + 1][i]:
-                        q = D[i + 1][i] // pivot
-                        if q:
-                            row_op(i + 1, i, -q)
-                        if D[i + 1][i]:
-                            swap_rows(i, i + 1)
-                            continue
-                    if D[i][i + 1]:
-                        q = D[i][i + 1] // pivot
-                        if q:
-                            col_op(i + 1, i, -q)
-                        if D[i][i + 1]:
-                            swap_cols(i, i + 1)
-                            continue
-                    break
-                if D[i][i] < 0:
-                    negate_row(i)
-                if D[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-    return SNF(D, S, T, Tinv, rank)
+    return SNF(D, S, T, Tinv, k)
 
 
 def kernel_basis(A: Sequence[Sequence[int]], ncols: int) -> Tuple[Matrix, List[int], SNF]:
@@ -210,13 +180,9 @@ def kernel_basis(A: Sequence[Sequence[int]], ncols: int) -> Tuple[Matrix, List[i
     span a direct summand: coordinates of any kernel vector are read off
     with Tinv.
     """
-    rows = len(A)
-    if rows == 0:
-        snf = smith_normal_form([[0] * ncols] if ncols else [], transforms=True)
-        basis = identity(ncols)
-        return basis, list(range(ncols)), snf
-    snf = smith_normal_form(A, transforms=True)
-    free = [j for j in range(ncols) if j >= snf.rank]
+    # a map with no rows stands in as one zero row, so T still has ncols
+    snf = smith_normal_form(A if len(A) else [[0] * ncols], transforms=True)
+    free = list(range(snf.rank, ncols))
     basis = [[snf.T[r][j] for j in free] for r in range(ncols)]
     return basis, free, snf
 
@@ -241,33 +207,79 @@ class ChainComplexData:
         return [[0] * cols for _ in range(rows)]
 
 
-def homology_of_complex(data: ChainComplexData) -> Dict[int, Tuple[int, List[int]]]:
+def _format_group(betti: int, torsion: Sequence[int]) -> str:
+    parts = []
+    if betti == 1:
+        parts.append("Z")
+    elif betti > 1:
+        parts.append(f"Z^{betti}")
+    parts.extend(f"Z/{d}" for d in torsion)
+    return " + ".join(parts) if parts else "0"
+
+
+@dataclass(frozen=True)
+class HomologyResult:
+    """Betti number and torsion invariant factors per degree."""
+
+    groups: Dict[int, Tuple[int, Tuple[int, ...]]]
+
+    def betti(self, k: int) -> int:
+        return self.groups.get(k, (0, ()))[0]
+
+    def torsion(self, k: int) -> Tuple[int, ...]:
+        return self.groups.get(k, (0, ()))[1]
+
+    @property
+    def degrees(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.groups))
+
+    @property
+    def euler(self) -> int:
+        return sum((-1) ** k * b for k, (b, _) in self.groups.items())
+
+    def same_as(self, other: "HomologyResult") -> bool:
+        """Equality as graded groups, ignoring degrees that are trivial.
+
+        Complexes built by different pipelines rarely agree on which
+        rank-zero degrees they bother to record.
+        """
+        for k in set(self.groups) | set(other.groups):
+            if self.betti(k) != other.betti(k):
+                return False
+            if self.torsion(k) != other.torsion(k):
+                return False
+        return True
+
+    def summary(self) -> dict:
+        return {str(k): {"betti": b, "torsion": list(t)}
+                for k, (b, t) in sorted(self.groups.items())}
+
+    def describe(self) -> str:
+        if not self.groups:
+            return "trivial"
+        return ", ".join(f"H_{k} = {_format_group(b, t)}"
+                         for k, (b, t) in sorted(self.groups.items()))
+
+
+def homology_of_complex(data: ChainComplexData) -> HomologyResult:
     """Betti numbers and torsion invariant factors (> 1) per degree.
 
     H_k = ker d_k / im d_{k+1}; betti_k = dim C_k - rank d_k - rank d_{k+1},
-    torsion of H_k comes from the invariant factors of d_{k+1}.
+    torsion of H_k comes from the invariant factors of d_{k+1}, and the
+    rank of d_k is the number of its invariant factors.
     """
     degrees = sorted(data.dims)
-    ranks: Dict[int, int] = {}
     factors: Dict[int, List[int]] = {}
     for k in degrees + [max(degrees) + 1] if degrees else []:
         B = data.boundary(k)
-        if not B or not B[0]:
-            ranks[k] = 0
-            factors[k] = []
-            continue
-        snf = smith_normal_form(B, transforms=False)
-        ranks[k] = snf.rank
-        factors[k] = snf.invariant_factors
-    out: Dict[int, Tuple[int, List[int]]] = {}
+        factors[k] = (smith_normal_form(B, transforms=False).invariant_factors
+                      if B and B[0] else [])
+    groups = {}
     for k in degrees:
-        nk = data.dims.get(k, 0)
-        rk = ranks.get(k, 0)
-        rk1 = ranks.get(k + 1, 0)
-        betti = nk - rk - rk1
-        torsion = [d for d in factors.get(k + 1, []) if d > 1]
-        out[k] = (betti, torsion)
-    return out
+        below, above = factors[k], factors.get(k + 1, [])
+        groups[k] = (data.dims[k] - len(below) - len(above),
+                     tuple(d for d in above if d > 1))
+    return HomologyResult(groups)
 
 
 def reduce_complex(dims: Dict[int, int],

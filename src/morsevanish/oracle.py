@@ -7,7 +7,9 @@ sublevel sets {f_eps <= Lam} and {f_eps <= -lam} become cubical
 complexes by closing the classified cells, and the relative homology of
 that pair is computed exactly over Z.  None of the gradient-flow
 machinery is involved, which is the point: numbers coming out of this
-module are an independent check on the Morse complex.
+module are an independent check on the Morse complex.  Of the Morse
+side it shares only the expression layer and the exact layer
+``intlinalg``; it never loads ``critical``, ``flow`` or ``homology``.
 
 The grid is evaluated in blocks of about 2^15 points (``_CHUNK``), cut
 across as many leading axes as it takes, so the tape's temporaries for
@@ -56,23 +58,22 @@ window (-1, 10]:
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .compactify import AlgebraicProblem, realify
 from .errors import ConfigError, ResolutionTooCoarse, UnknownEntry
 from .expr import compile, parse_expression
-from .homology import HomologyResult, euler_characteristic
-from .intlinalg import homology_of_complex, reduce_complex
+from .intlinalg import HomologyResult, homology_of_complex, reduce_complex
 from .metric import MetricSpec
 from .problem import (DomainModel, ProblemSpec, WindowSpec,
                       perturbed_function)
 
 __all__ = [
-    "CubicalPair", "CatalogEntry", "EulerReport",
+    "CubicalPair", "CatalogEntry",
     "build_pair", "sublevel_pair_homology", "pair_euler_characteristic",
-    "euler_check", "catalog_lookup", "catalog_names",
+    "catalog_lookup", "catalog_names",
 ]
 
 # points per grid block: the tape's temporaries for one block fit in L2
@@ -372,8 +373,7 @@ class CubicalPair:
         dims, sparse = _relative_data(_collapse(rel))
         # a degree the collapse emptied still reports its zero group
         dims = {k: dims.get(k, 0) for k, c in enumerate(counts) if c}
-        raw = homology_of_complex(reduce_complex(dims, sparse))
-        return HomologyResult({k: (b, tuple(t)) for k, (b, t) in raw.items()})
+        return homology_of_complex(reduce_complex(dims, sparse))
 
     def summary(self) -> dict:
         return {
@@ -526,35 +526,6 @@ def pair_euler_characteristic(problem: ProblemSpec, eps: float,
         box = nbox
     raise ResolutionTooCoarse(
         f"the Euler count kept changing as the box grew to {box}")
-
-
-@dataclass(frozen=True)
-class EulerReport:
-    """Morse-side alternating point count against the oracle's chi."""
-
-    morse_sum: int
-    oracle_euler: int
-    ok: bool
-
-    def describe(self) -> str:
-        verdict = "agree" if self.ok else "disagree"
-        return (f"sum of (-1)^index = {self.morse_sum}, "
-                f"oracle chi = {self.oracle_euler}: {verdict}")
-
-
-def euler_check(points, oracle: Union[HomologyResult, CubicalPair, int]
-                ) -> EulerReport:
-    """Compare sum over critical points of (-1)^index with the oracle.
-
-    ``oracle`` may be a HomologyResult, a CubicalPair, or a bare count
-    from pair_euler_characteristic.
-    """
-    if isinstance(oracle, (HomologyResult, CubicalPair)):
-        chi = oracle.euler
-    else:
-        chi = int(oracle)
-    s = euler_characteristic(points)
-    return EulerReport(s, chi, s == chi)
 
 
 def _hand_problem(name: str, variables, f: str, tau: str,

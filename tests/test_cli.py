@@ -55,6 +55,10 @@ GAP = {"name": "gap", "dimension": 2, "eps": 0.1,
            {"monomial": [1, 0], "re": -3, "im": 0},
            {"monomial": [0, 3], "re": 1, "im": 0},
            {"monomial": [0, 1], "re": -3, "im": 0}]}}
+# (x^2 - 1)^2 + y^2 in the plane: two minima near value 0.07 and a
+# saddle at the origin at 1 + eps = 1.05, which lies in [b, Lambda)
+GAP2 = {"name": "gap2", "dimension": 2, "eps": 0.05,
+        "f": "(x^2 - 1)^2 + y^2", "tau": "pow(1 + x^2 + y^2, -1/2)"}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -476,6 +480,34 @@ class TestCommands:
         assert "critical value 4.57054 " in err and "[1, 10)" in err
         assert oracle_runs == []
         assert not (run_dir(tmp_path, GAP) / "compare.json").exists()
+
+    def test_lowering_Lambda_clears_the_gap_check(self, tmp_path, capsys):
+        # the remedy the gap-check error names: Lambda below the saddle
+        path = write_cfg(tmp_path, GAP2)
+        assert run(tmp_path, "compare", "--config", path) == 1
+        assert "lower --Lambda" in capsys.readouterr().err
+        levels = ["--lambda", "0.5", "--Lambda", "1.02"]
+        assert run(tmp_path, "compare", "--config", path, *levels) == 0
+        assert read_artifact(tmp_path, GAP2, "compare")["verdict"] == "pass"
+        assert run(tmp_path, "oracle", "--config", path, *levels) == 0
+        art = read_artifact(tmp_path, GAP2, "oracle")
+        assert (art["lambda"], art["Lambda"]) == (0.5, 1.02)
+        assert art["groups"]["0"] == {"betti": 2, "torsion": []}
+
+    def test_compare_euler_disagreement_fails(self, tmp_path, monkeypatch):
+        oracle_payload = cli_module._oracle_payload
+
+        def off_by_two(ctx, eps):
+            payload, hit = oracle_payload(ctx, eps)
+            return {**payload, "euler": payload["euler"] + 2}, hit
+
+        monkeypatch.setattr(cli_module, "_oracle_payload", off_by_two)
+        assert run(tmp_path, "compare", "--catalog", "double_well_1d") == 2
+        art = read_artifact(tmp_path, {"catalog": "double_well_1d"},
+                            "compare")
+        assert art["euler"] == {"morse": 1, "oracle": 3, "ok": False}
+        assert all(row["ok"] for row in art["rows"])
+        assert art["ok"] is False and art["verdict"] == "fail"
 
     def test_compare_needs_some_problem(self, tmp_path, capsys):
         assert run(tmp_path, "compare") == 1

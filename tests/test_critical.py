@@ -195,6 +195,23 @@ class TestEigenframe:
         assert np.allclose(V, np.diag(1.0 / np.sqrt(np.diag(G))),
                            atol=1e-12)
 
+    def test_twin_peaks_frames_lie_exactly_on_the_axes(self):
+        # x1^2 - x1^4 - x2^2 - x3^2 - x4^2: both maxima and the index-3
+        # point carry a triple eigenvalue on x2..x4; every frame entry off
+        # the axes is exactly 0, not rounding of the solver's basis
+        names = ("x1", "x2", "x3", "x4")
+        spec = ProblemSpec(
+            "twin-peaks4", names, DomainModel.full_space(4),
+            parse_expression("x1^2 - x1^4 - x2^2 - x3^2 - x4^2"),
+            parse_expression("pow(1 + x1^2 + x2^2 + x3^2 + x4^2, -1/2)"),
+            MetricSpec("euclidean"), WindowSpec.finite_action(1, 10, 0.25))
+        pts = find_critical_points(spec, 0.05).points
+        assert sorted(p.index for p in pts) == [3, 4, 4]
+        for p in pts:
+            on_axis = np.abs(p.frame) == 1.0
+            assert on_axis.sum(axis=0).tolist() == [1, 1, 1, 1]
+            assert not p.frame[~on_axis].any(), p.frame
+
     def test_rotated_eigenspace_frame_ignores_the_solver_basis(
             self, monkeypatch):
         # a G-orthonormal eigenbasis in general position, so no axis lies

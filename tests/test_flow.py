@@ -44,7 +44,7 @@ from morsevanish.flow import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
 from morsevanish.homology import (HomologyResult, continuation_chain_map,
                                   duality_ranks, euler_characteristic,
                                   homology, verify_d_squared, window_complex)
-from morsevanish.metric import MetricSpec
+from morsevanish.metric import MetricSpec, gradient_field
 from morsevanish.oracle import (pair_euler_characteristic,
                                 sublevel_pair_homology)
 from morsevanish.problem import DomainModel, ProblemSpec, WindowSpec
@@ -361,6 +361,23 @@ class TestContinuation:
         with pytest.raises(DeltaFloor):
             continuation_trajectories(Z2, 0.4, 3.0, sources, targets,
                                       delta_floor=1e-3)
+
+
+class TestCustomMetric:
+    def test_custom_matrix_equal_to_the_cone_metric_flows_like_it(self):
+        # g = Id / tau written out as a 1 x 1 matrix of expressions: the
+        # custom branch solves with it where the cone one multiplies by tau
+        cone = dataclasses.replace(DW, metric=MetricSpec("cone-euclidean"))
+        custom = dataclasses.replace(DW, metric=MetricSpec(
+            "custom", ((parse_expression("pow(1 + x^2, 1/2)"),),)))
+        for x in np.linspace(-1.5, 1.5, 7):
+            assert gradient_field(custom, 0.05, [x]) == pytest.approx(
+                gradient_field(cone, 0.05, [x]), rel=1e-12, abs=1e-15)
+        a = window_complex(cone, 0.05, seed=0)
+        b = window_complex(custom, 0.05, seed=0)
+        assert [b.rank(k) for k in range(b.top + 1)] == [2, 1]
+        assert b.boundaries == a.boundaries
+        assert sorted(b.boundary(1)) == [[-1], [1]]
 
 
 # ---------------------------------------------------------------------------

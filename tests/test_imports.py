@@ -13,12 +13,20 @@ default that no caller overrides is a constant, not an option.
 Every function the benchmark's tracer wraps, and every result attribute
 its counter hooks read, exists on the package, so a rename or deletion
 that would break a traced benchmark run fails here first.
+
+The oracle checks the Morse side, so in a fresh interpreter importing it
+loads no package module beyond the expression, metric and problem layers,
+``compactify``, ``errors`` and the exact layer ``intlinalg``: never
+``critical``, ``flow`` or ``homology``.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -250,3 +258,29 @@ def test_the_check_sees_a_missing_field():
         kept: int
 
     assert _has(R, "kept") and not _has(R, "gone")
+
+
+ORACLE_LAYERS = {"errors", "expr", "metric", "problem", "compactify",
+                 "intlinalg", "oracle"}
+
+
+def _loaded_by(module):
+    """Package modules (without the package prefix) that importing
+    ``module`` loads in a fresh interpreter."""
+    code = (f"import sys, {module}; print(*sorted(n for n in sys.modules "
+            "if n.startswith('morsevanish.')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return {n.split(".", 1)[1] for n in out.stdout.split()}
+
+
+def test_the_oracle_loads_only_the_exact_layer():
+    extra = _loaded_by("morsevanish.oracle") - ORACLE_LAYERS
+    assert not extra, f"importing the oracle loads {sorted(extra)}"
+
+
+def test_the_layer_check_sees_the_morse_side():
+    assert {"critical", "flow"} <= _loaded_by("morsevanish.homology")

@@ -28,13 +28,14 @@ from morsevanish.critical import find_critical_points
 from morsevanish.errors import (ConfigError, ResolutionTooCoarse,
                                 UnknownEntry)
 from morsevanish.expr import eval_values, parse_expression
-from morsevanish.homology import HomologyResult, window_complex, homology
+from morsevanish.homology import (HomologyResult, euler_characteristic,
+                                  homology, window_complex)
 from morsevanish.intlinalg import homology_of_complex, reduce_complex
 from morsevanish.oracle import (CubicalPair, _axis_centers, _closed_counts,
                                 _collapse, _khalimsky, _grow_box,
                                 _hand_problem, _relative_data, _top_masks,
                                 build_pair, catalog_lookup, catalog_names,
-                                euler_check, pair_euler_characteristic,
+                                pair_euler_characteristic,
                                 sublevel_pair_homology)
 
 
@@ -228,9 +229,8 @@ class TestCollapse:
         answers = set()
         for seed, total, sub in random_pairs():
             rel = _khalimsky(total) & ~_khalimsky(sub)
-            raw = homology_of_complex(reduce_complex(*_relative_data(rel)))
-            reference = HomologyResult({k: (b, tuple(t))
-                                        for k, (b, t) in raw.items()})
+            reference = homology_of_complex(
+                reduce_complex(*_relative_data(rel)))
             pair = CubicalPair(((0.0, 1.0),) * total.ndim, total.shape,
                                total, sub)
             assert pair.homology().summary() == reference.summary(), seed
@@ -398,22 +398,15 @@ class TestEulerRoute:
         with pytest.raises(ConfigError, match="dimension 4"):
             pair_euler_characteristic(five, 0.1)
 
-    def test_euler_check_accepts_all_oracle_shapes(self):
+    def test_morse_euler_sum_matches_every_oracle_count(self):
+        # the catalog's groups, the cell count and the counting route
         e = catalog_lookup("double_well_1d")
         pts = find_critical_points(e.problem(), e.eps).inside_window()
-        assert euler_check(pts, e.expected).ok
-        assert euler_check(pts, 1).ok
         pair = build_pair(e.problem(), e.eps, box=((-6.0, 6.0),),
                           resolution=128)
-        rep = euler_check(pts, pair)
-        assert rep.ok and rep.morse_sum == 1 and rep.oracle_euler == 1
-
-    def test_euler_check_reports_disagreement(self):
-        e = catalog_lookup("double_well_1d")
-        pts = find_critical_points(e.problem(), e.eps).inside_window()
-        rep = euler_check(pts, 3)
-        assert not rep.ok
-        assert "disagree" in rep.describe()
+        chi = pair_euler_characteristic(e.problem(), e.eps, resolution=64)
+        assert euler_characteristic(pts) == e.expected.euler == pair.euler \
+            == chi == 1
 
 
 class TestMorseSideAgreement:
@@ -424,7 +417,7 @@ class TestMorseSideAgreement:
         hm = homology(cx)
         oracle = sublevel_pair_homology(prob, e.eps, resolution=64)
         assert hm.same_as(oracle)
-        assert euler_check(cx.generators[0] + cx.generators[1], oracle).ok
+        assert euler_characteristic(cx.points()) == oracle.euler
 
     def test_z3_both_pipelines(self):
         e = catalog_lookup("z^3")
