@@ -727,16 +727,26 @@ def cmd_compare(args) -> int:
     else:
         eps = ctx.eps()
 
-    # the pair sees critical values in [b, Lambda) that the window drops
-    b, Lam = ctx.problem.window.b, _levels(ctx)[1]
+    # the pair sees critical values in [b, Lambda) that the window drops,
+    # and one between a and -lambda lies below the window but not in the
+    # pair's sub level set, or the other way round
+    w = ctx.problem.window
+    lam, Lam = _levels(ctx)
     crit, _ = _crit_payload(ctx, eps)
-    gap = sorted(v for v in (float(r["value"]) for r in crit["points"])
-                 if b <= v < Lam)
+    values = sorted(float(r["value"]) for r in crit["points"])
+    gap = [v for v in values if w.b <= v < Lam]
     if gap:
         raise ConfigError(
             f"critical value {gap[0]:.6g} of f_eps lies in [b, Lambda) = "
-            f"[{b:g}, {Lam:g}), where the oracle's pair sees it and the "
+            f"[{w.b:g}, {Lam:g}), where the oracle's pair sees it and the "
             "window does not; lower --Lambda to it or widen the window")
+    split = [v for v in values if (v <= w.a) != (v <= -lam)]
+    if split:
+        raise ConfigError(
+            f"critical value {split[0]:.6g} of f_eps lies between the "
+            f"window end a = {w.a:g} and the oracle's level -lambda = "
+            f"{-lam:g}, so one counts it below and the other does not; set "
+            f"--lambda to -a = {-w.a:g}")
 
     oracle_payload, _ = _oracle_payload(ctx, eps)
     catalog_summary = entry.expected.summary() if entry else None

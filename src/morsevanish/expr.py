@@ -272,15 +272,14 @@ _G = "; g{o} = f1[:, None] * g{a}"
 _H = ("; h{o} = (f1[:, None, None] * h{a} + f2[:, None, None]"
       " * (g{a}[:, :, None] * g{a}[:, None, :]))")
 _JET1 = {
-    "var": "v{o} = X[:, {a}].copy(); g{o} = np.zeros((m, n)); "
-           "g{o}[:, {a}] = 1.0",
+    "var": "v{o} = X[:, {a}]; g{o} = np.zeros((m, n)); g{o}[:, {a}] = 1.0",
     "add": "v{o} = v{a} + v{b}; g{o} = g{a} + g{b}",
     "addc": "v{o} = v{a} + {C}; g{o} = g{a}",
     "mul": "v{o} = v{a} * v{b}; "
            "g{o} = v{a}[:, None] * g{b} + v{b}[:, None] * g{a}",
     "mulc": "v{o} = v{a} * {C}; g{o} = g{a} * {C}",
     "recip": "v{o} = 1.0 / v{a}; f1 = -v{o} * v{o}" + _G,
-    "ipow": "v{o} = v{a} ** ({k}); f1 = float({k}) * v{a} ** ({k} - 1)" + _G,
+    "ipow": "v{o} = v{a} ** ({k}); f1 = {K} * {D}" + _G,
     "fpow": "w = np.where(v{a} > 0.0, v{a}, np.nan); v{o} = w ** ({p}); "
             "f1 = {p} * w ** ({p} - 1.0)" + _G}
 _JET2 = {
@@ -311,13 +310,18 @@ def _reads(op, a, b):
 
 
 def _fpow(x, p):
-    return np.where(x > 0.0, x, np.nan) ** p
+    """x ** p for an array x where x > 0, and np.nan elsewhere whatever
+    x ** p gave there (a nan x may carry another sign)."""
+    y = x ** p
+    y[~(x > 0.0)] = np.nan
+    return y
 
 
 # constant instructions fold in np.float64 where Python floats would raise
 _FOLD = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b,
          "recip": lambda a, _: float(1.0 / np.float64(a)),
-         "ipow": lambda a, k: float(np.float64(a) ** k), "fpow": _fpow}
+         "ipow": lambda a, k: float(np.float64(a) ** k),
+         "fpow": lambda a, p: _fpow(np.array([a]), p)[0]}
 
 
 _module = functools.lru_cache(maxsize=512)(functools.partial(
@@ -369,9 +373,14 @@ class Tape:
         raise TypeError(f"not an expression node: {e!r}")
 
     def _emit(self, op, a, b):
-        """Slot of the instruction (op, a, b), or its folded constant."""
+        """Slot of the instruction (op, a, b), or its folded constant; a
+        product with the constant 1.0 is its other factor, bit for bit."""
         if op != "var" and not _reads(op, a, b):
             return _FOLD[op](a, b)
+        if op == "mul":
+            for c, x in ((a, b), (b, a)):
+                if type(c) is not int and c == 1.0:
+                    return x
         key = (op, _key(a), _key(b) if op in ("add", "mul") else b)
         if key not in self._slot:
             self._slot[key] = len(self._code)
@@ -400,6 +409,10 @@ class Tape:
         def text(i, line):
             op, a, b = self._code[i]
             fill = {"o": i, "a": a, "b": b, "k": b, "p": repr(b)}
+            if op == "ipow":
+                # v ** 1 is v exactly, so k = 2 differentiates to 2.0 * v
+                fill.update(K=repr(float(b)), D=f"v{a}" if b == 2
+                            else f"v{a} ** ({b - 1})")
             if op in ("add", "mul"):
                 fill.update(A=name(a, line), B=name(b, line))
                 if mode != "values" and type(b) is not int:
@@ -452,7 +465,9 @@ class Tape:
                 for o in self._run("values", np.ix_(*axes))]
 
     def jet1(self, points: np.ndarray) -> list:
-        """Values and gradients: (m,), (m, n) per output."""
+        """Values and gradients: (m,), (m, n) per output; here and in
+        ``jet2`` the value of a bare variable output is a view of
+        ``points``."""
         return self._jets("jet1", points)
 
     def jet2(self, points: np.ndarray) -> list:

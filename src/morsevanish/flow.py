@@ -99,16 +99,22 @@ CONTINUATION_BUDGET = 60000
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
 
+def _ramp(s):
+    """gamma and d gamma / ds at s, from one clamped u = (s + 1) / 2 (the
+    max/min pair clamps like np.clip: u is never -0.0, nan stays nan)."""
+    u = np.minimum(np.maximum((np.asarray(s, dtype=float) + 1.0) / 2.0, 0.0),
+                   1.0)
+    return u * u * (3.0 - 2.0 * u), 3.0 * u * (1.0 - u)
+
+
 def gamma_profile(s):
     """Clamped smoothstep: 0 for s <= -1, 1 for s >= +1, C^1 in between."""
-    u = np.clip((np.asarray(s, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
+    return _ramp(s)[0]
 
 
 def gamma_slope(s):
     """d gamma / ds; vanishes outside [-1, 1]."""
-    u = np.clip((np.asarray(s, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
-    return 3.0 * u * (1.0 - u)
+    return _ramp(s)[1]
 
 
 class _Field:
@@ -133,14 +139,16 @@ class _Field:
         self.ramp_start = 0.0 - self.ramp_end
 
     def _eps(self, S):
+        """eps at the flow times S, and delta gamma'(delta S) with it; a
+        float and None when eps is fixed."""
         if self.eps_to is None:
-            return self.eps
-        t = gamma_profile(self.delta * np.asarray(S, dtype=float))
-        return self.eps + t * (self.eps_to - self.eps)
+            return self.eps, None
+        t, slope = _ramp(self.delta * np.asarray(S, dtype=float))
+        return self.eps + t * (self.eps_to - self.eps), self.delta * slope
 
     def values_at(self, S, X: np.ndarray) -> np.ndarray:
         vf, vr = self._tape.values(X)[:2]
-        return vf + self._eps(S) * vr
+        return vf + self._eps(S)[0] * vr
 
     def start_value(self, x: np.ndarray) -> float:
         S = np.full(1, self.ramp_start - 1.0)
@@ -153,13 +161,12 @@ class _Field:
         """Returns (drift, F values, energy rate) for a batch of rows."""
         jets = self._tape.jet1(X)
         (vf, gf), (vr, gr) = jets[:2]
-        e = self._eps(S)
+        e, ramp = self._eps(S)
         vals = vf + e * vr
-        grads = gf + np.reshape(e, (-1, 1)) * gr
+        grads = gf + (e if ramp is None else e[:, None]) * gr
         w = apply_inverse(self.problem.metric, jets[2:], grads)
         erate = 2.0 * np.einsum("ij,ij->i", grads, w)
-        if self.eps_to is not None:
-            ramp = self.delta * gamma_slope(self.delta * S)
+        if ramp is not None:
             erate = erate - 2.0 * (((self.eps_to - self.eps) * ramp) * vr)
         return -w, vals, erate
 
@@ -180,6 +187,10 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+# the weights of stages 0..6 in the input of stage i (row i, zero padded),
+# then in the 5th and the 4th order solution (rows 7 and 8)
+_DP_W = np.array([np.pad(a, (0, 7 - len(a))) for a in _DP_A]
+                 + [_DP_B5, _DP_B4])
 
 # row status codes
 RUNNING, ARRIVED, EXIT_BELOW, EXIT_ABOVE, BUDGET, COLLAPSE = 0, 1, 2, 3, 4, 5
@@ -254,10 +265,16 @@ def _near_passes(targets: _TargetSet, live: np.ndarray, Xl: np.ndarray,
     """Near passes and arrivals of the rows ``live`` (now at Xl) after an
     accepted step, updated in place over (rows, targets) arrays; frame
     coordinates are computed only where a row leaves a ball or may arrive."""
-    D = np.linalg.norm(Xl[:, None, :] - targets.Q[None, :, :], axis=2)
+    # np.linalg.norm(diff, axis=2) without its argument checks
+    diff = Xl[:, None, :] - targets.Q[None, :, :]
+    D = np.sqrt(np.add.reduce(diff * diff, axis=2))
     was_in = inside[live]
     # a row stays in a ball up to its rim but enters only strictly inside
     now_in = D < targets.r_near
+    # no row was or is in a ball, so none arrives either (r_arrive <=
+    # r_near) and nothing changes
+    if not (now_in.any() or was_in.any()):
+        return
     np.less_equal(D, targets.r_near, out=now_in, where=was_in)
     arrive = np.logical_and(D < targets.r_arrive, past_ramp[:, None])
     track = was_in | now_in
@@ -292,6 +309,14 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
     after the ramp, once the field actually is the end function.  Value
     exits terminate a row at a - sigma (below) or b + sigma (above) at any
     time.
+
+    Each element of a stage input, Y5 and Y4 gets the floating-point
+    operations of the textbook loop in its order: the products (h w_j) K_j
+    and the chain ((Y0 + p_0) + p_1) + ...  The chain is one
+    ``np.add.reduce`` over the first axis of the stacked (Y0, p_0, ...):
+    numpy reduces an outer axis by adding whole (rows, n + 1) slices one
+    after another, never pairwise, while that slice has two or more
+    elements, which the energy column guarantees even for one row in R^1.
     """
     w = field.problem.window
     lo_cut, hi_cut = w.a - w.sigma, w.b + w.sigma
@@ -299,7 +324,9 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
     nt = len(targets)
 
     X = np.array(X0, dtype=float)
-    E = np.zeros(m)
+    # the integrated state (x, e) of each row, one array so that a step
+    # reads and writes it whole
+    Y = np.concatenate([X, np.zeros((m, 1))], axis=1)
     S = np.full(m, field.ramp_start)
     s_max = field.ramp_end + S_TAIL
     status = np.full(m, RUNNING)
@@ -321,31 +348,37 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
         for r in range(m):
             paths[r].append(np.concatenate([[S[r]], X[r], [F0[r]]]))
 
+    # an autonomous field ignores the flow time, so its stages need none
+    timed = field.ramp_start < field.ramp_end
     guard = 0
-    while np.any(status == RUNNING) and guard < 60 * max_steps:
-        guard += 1
+    while guard < 60 * max_steps:
         rows = np.flatnonzero(status == RUNNING)
-        Xa, Sa, ha = X[rows], S[rows], h[rows]
+        if not rows.size:
+            break
+        guard += 1
+        Sa, ha = S[rows], h[rows]
         kk = len(rows)
 
+        # P[0] is the start (X, e) of the step and P[j + 1] the weighted
+        # stage j, so a stage input, Y5 and Y4 are each one sum over P's
+        # first axis (see the docstring)
+        hW = _DP_W[:, :, None] * ha
+        Si = Sa + _DP_C[:, None] * ha if timed else [Sa] * 7
+        P = np.empty((8, kk, n + 1))
+        P[0] = Y[rows]
         K = np.empty((7, kk, n + 1))
         K[0] = K1[rows]
         for i in range(1, 7):
-            xi = Xa
-            hA = ha[:, None] * _DP_A[i]
-            for j in range(i):
-                xi = xi + hA[:, j, None] * K[j, :, :n]
-            d, F7, er = field.eval(Sa + _DP_C[i] * ha, xi)
+            np.multiply(hW[i, :i, :, None], K[:i], out=P[1:i + 1])
+            xi = np.add.reduce(P[:i + 1], axis=0)
+            d, F7, er = field.eval(Si[i], xi[:, :n])
             K[i, :, :n] = d
             K[i, :, n] = er
 
-        Y0 = np.concatenate([Xa, E[rows, None]], axis=1)
-        Y5 = Y0.copy()
-        Y4 = Y0.copy()
-        hB5, hB4 = ha[:, None] * _DP_B5, ha[:, None] * _DP_B4
-        for i in range(7):
-            Y5 = Y5 + hB5[:, i, None] * K[i]
-            Y4 = Y4 + hB4[:, i, None] * K[i]
+        np.multiply(hW[7, :, :, None], K, out=P[1:])
+        Y5 = np.add.reduce(P, axis=0)
+        np.multiply(hW[8, :, :, None], K, out=P[1:])
+        Y4 = np.add.reduce(P, axis=0)
 
         scale = RTOL * (1.0 + np.abs(Y5).max(axis=1))
         err = np.abs(Y5 - Y4).max(axis=1) / scale
@@ -354,8 +387,7 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
 
         acc = rows[accept]
         if acc.size:
-            X[acc] = Y5[accept, :n]
-            E[acc] = Y5[accept, n]
+            Y[acc] = Y5[accept]
             S[acc] = Sa[accept] + ha[accept]
             steps[acc] += 1
 
@@ -368,7 +400,7 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
             f_min[acc] = np.minimum(f_min[acc], Fv)
             if record:
                 for pos, r in enumerate(acc):
-                    paths[r].append(np.concatenate([[S[r]], X[r],
+                    paths[r].append(np.concatenate([[S[r]], Y[r, :n],
                                                     [Fv[pos]]]))
 
             status[acc[Fv < lo_cut]] = EXIT_BELOW
@@ -376,7 +408,7 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
 
             live = acc[status[acc] == RUNNING] if nt else acc[:0]
             if live.size:
-                _near_passes(targets, live, X[live],
+                _near_passes(targets, live, Y[live, :n],
                              S[live] >= field.ramp_end, inside, near_min,
                              near_side, status, target_of)
 
@@ -384,8 +416,10 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
             status[acc[over & (status[acc] == RUNNING)]] = BUDGET
 
         grow = 0.9 * np.maximum(err, 1e-16) ** -0.2
-        h[rows] = ha * np.clip(grow, 0.2, 5.0)
-        collapse = (h[rows] < STEP_FLOOR) & (status[rows] == RUNNING)
+        # grow is never nan or -0.0, so min/max clip it as np.clip does
+        ha = ha * np.minimum(np.maximum(grow, 0.2), 5.0)
+        h[rows] = ha
+        collapse = (ha < STEP_FLOOR) & (status[rows] == RUNNING)
         status[rows[collapse]] = COLLAPSE
 
     status[status == RUNNING] = BUDGET
@@ -394,7 +428,7 @@ def _flow_batch(field: _Field, X0: np.ndarray, targets: _TargetSet,
     for r in range(m):
         out.append(_RowResult(
             status=int(status[r]), target=int(target_of[r]),
-            s_end=float(S[r]), x_end=X[r].copy(), e_aug=float(E[r]),
+            s_end=float(S[r]), x_end=Y[r, :n].copy(), e_aug=float(Y[r, n]),
             f_max=float(f_max[r]), f_min=float(f_min[r]),
             steps=int(steps[r]),
             near_min=near_min[r].copy(), near_side=near_side[r].copy(),

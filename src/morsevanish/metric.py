@@ -54,14 +54,6 @@ class MetricSpec:
             raise ConfigError(f"matrix entries only make sense for kind='custom', not {self.kind!r}")
 
 
-def _complex_rotate(rows: np.ndarray) -> np.ndarray:
-    """Apply the block rotation J (u_k, v_k) -> (v_k, -u_k) to covector rows."""
-    out = np.empty_like(rows)
-    out[..., 0::2] = rows[..., 1::2]
-    out[..., 1::2] = -rows[..., 0::2]
-    return out
-
-
 def metric_exprs(spec: MetricSpec, tau: Expression) -> Tuple[Expression, ...]:
     """What the metric reads: nothing, tau, or the custom entries by row."""
     if spec.kind == "euclidean":
@@ -72,12 +64,16 @@ def metric_exprs(spec: MetricSpec, tau: Expression) -> Tuple[Expression, ...]:
 
 
 def _kahler_parts(jets, n: int):
-    """tau, a = dtau/tau and b = J a at the rows of the tau jet."""
+    """tau and the stacked (a, b) at the rows of the tau jet: a = dtau/tau
+    and b = J a, J the block rotation (u_k, v_k) -> (v_k, -u_k)."""
     if n % 2 != 0:
         raise ConfigError("kahler-cone metric needs an even-dimensional problem")
     tv, tg = jets[0]
-    a = tg / tv[:, None]
-    return tv, a, _complex_rotate(a)
+    ab = np.empty((2,) + tg.shape)
+    np.divide(tg, tv[:, None], out=ab[0])
+    ab[1, :, 0::2] = ab[0, :, 1::2]
+    np.negative(ab[0, :, 0::2], out=ab[1, :, 1::2])
+    return tv, ab
 
 
 def _matrices(spec: MetricSpec, jets, m: int, n: int) -> np.ndarray:
@@ -87,7 +83,7 @@ def _matrices(spec: MetricSpec, jets, m: int, n: int) -> np.ndarray:
     if spec.kind == "cone-euclidean":
         return np.eye(n)[None, :, :] / jets[0][0][:, None, None]
     if spec.kind == "kahler-cone":
-        tv, a, b = _kahler_parts(jets, n)
+        tv, (a, b) = _kahler_parts(jets, n)
         return (a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :]
                 + np.eye(n)[None, :, :]) / tv[:, None, None]
     return np.stack([v for v, _ in jets], axis=1).reshape(m, n, n)
@@ -96,19 +92,21 @@ def _matrices(spec: MetricSpec, jets, m: int, n: int) -> np.ndarray:
 def apply_inverse(spec: MetricSpec, jets, df: np.ndarray) -> np.ndarray:
     """Solve g(x) w = df(x) row-wise, g from the jet1 outputs of
     ``metric_exprs`` at the same rows, with closed forms where the metric
-    admits them: the gradient vector field of f."""
+    admits them: the gradient vector field of f.  The euclidean metric
+    hands back df itself."""
     if spec.kind == "euclidean":
-        return np.array(df, dtype=float, copy=True)
+        return df
     if spec.kind == "cone-euclidean":
         return jets[0][0][:, None] * df
     if spec.kind == "kahler-cone":
         # a and b are orthogonal of equal length, so the inverse of
-        # I + a a^T + b b^T is I - (a a^T + b b^T) / (1 + |a|^2)
-        tv, a, b = _kahler_parts(jets, df.shape[1])
+        # I + a a^T + b b^T is I - (a a^T + b b^T) / (1 + |a|^2); q holds
+        # a (a.df) / c and b (b.df) / c
+        tv, ab = _kahler_parts(jets, df.shape[1])
+        a = ab[0]
         c = 1.0 + np.einsum("ij,ij->i", a, a)
-        pa = np.einsum("ij,ij->i", a, df) / c
-        pb = np.einsum("ij,ij->i", b, df) / c
-        return tv[:, None] * (df - a * pa[:, None] - b * pb[:, None])
+        q = ab * (np.einsum("kij,ij->ki", ab, df) / c)[:, :, None]
+        return tv[:, None] * (df - q[0] - q[1])
     G = _matrices(spec, jets, *df.shape)
     return np.linalg.solve(G, df[..., None])[..., 0]
 

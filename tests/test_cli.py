@@ -59,6 +59,10 @@ GAP = {"name": "gap", "dimension": 2, "eps": 0.1,
 # saddle at the origin at 1 + eps = 1.05, which lies in [b, Lambda)
 GAP2 = {"name": "gap2", "dimension": 2, "eps": 0.05,
         "f": "(x^2 - 1)^2 + y^2", "tau": "pow(1 + x^2 + y^2, -1/2)"}
+# x^2 - 7/10 on the line: one minimum at -7/10 + eps = -0.65, inside the
+# window (-1, 1) but at or below -lambda once --lambda is 0.5
+LOWGAP = {"name": "lowgap", "dimension": 1, "eps": 0.05,
+          "f": "x^2 - 7/10", "tau": "pow(1 + x^2, -1/2)"}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -493,6 +497,29 @@ class TestCommands:
         art = read_artifact(tmp_path, GAP2, "oracle")
         assert (art["lambda"], art["Lambda"]) == (0.5, 1.02)
         assert art["groups"]["0"] == {"betti": 2, "torsion": []}
+
+    def test_compare_refuses_a_critical_value_between_a_and_minus_lambda(
+            self, tmp_path, capsys, monkeypatch):
+        # the window counts the minimum, the oracle's pair puts it in its
+        # sub level set: without the check this was a MISMATCH, exit 2
+        oracle_runs = []
+        monkeypatch.setattr(cli_module, "_oracle_payload",
+                            lambda *a: oracle_runs.append(a))
+        path = write_cfg(tmp_path, LOWGAP)
+        assert run(tmp_path, "compare", "--config", path,
+                   "--lambda", "0.5") == 1
+        err = capsys.readouterr().err
+        assert "critical value -0.65 " in err and "--lambda to -a = 1" in err
+        assert oracle_runs == []
+        assert not (run_dir(tmp_path, LOWGAP) / "compare.json").exists()
+
+    def test_lambda_at_the_window_end_clears_the_lower_check(self, tmp_path):
+        path = write_cfg(tmp_path, LOWGAP)
+        assert run(tmp_path, "compare", "--config", path,
+                   "--lambda", "1") == 0
+        art = read_artifact(tmp_path, LOWGAP, "compare")
+        assert art["verdict"] == "pass"
+        assert [row["morse"] for row in art["rows"]] == ["Z", "0"]
 
     def test_compare_euler_disagreement_fails(self, tmp_path, monkeypatch):
         oracle_payload = cli_module._oracle_payload

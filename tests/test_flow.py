@@ -47,7 +47,8 @@ from morsevanish.homology import (HomologyResult, continuation_chain_map,
 from morsevanish.metric import MetricSpec, gradient_field
 from morsevanish.oracle import (pair_euler_characteristic,
                                 sublevel_pair_homology)
-from morsevanish.problem import DomainModel, ProblemSpec, WindowSpec
+from morsevanish.problem import (DomainModel, ProblemSpec, WindowSpec,
+                                 dual_problem)
 
 
 def make_problem(name, variables, f, tau, lam=1.0):
@@ -556,8 +557,40 @@ def square_absorbers_case():
     return field, starts, _TargetSet([p for p in pts if p.index < 2])
 
 
+def ladder_starts(points, offsets=(1e-4, 1e-2)):
+    """p +- r frame_p[:, 0] for each r: the rows launched at 1e-2 keep
+    some row accepting in every iteration, as the call count check asks."""
+    r = np.array(offsets)
+    return np.concatenate([p.location + np.outer(side * r, p.frame[:, 0])
+                           for p in points for side in (1, -1)])
+
+
+def square_custom_metric_case():
+    # a 2 x 2 custom metric with off-diagonal entries: the solve branch
+    entries = (("1 + x^2", "x*y/2"), ("x*y/2", "1 + y^2"))
+    spec = dataclasses.replace(SQ, metric=MetricSpec("custom", tuple(
+        tuple(map(parse_expression, row)) for row in entries)))
+    pts = find_critical_points(spec, 0.05).inside_window()
+    starts = ladder_starts([p for p in pts if p.index == 1])
+    return (_Field(spec, 0.05), starts,
+            _TargetSet([p for p in pts if p.index == 0]))
+
+
+def twin_peaks_dual_case():
+    # the top-degree launches in R^3, index 1 of -f_eps, from the index-2
+    # point toward the two maxima, in the cone metric
+    spec = dataclasses.replace(TWIN, metric=MetricSpec("cone-euclidean"))
+    pts = find_critical_points(spec, 0.1).inside_window()
+    sinks = [flow_module._as_sink(p, 3) for p in pts if p.index == 3]
+    launchers = [flow_module._as_sink(p, 3) for p in pts if p.index == 2]
+    return (_Field(dual_problem(spec), -0.1), ladder_starts(launchers),
+            _TargetSet(sinks))
+
+
 CASES = {"z3-kahler-cone": z3_case, "double-well-eps-path": dw_eps_path_case,
-         "square-absorbers": square_absorbers_case}
+         "square-absorbers": square_absorbers_case,
+         "square-custom-metric": square_custom_metric_case,
+         "twin-peaks-r3-dual-cone": twin_peaks_dual_case}
 
 
 class TestFlowBatch:
@@ -597,9 +630,23 @@ class TestFlowBatch:
             arrived += int((want["status"] == ARRIVED).sum())
             left += int(np.isin(want["near_side"], (-1, 1)).sum())
         assert arrived > 30 and left > 30
+        # every row outside every ball and in none before, where the
+        # update returns early; every row outside, some leaving a ball;
+        # far rows mixed with near ones
+        for far, was_out, seeds in ((1.0, True, range(30, 40)),
+                                    (1.0, False, range(40, 50)),
+                                    (0.5, False, range(50, 80))):
+            for seed in seeds:
+                got, want = self._near_pass_case(np.random.default_rng(seed),
+                                                 far, was_out)
+                for k in want:
+                    assert want[k].tobytes() == got[k].tobytes(), (seed, k)
 
     @staticmethod
-    def _near_pass_case(rng):
+    def _near_pass_case(rng, far=0.0, was_out=False):
+        """A random update and its row-loop reference; a share ``far`` of
+        the rows sits well outside every ball, in none before if
+        ``was_out``."""
         n, nt, m = 2, 4, 40
         targets = [CriticalPoint(
             location=rng.normal(scale=0.05, size=n), value=0.0,
@@ -621,6 +668,14 @@ class TestFlowBatch:
             near_side=np.full((m + 5, nt), NEVER, dtype=np.int8),
             status=np.full(m + 5, RUNNING), target_of=np.full(m + 5, -1))
         past = rng.random(m) < 0.7
+        away = rng.random(m) < far
+        X[away] += 1.0
+        if was_out:
+            want["inside"][live[away]] = False
+        if far:
+            # r_arrive <= r_near, as in every _TargetSet: a row can then
+            # not leave a ball inside an arrival radius
+            tset.r_arrive = np.minimum(tset.r_arrive, tset.r_near)
         got = {k: v.copy() for k, v in want.items()}
         flow_module._near_passes(tset, live, X, past, **got)
         # the per-row, per-target loop the vectorised update replaced
