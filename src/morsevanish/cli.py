@@ -151,6 +151,13 @@ def _number(v, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {v!r}")
 
 
+def _finite(v, what: str) -> float:
+    x = _number(v, what)
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {v!r}")
+    return x
+
+
 def _integer(v, what: str, least: int) -> int:
     """v itself if it is a JSON integer of at least ``least``."""
     if isinstance(v, bool) or not isinstance(v, int) or v < least:
@@ -398,9 +405,9 @@ class RunContext:
 
     def eps(self) -> float:
         if self.args.eps is not None:
-            return float(self.args.eps)
+            return _finite(self.args.eps, "--eps")
         if "eps" in self.cfg:
-            return _number(self.cfg["eps"], "eps")
+            return _finite(self.cfg["eps"], "eps")
         raise ConfigError('no eps given: pass --eps or put "eps" in '
                           "the config")
 
@@ -450,8 +457,7 @@ def _crit_payload(ctx: RunContext, eps: float):
     key = ctx.cache.key(ctx.cfg_hash, "crit", {"eps": eps, "seed": ctx.seed})
 
     def compute():
-        cs = find_critical_points(ctx.problem, eps, seed=ctx.seed,
-                                  allow_empty=True)
+        cs = find_critical_points(ctx.problem, eps, seed=ctx.seed)
         return {"problem": cs.problem, "eps": eps, "seed": ctx.seed,
                 "n_starts": cs.n_starts, "n_converged": cs.n_converged,
                 "n_dead": cs.n_dead,
@@ -802,7 +808,8 @@ def cmd_compare(args) -> int:
 
 def cmd_continue(args) -> int:
     ctx = _context(args)
-    e_from, e_to = float(args.eps_from), float(args.eps_to)
+    e_from = _finite(args.eps_from, "--eps-from")
+    e_to = _finite(args.eps_to, "--eps-to")
     cx_a = _window_complex(ctx, e_from)
     cx_b = _window_complex(ctx, e_to)
     res = continuation_trajectories(ctx.problem, e_from, e_to, cx_a.points(),

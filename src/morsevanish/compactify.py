@@ -27,7 +27,7 @@ from .expr import (Const, Expression, FracPow, IntPow, Product, Sum, Var,
 from .metric import MetricSpec
 from .problem import DomainModel, ProblemSpec, WindowSpec
 
-__all__ = ["AlgebraicProblem", "pole_order_at_infinity", "build_tau",
+__all__ = ["AlgebraicProblem", "build_tau",
            "realify", "real_variables", "real_imag_parts",
            "check_compactification", "CompactificationReport", "EndReport"]
 
@@ -68,6 +68,7 @@ class AlgebraicProblem:
 
     @property
     def degree(self) -> int:
+        """Growth rate of F at infinity: the total degree."""
         return max(sum(e) for e, _, _ in self.terms)
 
     @property
@@ -85,11 +86,6 @@ class AlgebraicProblem:
                 mono *= zk ** e
             total += mono
         return total
-
-
-def pole_order_at_infinity(problem: AlgebraicProblem) -> int:
-    """Growth rate of F at infinity: the total degree."""
-    return problem.degree
 
 
 def real_variables(n: int) -> Tuple[str, ...]:

@@ -29,16 +29,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateCriticalPoint, MorsificationFailed,
-                     SolverBudgetExceeded)
+from .errors import MorsificationFailed
 from .expr import (Const, Expression, Product, Sum, Tape, Var, as_fraction,
-                   compile, eval_jet2, eval_values)
+                   compile, eval_values)
 from .metric import metric_at
-from .problem import ProblemSpec, WindowSpec, perturbed_function
+from .problem import ProblemSpec, perturbed_function
 
 __all__ = ["CriticalPoint", "CriticalSet", "canonical_key",
            "find_critical_points",
-           "morse_index", "certify_root", "morsify", "halton_points",
+           "certify_root", "morsify", "halton_points",
            "default_starts", "oriented_pencil_eigs", "sweep_epsilon",
            "sweep_theta", "SweepReport", "ValueChain", "ThetaSweepReport"]
 
@@ -367,9 +366,10 @@ def canonical_key(p: CriticalPoint):
 
 def find_critical_points(problem: ProblemSpec, eps: float,
                          n_starts: Optional[int] = None, seed: int = 0,
-                         extra_starts: Optional[np.ndarray] = None,
-                         allow_empty: bool = False) -> CriticalSet:
-    """Locate, deduplicate and certify the critical points of f_eps."""
+                         extra_starts: Optional[np.ndarray] = None
+                         ) -> CriticalSet:
+    """Locate, deduplicate and certify the critical points of f_eps.  When
+    no start converges the set is empty."""
     n = problem.domain.dimension
     m = default_starts(n) if n_starts is None else int(n_starts)
     lo = np.array([b[0] for b in problem.domain.box])
@@ -386,11 +386,7 @@ def find_critical_points(problem: ProblemSpec, eps: float,
                                          _RESIDUAL_TOL, _MAX_ITER)
     hits = np.flatnonzero(done)
     if hits.size == 0:
-        if allow_empty:
-            return CriticalSet(problem.name, eps, (), len(X0), 0, int(dead.sum()))
-        raise SolverBudgetExceeded(
-            f"no critical point converged from {len(X0)} starts within "
-            f"{_MAX_ITER} iterations (best residual {np.min(gnorm):.3g})")
+        return CriticalSet(problem.name, eps, (), len(X0), 0, int(dead.sum()))
 
     span = float(np.max(hi - lo))
     rep_rows = [hits[j] for j in _collapse(X[hits], gnorm[hits], 1e-7 * (1 + span))]
@@ -438,22 +434,6 @@ def find_critical_points(problem: ProblemSpec, eps: float,
                        int(done.sum()), int(dead.sum()))
 
 
-def morse_index(problem: ProblemSpec, eps: float,
-                point: Sequence[float]) -> int:
-    """Number of negative pencil eigenvalues at a (certified) critical point."""
-    x = np.asarray(point, dtype=float)
-    fe = perturbed_function(problem, eps)
-    _, gb, Hb = eval_jet2(fe, x[None, :], problem.variables)
-    G = metric_at(problem.metric, problem.tau, problem.variables, x)
-    w, _ = oriented_pencil_eigs(Hb[0], G)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if float(np.min(np.abs(w))) < DEGENERACY_RTOL * scale:
-        raise DegenerateCriticalPoint(
-            f"Hessian pencil at {x.tolist()} has a near-zero eigenvalue; "
-            f"the Morse index is not defined there")
-    return int(np.sum(w < 0))
-
-
 _TILT = 1e-6        # size of morsify's first tilt; each retry doubles it
 _TILT_ATTEMPTS = 8
 
@@ -464,7 +444,7 @@ def morsify(problem: ProblemSpec, eps: float) -> ProblemSpec:
     MorsificationFailed when the attempt budget runs out."""
     rng = np.random.default_rng(0)
     names = problem.variables
-    base = find_critical_points(problem, eps, allow_empty=True)
+    base = find_critical_points(problem, eps)
     if all(not p.degenerate for p in base.inside_window()):
         return problem
     for k in range(_TILT_ATTEMPTS):
@@ -475,7 +455,7 @@ def morsify(problem: ProblemSpec, eps: float) -> ProblemSpec:
         tilted = problem.with_f(Sum((problem.f,) + tilt),
                                 note=f"tilted by {_TILT * 2.0 ** k:.2g} "
                                      "to split degeneracy")
-        cs = find_critical_points(tilted, eps, allow_empty=True)
+        cs = find_critical_points(tilted, eps)
         if cs.points and all(not p.degenerate for p in cs.inside_window()):
             return tilted
     raise MorsificationFailed(
@@ -511,10 +491,6 @@ class SweepReport:
     eps0: float                       # nan when no admissible eps exists
     separation: Tuple[Tuple[float, bool], ...]
     verdict: str
-
-    def window(self) -> WindowSpec:
-        return WindowSpec.finite_action(self.lambda_est, self.Lambda_est,
-                                        self.sigma_est)
 
 
 def _fit_divergence(entries) -> Tuple[float, float]:
@@ -564,7 +540,7 @@ def sweep_epsilon(problem: ProblemSpec, eps_grid: Sequence[float],
     for eps in grid:
         extra = np.array([p.location for p in prev_pts]) if prev_pts else None
         cs = find_critical_points(problem, eps, n_starts=n_starts, seed=seed,
-                                  extra_starts=extra, allow_empty=True)
+                                  extra_starts=extra)
         pts = list(cs.points)
         rows.append({
             "eps": eps,

@@ -55,10 +55,6 @@ class NotPositiveDefinite(MorsevanishError):
     """A metric matrix failed its Cholesky positivity certificate."""
 
 
-class SolverBudgetExceeded(MorsevanishError):
-    """A solver was asked for more work than its configured budget."""
-
-
 class DegenerateCriticalPoint(MorsevanishError):
     """An operation that needs a nondegenerate Hessian met a degenerate one."""
 

@@ -17,7 +17,7 @@ Evaluation comes in two flavours:
   the metric share one tau).  It evaluates values and jets at a batch of
   points, or values on a tensor grid, poisoning out-of-domain rows to
   nan/inf instead of raising; ``eval_values`` / ``eval_jet1`` /
-  ``eval_jet2`` / ``eval_grid`` are its one-expression forms.
+  ``eval_jet2`` are its one-expression forms at a batch of points.
 
 Derivatives are exact (forward-mode, value/gradient/Hessian propagated
 together; Griewank and Walther, *Evaluating Derivatives*, 2008), not
@@ -37,9 +37,9 @@ from .errors import DomainViolation, ExpressionParseError
 
 __all__ = [
     "Expression", "Const", "Var", "Sum", "Product", "IntPow", "FracPow",
-    "Quotient", "var", "rational_pow", "free_variables",
+    "Quotient", "rational_pow", "free_variables",
     "evaluate", "differentiate", "Tape", "compile", "eval_values",
-    "eval_grid", "eval_jet1", "eval_jet2", "parse_expression", "as_fraction",
+    "eval_jet1", "eval_jet2", "parse_expression", "as_fraction",
 ]
 
 
@@ -165,10 +165,6 @@ class Quotient(Expression):
     def __init__(self, num: Expression, den: Expression):
         self.num = num
         self.den = den
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def rational_pow(base: Expression, p) -> Expression:
@@ -497,12 +493,6 @@ def compile(exprs: Sequence[Expression], names: Sequence[str]) -> Tape:
 def eval_values(expr: Expression, points: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Values at a batch of points; shape (m, n) -> (m,). nan where undefined."""
     return compile((expr,), names).values(points)[0]
-
-
-def eval_grid(expr: Expression, axes: Sequence[np.ndarray],
-              names: Sequence[str]) -> np.ndarray:
-    """Values on the tensor grid of the 1-D ``axes`` (see ``Tape.grid``)."""
-    return compile((expr,), names).grid(axes)[0]
 
 
 def eval_jet1(expr: Expression, points: np.ndarray, names: Sequence[str]):

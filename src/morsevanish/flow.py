@@ -82,8 +82,7 @@ from .problem import ProblemSpec, dual_problem
 __all__ = ["TrajectoryRecord", "integrate_flow",
            "energy", "count_boundary", "count_boundaries",
            "BoundaryCountResult",
-           "continuation_trajectories", "ContinuationResult",
-           "gamma_profile", "gamma_slope"]
+           "continuation_trajectories", "ContinuationResult"]
 
 ENERGY_RTOL = 1e-6
 STEP_FLOOR = 1e-14
@@ -95,26 +94,19 @@ S_TAIL = 400.0
 R_LAUNCH = 1e-4
 BOUNDARY_BUDGET = 40000
 CONTINUATION_BUDGET = 60000
+# continuation gives up once halving takes delta below this
+DELTA_FLOOR = 1e-6
 
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
 
 def _ramp(s):
-    """gamma and d gamma / ds at s, from one clamped u = (s + 1) / 2 (the
+    """gamma and d gamma / ds at s: the C^1 smoothstep clamped to 0 for
+    s <= -1 and to 1 for s >= +1, from one clamped u = (s + 1) / 2 (the
     max/min pair clamps like np.clip: u is never -0.0, nan stays nan)."""
     u = np.minimum(np.maximum((np.asarray(s, dtype=float) + 1.0) / 2.0, 0.0),
                    1.0)
     return u * u * (3.0 - 2.0 * u), 3.0 * u * (1.0 - u)
-
-
-def gamma_profile(s):
-    """Clamped smoothstep: 0 for s <= -1, 1 for s >= +1, C^1 in between."""
-    return _ramp(s)[0]
-
-
-def gamma_slope(s):
-    """d gamma / ds; vanishes outside [-1, 1]."""
-    return _ramp(s)[1]
 
 
 class _Field:
@@ -457,16 +449,6 @@ class TrajectoryRecord:
             return False
         return abs(self.E_an - self.E_top) < ENERGY_RTOL * (1.0 + abs(self.E_top))
 
-    def to_csv(self) -> str:
-        if self.samples is None:
-            raise NotConverged(
-                "this trajectory was integrated without path recording")
-        n = self.samples.shape[1] - 2
-        head = ",".join(["s"] + [f"x{i + 1}" for i in range(n)] + ["f"])
-        rows = [",".join(repr(float(v)) for v in row)
-                for row in self.samples]
-        return "\n".join([head] + rows)
-
 
 def _make_record(row: _RowResult, field: _Field, start: np.ndarray,
                  start_value: Optional[float],
@@ -502,8 +484,7 @@ def _make_record(row: _RowResult, field: _Field, start: np.ndarray,
 
 def integrate_flow(problem: ProblemSpec, eps: float, start,
                    targets: Sequence[CriticalPoint] = (),
-                   budget: int = BOUNDARY_BUDGET,
-                   record_path: bool = True) -> TrajectoryRecord:
+                   budget: int = BOUNDARY_BUDGET) -> TrajectoryRecord:
     """One flowline from an interior start until arrival at a target,
     window exit past the sigma margin, or exhaustion; exhaustion raises
     BudgetExceeded and a collapsed step size raises StepCollapse."""
@@ -513,8 +494,7 @@ def integrate_flow(problem: ProblemSpec, eps: float, start,
             f"flow start {x0.tolist()} is not inside the domain")
     field = _Field(problem, eps)
     tset = _TargetSet(targets)
-    (row,) = _flow_batch(field, x0[None, :], tset, budget,
-                         record=record_path)
+    (row,) = _flow_batch(field, x0[None, :], tset, budget, record=True)
     start_value = None
     for i, p in enumerate(tset.points):
         if np.linalg.norm(x0 - p.location) <= tset.r_arrive[i]:
@@ -739,22 +719,24 @@ def continuation_trajectories(problem: ProblemSpec, eps_from: float,
                               eps_to: float,
                               sources: Sequence[CriticalPoint],
                               targets: Sequence[CriticalPoint],
-                              delta: float = 0.5, delta_floor: float = 1e-6
-                              ) -> ContinuationResult:
+                              delta: float = 0.5) -> ContinuationResult:
     """Signed index-preserving arrival counts for the delta-slow path from
     f_{eps_from} to f_{eps_to}, halving delta from the given value until
-    the runs are confined.
+    the runs are confined.  A delta that is not finite and positive raises
+    ConfigError before any integration.
 
     Confinement means no trajectory climbs above b + sigma, and the
     zero-offset launch of every source either settles at a same-index
     window target or at least passes near one before washing out; failing
-    that at delta_floor raises DeltaFloor.  Counts at saddles come from
+    that below DELTA_FLOOR raises DeltaFloor.  Counts at saddles come from
     side flips across the launch ladder, so an identity path reports the
     identity matrix without needing exact center arrivals.  Sources must
     have index 0 or 1: a source of higher index raises CountingRefused,
     because no signed count over a higher-dimensional unstable manifold is
     implemented.
     """
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConfigError(f"delta must be finite and positive, got {delta!r}")
     if any(p.index > 1 for p in sources):
         raise CountingRefused("continuation counting handles sources of "
                               "index 0 and 1 only")
@@ -814,7 +796,7 @@ def continuation_trajectories(problem: ProblemSpec, eps_from: float,
             return ContinuationResult(counts, delta, halvings, tuple(recs))
         delta *= 0.5
         halvings += 1
-        if delta < delta_floor:
+        if delta < DELTA_FLOOR:
             raise DeltaFloor(
                 f"confinement still violated at delta={delta * 2:.3g}; the "
                 f"parameter path likely leaves the window")

@@ -27,11 +27,11 @@ from .critical import (CriticalPoint, canonical_key, find_critical_points,
                        sweep_epsilon)
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
-from .flow import (BOUNDARY_BUDGET, BoundaryCountResult, ContinuationResult,
+from .flow import (BoundaryCountResult, ContinuationResult,
                    continuation_trajectories, count_boundaries)
 from .intlinalg import (SNF, ChainComplexData, HomologyResult, Matrix,
-                        _format_group, homology_of_complex, identity,
-                        kernel_basis, matmul, smith_normal_form)
+                        _format_group, homology_of_complex, kernel_basis,
+                        matmul, smith_normal_form)
 from .problem import ProblemSpec, dual_problem
 
 __all__ = [
@@ -40,9 +40,9 @@ __all__ = [
     "assemble_complex", "boundary_counts", "complex_from_counts",
     "require_nondegenerate", "window_complex",
     "verify_d_squared", "homology",
-    "cohomology", "chain_map", "chain_map_from_counts",
-    "continuation_chain_map", "induced_map", "induced_maps_agree", "compose",
-    "identity_chain_map", "stabilized_homology", "duality_ranks",
+    "chain_map", "chain_map_from_counts",
+    "continuation_chain_map", "induced_map", "induced_maps_agree",
+    "stabilized_homology", "duality_ranks",
     "euler_characteristic",
 ]
 
@@ -98,10 +98,6 @@ class MorseComplex:
         dims = {k: self.rank(k) for k in range(self.top + 1)}
         bnds = {k: self.boundary(k) for k in range(1, self.top + 1)}
         return ChainComplexData(dims, bnds)
-
-    @property
-    def euler(self) -> int:
-        return sum((-1) ** k * self.rank(k) for k in range(self.top + 1))
 
 
 def assemble_complex(points: Sequence[CriticalPoint],
@@ -246,23 +242,23 @@ def complex_from_counts(problem: ProblemSpec, eps: float,
 
 
 def window_complex(problem: ProblemSpec, eps: float, seed: int = 0,
-                   budget: int = BOUNDARY_BUDGET,
                    strict: bool = True) -> MorseComplex:
     """Locate the window critical points of f_eps and count their
     boundary flowlines into one Morse complex.
 
     All lower-index window points are handed to the counting stage as
-    absorbers.  With ``strict`` set (the default), any warning from the
-    counting stage raises MissingCount, since a count that came with a
-    warning is not one to build homology on; pass strict=False to get the
-    complex anyway with the warnings in its notes.
+    absorbers; it counts at its default launch radius and step budget.
+    With ``strict`` set (the default), any warning from the counting stage
+    raises MissingCount, since a count that came with a warning is not
+    one to build homology on; pass strict=False to get the complex anyway
+    with the warnings in its notes.
     """
-    cs = find_critical_points(problem, eps, seed=seed, allow_empty=True)
+    cs = find_critical_points(problem, eps, seed=seed)
     pts = list(cs.inside_window())
     require_nondegenerate(pts, eps)
-    return complex_from_counts(
-        problem, eps, pts, boundary_counts(problem, eps, pts, budget=budget),
-        strict=strict)
+    return complex_from_counts(problem, eps, pts,
+                               boundary_counts(problem, eps, pts),
+                               strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +310,6 @@ def homology(cx: MorseComplex) -> HomologyResult:
     numbers are meaningless otherwise.
     """
     return homology_of_complex(cx.chain_data())
-
-
-def cohomology(h: HomologyResult) -> HomologyResult:
-    """Cochain-level answer from universal coefficients over the integers:
-    degree k keeps the free part of H_k and inherits the torsion of
-    H_{k-1}."""
-    degs = set(h.groups)
-    degs.update(k + 1 for k, (_, t) in h.groups.items() if t)
-    return HomologyResult({k: (h.betti(k), h.torsion(k - 1))
-                           for k in sorted(degs)})
 
 
 def euler_characteristic(points: Iterable[CriticalPoint]) -> int:
@@ -397,11 +383,6 @@ def chain_map(source: MorseComplex, target: MorseComplex,
     return ChainMap(source, target, tuple(mats), tuple(notes))
 
 
-def identity_chain_map(cx: MorseComplex) -> ChainMap:
-    return chain_map(cx, cx, [identity(cx.rank(k))
-                              for k in range(cx.top + 1)])
-
-
 def _flat_places(cx: MorseComplex) -> List[Tuple[int, int]]:
     return [(k, s) for k in range(cx.top + 1)
             for s in range(cx.rank(k))]
@@ -441,19 +422,6 @@ def chain_map_from_counts(source: MorseComplex, target: MorseComplex,
             continue
         mats[ks][rt][cs] = int(c)
     return chain_map(source, target, mats, notes)
-
-
-def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
-    """outer after inner; the middle complex must be the same object."""
-    if outer.source is not inner.target:
-        raise ConfigError("chain maps do not share their middle complex")
-    D = max(inner.source.top, outer.target.top)
-    mats = []
-    for k in range(D + 1):
-        mats.append(matmul(outer.degree(k), inner.degree(k),
-                           inner.source.rank(k)))
-    return chain_map(inner.source, outer.target, mats,
-                     notes=inner.notes + outer.notes)
 
 
 # ---------------------------------------------------------------------------

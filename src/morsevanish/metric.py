@@ -26,10 +26,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, NotPositiveDefinite
-from .expr import Expression, compile, eval_jet1
+from .expr import Expression, compile
 
 __all__ = ["MetricSpec", "metric_at", "metric_batch", "metric_exprs",
-           "gradient_field", "apply_inverse", "apply_inverse_batch", "KINDS"]
+           "apply_inverse", "apply_inverse_batch", "KINDS"]
 
 KINDS = ("euclidean", "cone-euclidean", "kahler-cone", "custom")
 
@@ -146,19 +146,3 @@ def apply_inverse_batch(spec: MetricSpec, tau: Expression, names: Sequence[str],
     """``apply_inverse`` at a batch of points X."""
     jets = compile(metric_exprs(spec, tau), names).jet1(np.atleast_2d(X))
     return apply_inverse(spec, jets, df)
-
-
-def gradient_field(problem, eps: float, point: Sequence[float]) -> np.ndarray:
-    """Gradient of f_eps at a point, taken in the problem's metric.
-
-    The metric is certified at the point first; the solve is the one
-    flows use, ``apply_inverse``.
-    """
-    from .problem import perturbed_function
-
-    x = np.asarray(point, dtype=float)
-    names = problem.variables
-    _, dfe = eval_jet1(perturbed_function(problem, eps), x[None, :], names)
-    metric_at(problem.metric, problem.tau, names, x)
-    return apply_inverse_batch(problem.metric, problem.tau, names,
-                               x[None, :], dfe)[0]

@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .expr import (Const, Expression, Quotient, Sum, as_fraction,
-                   differentiate, evaluate, free_variables)
+                   free_variables)
 from .metric import MetricSpec
 
 __all__ = ["DomainModel", "WindowSpec", "ProblemSpec", "dual_problem",
-           "perturbed_function", "evaluate", "differentiate"]
+           "perturbed_function"]
 
 _INF = float("inf")
 _BOX_MARGIN = 1e-3   # search box inset from a finite end (times the width

@@ -634,6 +634,20 @@ class TestCommands:
         assert art["failures"] == []
         assert art["source_homology"] == art["target_homology"]
 
+    @pytest.mark.parametrize("argv", [
+        ("continue", "--eps-from", "0.1", "--eps-to", "0.05", "--delta", "0"),
+        ("continue", "--eps-from", "0.1", "--eps-to", "0.05",
+         "--delta", "-0.5"),
+        ("continue", "--eps-from", "nan", "--eps-to", "0.05"),
+        ("continue", "--eps-from", "0.1", "--eps-to", "inf"),
+        ("crit", "--eps", "nan"),
+    ], ids=["delta-0", "delta-negative", "eps-from-nan", "eps-to-inf",
+            "eps-nan"])
+    def test_bad_eps_or_delta_exits_one(self, tmp_path, capsys, argv):
+        path = write_cfg(tmp_path, DW)
+        assert run(tmp_path, *argv, "--config", path) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_jobs_flag_rejected(self, tmp_path):
         path = write_cfg(tmp_path, DW)
         with pytest.raises(SystemExit) as err:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from morsevanish.compactify import (AlgebraicProblem, build_tau,
-                                    check_compactification,
-                                    pole_order_at_infinity, real_variables,
+                                    check_compactification, real_variables,
                                     realify)
 from morsevanish.errors import AlphaTooSmall, ConfigError, ZeroPolynomial
 from morsevanish.expr import eval_values, evaluate, parse_expression
@@ -23,7 +22,7 @@ class TestAlgebraicProblem:
     def test_degree(self):
         assert Z2.degree == 2
         assert XXY.degree == 3
-        assert pole_order_at_infinity(Z3) == 3
+        assert Z3.degree == 3
 
     def test_zero_polynomial(self):
         with pytest.raises(ZeroPolynomial):

@@ -14,8 +14,8 @@ import pytest
 from morsevanish.errors import DomainViolation, ExpressionParseError
 from morsevanish.expr import (
     Const, Expression, FracPow, IntPow, Product, Quotient, Sum, Var,
-    compile, differentiate, eval_grid, eval_jet1, eval_jet2, eval_values,
-    evaluate, free_variables, parse_expression, rational_pow, to_infix, var,
+    compile, differentiate, eval_jet1, eval_jet2, eval_values, evaluate,
+    free_variables, parse_expression, rational_pow, to_infix,
 )
 
 
@@ -95,7 +95,7 @@ def test_batch_agrees_with_scalar():
 
 
 def test_domain_violation_rational_power():
-    f = rational_pow(var("x"), Fraction(1, 2))
+    f = rational_pow(Var("x"), Fraction(1, 2))
     with pytest.raises(DomainViolation):
         evaluate(f, {"x": -1.0})
     with pytest.raises(DomainViolation):
@@ -170,7 +170,7 @@ def test_roundtrip_through_printer():
 
 
 def test_operator_overloads_build_expected_nodes():
-    x = var("x")
+    x = Var("x")
     e = (x + 1) * x ** 2 / (x - 3)
     assert isinstance(e, Quotient)
     assert isinstance(e.num.factors[1], IntPow)
@@ -216,7 +216,7 @@ class TestEvalGrid:
     def test_random_trees_match_stacked_points_bitwise(self, seed):
         expr = random_tree(np.random.default_rng(seed), self.NAMES, 4)
         want = grid_by_points(expr, self.AXES, self.NAMES)
-        got = eval_grid(expr, self.AXES, self.NAMES)
+        got = compile((expr,), self.NAMES).grid(self.AXES)[0]
         assert got.shape == (5, 3, 4)
         assert np.array_equal(got, want, equal_nan=True), to_infix(expr)
 
@@ -229,7 +229,7 @@ class TestEvalGrid:
     ])
     def test_listed_shapes_match_stacked_points(self, text):
         expr = parse_expression(text)
-        got = eval_grid(expr, self.AXES, self.NAMES)
+        got = compile((expr,), self.NAMES).grid(self.AXES)[0]
         want = grid_by_points(expr, self.AXES, self.NAMES)
         assert got.shape == (5, 3, 4)
         assert np.array_equal(got, want, equal_nan=True)
@@ -267,7 +267,7 @@ class TestEvalGrid:
         expr = parse_expression("u1 + w")
         for _ in range(2):
             with pytest.raises(KeyError, match="w"):
-                eval_grid(expr, self.AXES, self.NAMES)
+                compile((expr,), self.NAMES).grid(self.AXES)
             with pytest.raises(KeyError, match="w"):
                 eval_values(expr, np.zeros((2, 3)), self.NAMES)
         assert eval_values(expr, np.ones((2, 2)), ["u1", "w"]).tolist() \
@@ -275,7 +275,7 @@ class TestEvalGrid:
 
     def test_axis_count_must_match_names(self):
         with pytest.raises(ValueError, match="2 axes for 3"):
-            eval_grid(parse_expression("u1"), self.AXES[:2], self.NAMES)
+            compile((parse_expression("u1"),), self.NAMES).grid(self.AXES[:2])
 
 
 # ---------------------------------------------------------------------------

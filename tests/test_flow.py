@@ -22,33 +22,36 @@ Reference data used below:
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import morsevanish.flow as flow_module
+import morsevanish.homology as homology_module
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import CriticalPoint, find_critical_points
 from morsevanish.errors import (BudgetExceeded, ConfigError, CountingRefused,
                                 DeltaFloor, MissingCount, NotConverged,
                                 StepCollapse)
-from morsevanish.expr import parse_expression
+from morsevanish.expr import eval_jet1, parse_expression
 from morsevanish.flow import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
                               EXIT_BELOW, NEVER, RTOL, RUNNING, S_TAIL,
                               STEP_FLOOR, _DP_A, _DP_B4, _DP_B5, _DP_C,
-                              _Field, _flip_count, _flow_batch, _RowResult,
-                              _TargetSet, continuation_trajectories,
-                              count_boundaries, count_boundary, energy,
-                              gamma_profile, gamma_slope, integrate_flow)
+                              _Field, _flip_count, _flow_batch, _ramp,
+                              _RowResult, _TargetSet,
+                              continuation_trajectories, count_boundaries,
+                              count_boundary, energy, integrate_flow)
 from morsevanish.homology import (HomologyResult, continuation_chain_map,
                                   duality_ranks, euler_characteristic,
                                   homology, verify_d_squared, window_complex)
-from morsevanish.metric import MetricSpec, gradient_field
-from morsevanish.oracle import (pair_euler_characteristic,
+from morsevanish.metric import MetricSpec, apply_inverse_batch
+from morsevanish.oracle import (catalog_lookup, catalog_names,
+                                pair_euler_characteristic,
                                 sublevel_pair_homology)
 from morsevanish.problem import (DomainModel, ProblemSpec, WindowSpec,
-                                 dual_problem)
+                                 dual_problem, perturbed_function)
 
 
 def make_problem(name, variables, f, tau, lam=1.0):
@@ -81,17 +84,17 @@ def dw_points():
 
 class TestGamma:
     def test_ramp_endpoints_and_clamp(self):
-        s = np.array([-5.0, -1.0, 0.0, 1.0, 7.0])
-        assert gamma_profile(s) == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0])
-        assert gamma_slope(s) == pytest.approx([0.0, 0.0, 0.75, 0.0, 0.0])
+        gamma, slope = _ramp(np.array([-5.0, -1.0, 0.0, 1.0, 7.0]))
+        assert gamma == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0])
+        assert slope == pytest.approx([0.0, 0.0, 0.75, 0.0, 0.0])
 
     def test_monotone_and_consistent_with_slope(self):
         s = np.linspace(-1.2, 1.2, 241)
-        g = gamma_profile(s)
+        g = _ramp(s)[0]
         assert np.all(np.diff(g) >= 0)
         mid = 0.5 * (s[:-1] + s[1:])
         fd = np.diff(g) / np.diff(s)
-        assert fd == pytest.approx(gamma_slope(mid), abs=1e-4)
+        assert fd == pytest.approx(_ramp(mid)[1], abs=1e-4)
 
 
 class TestIntegrate:
@@ -141,23 +144,6 @@ class TestIntegrate:
                           WindowSpec.finite_action(1.0, 10.0, 0.25))
         with pytest.raises(ConfigError):
             integrate_flow(ray, 0.1, [-1.0])
-
-    def test_csv_round_trip(self):
-        _, minima = dw_points()
-        rec = integrate_flow(DW, 0.0, [0.4], targets=minima)
-        text = rec.to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "s,x1,f"
-        assert len(lines) == len(rec.samples) + 1
-        assert float(lines[1].split(",")[1]) == pytest.approx(0.4)
-
-    def test_csv_needs_recording(self):
-        _, minima = dw_points()
-        rec = integrate_flow(DW, 0.0, [0.4], targets=minima,
-                             record_path=False)
-        assert rec.samples is None
-        with pytest.raises(NotConverged):
-            rec.to_csv()
 
 
 class TestEnergyQuadrature:
@@ -356,12 +342,24 @@ class TestContinuation:
                                             targets, delta)
             assert res.halvings == 0
 
-    def test_window_escape_raises_delta_floor(self):
+    def test_window_escape_raises_delta_floor(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "DELTA_FLOOR", 1e-3)
         sources = find_critical_points(Z2, 0.4).inside_window()
         targets = find_critical_points(Z2, 0.1).inside_window()
         with pytest.raises(DeltaFloor):
-            continuation_trajectories(Z2, 0.4, 3.0, sources, targets,
-                                      delta_floor=1e-3)
+            continuation_trajectories(Z2, 0.4, 3.0, sources, targets)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_is_refused_before_integrating(self, delta,
+                                                            monkeypatch):
+        sources = find_critical_points(DW, 0.05).inside_window()
+        targets = find_critical_points(DW, 0.01).inside_window()
+        # refused before any integration: from nan or inf, halving never
+        # goes below the floor
+        monkeypatch.setattr(flow_module, "_flow_batch", None)
+        with pytest.raises(ConfigError, match="delta must be finite"):
+            continuation_trajectories(DW, 0.05, 0.01, sources, targets,
+                                      delta)
 
 
 class TestCustomMetric:
@@ -371,9 +369,11 @@ class TestCustomMetric:
         cone = dataclasses.replace(DW, metric=MetricSpec("cone-euclidean"))
         custom = dataclasses.replace(DW, metric=MetricSpec(
             "custom", ((parse_expression("pow(1 + x^2, 1/2)"),),)))
-        for x in np.linspace(-1.5, 1.5, 7):
-            assert gradient_field(custom, 0.05, [x]) == pytest.approx(
-                gradient_field(cone, 0.05, [x]), rel=1e-12, abs=1e-15)
+        X = np.linspace(-1.5, 1.5, 7)[:, None]
+        _, df = eval_jet1(perturbed_function(DW, 0.05), X, DW.variables)
+        grads = [apply_inverse_batch(p.metric, p.tau, p.variables, X, df)
+                 for p in (custom, cone)]
+        assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=1e-15)
         a = window_complex(cone, 0.05, seed=0)
         b = window_complex(custom, 0.05, seed=0)
         assert [b.rank(k) for k in range(b.top + 1)] == [2, 1]
@@ -642,6 +642,18 @@ class TestFlowBatch:
                 for k in want:
                     assert want[k].tobytes() == got[k].tobytes(), (seed, k)
 
+    def test_target_balls_nest_on_catalog_points(self):
+        # the invariant the near-pass cases above draw under
+        seen = 0
+        for name in catalog_names():
+            e = catalog_lookup(name)
+            tset = _TargetSet(
+                find_critical_points(e.problem(), e.eps).inside_window())
+            assert np.all(tset.r_arrive <= 1e-4), name
+            assert np.all(tset.r_near >= 20 * tset.r_arrive), name
+            seen += len(tset)
+        assert seen > 9
+
     @staticmethod
     def _near_pass_case(rng, far=0.0, was_out=False):
         """A random update and its row-loop reference; a share ``far`` of
@@ -672,10 +684,9 @@ class TestFlowBatch:
         X[away] += 1.0
         if was_out:
             want["inside"][live[away]] = False
-        if far:
-            # r_arrive <= r_near, as in every _TargetSet: a row can then
-            # not leave a ball inside an arrival radius
-            tset.r_arrive = np.minimum(tset.r_arrive, tset.r_near)
+        # r_arrive <= r_near, as in every _TargetSet: a row can then not
+        # leave a ball inside an arrival radius
+        tset.r_arrive = np.minimum(tset.r_arrive, tset.r_near)
         got = {k: v.copy() for k, v in want.items()}
         flow_module._near_passes(tset, live, X, past, **got)
         # the per-row, per-target loop the vectorised update replaced
@@ -812,16 +823,19 @@ class TestTopDegree:
                                         resolution=16)
         assert h.same_as(oracle)
 
-    def test_unfinished_launch_warns_every_top_source(self):
+    def test_unfinished_launch_warns_every_top_source(self, monkeypatch):
         tops, below = top_degree_case(TWIN, 0.1)
         assert len(tops) == 2
         for res in count_boundaries(TWIN, 0.1, tops, below, budget=3):
             assert all(c == 0 for c in res.counts.values())
             assert len(res.warnings) == 2
             assert all("ended with budget" in w for w in res.warnings)
+        monkeypatch.setattr(homology_module, "boundary_counts",
+                            functools.partial(homology_module.boundary_counts,
+                                              budget=3))
         with pytest.raises(MissingCount, match="reversed launch"):
-            window_complex(TWIN, 0.1, seed=0, budget=3)
-        loose = window_complex(TWIN, 0.1, seed=0, budget=3, strict=False)
+            window_complex(TWIN, 0.1, seed=0)
+        loose = window_complex(TWIN, 0.1, seed=0, strict=False)
         assert len(loose.notes) == 4
 
     def test_energy_violation_warns_its_source(self, monkeypatch):

@@ -6,6 +6,11 @@ when the module loads it anywhere (attribute chains count through their
 root name), mentions it in a string annotation, or lists it in
 ``__all__``.  ``from __future__`` imports are exempt.
 
+Every name in a module's ``__all__`` has a program caller: some module in
+``src/`` refers to it outside its own definition, or ``perfbench/`` names
+it.  The few names only tests call are listed in ``TEST_ONLY_EXPORTS``
+with the reason each stays.
+
 Every defaulted parameter of a package function is passed by some call to
 a function of that name in ``src/``, ``tests/`` or ``perfbench/``: a
 default that no caller overrides is a constant, not an option.
@@ -72,17 +77,22 @@ def _string_annotations(tree):
                     yield ast.parse(sub.value, mode="eval")
 
 
+def _exports(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def _used(tree):
     names = set()
     for root in [tree, *_string_annotations(tree)]:
         for node in ast.walk(root):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            names.update(ast.literal_eval(node.value))
+    names.update(_exports(tree))
     return names
 
 
@@ -122,6 +132,87 @@ def test_the_check_sees_a_stale_export():
     module = types.ModuleType("m")
     exec("__all__ = ['kept', 'gone']\nkept = 1\n", module.__dict__)
     assert _stale_exports(module) == ["gone"]
+
+
+# names in __all__ whose only callers are tests, and why each stays
+TEST_ONLY_EXPORTS = {
+    "integrate_flow": "criterion 08 integrates one recorded flowline",
+    "energy": "criterion 08's quadrature on wiggled paths",
+    "induced_maps_agree": "criterion 06's functoriality",
+    "differentiate": "the single-point reference the tape is tested on",
+    "morsify": "the paper's Morsification of a degenerate f",
+    "duality_ranks": "the paper's duality of ranks between f and -f",
+    "stabilized_homology": "the paper's limit toward small eps",
+    "check_compactification": "the paper's condition on the ends",
+}
+
+
+def _referenced(tree, skip=None):
+    """Names the code loads, as bare names or attributes, and names in
+    string annotations, leaving out the top-level def or class ``skip``."""
+    out = set()
+    kept = [n for n in tree.body
+            if getattr(n, "name", None) != skip or not isinstance(
+                n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for root in kept + [a for n in kept for a in _string_annotations(n)]:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def _named_in(trees):
+    """Names ``perfbench/`` loads or spells in a dotted string, as its
+    tracer's targets are."""
+    out = set()
+    for tree in trees:
+        out |= _referenced(tree)
+        out.update(part for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str)
+                   for part in node.value.split("."))
+    return out
+
+
+def _uncalled_exports(package, bench):
+    """(module, name) for each export no other code in ``package`` (a
+    dict of module name to tree) refers to and ``bench`` does not name."""
+    return [(mod, name) for mod, tree in package.items()
+            for name in _exports(tree)
+            if name not in bench and not any(
+                name in _referenced(other, name if m == mod else None)
+                for m, other in package.items())]
+
+
+def test_every_export_has_a_program_caller():
+    package = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    bench = _named_in(ast.parse(p.read_text())
+                      for p in (ROOT / "perfbench").rglob("*.py"))
+    uncalled = _uncalled_exports(package, bench)
+    unlisted = [f"{m}.{n}" for m, n in uncalled if n not in TEST_ONLY_EXPORTS]
+    assert not unlisted, "only tests call: " + ", ".join(unlisted)
+    stale = set(TEST_ONLY_EXPORTS) - {n for _, n in uncalled}
+    assert not stale, f"the keep-list names called exports: {sorted(stale)}"
+
+
+def test_the_check_sees_an_unused_export():
+    package = {
+        "a": ast.parse("__all__ = ['used', 'unused', 'traced', 'self_only',"
+                       " 'Node']\n"
+                       "def used(): pass\n"
+                       "def unused(): pass\n"
+                       "def traced(): pass\n"
+                       "def self_only(n): return self_only(n - 1)\n"
+                       "class Node:\n"
+                       "    def up(self) -> 'Node': pass\n"),
+        "b": ast.parse("from .a import used, unused\n"
+                       "def g() -> 'int': return used()\n"),
+    }
+    bench = _named_in([ast.parse("TARGETS = (('a', 'traced'),)\n")])
+    assert _uncalled_exports(package, bench) == [
+        ("a", "unused"), ("a", "self_only"), ("a", "Node")]
 
 
 def _defaulted(tree):

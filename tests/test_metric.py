@@ -3,9 +3,8 @@ import pytest
 
 from morsevanish.errors import ConfigError, NotPositiveDefinite
 from morsevanish.expr import parse_expression
-from morsevanish.metric import (MetricSpec, apply_inverse_batch,
-                                gradient_field, metric_at, metric_batch)
-from morsevanish.problem import DomainModel, ProblemSpec, WindowSpec
+from morsevanish.metric import (MetricSpec, apply_inverse_batch, metric_at,
+                                metric_batch)
 from morsevanish.compactify import AlgebraicProblem, realify
 
 X1 = ("x",)
@@ -86,13 +85,10 @@ class TestMetricAt:
 
 class TestGradients:
     def test_cone_gradient_closed_form(self):
-        # f = x^2: df = 2 at x = 1, g = 2, so the gradient is 1
-        p = ProblemSpec("toy", X1, DomainModel.full_space(1),
-                        parse_expression("x^2"), TAU1,
-                        MetricSpec("cone-euclidean"),
-                        WindowSpec.finite_action(1, 10, 0.1))
-        w = gradient_field(p, 0.0, [1.0])
-        assert w == pytest.approx([1.0])
+        # f = x^2: df = 2 at x = 1, g = Id / tau = 2, so the gradient is 1
+        w = apply_inverse_batch(MetricSpec("cone-euclidean"), TAU1, X1,
+                                np.array([[1.0]]), np.array([[2.0]]))
+        assert w[0] == pytest.approx([1.0])
 
     def test_apply_inverse_matches_solve(self):
         alg = AlgebraicProblem(1, (((2,), 1, 0),))
