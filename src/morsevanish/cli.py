@@ -46,10 +46,11 @@ from .errors import (ConfigError, ConfigParse, CorruptCache, CountingRefused,
                      ExpressionParseError, MorsevanishError, UnknownEntry)
 from .expr import parse_expression
 from .flow import (BOUNDARY_BUDGET, R_LAUNCH, BoundaryCountResult,
-                   continuation_trajectories)
-from .homology import (MorseComplex, boundary_counts, complex_from_counts,
-                       continuation_chain_map, euler_characteristic,
-                       homology, require_nondegenerate, verify_d_squared)
+                   check_delta, continuation_trajectories)
+from .homology import (MorseComplex, boundary_count_job, boundary_counts,
+                       complex_from_counts, continuation_chain_map,
+                       euler_characteristic, generator_order, homology,
+                       require_nondegenerate, verify_d_squared)
 from .intlinalg import HomologyResult, _format_group
 from .metric import MetricSpec
 from .oracle import (catalog_lookup, pair_euler_characteristic,
@@ -367,6 +368,10 @@ class ArtifactCache:
                                  sort_keys=True))
         return payload
 
+    def has(self, key: str) -> bool:
+        """Whether an entry is stored under key (it may be corrupt)."""
+        return self._path(key).exists()
+
     def fetch(self, key: str, compute):
         """Payload plus a hit flag; corrupt entries recompute silently."""
         try:
@@ -543,18 +548,24 @@ def cmd_sweep_theta(args) -> int:
 
 # ------------------------------------------------ flow and complex stages
 
-def _flow_payload(ctx: RunContext, eps: float):
+def _flow_key(ctx: RunContext, eps: float) -> str:
     # the counting defaults are part of the key, so a change to one of
     # them cannot resurrect stale entries
     params = {"eps": eps, "seed": ctx.seed, "r_launch": R_LAUNCH,
               "budget": BOUNDARY_BUDGET}
-    key = ctx.cache.key(ctx.cfg_hash, "flow", params)
+    return ctx.cache.key(ctx.cfg_hash, "flow", params)
 
+
+def _flow_payload(ctx: RunContext, eps: float, counted=None):
+    """The flow payload at eps and a cache-hit flag.  A miss stores
+    ``counted``, what ``boundary_counts`` gives on the window points, or
+    counts them first when it is None."""
     def compute():
         pts = _window_points(ctx, eps)
         sources = []
         traj = []
-        for i, res in boundary_counts(ctx.problem, eps, pts):
+        for i, res in (boundary_counts(ctx.problem, eps, pts)
+                       if counted is None else counted):
             sources.append({
                 "source": i, "index": pts[i].index, "method": res.method,
                 "counts": sorted(res.counts.items()),
@@ -567,7 +578,7 @@ def _flow_payload(ctx: RunContext, eps: float):
                              rec.steps, rec.s_end])
         return {"problem": ctx.problem.name, "eps": eps, "seed": ctx.seed,
                 "sources": sources, "trajectories": traj}
-    return ctx.cache.fetch(key, compute)
+    return ctx.cache.fetch(_flow_key(ctx, eps), compute)
 
 
 def cmd_flow(args) -> int:
@@ -589,12 +600,24 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _window_complex(ctx: RunContext, eps: float) -> MorseComplex:
-    """The window complex, assembled from the cached crit and flow
-    payloads (counting them first if they are not cached yet)."""
-    pts = _window_points(ctx, eps)
+def _flow_job(ctx: RunContext, eps: float, pts: List[CriticalPoint],
+              flows: list, k: int):
+    """Count the flow payload at eps on the window points ``pts`` as a job
+    (see ``flow.run_job``), store it, and keep it in flows[k]."""
+    counted = yield from boundary_count_job(ctx.problem, eps, pts)
+    flows[k], _ = _flow_payload(ctx, eps, counted)
+
+
+def _window_complex(ctx: RunContext, eps: float, pts=None,
+                    flow=None) -> MorseComplex:
+    """The window complex, assembled from the window points ``pts`` and
+    the flow payload ``flow``; one not given is read from the cache, and
+    the flow payload is counted first if it is not cached yet."""
+    if pts is None:
+        pts = _window_points(ctx, eps)
     require_nondegenerate(pts, eps)
-    flow, _ = _flow_payload(ctx, eps)
+    if flow is None:
+        flow, _ = _flow_payload(ctx, eps)
     return complex_from_counts(ctx.problem, eps, pts, (
         (s["source"], BoundaryCountResult(dict(s["counts"]), (), s["method"],
                                           tuple(s["warnings"])))
@@ -810,10 +833,23 @@ def cmd_continue(args) -> int:
     ctx = _context(args)
     e_from = _finite(args.eps_from, "--eps-from")
     e_to = _finite(args.eps_to, "--eps-to")
-    cx_a = _window_complex(ctx, e_from)
-    cx_b = _window_complex(ctx, e_to)
-    res = continuation_trajectories(ctx.problem, e_from, e_to, cx_a.points(),
-                                    cx_b.points(), delta=float(args.delta))
+    delta = float(args.delta)
+    check_delta(delta)
+    ends = (e_from, e_to)
+    pts = [_window_points(ctx, e) for e in ends]
+    for e, p in zip(ends, pts):
+        require_nondegenerate(p, e)
+    # the flow counts of both complexes that are not cached yet share the
+    # batch of the first ladder; a halving reruns the ladder alone
+    flows = [None, None]
+    res = continuation_trajectories(
+        ctx.problem, e_from, e_to, generator_order(pts[0]),
+        generator_order(pts[1]), delta,
+        alongside=[_flow_job(ctx, e, p, flows, k)
+                   for k, (e, p) in enumerate(zip(ends, pts))
+                   if not ctx.cache.has(_flow_key(ctx, e))])
+    cx_a, cx_b = (_window_complex(ctx, e, p, f)
+                  for e, p, f in zip(ends, pts, flows))
     ind = continuation_chain_map(cx_a, cx_b, res)
     report = {
         "schema": SCHEMA, "command": "continue",

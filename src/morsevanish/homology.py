@@ -28,7 +28,7 @@ from .critical import (CriticalPoint, canonical_key, find_critical_points,
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
 from .flow import (BoundaryCountResult, ContinuationResult,
-                   continuation_trajectories, count_boundaries)
+                   continuation_trajectories, count_job, run_job, together)
 from .intlinalg import (SNF, ChainComplexData, HomologyResult, Matrix,
                         _format_group, homology_of_complex, kernel_basis,
                         matmul, smith_normal_form)
@@ -37,7 +37,8 @@ from .problem import ProblemSpec, dual_problem
 __all__ = [
     "MorseComplex", "HomologyResult", "ChainMap", "InducedMap", "D2Report",
     "DualityReport", "StabilizedHomology",
-    "assemble_complex", "boundary_counts", "complex_from_counts",
+    "assemble_complex", "boundary_count_job", "boundary_counts",
+    "complex_from_counts", "generator_order",
     "require_nondegenerate", "window_complex",
     "verify_d_squared", "homology",
     "chain_map", "chain_map_from_counts",
@@ -100,6 +101,26 @@ class MorseComplex:
         return ChainComplexData(dims, bnds)
 
 
+def _graded(pts: Sequence[CriticalPoint]) -> List[List[int]]:
+    """Positions of ``pts`` by index, 0 up to the top one, each degree
+    sorted by (value, coordinates): the generator order of a complex."""
+    top = max((p.index for p in pts), default=-1)
+    order: List[List[int]] = [[] for _ in range(top + 1)]
+    for i, p in enumerate(pts):
+        order[p.index].append(i)
+    for grp in order:
+        grp.sort(key=lambda i: canonical_key(pts[i]))
+    return order
+
+
+def generator_order(points: Sequence[CriticalPoint]
+                    ) -> Tuple[CriticalPoint, ...]:
+    """``points`` as ``points()`` of a complex assembled on them lists
+    its generators, known before any count."""
+    pts = list(points)
+    return tuple(pts[i] for grp in _graded(pts) for i in grp)
+
+
 def assemble_complex(points: Sequence[CriticalPoint],
                      counts: Mapping[Tuple[int, int], int],
                      problem: str = "", eps: float = float("nan"),
@@ -126,12 +147,8 @@ def assemble_complex(points: Sequence[CriticalPoint],
                 f"generator {i} at {np.round(p.location, 6)} is degenerate; "
                 "its index is not well defined")
 
-    top = max((p.index for p in pts), default=-1)
-    order: List[List[int]] = [[] for _ in range(top + 1)]
-    for i, p in enumerate(pts):
-        order[p.index].append(i)
-    for grp in order:
-        grp.sort(key=lambda i: canonical_key(pts[i]))
+    order = _graded(pts)
+    top = len(order) - 1
     slot = {i: s for grp in order for s, i in enumerate(grp)}
 
     mats: List[Matrix] = []
@@ -178,27 +195,35 @@ def _keyed(res: BoundaryCountResult, below: List[int]
             for rec in res.trajectories))
 
 
+def boundary_count_job(problem: ProblemSpec, eps: float,
+                       points: Sequence[CriticalPoint], **count):
+    """``boundary_counts`` as a job (see ``flow.run_job``): the launches
+    of every source index share one batch."""
+    pts = list(points)
+    sources = [i for i, p in enumerate(pts) if p.index > 0 and any(
+        q.index == p.index - 1 for q in pts)]
+    groups = [([i for i in sources if pts[i].index == k],
+               [j for j, q in enumerate(pts) if q.index < k])
+              for k in sorted({pts[i].index for i in sources})]
+    counted = yield from together(
+        count_job(problem, eps, [pts[i] for i in same],
+                  [pts[j] for j in below], **count)
+        for same, below in groups)
+    results = {}
+    for (same, below), got in zip(groups, counted):
+        results.update((i, _keyed(res, below)) for i, res in zip(same, got))
+    return [(i, results[i]) for i in sources]
+
+
 def boundary_counts(problem: ProblemSpec, eps: float,
                     points: Sequence[CriticalPoint], **count
                     ) -> List[Tuple[int, BoundaryCountResult]]:
     """Boundary counts for each point of positive index k that has an
     index-(k-1) point among ``points``, with every lower-index point as a
-    target (the deeper ones absorb).  The sources of one index are counted
-    together.  Returns (source position, result) in ``points`` order; the
-    counts and trajectory targets of each result are keyed by positions in
-    ``points`` too."""
-    pts = list(points)
-    sources = [i for i, p in enumerate(pts) if p.index > 0 and any(
-        q.index == p.index - 1 for q in pts)]
-    results = {}
-    for k in sorted({pts[i].index for i in sources}):
-        same = [i for i in sources if pts[i].index == k]
-        below = [j for j, q in enumerate(pts) if q.index < k]
-        counted = count_boundaries(problem, eps, [pts[i] for i in same],
-                                   [pts[j] for j in below], **count)
-        results.update((i, _keyed(res, below))
-                       for i, res in zip(same, counted))
-    return [(i, results[i]) for i in sources]
+    target (the deeper ones absorb), all in one batch.  Returns (source
+    position, result) in ``points`` order; the counts and trajectory
+    targets of each result are keyed by positions in ``points`` too."""
+    return run_job(boundary_count_job(problem, eps, points, **count))
 
 
 def require_nondegenerate(points: Sequence[CriticalPoint],

@@ -634,6 +634,74 @@ class TestCommands:
         assert art["failures"] == []
         assert art["source_homology"] == art["target_homology"]
 
+    def spy_batches(self, monkeypatch):
+        """Record the legs of each call of the flow integrator."""
+        batches = []
+        integrate = flow._integrate
+
+        def spied(legs):
+            batches.append(list(legs))
+            return integrate(legs)
+
+        monkeypatch.setattr(flow, "_integrate", spied)
+        return batches
+
+    CONTINUE = ("continue", "--eps-from", "0.25", "--eps-to", "0.125")
+
+    def test_cold_continue_integrates_once(self, tmp_path, monkeypatch):
+        batches = self.spy_batches(monkeypatch)
+        assert run(tmp_path, *self.CONTINUE, "--config",
+                   write_cfg(tmp_path, DW)) == 0
+        art = read_artifact(tmp_path, DW, "continue")
+        # the counting legs at both eps and the ladder, in one batch
+        assert art["halvings"] == 0
+        assert len(batches) == 1 + art["halvings"]
+        assert [leg.field.eps_to for leg in batches[0]] == [None, None,
+                                                            0.125]
+
+    def test_a_halving_reruns_the_ladder_alone(self, tmp_path, monkeypatch):
+        # a ladder budget no row meets confines no path, so delta halves
+        # from 0.5 to 0.25 and 0.125 before it drops below the floor
+        batches = self.spy_batches(monkeypatch)
+        monkeypatch.setattr(flow, "CONTINUATION_BUDGET", 5)
+        monkeypatch.setattr(flow, "DELTA_FLOOR", 0.1)
+        path = write_cfg(tmp_path, DW)
+        assert run(tmp_path, *self.CONTINUE, "--config", path) == 2
+        assert [[leg.field.delta for leg in legs] for legs in batches] == \
+            [[1.0, 1.0, 0.5], [0.25], [0.125]]
+        # the counts were stored before the ladder gave up
+        batches.clear()
+        for eps in ("0.25", "0.125"):
+            assert run(tmp_path, "flow", "--eps", eps, "--config", path) == 0
+        assert batches == []
+
+    def test_continue_on_cached_counts_integrates_the_ladder_once(
+            self, tmp_path, monkeypatch):
+        # flow at both eps, then continue; against a cold continue, then
+        # flow at both eps: every file, cache entries included, agrees
+        batches = self.spy_batches(monkeypatch)
+        trees = []
+        for sub, first_flow in (("warm", True), ("cold", False)):
+            out = tmp_path / sub
+            path = write_cfg(tmp_path, DW, f"{sub}.json")
+            flows = [("flow", "--eps", e) for e in ("0.25", "0.125")]
+            steps = (flows + [self.CONTINUE] if first_flow
+                     else [self.CONTINUE] + flows)
+            for argv in steps + [("complex", "--eps", "0.25"),
+                                 ("homology", "--eps", "0.125")]:
+                batches.clear()
+                assert main(list(argv) + ["--config", path,
+                                          "--out", str(out)]) == 0
+                if argv == self.CONTINUE and first_flow:
+                    # both flow payloads are cached: the ladder alone
+                    assert [len(legs) for legs in batches] == [1]
+            trees.append({str(f.relative_to(out)): f.read_bytes()
+                          for f in out.rglob("*") if f.is_file()})
+        assert any(name.startswith("cache") for name in trees[0])
+        assert sorted(trees[0]) == sorted(trees[1])
+        for name, blob in trees[0].items():
+            assert trees[1][name] == blob, name
+
     @pytest.mark.parametrize("argv", [
         ("continue", "--eps-from", "0.1", "--eps-to", "0.05", "--delta", "0"),
         ("continue", "--eps-from", "0.1", "--eps-to", "0.05",
@@ -647,6 +715,8 @@ class TestCommands:
         path = write_cfg(tmp_path, DW)
         assert run(tmp_path, *argv, "--config", path) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        # refused before any work: no crit or flow payload was cached
+        assert not [f for f in (tmp_path / "runs").rglob("*") if f.is_file()]
 
     def test_jobs_flag_rejected(self, tmp_path):
         path = write_cfg(tmp_path, DW)

@@ -30,19 +30,22 @@ import pytest
 
 import morsevanish.flow as flow_module
 import morsevanish.homology as homology_module
+import morsevanish.integrator as integrator_module
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import CriticalPoint, find_critical_points
 from morsevanish.errors import (BudgetExceeded, ConfigError, CountingRefused,
                                 DeltaFloor, MissingCount, NotConverged,
                                 StepCollapse)
 from morsevanish.expr import eval_jet1, parse_expression
-from morsevanish.flow import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
-                              EXIT_BELOW, NEVER, RTOL, RUNNING, S_TAIL,
-                              STEP_FLOOR, _DP_A, _DP_B4, _DP_B5, _DP_C,
-                              _Field, _flip_count, _flow_batch, _ramp,
-                              _RowResult, _TargetSet,
+from morsevanish.flow import (_flip_count, continuation_job,
                               continuation_trajectories, count_boundaries,
-                              count_boundary, energy, integrate_flow)
+                              count_boundary, count_job, energy,
+                              integrate_flow)
+from morsevanish.integrator import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
+                                    EXIT_BELOW, NEVER, RTOL, RUNNING, S_TAIL,
+                                    STEP_FLOOR, _DP_A, _DP_B4, _DP_B5, _DP_C,
+                                    _Field, _integrate, _Leg, _near_passes,
+                                    _ramp, _RowResult, _TargetSet)
 from morsevanish.homology import (HomologyResult, continuation_chain_map,
                                   duality_ranks, euler_characteristic,
                                   homology, verify_d_squared, window_complex)
@@ -131,7 +134,7 @@ class TestIntegrate:
 
     def test_step_collapse_raises(self, monkeypatch):
         # no step of the slide flow is as long as 1
-        monkeypatch.setattr(flow_module, "STEP_FLOOR", 1.0)
+        monkeypatch.setattr(integrator_module, "STEP_FLOOR", 1.0)
         with pytest.raises(StepCollapse,
                            match=r"integrator step fell below 1\.0 at s="):
             integrate_flow(SLIDE, 0.5, [0.0])
@@ -356,7 +359,7 @@ class TestContinuation:
         targets = find_critical_points(DW, 0.01).inside_window()
         # refused before any integration: from nan or inf, halving never
         # goes below the floor
-        monkeypatch.setattr(flow_module, "_flow_batch", None)
+        monkeypatch.setattr(flow_module, "_integrate", None)
         with pytest.raises(ConfigError, match="delta must be finite"):
             continuation_trajectories(DW, 0.05, 0.01, sources, targets,
                                       delta)
@@ -398,18 +401,28 @@ def assert_same_bits(a, b):
         assert va.tobytes() == vb.tobytes(), f.name
 
 
-class CountingField:
-    """A _Field that counts its evaluations."""
+def flow_batch(field, X0, targets, max_steps, record=False):
+    """The row results of one leg integrated alone."""
+    (rows,) = _integrate([_Leg(field, X0, targets, max_steps, record)])
+    return rows
+
+
+class CountingField(_Field):
+    """A copy of a _Field that counts its evaluations, the jet1 calls on
+    its tape; the integrator makes one per stage for all rows on one
+    problem, on the tape of its first leg."""
 
     def __init__(self, field):
-        self.field = field
-        self.problem = field.problem
-        self.ramp_start, self.ramp_end = field.ramp_start, field.ramp_end
+        vars(self).update(vars(field))
         self.calls = 0
+        tape = field.tape
 
-    def eval(self, S, X):
-        self.calls += 1
-        return self.field.eval(S, X)
+        class Tape:
+            def jet1(_, X):
+                self.calls += 1
+                return tape.jet1(X)
+
+        self.tape = Tape()
 
 
 def flow_batch_7_plus_1(field, X0, targets, max_steps, record=False):
@@ -597,17 +610,17 @@ class TestFlowBatch:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_stacked_rows_equal_rows_run_alone(self, case):
         field, starts, tset = CASES[case]()
-        rows = _flow_batch(field, starts, tset, 60000, record=True)
+        rows = flow_batch(field, starts, tset, 60000, record=True)
         for x0, row in zip(starts, rows):
-            (alone,) = _flow_batch(field, x0[None, :], tset, 60000,
-                                   record=True)
+            (alone,) = flow_batch(field, x0[None, :], tset, 60000,
+                                  record=True)
             assert_same_bits(row, alone)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_fsal_matches_the_7_plus_1_loop(self, case):
         field, starts, tset = CASES[case]()
         new, old = CountingField(field), CountingField(field)
-        rows = _flow_batch(new, starts, tset, 60000, record=True)
+        rows = flow_batch(new, starts, tset, 60000, record=True)
         want, iters, accepting = flow_batch_7_plus_1(
             old, starts, tset, 60000, record=True)
         for row, ref in zip(rows, want):
@@ -688,7 +701,7 @@ class TestFlowBatch:
         # leave a ball inside an arrival radius
         tset.r_arrive = np.minimum(tset.r_arrive, tset.r_near)
         got = {k: v.copy() for k, v in want.items()}
-        flow_module._near_passes(tset, live, X, past, **got)
+        _near_passes(tset, live, X, past, **got)
         # the per-row, per-target loop the vectorised update replaced
         D = np.linalg.norm(X[:, None, :] - tset.Q[None, :, :], axis=2)
         inside, near_min, near_side = (want["inside"], want["near_min"],
@@ -715,6 +728,71 @@ class TestFlowBatch:
         return got, want
 
 
+def first_legs(job):
+    """The legs a job yields first, recording their samples."""
+    return [dataclasses.replace(leg, record=True) for leg in job.send(None)]
+
+
+def counts_and_ladder(problem, e_from, e_to):
+    """The counting legs of both complexes of continue e_from -> e_to and
+    its first ladder, as the CLI batches them."""
+    pts = {e: find_critical_points(problem, e).inside_window()
+           for e in (e_from, e_to)}
+    counts = [leg for e, p in pts.items() for leg in first_legs(count_job(
+        problem, e, [q for q in p if q.index == 1],
+        [q for q in p if q.index == 0]))]
+    return counts + first_legs(continuation_job(
+        problem, e_from, e_to, pts[e_from], pts[e_to], 0.5))
+
+
+def square_merged_legs():
+    # the forward legs of the saddles and the dual legs of the maximum, at
+    # two eps: the forward tape then carries one eps per row
+    legs = []
+    for e in (0.05, 0.1):
+        pts = find_critical_points(SQ, e).inside_window()
+        legs += first_legs(count_job(SQ, e, [p for p in pts if p.index > 0],
+                                     [p for p in pts if p.index < 2]))
+    return legs
+
+
+MERGED = {"double-well-counts-and-ladder": functools.partial(
+              counts_and_ladder, DW, 0.25, 0.125),
+          "z3-kahler-counts-and-ladder": functools.partial(
+              counts_and_ladder, Z3, 0.1, 0.08),
+          "square-forward-and-dual": square_merged_legs}
+
+
+class TestMergedLegs:
+    @pytest.mark.parametrize("case", sorted(MERGED))
+    def test_merged_rows_equal_lone_rows(self, case):
+        legs = MERGED[case]()
+        merged = _integrate(legs)
+        for leg, rows in zip(legs, merged):
+            (alone,) = _integrate([leg])
+            assert len(rows) == len(alone) == len(leg.X0)
+            for row, ref in zip(rows, alone):
+                assert_same_bits(row, ref)
+
+    def test_one_jet1_call_per_problem_and_stage(self):
+        # the counting legs at both eps and the ladder are on one problem,
+        # so the batch makes one jet1 call per stage however many legs run,
+        # on the tape of the first
+        legs = counts_and_ladder(DW, 0.25, 0.125)
+        alone = []
+        for leg in legs:
+            field = CountingField(leg.field)
+            flow_batch(field, leg.X0, leg.targets, leg.max_steps)
+            alone.append(field.calls)
+        fields = [CountingField(leg.field) for leg in legs]
+        _integrate([dataclasses.replace(leg, field=field)
+                    for leg, field in zip(legs, fields)])
+        # one launch call, then six per step until the last leg is done
+        assert fields[0].calls == 1 + max(calls - 1 for calls in alone)
+        assert [field.calls for field in fields[1:]] == [0] * (len(legs) - 1)
+        assert fields[0].calls < sum(alone)
+
+
 class TestBatchedCounting:
     def test_count_boundaries_equals_one_source_at_a_time(self):
         pts = find_critical_points(Z3, 0.3).inside_window()
@@ -739,6 +817,32 @@ class TestBatchedCounting:
             assert res.counts == alone.counts
             assert res.method == alone.method
             assert len(res.trajectories) == len(alone.trajectories)
+
+    def test_forward_and_dual_legs_share_one_batch(self, monkeypatch):
+        pts = find_critical_points(SQ, 0.05).inside_window()
+        tops = [p for p in pts if p.index == 2]
+        saddles = [p for p in pts if p.index == 1]
+        targets = [p for p in pts if p.index < 2]
+        batches = []
+        integrate = flow_module._integrate
+
+        def spied(legs):
+            batches.append(len(legs))
+            return integrate(legs)
+
+        monkeypatch.setattr(flow_module, "_integrate", spied)
+        together = count_boundaries(SQ, 0.05, tops + saddles, targets)
+        assert batches == [2]
+        alone = (count_boundaries(SQ, 0.05, tops, targets)
+                 + count_boundaries(SQ, 0.05, saddles, targets))
+        assert batches == [2, 1, 1]
+        assert [r.method for r in together] == ["dual"] + ["endpoints"] * 4
+        for res, ref in zip(together, alone):
+            assert (res.counts, res.method, res.warnings) == \
+                (ref.counts, ref.method, ref.warnings)
+            assert len(res.trajectories) == len(ref.trajectories) > 0
+            for a, b in zip(res.trajectories, ref.trajectories):
+                assert_same_bits(a, b)
 
     def test_continuation_on_all_sources_equals_one_at_a_time(self):
         sources = find_critical_points(DW, 0.05).inside_window()
