@@ -351,8 +351,9 @@ class ArtifactCache:
         try:
             wrapper = json.loads(p.read_text())
             payload = wrapper["payload"]
+            # parsed JSON is canonical already (_canon is the identity on it)
             digest = hashlib.sha256(
-                canonical_dumps(payload).encode()).hexdigest()
+                json.dumps(payload, sort_keys=True).encode()).hexdigest()
             if digest != wrapper["sha256"]:
                 raise CorruptCache(f"cache entry {key[:12]} failed its "
                                    "digest check")
@@ -362,7 +363,8 @@ class ArtifactCache:
 
     def store(self, key: str, payload):
         payload = _canon(payload)
-        digest = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()
         _write_atomic(self._path(key),
                       json.dumps({"sha256": digest, "payload": payload},
                                  sort_keys=True))

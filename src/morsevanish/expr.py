@@ -14,10 +14,11 @@ Evaluation comes in two flavours:
   for a float.
 * ``compile(exprs, names)`` gives one :class:`Tape`, a flat instruction
   list in which equal nodes share a slot across outputs (f_eps, 1/tau and
-  the metric share one tau).  It evaluates values and jets at a batch of
-  points, or values on a tensor grid, poisoning out-of-domain rows to
-  nan/inf instead of raising; ``eval_values`` / ``eval_jet1`` /
-  ``eval_jet2`` are its one-expression forms at a batch of points.
+  the metric share one tau), cached by tree structure.  It evaluates
+  values and jets at a batch of points, or values on a tensor grid,
+  poisoning out-of-domain rows to nan/inf instead of raising;
+  ``eval_values`` / ``eval_jet1`` / ``eval_jet2`` are its one-expression
+  forms at a batch of points.
 
 Derivatives are exact (forward-mode, value/gradient/Hessian propagated
 together; Griewank and Walther, *Evaluating Derivatives*, 2008), not
@@ -428,19 +429,28 @@ class Tape:
             if dead:
                 lines.append("    del " + ", ".join(
                     p + str(x) for x in dead for p in parts))
+        # a constant output of a jet mode comes back as its full jet
+        zeros = ["np.zeros((m, n))", "np.zeros((m, n, n))"][:len(parts) - 1]
         rets = [f"({', '.join(p + str(o) for p in parts)})"
-                if type(o) is int else name(o, None) for o in self.outputs]
+                if type(o) is int else name(o, None) if mode == "values"
+                else f"({', '.join([f'np.full(m, {name(o, None)})'] + zeros)})"
+                for o in self.outputs]
         lines.append(f"    return ({''.join(x + ', ' for x in rets)})")
         return "\n".join(lines) + "\n", dict(consts.values())
 
-    def _run(self, mode, *args):
+    def kernel(self, mode: str):
+        """The generated function of a mode, ``run(xs)`` or ``run(X, m, n)``;
+        callers enter ``np.errstate(all="ignore")`` around it."""
         if mode not in self._fns:
             text, scope = self._source(mode)
             scope.update(np=np, _fpow=_fpow)
             exec(_module(text), scope)
             self._fns[mode] = scope["run"]
+        return self._fns[mode]
+
+    def _run(self, mode, *args):
         with np.errstate(all="ignore"):
-            return self._fns[mode](*args)
+            return self.kernel(mode)(*args)
 
     def values(self, points: np.ndarray) -> list:
         """Values at a batch of points: (m, n) -> one (m,) per output."""
@@ -472,22 +482,34 @@ class Tape:
 
     def _jets(self, mode, points):
         points = np.asarray(points, dtype=float)
-        m, n = points.shape
-        shapes = ((m, n), (m, n, n))[:int(mode[-1])]
-        return [o if isinstance(o, tuple) else (np.full(m, float(o)),)
-                + tuple(np.zeros(shape) for shape in shapes)
-                for o in self._run(mode, points, m, n)]
+        return list(self._run(mode, points, *points.shape))
 
 
-# keyed by node identity (no __eq__); holding the nodes keeps ids unique
-_compiled = functools.lru_cache(maxsize=256)(Tape)
+def _structure(e):
+    """The exact tree of e (node types, fields, children in order): all a
+    tape follows, for its chains follow the tree's shape."""
+    return (type(e),) + tuple(
+        tuple(map(_structure, v)) if isinstance(v, tuple) else
+        _structure(v) if isinstance(v, Expression) else v
+        for v in map(e.__getattribute__, type(e).__slots__))
+
+
+_tapes: dict = {}  # the last 256 tapes by structure, least recent first
 
 
 def compile(exprs: Sequence[Expression], names: Sequence[str]) -> Tape:
-    """One tape for all of ``exprs`` over the variables ``names``; the same
-    expression objects and names give back the same tape.  Raises KeyError
-    when an expression uses a variable not in ``names``."""
-    return _compiled(tuple(exprs), tuple(names))
+    """One tape for all of ``exprs`` over the variables ``names``, the
+    same for trees of the same structure (two parses of one text); raises
+    KeyError when an expression uses a variable not in ``names``."""
+    exprs, names = tuple(exprs), tuple(names)
+    key = (tuple(map(_structure, exprs)), names)
+    tape = _tapes.pop(key, None)
+    if tape is None:
+        tape = Tape(exprs, names)
+        if len(_tapes) >= 256:
+            del _tapes[next(iter(_tapes))]
+    _tapes[key] = tape
+    return tape
 
 
 def eval_values(expr: Expression, points: np.ndarray, names: Sequence[str]) -> np.ndarray:

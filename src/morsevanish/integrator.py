@@ -5,13 +5,14 @@ on the delta-slow ramp of the ``flow`` docstring, and each row carries the
 energy state e besides x.  Dormand-Prince 5(4) keeps its last stage, which
 sits at the accepted point (first same as last, FSAL), as the next step's
 first, so an attempted step costs six field evaluations.  That cost is
-mostly per step of the loop, not per row, so ``_integrate`` runs *legs*,
-each one field (problem, eps, and eps_to and delta on a path) with its
-start rows, targets and step budget, all in one loop: every stage makes
-one jet1 call per problem over the running rows of all legs on it, and
-the eps of an eps path at a step's stage times is worked out once per
-step.  Every row's result is bit for bit what it is when its leg runs
-alone.
+mostly per step, not per row, so ``_integrate`` runs *legs*, each one
+field (problem, eps, and eps_to and delta on a path) with its start rows,
+targets and step budget, in one loop.  The running rows stay packed, with
+their legs' window cuts, budgets, S caps, ramp ends and eps in per-row
+tables, so a step makes its numpy calls once per batch: a jet1 kernel
+call per problem and stage, all under one np.errstate, and masked updates
+for exits, budget stops and the arrival gate; only near passes go leg by
+leg.  Every row's result is bit for bit what it is when its leg runs alone.
 """
 
 from __future__ import annotations
@@ -42,22 +43,22 @@ def _ramp(s):
     return u * u * (3.0 - 2.0 * u), 3.0 * u * (1.0 - u)
 
 
-def _rates(metric, tape, X: np.ndarray, e, corr=None, path=None):
-    """(drift, F values, energy rate) at the rows X for F = f + e/tau, from
-    one jet1 call; e is one float or one value per row.  On an eps path
-    corr is the rows' (eps_to - eps) delta gamma'(delta s), which enters
-    the energy rate only at the rows of the mask ``path`` when one is
-    given."""
-    jets = tape.jet1(X)
+def _rates(metric, jet1, X: np.ndarray, e, corr, path, out: np.ndarray):
+    """Writes the drift and energy rate at the rows X for F = f + e/tau to
+    out[:, :-1] and out[:, -1] from one call of a tape's jet1 kernel, and
+    returns the values of f and 1/tau; e is one float or one per row.  On
+    an eps path corr is the rows' (eps_to - eps) delta gamma'(delta s),
+    which enters the energy rate at the rows of the mask ``path``."""
+    jets = jet1(X, *X.shape)
     (vf, gf), (vr, gr) = jets[:2]
-    vals = vf + e * vr
     grads = gf + (e[:, None] if isinstance(e, np.ndarray) else e) * gr
     w = apply_inverse(metric, jets[2:], grads)
-    erate = 2.0 * np.einsum("ij,ij->i", grads, w)
+    np.negative(w, out=out[:, :-1])
+    erate = out[:, -1]
+    np.multiply(2.0, np.einsum("ij,ij->i", grads, w), out=erate)
     if corr is not None:
-        np.subtract(erate, 2.0 * (corr * vr), out=erate,
-                    where=True if path is None else path)
-    return -w, vals, erate
+        np.subtract(erate, 2.0 * (corr * vr), out=erate, where=path)
+    return vf, vr
 
 
 class _Field:
@@ -81,12 +82,13 @@ class _Field:
         self.ramp_start = 0.0 - self.ramp_end
 
     def _eps(self, S):
-        """eps at the flow times S, and delta gamma'(delta S) with it; a
-        float and None when eps is fixed."""
+        """eps at the flow times S, and (eps_to - eps) delta gamma'(delta
+        S) with it; a float and None when eps is fixed."""
         if self.eps_to is None:
             return self.eps, None
         t, slope = _ramp(self.delta * np.asarray(S, dtype=float))
-        return self.eps + t * (self.eps_to - self.eps), self.delta * slope
+        deps = self.eps_to - self.eps
+        return self.eps + t * deps, deps * (self.delta * slope)
 
     def values_at(self, S, X: np.ndarray) -> np.ndarray:
         vf, vr = self.tape.values(X)[:2]
@@ -101,9 +103,12 @@ class _Field:
 
     def eval(self, S: np.ndarray, X: np.ndarray):
         """Returns (drift, F values, energy rate) for a batch of rows."""
-        e, ramp = self._eps(S)
-        return _rates(self.problem.metric, self.tape, X, e,
-                      None if ramp is None else (self.eps_to - self.eps) * ramp)
+        e, corr = self._eps(S)
+        out = np.empty((len(X), X.shape[1] + 1))
+        with np.errstate(all="ignore"):
+            vf, vr = _rates(self.problem.metric, self.tape.kernel("jet1"), X,
+                            e, corr, True, out)
+        return out[:, :-1], vf + e * vr, out[:, -1]
 
 
 # Dormand-Prince 5(4) tableau
@@ -195,11 +200,11 @@ class _RowResult:
 
 def _near_passes(targets: _TargetSet, live: np.ndarray, Xl: np.ndarray,
                  past_ramp: np.ndarray, inside: np.ndarray,
-                 near_min: np.ndarray, near_side: np.ndarray,
-                 status: np.ndarray, target_of: np.ndarray) -> None:
+                 near_min: np.ndarray, near_side: np.ndarray) -> Dict[int, int]:
     """Near passes and arrivals of the rows ``live`` (now at Xl) after an
-    accepted step, updated in place over (rows, targets) arrays; frame
-    coordinates are computed only where a row leaves a ball or may arrive."""
+    accepted step, updated in place over (rows, targets) arrays, frame
+    coordinates computed only where a row leaves a ball or may arrive;
+    returns {position in live: target} of the rows that arrive."""
     # np.linalg.norm(diff, axis=2) without its argument checks
     diff = Xl[:, None, :] - targets.Q[None, :, :]
     D = np.sqrt(np.add.reduce(diff * diff, axis=2))
@@ -208,12 +213,12 @@ def _near_passes(targets: _TargetSet, live: np.ndarray, Xl: np.ndarray,
     now_in = D < targets.r_near
     # no row was or is in a ball, so none arrives either (r_arrive <=
     # r_near) and nothing changes
-    if not (now_in.any() or was_in.any()):
-        return
+    if not (np.count_nonzero(now_in) or np.count_nonzero(was_in)):
+        return {}
     np.less_equal(D, targets.r_near, out=now_in, where=was_in)
     arrive = np.logical_and(D < targets.r_arrive, past_ramp[:, None])
     track = was_in | now_in
-    done = set()
+    done: Dict[int, int] = {}
     # pairs come row by row in target order, so once a row arrives its
     # later targets are skipped and keep their state
     for p, t in zip(*np.nonzero(arrive | (was_in > now_in))):
@@ -224,14 +229,14 @@ def _near_passes(targets: _TargetSet, live: np.ndarray, Xl: np.ndarray,
             cu = targets.unstable_coords(t, Xl[p])
             near_side[r, t] = 0 if len(cu) == 0 else (1 if cu[0] > 0 else -1)
         elif targets.stable_dominant(t, Xl[p]):
-            done.add(p)
-            status[r], target_of[r], near_side[r, t] = ARRIVED, t, 0
+            done[p], near_side[r, t] = t, 0
             now_in[p, t + 1:] = was_in[p, t + 1:]
             track[p, t + 1:] = False
     near = near_min[live]
     np.minimum(near, D, out=near, where=track)
     inside[live] = now_in
     near_min[live] = near
+    return done
 
 
 @dataclass
@@ -246,53 +251,17 @@ class _Leg:
     record: bool = False
 
 
-class _Group:
-    """The legs on one problem, rows [lo, hi) of a batch, the tape of the
-    first, and the eps of their fields: one float (``fixed``) when they
-    all run at one fixed eps, else one per row, on a ramp at the rows of
-    an eps path (``path``)."""
-
-    def __init__(self, legs: Sequence[_Leg], lo: int):
-        fields = [leg.field for leg in legs]
-        sizes = [len(leg.X0) for leg in legs]
-        self.metric, self.tape = fields[0].problem.metric, fields[0].tape
-        self.lo, self.hi = lo, lo + sum(sizes)
-        self.path = np.repeat([f.eps_to is not None for f in fields], sizes)
-        self.eps = np.repeat([f.eps for f in fields], sizes)
-        ramped = [f if f.eps_to is not None else None for f in fields]
-        self.delta = np.repeat([f.delta if f else 0.0 for f in ramped], sizes)
-        self.deps = np.repeat([f.eps_to - f.eps if f else 0.0
-                               for f in ramped], sizes)
-        one = not self.path.any() and len({f.eps.hex() for f in fields}) == 1
-        self.fixed = fields[0].eps if one else None
-
-    def eps_at(self, rows, St):
-        """(eps, ramp term, its row mask), the last three arguments of
-        _rates, for the group's ``rows`` of the batch at their flow times
-        St (rows on the last axis); rows off a path keep their eps."""
-        if self.fixed is not None:
-            return self.fixed, None, None
-        sel = rows - self.lo
-        e, d, de = self.eps[sel], self.delta[sel], self.deps[sel]
-        t, slope = _ramp(d * St)
-        p = self.path[sel]
-        return np.where(p, e + t * de, e), de * (d * slope), p
-
-
 def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
     """Integrate every row of every leg until it terminates; returns the
-    row results of each leg, in leg order.
+    row results of each leg, in leg order.  The legs must share the
+    dimension of their problems.
 
     Near-pass sides are tracked from launch on (the classification frames
     belong to the end-of-path function, but adjacent family members getting
     the same spurious label cancels in flip counting).  Arrival only fires
     after the ramp, once the field actually is the end function.  Value
     exits terminate a row at a - sigma (below) or b + sigma (above) at any
-    time.  Targets, window cuts, step budgets and the cap of 60 attempts
-    per budgeted step stay per leg, and each stage makes one jet1 call per
-    problem over the running rows of all legs on it, so every row comes
-    out bit for bit as it does when its leg runs alone.  The legs must
-    share the dimension of their problems.
+    time.  Rows that terminate leave the packed set at the next step.
 
     Each element of a stage input, Y5 and Y4 gets the floating-point
     operations of the textbook loop in its order: the products (h w_j) K_j
@@ -309,172 +278,179 @@ def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
         by_problem.setdefault(leg.field.problem, []).append(j)
     order = [j for js in by_problem.values() for j in js]
     runs = [legs[j] for j in order]
+    fields = [leg.field for leg in runs]
     sizes = [len(leg.X0) for leg in runs]
-    starts = np.cumsum([0] + sizes)
-    m = int(starts[-1])
+    starts = np.cumsum([0] + sizes).tolist()
+    m = starts[-1]
     out: List[List[_RowResult]] = [[] for _ in legs]
     if not m:
         return out
+    # per problem: legs runs[k0:k1], the first's kernel, one eps if fixed
     groups = []
     for js in by_problem.values():
-        groups.append(_Group([legs[j] for j in js],
-                             groups[-1].hi if groups else 0))
-    group_starts = np.array([g.lo for g in groups] + [m])
+        k0 = groups[-1][1] if groups else 0
+        f, fs = fields[k0], fields[k0:k0 + len(js)]
+        one = {(g.eps.hex(), g.eps_to) for g in fs} == {(f.eps.hex(), None)}
+        groups.append((k0, k0 + len(js), f.problem.metric,
+                       f.tape.kernel("jet1"), f.eps if one else None))
     # the stage times are read only where eps is given per row
-    timed = any(g.fixed is None for g in groups)
+    timed = any(g[4] is None for g in groups)
     X = np.concatenate([np.asarray(leg.X0, dtype=float) for leg in runs])
     n = X.shape[1]
 
-    # the integrated state (x, e) of each row, one array so that a step
-    # reads and writes it whole
+    # the running rows, packed in batch order: the float rows of ``real``
+    # and the integer rows of ``count`` (named where they are unpacked,
+    # their legs' tables among them; a leg may attempt 60 steps per step
+    # of its budget), the state (x, e) in one array so that a step reads
+    # and writes it whole, and K1, the next step's stage 1
+    real = np.repeat(np.array([
+        (f.ramp_start, 0.0, 0.0, 0.0, w.a - w.sigma, w.b + w.sigma,
+         f.ramp_end + S_TAIL, f.ramp_end, f.eps)
+        + ((f.delta, f.eps_to - f.eps) if f.eps_to is not None
+           else (0.0, 0.0))
+        for f, w in ((f, f.problem.window) for f in fields)]).T,
+        sizes, axis=1)
+    count = np.repeat(np.array([
+        (0, k, 0, -1, 0, RUNNING, leg.max_steps, 60 * leg.max_steps)
+        for k, leg in enumerate(runs)]).T, sizes, axis=1)
+    count[0] = np.arange(m)
+    count[2] = count[0] - np.repeat(starts[:-1], sizes)
+    on_path = np.repeat([f.eps_to is not None for f in fields], sizes)
     Y = np.concatenate([X, np.zeros((m, 1))], axis=1)
-    S = np.repeat([leg.field.ramp_start for leg in runs], sizes)
-    status = np.full(m, RUNNING)
-    target_of = np.full(m, -1)
-    steps = np.zeros(m, dtype=int)
-    # a row may attempt 60 steps per step of its budget
-    cap = np.repeat([60 * leg.max_steps for leg in runs], sizes)
-    near = [(np.full((size, len(leg.targets)), np.inf),
-             np.full((size, len(leg.targets)), NEVER, dtype=np.int8),
-             np.zeros((size, len(leg.targets)), dtype=bool))
-            for leg, size in zip(runs, sizes)]
-    paths = [[[] for _ in range(size)] if leg.record else None
-             for leg, size in zip(runs, sizes)]
-
-    # stage 1 (drift and energy rate) of the next step at each row's (S, X)
     K1 = np.empty((m, n + 1))
-    F0 = np.empty(m)
-    for g in groups:
-        d, F0[g.lo:g.hi], K1[g.lo:g.hi, n] = _rates(
-            g.metric, g.tape, X[g.lo:g.hi],
-            *g.eps_at(np.arange(g.lo, g.hi), S[g.lo:g.hi]))
-        K1[g.lo:g.hi, :n] = d
-    f_max = F0.copy()
-    f_min = F0.copy()
-    h = 1e-3 * (1.0 + np.linalg.norm(X, axis=1)) \
-        / (1.0 + np.linalg.norm(K1[:, :n], axis=1))
-    for k, leg in enumerate(runs):
-        if leg.record:
-            for r in range(starts[k], starts[k + 1]):
-                paths[k][r - starts[k]].append(
-                    np.concatenate([[S[r]], X[r], [F0[r]]]))
+    S, h, f_max, f_min, lo, hi, s_cap, ramp_end, eps0, delta, deps = real
+    idx, leg_of, local, target, steps, st, budget, cap = count
 
-    it = 0
-    cap_min = int(cap.min())
-    while True:
-        it += 1
-        if it > cap_min:
-            status[(status == RUNNING) & (cap < it)] = BUDGET
-        rows = np.flatnonzero(status == RUNNING)
-        if not rows.size:
-            break
-        Sa, ha = S[rows], h[rows]
-        kk = len(rows)
+    near = [(np.zeros(shape, dtype=bool), np.full(shape, np.inf),
+             np.full(shape, NEVER, dtype=np.int8)) for shape in (
+                 (size, len(leg.targets)) for leg, size in zip(runs, sizes))]
+    near_legs = [k for k, leg in enumerate(runs) if len(leg.targets)]
+    paths = {r: [] for k, leg in enumerate(runs) if leg.record
+             for r in range(starts[k], starts[k + 1])}
+    rows_out: List[Optional[_RowResult]] = [None] * m
 
-        # each group's running rows [p0, p1) of ``rows`` and their eps at
-        # stages 1..6, worked out once per step
-        bounds = np.searchsorted(rows, group_starts)
-        Si = Sa + _DP_C[:, None] * ha if timed else None
-        plan = []
-        for g, p0, p1 in zip(groups, bounds[:-1], bounds[1:]):
-            if p0 == p1:
-                continue
-            if g.fixed is None:
-                E, corr, mask = g.eps_at(rows[p0:p1], Si[1:, p0:p1])
-                stages = [(E[i], corr[i], mask) for i in range(6)]
-            else:
-                stages = [(g.fixed, None, None)] * 6
-            plan.append((g, p0, p1, stages))
+    def eps_at(St):
+        """``_Field._eps`` of the running rows at St (rows on the last axis)."""
+        t, slope = _ramp(delta * St)
+        return (np.where(on_path, eps0 + t * deps, eps0),
+                deps * (delta * slope))
 
-        # P[0] is the start (X, e) of the step and P[j + 1] the weighted
-        # stage j, so a stage input, Y5 and Y4 are each one sum over P's
-        # first axis (see the docstring)
-        hW = _DP_W[:, :, None] * ha
-        P = np.empty((8, kk, n + 1))
-        P[0] = Y[rows]
-        K = np.empty((7, kk, n + 1))
-        K[0] = K1[rows]
-        F7 = np.empty(kk)
-        for i in range(1, 7):
-            np.multiply(hW[i, :i, :, None], K[:i], out=P[1:i + 1])
-            xi = np.add.reduce(P[:i + 1], axis=0)
-            for g, p0, p1, stages in plan:
-                d, F, K[i, p0:p1, n] = _rates(
-                    g.metric, g.tape, xi[p0:p1, :n], *stages[i - 1])
-                K[i, p0:p1, :n] = d
-                if i == 6:
-                    F7[p0:p1] = F
+    def plan(bounds):
+        """(rows, metric, kernel, eps) of each problem with running rows."""
+        return [(slice(bounds[k0], bounds[k1]), metric, jet1, fixed)
+                for k0, k1, metric, jet1, fixed in groups
+                if bounds[k0] < bounds[k1]]
 
-        np.multiply(hW[7, :, :, None], K, out=P[1:])
-        Y5 = np.add.reduce(P, axis=0)
-        np.multiply(hW[8, :, :, None], K, out=P[1:])
-        Y4 = np.add.reduce(P, axis=0)
+    def stage(i, Xi, Ki, Fi=None):
+        """_rates at the points Xi into Ki, eps from E[i] and C[i]."""
+        for rs, metric, jet1, fixed in running:
+            e, c, p = (fixed, None, None) if fixed is not None \
+                else (E[i, rs], C[i, rs], on_path[rs])
+            vf, vr = _rates(metric, jet1, Xi[rs], e, c, p, Ki[rs])
+            if Fi is not None:
+                Fi[rs] = vf + e * vr
 
-        scale = RTOL * (1.0 + np.abs(Y5).max(axis=1))
-        err = np.abs(Y5 - Y4).max(axis=1) / scale
-        err = np.where(np.isfinite(err), err, np.inf)
-        accept = err <= 1.0
+    bounds = starts
+    running = plan(bounds)
+    with np.errstate(all="ignore"):
+        # stage 1 (drift and energy rate) of the first step at (S, X)
+        E, C = eps_at(S[None]) if timed else (None, None)
+        stage(0, X, K1, f_max)
+        f_min[:] = f_max
+        h[:] = 1e-3 * (1.0 + np.linalg.norm(X, axis=1)) \
+            / (1.0 + np.linalg.norm(K1[:, :n], axis=1))
+        for r, path in paths.items():
+            path.append(np.concatenate([[S[r]], X[r], [f_max[r]]]))
 
-        acc = rows[accept]
-        if acc.size:
-            Y[acc] = Y5[accept]
-            S[acc] = Sa[accept] + ha[accept]
-            steps[acc] += 1
+        it = 0
+        cap_min = int(cap.min())
+        while True:
+            it += 1
+            if it > cap_min:
+                st[(st == RUNNING) & (cap < it)] = BUDGET
+            if np.count_nonzero(st):
+                for pos in st.nonzero()[0]:
+                    r, j = idx[pos], local[pos]
+                    _, near_min, near_side = near[leg_of[pos]]
+                    rows_out[r] = _RowResult(
+                        status=int(st[pos]), target=int(target[pos]),
+                        s_end=float(S[pos]), x_end=Y[pos, :n].copy(),
+                        e_aug=float(Y[pos, n]), f_max=float(f_max[pos]),
+                        f_min=float(f_min[pos]), steps=int(steps[pos]),
+                        near_min=near_min[j].copy(),
+                        near_side=near_side[j].copy(),
+                        samples=np.array(paths[r]) if r in paths else None)
+                keep = st == RUNNING
+                real, count, Y, K1, on_path = (real[:, keep], count[:, keep],
+                                               Y[keep], K1[keep], on_path[keep])
+                S, h, f_max, f_min, lo, hi, s_cap, ramp_end, eps0, delta, \
+                    deps = real
+                idx, leg_of, local, target, steps, st, budget, cap = count
+                if not idx.size:
+                    break
+                bounds = np.searchsorted(idx, starts).tolist()
+                running = plan(bounds)
 
-            # _DP_A[6] == _DP_B5[:6] and _DP_C[6] == 1: stage 7 was
-            # evaluated at the accepted point (a finite error means every
-            # stage is finite, so the zero weights add exact zeros)
-            K1[acc] = K[6, accept]
-            Fv = F7[accept]
-            f_max[acc] = np.maximum(f_max[acc], Fv)
-            f_min[acc] = np.minimum(f_min[acc], Fv)
+            # eps at stages 2..7, worked out once per step
+            E, C = eps_at(S + _DP_C[1:, None] * h) if timed else (None, None)
 
-            cuts = np.searchsorted(acc, starts)
-            for k, leg in enumerate(runs):
-                a0, a1 = cuts[k], cuts[k + 1]
-                if a0 == a1:
-                    continue
-                lo, hi = starts[k], starts[k + 1]
-                accL, FvL = acc[a0:a1], Fv[a0:a1]
-                if leg.record:
-                    for pos, r in enumerate(accL):
-                        paths[k][r - lo].append(np.concatenate(
-                            [[S[r]], Y[r, :n], [FvL[pos]]]))
+            # P[0] is the start (X, e) of the step and P[j + 1] the
+            # weighted stage j, so a stage input, Y5 and Y4 are each one
+            # sum over P's first axis (see the docstring)
+            hW = _DP_W[:, :, None] * h
+            P = np.empty((8,) + Y.shape)
+            P[0] = Y
+            K = np.empty((7,) + Y.shape)
+            K[0] = K1
+            F7 = np.empty(len(Y))
+            for i in range(1, 7):
+                np.multiply(hW[i, :i, :, None], K[:i], out=P[1:i + 1])
+                xi = np.add.reduce(P[:i + 1], axis=0)
+                # _DP_A[6] == _DP_B5[:6] and _DP_C[6] == 1: stage 7 sits
+                # at the accepted point, where F is read
+                stage(i - 1, xi[:, :n], K[i], F7 if i == 6 else None)
 
-                w = leg.field.problem.window
-                status[accL[FvL < w.a - w.sigma]] = EXIT_BELOW
-                status[accL[FvL > w.b + w.sigma]] = EXIT_ABOVE
+            np.multiply(hW[7, :, :, None], K, out=P[1:])
+            Y5 = np.add.reduce(P, axis=0)
+            np.multiply(hW[8, :, :, None], K, out=P[1:])
+            Y4 = np.add.reduce(P, axis=0)
 
-                live = accL[status[accL] == RUNNING] if len(leg.targets) \
-                    else accL[:0]
+            scale = RTOL * (1.0 + np.abs(Y5).max(axis=1))
+            err = np.abs(Y5 - Y4).max(axis=1) / scale
+            err = np.where(np.isfinite(err), err, np.inf)
+            accept = err <= 1.0
+
+            # a finite error means every stage is finite, so the zero
+            # weights of stage 7 add exact zeros and it is the next K1
+            np.copyto(Y, Y5, where=accept[:, None])
+            np.copyto(K1, K[6], where=accept[:, None])
+            np.add(S, h, out=S, where=accept)
+            steps += accept
+            np.maximum(f_max, F7, out=f_max, where=accept)
+            np.minimum(f_min, F7, out=f_min, where=accept)
+            for pos in accept.nonzero()[0] if paths else ():
+                if idx[pos] in paths:
+                    paths[idx[pos]].append(np.concatenate(
+                        [[S[pos]], Y[pos, :n], [F7[pos]]]))
+
+            st[accept & (F7 < lo)] = EXIT_BELOW
+            st[accept & (F7 > hi)] = EXIT_ABOVE
+            alive = accept & (st == RUNNING)
+            for k in near_legs:
+                live = alive[bounds[k]:bounds[k + 1]].nonzero()[0] + bounds[k]
                 if live.size:
-                    near_min, near_side, inside = near[k]
-                    _near_passes(leg.targets, live - lo, Y[live, :n],
-                                 S[live] >= leg.field.ramp_end, inside,
-                                 near_min, near_side, status[lo:hi],
-                                 target_of[lo:hi])
+                    for p, t in _near_passes(
+                            runs[k].targets, local[live], Y[live, :n],
+                            S[live] >= ramp_end[live], *near[k]).items():
+                        st[live[p]], target[live[p]] = ARRIVED, t
+            over = (steps >= budget) | (S > s_cap)
+            st[accept & over & (st == RUNNING)] = BUDGET
 
-                over = (steps[accL] >= leg.max_steps) \
-                    | (S[accL] > leg.field.ramp_end + S_TAIL)
-                status[accL[over & (status[accL] == RUNNING)]] = BUDGET
+            grow = 0.9 * np.maximum(err, 1e-16) ** -0.2
+            # grow is never nan or -0.0, so min/max clip it as np.clip does
+            h *= np.minimum(np.maximum(grow, 0.2), 5.0)
+            st[(h < STEP_FLOOR) & (st == RUNNING)] = COLLAPSE
 
-        grow = 0.9 * np.maximum(err, 1e-16) ** -0.2
-        # grow is never nan or -0.0, so min/max clip it as np.clip does
-        ha = ha * np.minimum(np.maximum(grow, 0.2), 5.0)
-        h[rows] = ha
-        collapse = (ha < STEP_FLOOR) & (status[rows] == RUNNING)
-        status[rows[collapse]] = COLLAPSE
-
-    for k, leg in enumerate(runs):
-        near_min, near_side, _ = near[k]
-        lo = starts[k]
-        out[order[k]] = [_RowResult(
-            status=int(status[r]), target=int(target_of[r]),
-            s_end=float(S[r]), x_end=Y[r, :n].copy(), e_aug=float(Y[r, n]),
-            f_max=float(f_max[r]), f_min=float(f_min[r]),
-            steps=int(steps[r]),
-            near_min=near_min[r - lo].copy(),
-            near_side=near_side[r - lo].copy(),
-            samples=np.array(paths[k][r - lo]) if leg.record else None)
-            for r in range(lo, starts[k + 1])]
+    for k, j in enumerate(order):
+        out[j] = rows_out[starts[k]:starts[k + 1]]
     return out

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import morsevanish.cli as cli_module
+import morsevanish.expr as expr_module
 from morsevanish import flow
 from morsevanish.cli import (ArtifactCache, _canon, _is_window, _parse_grid,
                              _point_from_record, _point_record, cache_root,
@@ -287,6 +288,28 @@ class TestCache:
         c.store(key, {"points": [1, 2]})
         assert c.load(key) == {"points": [1, 2]}
 
+    # an entry as 0.2.5 wrote it when store dumped the wrapper whole
+    ENTRY = ('{"payload": {"3": [0, 1], "a": 0.1, "b": [1, 2.5, "inf", "nan"],'
+             ' "t": [true, null]}, "sha256": "6bdcbd5707581653a087e51dd6946007'
+             'e23b582e503e08ef02c328998e51660f"}')
+
+    def test_entry_bytes_and_digest_are_pinned(self, tmp_path):
+        c = ArtifactCache(tmp_path / "c")
+        key = "ab" + "0" * 62
+        got = c.store(key, {"b": [1, 2.5, float("inf"), float("nan")],
+                            "a": np.float64(0.1), "t": (True, None),
+                            3: np.arange(2)})
+        assert c._path(key).read_text() == self.ENTRY
+        assert got == c.load(key) == json.loads(self.ENTRY)["payload"]
+
+    def test_entry_written_before_still_loads(self, tmp_path):
+        c = ArtifactCache(tmp_path / "c")
+        key = "cd" + "0" * 62
+        c._path(key).parent.mkdir(parents=True)
+        c._path(key).write_text(self.ENTRY)
+        assert c.load(key) == {"3": [0, 1], "a": 0.1,
+                               "b": [1, 2.5, "inf", "nan"], "t": [True, None]}
+
     def test_miss_is_none(self, tmp_path):
         c = ArtifactCache(tmp_path / "c")
         assert c.load(c.key("abc", "crit", {})) is None
@@ -462,6 +485,17 @@ class TestCommands:
         assert art["verdict"] == "pass"
         row = next(r for r in art["rows"] if r["degree"] == 1)
         assert row["morse"] == row["oracle"] == row["catalog"] == "Z^2"
+
+    def test_a_second_compare_compiles_no_tape(self, tmp_path, monkeypatch):
+        # tapes are cached by expression structure, so the problem a
+        # second command parses again reuses every tape of the first
+        assert run(tmp_path / "a", "compare", "--catalog", "z^2") == 0
+        built = []
+        tape = expr_module.Tape
+        monkeypatch.setattr(expr_module, "Tape",
+                            lambda *args: built.append(args) or tape(*args))
+        assert run(tmp_path / "b", "compare", "--catalog", "z^2") == 0
+        assert built == []
 
     def test_compare_fail_verdict_exits_two(self, tmp_path):
         cfg = dict(Z3, catalog="z^2")  # Re z^3 has rank two, z^2 says one

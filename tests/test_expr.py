@@ -543,3 +543,11 @@ class TestTape:
         assert compile((expr,), self.NAMES) is compile([expr],
                                                        list(self.NAMES))
         assert isinstance(expr, Expression)
+        # the cache keys on the tree: a second parse shares the tape, a
+        # regrouped sum, whose chain differs, does not
+        again = parse_expression("u1*u2 + pow(u3, 1/2)")
+        assert compile((again,), self.NAMES) is compile((expr,), self.NAMES)
+        left = parse_expression("(u1 + u2) + u3")
+        right = parse_expression("u1 + (u2 + u3)")
+        assert compile((left,), self.NAMES) is not compile((right,),
+                                                           self.NAMES)

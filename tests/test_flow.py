@@ -408,19 +408,23 @@ def flow_batch(field, X0, targets, max_steps, record=False):
 
 
 class CountingField(_Field):
-    """A copy of a _Field that counts its evaluations, the jet1 calls on
-    its tape; the integrator makes one per stage for all rows on one
-    problem, on the tape of its first leg."""
+    """A copy of a _Field that counts its evaluations, the calls of its
+    tape's jet1 kernel; the integrator makes one per stage for all rows on
+    one problem, with the kernel of its first leg's tape."""
 
     def __init__(self, field):
         vars(self).update(vars(field))
         self.calls = 0
-        tape = field.tape
+        jet1 = field.tape.kernel("jet1")
+
+        def counted(*args):
+            self.calls += 1
+            return jet1(*args)
 
         class Tape:
-            def jet1(_, X):
-                self.calls += 1
-                return tape.jet1(X)
+            def kernel(_, mode):
+                assert mode == "jet1"
+                return counted
 
         self.tape = Tape()
 
@@ -701,7 +705,11 @@ class TestFlowBatch:
         # leave a ball inside an arrival radius
         tset.r_arrive = np.minimum(tset.r_arrive, tset.r_near)
         got = {k: v.copy() for k, v in want.items()}
-        _near_passes(tset, live, X, past, **got)
+        arrived = _near_passes(tset, live, X, past, got["inside"],
+                               got["near_min"], got["near_side"])
+        for pos, t in arrived.items():
+            got["status"][live[pos]] = ARRIVED
+            got["target_of"][live[pos]] = t
         # the per-row, per-target loop the vectorised update replaced
         D = np.linalg.norm(X[:, None, :] - tset.Q[None, :, :], axis=2)
         inside, near_min, near_side = (want["inside"], want["near_min"],
@@ -756,11 +764,53 @@ def square_merged_legs():
     return legs
 
 
+def mixed_legs():
+    # on x^4 - x^2 - y^2 in the window (-1, 1/2), mirrored to (-1/2, 1)
+    # for the dual problem: the saddles' forward launches exit below, the
+    # dual launches arrive at the maximum; with them an eps-path ladder,
+    # two legs with no targets, and a leg with a budget of three steps.
+    # Of the rows with no targets, the first starts above b + sigma and
+    # exits on its first step; of the dual ones, one falls through the gap
+    # between the two lower cuts and one starts between the two upper
+    # cuts, so the dual leg's own cuts decide how they end.
+    spec = dataclasses.replace(SADDLE2, window=WindowSpec(-1.0, 0.5, 1.0,
+                                                          10.0, 0.25))
+    pts = find_critical_points(spec, 0.05).inside_window()
+    top = [p for p in pts if p.index == 2]
+    saddles = [p for p in pts if p.index == 1]
+    # the ladder goes first, so a table read off the first leg would give
+    # the other legs its later ramp end and S cap
+    later = find_critical_points(spec, 0.1).inside_window()
+    legs = first_legs(continuation_job(spec, 0.05, 0.1, saddles[:1], later,
+                                       0.5))
+    legs += first_legs(count_job(spec, 0.05, top + saddles, saddles))
+    field, none = _Field(spec, 0.05), _TargetSet([])
+    dual = _Field(dual_problem(spec), -0.05)
+    return legs + [
+        _Leg(field, np.array([[2.0, 0.0], [0.0, 0.05], [0.3, -0.1]]), none,
+             40000, True),
+        _Leg(dual, np.array([[1.2, 0.0], [0.0, 1.0]]), none, 40000, True),
+        _Leg(field, ladder_starts(saddles), _TargetSet(saddles), 3, True)]
+
+
+def first_step_legs():
+    # every row ends on its first step: above b + sigma forward and under
+    # the dual problem, or out of a budget of one step
+    field = _Field(SADDLE2, 0.05)
+    dual = _Field(dual_problem(SADDLE2), -0.05)
+    none = _TargetSet([])
+    return [_Leg(field, np.array([[2.0, 0.0], [-2.0, 0.5]]), none, 40000),
+            _Leg(dual, np.array([[0.0, 3.0], [0.5, -3.0]]), none, 40000),
+            _Leg(field, np.array([[0.1, 0.1]]), none, 1)]
+
+
 MERGED = {"double-well-counts-and-ladder": functools.partial(
               counts_and_ladder, DW, 0.25, 0.125),
           "z3-kahler-counts-and-ladder": functools.partial(
               counts_and_ladder, Z3, 0.1, 0.08),
-          "square-forward-and-dual": square_merged_legs}
+          "square-forward-and-dual": square_merged_legs,
+          "saddle2-mixed-legs": mixed_legs,
+          "saddle2-all-rows-end-on-the-first-step": first_step_legs}
 
 
 class TestMergedLegs:
@@ -773,6 +823,19 @@ class TestMergedLegs:
             assert len(rows) == len(alone) == len(leg.X0)
             for row, ref in zip(rows, alone):
                 assert_same_bits(row, ref)
+
+    def test_mixed_batch_reaches_every_ending(self):
+        legs = _integrate(mixed_legs())
+        assert {row.status for leg in legs for row in leg} == {
+            ARRIVED, EXIT_BELOW, EXIT_ABOVE, BUDGET}
+        *_, free, dual, short = legs
+        assert (free[0].status, free[0].steps) == (EXIT_ABOVE, 1)
+        assert [row.status for row in dual] == [EXIT_BELOW, BUDGET]
+        assert dual[1].s_end > S_TAIL
+        assert {(row.status, row.steps) for row in short} == {(BUDGET, 3)}
+        legs = _integrate(first_step_legs())
+        assert [[(row.status, row.steps) for row in leg] for leg in legs] \
+            == [[(EXIT_ABOVE, 1)] * 2, [(EXIT_ABOVE, 1)] * 2, [(BUDGET, 1)]]
 
     def test_one_jet1_call_per_problem_and_stage(self):
         # the counting legs at both eps and the ladder are on one problem,
