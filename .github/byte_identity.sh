@@ -5,9 +5,10 @@
 #
 # Writes, with the source tree of the checkout and with that of the base
 # commit (extracted by `git archive` into a temporary directory), the
-# artifacts of `compare --catalog` on every catalog entry and of the
-# continue ladders below, with crit, flow (json and csv), complex and
-# homology at each eps of a ladder, cache entries included; then compares
+# artifacts of `compare --catalog` on every catalog entry, of the continue
+# ladders below, with crit, flow (json and csv), complex, homology and
+# oracle at each eps of a ladder, and of `sweep-eps` (json and csv) on the
+# double well over the grid below, cache entries included; then compares
 # the two output directories with `diff -r`.  A difference fails the check
 # unless morsevanish.__version__ differs between the two trees, since a
 # version bump is how a change that moves artifact bytes is declared.
@@ -36,6 +37,7 @@ cat > "$work/double_well4.json" <<'EOF'
  "f": "x1^4 - x1^2 + x2^2 + x3^2 + x4^2",
  "tau": "pow(1 + x1^2 + x2^2 + x3^2 + x4^2, -1/2)", "eps": 0.1}
 EOF
+sweep_grid="2^-2..2^-5"
 # each ladder: a config, then its continues as eps_from:eps_to pairs
 ladders=(
   "double_well 0.25:0.125 0.125:0.0625"
@@ -58,6 +60,8 @@ artifacts() {
       'from morsevanish.oracle import catalog_names; print(*catalog_names())'); do
     cli catalog compare --catalog "$name"
   done
+  cli double_well-sweep sweep-eps --config "$work/double_well.json" \
+    --grid "$sweep_grid"
   for ladder in "${ladders[@]}"; do
     set -- $ladder
     local key=$1 from to eps stage
@@ -67,7 +71,7 @@ artifacts() {
       cli "$key-$from-$to" continue --config "$work/$key.json" \
         --eps-from "$from" --eps-to "$to"
       for eps in "$from" "$to"; do
-        for stage in crit flow complex homology; do
+        for stage in crit flow complex homology oracle; do
           cli "$key-$eps" "$stage" --config "$work/$key.json" --eps "$eps"
         done
       done

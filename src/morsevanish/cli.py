@@ -46,9 +46,10 @@ from .errors import (ConfigError, ConfigParse, CorruptCache, CountingRefused,
                      ExpressionParseError, MorsevanishError, UnknownEntry)
 from .expr import parse_expression
 from .flow import (BOUNDARY_BUDGET, R_LAUNCH, BoundaryCountResult,
-                   check_delta, continuation_trajectories)
-from .homology import (MorseComplex, boundary_count_job, boundary_counts,
-                       complex_from_counts, continuation_chain_map,
+                   check_delta, continuation_trajectories, count_boundaries,
+                   count_plan)
+from .homology import (MorseComplex, boundary_sources, complex_from_counts,
+                       continuation_chain_map,
                        euler_characteristic, generator_order, homology,
                        require_nondegenerate, verify_d_squared)
 from .intlinalg import HomologyResult, _format_group
@@ -319,11 +320,20 @@ def _parse_grid(spec: Optional[str]) -> Tuple[float, ...]:
         if b1 != b2:
             raise ConfigError("grid range must keep one base on both sides")
         step = 1 if e2 >= e1 else -1
-        return tuple(b1 ** e for e in range(e1, e2 + step, step))
-    try:
-        return tuple(float(v) for v in spec.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse grid {spec!r}")
+        try:
+            grid = tuple(b1 ** e for e in range(e1, e2 + step, step))
+        except (OverflowError, ZeroDivisionError):
+            # 0^-1, or a power past the float range: infinite either way
+            grid = (math.inf,)
+    else:
+        try:
+            grid = tuple(float(v) for v in spec.split(","))
+        except ValueError:
+            raise ConfigError(f"cannot parse grid {spec!r}")
+    if not all(math.isfinite(e) and e > 0 for e in grid):
+        raise ConfigError(f"grid {spec!r} holds a value that is not finite "
+                          "and positive")
+    return grid
 
 
 # --------------------------------------------------------------- cache
@@ -560,14 +570,19 @@ def _flow_key(ctx: RunContext, eps: float) -> str:
 
 def _flow_payload(ctx: RunContext, eps: float, counted=None):
     """The flow payload at eps and a cache-hit flag.  A miss stores
-    ``counted``, what ``boundary_counts`` gives on the window points, or
-    counts them first when it is None."""
+    ``counted``, the results of ``count_boundaries`` on the boundary
+    sources of the window points with all of them as targets, or counts
+    them first when it is None."""
     def compute():
         pts = _window_points(ctx, eps)
+        at = boundary_sources(pts)
+        results = counted
+        if results is None:
+            results = count_boundaries(ctx.problem, eps,
+                                       [pts[i] for i in at], pts)
         sources = []
         traj = []
-        for i, res in (boundary_counts(ctx.problem, eps, pts)
-                       if counted is None else counted):
+        for i, res in zip(at, results):
             sources.append({
                 "source": i, "index": pts[i].index, "method": res.method,
                 "counts": sorted(res.counts.items()),
@@ -602,12 +617,17 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _flow_job(ctx: RunContext, eps: float, pts: List[CriticalPoint],
-              flows: list, k: int):
-    """Count the flow payload at eps on the window points ``pts`` as a job
-    (see ``flow.run_job``), store it, and keep it in flows[k]."""
-    counted = yield from boundary_count_job(ctx.problem, eps, pts)
-    flows[k], _ = _flow_payload(ctx, eps, counted)
+def _flow_plan(ctx: RunContext, eps: float, pts: List[CriticalPoint],
+               flows: list, k: int):
+    """The legs that count the flow payload at eps on the window points
+    ``pts``, and a read of their rows that stores the payload and keeps
+    it in flows[k] (see ``flow.count_plan``)."""
+    legs, read = count_plan(ctx.problem, eps,
+                            [pts[i] for i in boundary_sources(pts)], pts)
+
+    def store(rows):
+        flows[k], _ = _flow_payload(ctx, eps, read(rows))
+    return legs, store
 
 
 def _window_complex(ctx: RunContext, eps: float, pts=None,
@@ -847,7 +867,7 @@ def cmd_continue(args) -> int:
     res = continuation_trajectories(
         ctx.problem, e_from, e_to, generator_order(pts[0]),
         generator_order(pts[1]), delta,
-        alongside=[_flow_job(ctx, e, p, flows, k)
+        alongside=[_flow_plan(ctx, e, p, flows, k)
                    for k, (e, p) in enumerate(zip(ends, pts))
                    if not ctx.cache.has(_flow_key(ctx, e))])
     cx_a, cx_b = (_window_complex(ctx, e, p, f)
@@ -950,21 +970,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "complex", help="assemble the window Morse complex")))
     with_eps(common(sub.add_parser(
         "homology", help="homology of the window Morse complex")))
-    sp = with_eps(common(sub.add_parser(
-        "oracle", help="cubical relative homology of the sublevel pair")))
-    sp.add_argument("--lambda", dest="lam", type=float,
-                    help="window depth (default: the problem's)")
-    sp.add_argument("--Lambda", dest="Lam", type=float,
-                    help="upper sublevel cutoff (default: the problem's)")
-    sp.add_argument("--res", type=int, help="grid cells per axis "
-                                            "(default 32)")
-    sp = with_eps(common(sub.add_parser(
-        "compare", help="Morse homology against the oracle and catalog")))
+    def with_levels(sp):
+        sp.add_argument("--lambda", dest="lam", type=float,
+                        help="window depth (default: the problem's)")
+        sp.add_argument("--Lambda", dest="Lam", type=float,
+                        help="upper sublevel cutoff (default: the "
+                             "problem's)")
+        sp.add_argument("--res", type=int, help="grid cells per axis "
+                                                "(default 32)")
+        return sp
+
+    with_levels(with_eps(common(sub.add_parser(
+        "oracle", help="cubical relative homology of the sublevel pair"))))
+    sp = with_levels(with_eps(common(sub.add_parser(
+        "compare", help="Morse homology against the oracle and catalog"))))
     sp.add_argument("--catalog", help="named catalog entry to compare "
                                       "against (may replace --config)")
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--Lambda", dest="Lam", type=float)
-    sp.add_argument("--res", type=int)
     sp = common(sub.add_parser(
         "continue", help="continuation chain map between two eps values"))
     sp.add_argument("--eps-from", dest="eps_from", type=float, required=True)

@@ -55,18 +55,16 @@ and a pass switching from the -e_u(q) side to the +e_u(q) side counts +1.
 
 How the work is batched: ``integrator._integrate`` runs *legs*, each one
 field with its start rows, targets and step budget, all in one
-Dormand-Prince loop (see that module).  The counting routines are jobs,
-generators that yield lists of legs and are sent back their rows
-(``run_job``; ``together`` merges several into one batch per round):
-``count_job`` makes the launches of all index-1 sources one leg and those
-of the index-(n-1) targets of all top-degree sources, under the dual
-problem, another; ``continuation_job`` stacks the offset ladders of all
-sources in one leg and yields it again after each halving of delta.
-``continuation_trajectories`` runs the jobs it is given ``alongside`` in
-the batches of its ladder, so the ``continue`` command integrates the
-missing counts of both its complexes and its first ladder in one batch.
-Every row's result is bit for bit independent of what else shares its
-batch.
+Dormand-Prince loop (see that module).  ``count_boundaries`` is the one
+counting routine: the launches of all index-1 sources make one leg and
+those of the index-(n-1) targets of all top-degree sources, under the
+dual problem, another.  Its split form ``count_plan`` returns those legs
+with the function that reads their rows, and
+``continuation_trajectories``, whose ladder stacks the offset ladders of
+all sources in one leg, integrates the plans it is given ``alongside`` in
+its first batch; so the ``continue`` command integrates the missing
+counts of both its complexes and its first ladder in one batch.  Every
+row's result is bit for bit independent of what else shares its batch.
 """
 
 from __future__ import annotations
@@ -88,10 +86,9 @@ from .metric import metric_batch
 from .problem import ProblemSpec, dual_problem
 
 __all__ = ["TrajectoryRecord", "integrate_flow",
-           "energy", "count_boundary", "count_boundaries", "count_job",
-           "BoundaryCountResult", "check_delta", "continuation_job",
-           "continuation_trajectories", "ContinuationResult",
-           "run_job", "together"]
+           "energy", "count_boundary", "count_boundaries", "count_plan",
+           "BoundaryCountResult", "check_delta",
+           "continuation_trajectories", "ContinuationResult"]
 
 ENERGY_RTOL = 1e-6
 # counting defaults: launch offset from a critical point, and the step
@@ -264,42 +261,6 @@ def _launches(launchers: Sequence[CriticalPoint], r_launch: float):
             for i, p in enumerate(launchers) for side in (1, -1)]
 
 
-def run_job(job):
-    """Drive a job, a generator that yields lists of legs and is sent
-    back their row results: each list is integrated in one batch.  Returns
-    what the job returns."""
-    rows = None
-    while True:
-        try:
-            legs = job.send(rows)
-        except StopIteration as stop:
-            return stop.value
-        rows = _integrate(legs)
-
-
-def together(jobs: Iterable):
-    """One job made of several: each round yields the legs of every job
-    still running, in job order, so they share one batch; returns the
-    list of the jobs' return values."""
-    jobs = list(jobs)
-    out = [None] * len(jobs)
-    rows = [None] * len(jobs)
-    running = range(len(jobs))
-    while True:
-        asked = []
-        for j in running:
-            try:
-                asked.append((j, jobs[j].send(rows[j])))
-            except StopIteration as stop:
-                out[j] = stop.value
-        if not asked:
-            return out
-        got = iter((yield [leg for _, legs in asked for leg in legs]))
-        for j, legs in asked:
-            rows[j] = [next(got) for _ in legs]
-        running = [j for j, _ in asked]
-
-
 def _as_sink(p: CriticalPoint, n: int) -> CriticalPoint:
     """p as a critical point of -f_eps: value and index mirrored, frame
     columns reversed so that the unstable directions come first again."""
@@ -311,12 +272,13 @@ def _sgn_det(p: CriticalPoint) -> int:
     return 1 if np.linalg.det(p.frame) > 0 else -1
 
 
-def count_job(problem: ProblemSpec, eps: float,
-              sources: Sequence[CriticalPoint],
-              targets: Sequence[CriticalPoint], *,
-              r_launch: float = R_LAUNCH, budget: int = BOUNDARY_BUDGET):
-    """``count_boundaries`` as a job (see ``run_job``): the index-1 launches
-    and the top-degree launches are two legs of one batch."""
+def count_plan(problem: ProblemSpec, eps: float,
+               sources: Sequence[CriticalPoint],
+               targets: Sequence[CriticalPoint], *,
+               r_launch: float = R_LAUNCH, budget: int = BOUNDARY_BUDGET):
+    """``count_boundaries`` in two halves: the legs to integrate, the
+    index-1 launches in one and the top-degree launches in another, and
+    a function that reads their rows into the results."""
     n = problem.domain.dimension
     middle = [p.index for p in sources if 1 < p.index < n]
     if middle:
@@ -324,15 +286,14 @@ def count_job(problem: ProblemSpec, eps: float,
             f"a source of index {middle[0]} is not counted, only index 1 "
             f"and the top index {n} are; use the Euler characteristic "
             "route for this problem")
-    counts = [{j: 0 for j in range(len(targets))} for _ in sources]
-    recs: List[List[TrajectoryRecord]] = [[] for _ in sources]
-    warnings: List[List[str]] = [[] for _ in sources]
     ones = [s for s, p in enumerate(sources) if p.index == 1]
     tops = [s for s, p in enumerate(sources) if p.index > 1]
     legs, ahead, back = [], [], []
     if ones:
         field = _Field(problem, eps)
-        tset = _TargetSet(targets)
+        # only the index-0 targets absorb a forward launch
+        zeros = [j for j, q in enumerate(targets) if q.index == 0]
+        tset = _TargetSet([targets[j] for j in zeros])
         ahead = _launches([sources[s] for s in ones], r_launch)
         legs.append(_Leg(field, np.stack([x0 for _, _, x0 in ahead]), tset,
                          budget))
@@ -346,47 +307,56 @@ def count_job(problem: ProblemSpec, eps: float,
         if back:
             legs.append(_Leg(dual, np.stack([x0 for _, _, x0 in back]),
                              sinks, budget))
-    rows = iter((yield legs) if legs else ())
-    for (i, side, x0), row in zip(ahead, next(rows) if ahead else ()):
-        s = ones[i]
-        rec = _make_record(row, field, x0, sources[s].value, tset, side)
-        recs[s].append(rec)
-        if row.status == ARRIVED and targets[row.target].index == 0:
-            counts[s][row.target] += side
+
+    def read(rows) -> List[BoundaryCountResult]:
+        counts = [{j: 0 for j, q in enumerate(targets) if q.index < p.index}
+                  for p in sources]
+        recs: List[List[TrajectoryRecord]] = [[] for _ in sources]
+        warnings: List[List[str]] = [[] for _ in sources]
+        rows = iter(rows)
+        for (i, side, x0), row in zip(ahead, next(rows) if ahead else ()):
+            s = ones[i]
+            rec = _make_record(row, field, x0, sources[s].value, tset, side)
+            if row.status == ARRIVED:
+                rec = replace(rec, target_id=zeros[row.target])
+                counts[s][rec.target_id] += side
+                if not rec.energy_ok:
+                    warnings[s].append(
+                        f"energy identity violated on launch {side:+d}: "
+                        f"E_an={rec.E_an!r} E_top={rec.E_top!r}")
+            elif row.status in (BUDGET, COLLAPSE):
+                warnings[s].append(
+                    f"launch {side:+d} ended with {rec.termination}")
+            recs[s].append(rec)
+        for (i, side, x0), row in zip(back, next(rows) if back else ()):
+            j = launch_from[i]
+            q = targets[j]
+            if row.status in (BUDGET, COLLAPSE):
+                for s in tops:
+                    warnings[s].append(
+                        f"reversed launch {side:+d} from target {j} ended "
+                        f"with {_STATUS_NAMES[row.status]}")
+            if row.status != ARRIVED:
+                continue
+            s = tops[row.target]
+            sgn = side * (-1) ** n * _sgn_det(sources[s]) * _sgn_det(q)
+            counts[s][j] += sgn
+            # E_an and E_top come out as the forward flowline's energy;
+            # the value range is turned back into f_eps values too
+            rec = _make_record(row, dual, x0, -q.value, sinks, sgn)
+            recs[s].append(replace(rec, target_id=j, f_max=-rec.f_min,
+                                   f_min=-rec.f_max))
             if not rec.energy_ok:
                 warnings[s].append(
-                    f"energy identity violated on launch {side:+d}: "
-                    f"E_an={rec.E_an!r} E_top={rec.E_top!r}")
-        elif row.status in (BUDGET, COLLAPSE):
-            warnings[s].append(
-                f"launch {side:+d} ended with {rec.termination}")
-    for (i, side, x0), row in zip(back, next(rows) if back else ()):
-        j = launch_from[i]
-        q = targets[j]
-        if row.status in (BUDGET, COLLAPSE):
-            for s in tops:
-                warnings[s].append(
-                    f"reversed launch {side:+d} from target {j} ended "
-                    f"with {_STATUS_NAMES[row.status]}")
-        if row.status != ARRIVED:
-            continue
-        s = tops[row.target]
-        sgn = side * (-1) ** n * _sgn_det(sources[s]) * _sgn_det(q)
-        counts[s][j] += sgn
-        # E_an and E_top come out as the forward flowline's energy;
-        # the value range is turned back into f_eps values too
-        rec = _make_record(row, dual, x0, -q.value, sinks, sgn)
-        recs[s].append(replace(rec, target_id=j, f_max=-rec.f_min,
-                               f_min=-rec.f_max))
-        if not rec.energy_ok:
-            warnings[s].append(
-                f"energy identity violated on the reversed launch "
-                f"{side:+d} from target {j}: E_an={rec.E_an!r} "
-                f"E_top={rec.E_top!r}")
-    methods = {0: "none", 1: "endpoints"}
-    return [BoundaryCountResult(c, tuple(r), methods.get(p.index, "dual"),
-                                tuple(w))
-            for p, c, r, w in zip(sources, counts, recs, warnings)]
+                    f"energy identity violated on the reversed launch "
+                    f"{side:+d} from target {j}: E_an={rec.E_an!r} "
+                    f"E_top={rec.E_top!r}")
+        methods = {0: "none", 1: "endpoints"}
+        return [BoundaryCountResult(c, tuple(r),
+                                    methods.get(p.index, "dual"), tuple(w))
+                for p, c, r, w in zip(sources, counts, recs, warnings)]
+
+    return legs, read
 
 
 def count_boundaries(problem: ProblemSpec, eps: float,
@@ -397,18 +367,23 @@ def count_boundaries(problem: ProblemSpec, eps: float,
                      ) -> List[BoundaryCountResult]:
     """Signed counts of flowlines from each source, of index k, into the
     index-(k-1) members of the shared ``targets``, autonomous field at the
-    given eps; each result's counts are keyed by position in ``targets``.
+    given eps.  Each result's counts hold the positions in ``targets`` of
+    every target of index below k, zeros included, and its trajectory
+    records name their targets by those positions too; the other targets
+    are neither counted nor absorbing, so all window points may be
+    passed as ``targets``.
 
-    k = 1 launches the two unstable branches; lower-index points in
-    ``targets`` absorb (arrival there ends a row early, but only the
-    index-(k-1) entries are counted).  Top degree k = n >= 2 is index 1
-    of the dual problem: the index-(n-1) targets launch under the flow of
-    -f_eps.  Window exits count zero.  The index-1 launches and the
-    top-degree launches are two legs of one batch.  Sources of index
-    2 <= k < n raise CountingRefused before any integration.
+    k = 1 launches the two unstable branches; the index-0 targets absorb
+    (arrival there ends a row).  Top degree k = n >= 2 is index 1 of the
+    dual problem: the index-(n-1) targets launch under the flow of
+    -f_eps, and the top sources absorb.  Window exits count zero.  The
+    index-1 launches and the top-degree launches are two legs of one
+    batch (``count_plan`` hands them out to share a larger one).  Sources
+    of index 2 <= k < n raise CountingRefused before any integration.
     """
-    return run_job(count_job(problem, eps, sources, targets,
-                             r_launch=r_launch, budget=budget))
+    legs, read = count_plan(problem, eps, sources, targets,
+                            r_launch=r_launch, budget=budget)
+    return read(_integrate(legs) if legs else [])
 
 
 def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
@@ -448,19 +423,36 @@ def check_delta(delta: float) -> None:
         raise ConfigError(f"delta must be finite and positive, got {delta!r}")
 
 
-def continuation_job(problem: ProblemSpec, eps_from: float, eps_to: float,
-                     sources: Sequence[CriticalPoint],
-                     targets: Sequence[CriticalPoint], delta: float):
-    """``continuation_trajectories`` as a job (see ``run_job``): one leg
-    holds the offset ladders of all sources, and each halving of delta
-    yields it again."""
+def continuation_trajectories(problem: ProblemSpec, eps_from: float,
+                              eps_to: float,
+                              sources: Sequence[CriticalPoint],
+                              targets: Sequence[CriticalPoint],
+                              delta: float = 0.5,
+                              alongside: Iterable = ()) -> ContinuationResult:
+    """Signed index-preserving arrival counts for the delta-slow path from
+    f_{eps_from} to f_{eps_to}, halving delta from the given value until
+    the runs are confined.  A delta that is not finite and positive raises
+    ConfigError before any integration.  One leg holds the offset ladders
+    of all sources, and each halving integrates it again.  The counting
+    plans ``alongside``, (legs, read) pairs as ``count_plan`` returns
+    them, share the first batch, ahead of the ladder, and each read is
+    called on its legs' rows right after that batch; what it returns is
+    dropped.
+
+    Confinement means no trajectory climbs above b + sigma, and the
+    zero-offset launch of every source either settles at a same-index
+    window target or at least passes near one before washing out; failing
+    that below DELTA_FLOOR raises DeltaFloor.  Counts at saddles come from
+    side flips across the launch ladder, so an identity path reports the
+    identity matrix without needing exact center arrivals.  Sources must
+    have index 0 or 1: a source of higher index raises CountingRefused,
+    because no signed count over a higher-dimensional unstable manifold is
+    implemented.
+    """
     check_delta(delta)
     if any(p.index > 1 for p in sources):
         raise CountingRefused("continuation counting handles sources of "
                               "index 0 and 1 only")
-    if not sources:
-        return ContinuationResult({}, delta, 0, ())
-
     w = problem.window
     tset = _TargetSet(targets)
     ladders = []
@@ -468,12 +460,21 @@ def continuation_job(problem: ProblemSpec, eps_from: float, eps_to: float,
         pars = _family_parameters(p.index)
         e_u = p.frame[:, 0] if p.index else np.zeros(len(p.location))
         ladders.append(p.location[None, :] + pars[:, None] * e_u[None, :])
+    plans = list(alongside)
     halvings = 0
     while True:
         field = _Field(problem, eps_from, eps_to, delta)
-        (ladder_rows,) = yield [_Leg(field, np.concatenate(ladders), tset,
-                                     CONTINUATION_BUDGET)]
-        batch = iter(ladder_rows)
+        legs = [leg for plan, _ in plans for leg in plan]
+        if sources:
+            legs.append(_Leg(field, np.concatenate(ladders), tset,
+                             CONTINUATION_BUDGET))
+        got = iter(_integrate(legs) if legs else ())
+        for plan, read in plans:
+            read([next(got) for _ in plan])
+        plans = []
+        if not sources:
+            return ContinuationResult({}, delta, 0, ())
+        batch = iter(next(got))
         counts: Dict[Tuple[int, int], int] = {}
         recs: List[TrajectoryRecord] = []
         violated = False
@@ -519,31 +520,3 @@ def continuation_job(problem: ProblemSpec, eps_from: float, eps_to: float,
             raise DeltaFloor(
                 f"confinement still violated at delta={delta * 2:.3g}; the "
                 f"parameter path likely leaves the window")
-
-
-def continuation_trajectories(problem: ProblemSpec, eps_from: float,
-                              eps_to: float,
-                              sources: Sequence[CriticalPoint],
-                              targets: Sequence[CriticalPoint],
-                              delta: float = 0.5,
-                              alongside: Iterable = ()) -> ContinuationResult:
-    """Signed index-preserving arrival counts for the delta-slow path from
-    f_{eps_from} to f_{eps_to}, halving delta from the given value until
-    the runs are confined.  A delta that is not finite and positive raises
-    ConfigError before any integration.  The jobs ``alongside`` (see
-    ``run_job``) share the batches of the ladder, ahead of it; what they
-    return is dropped.
-
-    Confinement means no trajectory climbs above b + sigma, and the
-    zero-offset launch of every source either settles at a same-index
-    window target or at least passes near one before washing out; failing
-    that below DELTA_FLOOR raises DeltaFloor.  Counts at saddles come from
-    side flips across the launch ladder, so an identity path reports the
-    identity matrix without needing exact center arrivals.  Sources must
-    have index 0 or 1: a source of higher index raises CountingRefused,
-    because no signed count over a higher-dimensional unstable manifold is
-    implemented.
-    """
-    jobs = [*alongside, continuation_job(problem, eps_from, eps_to, sources,
-                                         targets, delta)]
-    return run_job(together(jobs))[-1]

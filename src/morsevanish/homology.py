@@ -17,7 +17,7 @@ the neighbouring grid values induces isomorphisms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -28,7 +28,7 @@ from .critical import (CriticalPoint, canonical_key, find_critical_points,
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
 from .flow import (BoundaryCountResult, ContinuationResult,
-                   continuation_trajectories, count_job, run_job, together)
+                   continuation_trajectories, count_boundaries)
 from .intlinalg import (SNF, ChainComplexData, HomologyResult, Matrix,
                         _format_group, homology_of_complex, kernel_basis,
                         matmul, smith_normal_form)
@@ -37,7 +37,7 @@ from .problem import ProblemSpec, dual_problem
 __all__ = [
     "MorseComplex", "HomologyResult", "ChainMap", "InducedMap", "D2Report",
     "DualityReport", "StabilizedHomology",
-    "assemble_complex", "boundary_count_job", "boundary_counts",
+    "assemble_complex", "boundary_sources",
     "complex_from_counts", "generator_order",
     "require_nondegenerate", "window_complex",
     "verify_d_squared", "homology",
@@ -183,47 +183,13 @@ def assemble_complex(points: Sequence[CriticalPoint],
                         tuple(mats), tuple(notes))
 
 
-def _keyed(res: BoundaryCountResult, below: List[int]
-           ) -> BoundaryCountResult:
-    """res with each target position t, an index into ``below``, replaced
-    by below[t] in its counts and trajectory records."""
-    return replace(
-        res, counts={below[t]: c for t, c in res.counts.items()},
-        trajectories=tuple(
-            rec if rec.target_id is None
-            else replace(rec, target_id=below[rec.target_id])
-            for rec in res.trajectories))
-
-
-def boundary_count_job(problem: ProblemSpec, eps: float,
-                       points: Sequence[CriticalPoint], **count):
-    """``boundary_counts`` as a job (see ``flow.run_job``): the launches
-    of every source index share one batch."""
-    pts = list(points)
-    sources = [i for i, p in enumerate(pts) if p.index > 0 and any(
-        q.index == p.index - 1 for q in pts)]
-    groups = [([i for i in sources if pts[i].index == k],
-               [j for j, q in enumerate(pts) if q.index < k])
-              for k in sorted({pts[i].index for i in sources})]
-    counted = yield from together(
-        count_job(problem, eps, [pts[i] for i in same],
-                  [pts[j] for j in below], **count)
-        for same, below in groups)
-    results = {}
-    for (same, below), got in zip(groups, counted):
-        results.update((i, _keyed(res, below)) for i, res in zip(same, got))
-    return [(i, results[i]) for i in sources]
-
-
-def boundary_counts(problem: ProblemSpec, eps: float,
-                    points: Sequence[CriticalPoint], **count
-                    ) -> List[Tuple[int, BoundaryCountResult]]:
-    """Boundary counts for each point of positive index k that has an
-    index-(k-1) point among ``points``, with every lower-index point as a
-    target (the deeper ones absorb), all in one batch.  Returns (source
-    position, result) in ``points`` order; the counts and trajectory
-    targets of each result are keyed by positions in ``points`` too."""
-    return run_job(boundary_count_job(problem, eps, points, **count))
+def boundary_sources(points: Sequence[CriticalPoint]) -> List[int]:
+    """Positions of the points of positive index k that have an
+    index-(k-1) point among ``points``: the sources whose boundary the
+    window complex counts."""
+    indices = {p.index for p in points}
+    return [i for i, p in enumerate(points)
+            if p.index > 0 and p.index - 1 in indices]
 
 
 def require_nondegenerate(points: Sequence[CriticalPoint],
@@ -243,11 +209,11 @@ def complex_from_counts(problem: ProblemSpec, eps: float,
     """The window complex from per-source counting results.
 
     ``per_source`` yields (source position, result) with the result's
-    counts keyed by positions in ``points``, as ``boundary_counts``
-    returns them; counts whose index drop is not one are ignored.  With
-    ``strict`` set, the first source with warnings raises MissingCount,
-    before later sources are drawn; otherwise the warnings go into the
-    complex's notes.
+    counts keyed by positions in ``points``, as ``count_boundaries``
+    keys them when ``points`` are its targets; counts whose index drop is
+    not one are ignored.  With ``strict`` set, the first source with
+    warnings raises MissingCount, before later sources are drawn;
+    otherwise the warnings go into the complex's notes.
     """
     pts = list(points)
     counts: Dict[Tuple[int, int], int] = {}
@@ -271,18 +237,21 @@ def window_complex(problem: ProblemSpec, eps: float, seed: int = 0,
     """Locate the window critical points of f_eps and count their
     boundary flowlines into one Morse complex.
 
-    All lower-index window points are handed to the counting stage as
-    absorbers; it counts at its default launch radius and step budget.
-    With ``strict`` set (the default), any warning from the counting stage
-    raises MissingCount, since a count that came with a warning is not
-    one to build homology on; pass strict=False to get the complex anyway
-    with the warnings in its notes.
+    One ``count_boundaries`` call counts every source of
+    ``boundary_sources`` with all window points as targets, in one batch
+    at its default launch radius and step budget; the index-0 points
+    absorb the index-1 launches.  With ``strict`` set (the default), any
+    warning from the counting stage raises MissingCount, since a count
+    that came with a warning is not one to build homology on; pass
+    strict=False to get the complex anyway with the warnings in its
+    notes.
     """
     cs = find_critical_points(problem, eps, seed=seed)
     pts = list(cs.inside_window())
     require_nondegenerate(pts, eps)
-    return complex_from_counts(problem, eps, pts,
-                               boundary_counts(problem, eps, pts),
+    sources = boundary_sources(pts)
+    results = count_boundaries(problem, eps, [pts[i] for i in sources], pts)
+    return complex_from_counts(problem, eps, pts, zip(sources, results),
                                strict=strict)
 
 

@@ -30,6 +30,9 @@ from .problem import ProblemSpec
 
 STEP_FLOOR = 1e-14
 RTOL = 1e-9
+# step attempts, accepted or rejected, a row may make per step of its
+# leg's budget before it ends BUDGET
+ATTEMPTS = 60
 # flow time a row may run past the end of the ramp before it is out of budget
 S_TAIL = 400.0
 
@@ -300,9 +303,9 @@ def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
 
     # the running rows, packed in batch order: the float rows of ``real``
     # and the integer rows of ``count`` (named where they are unpacked,
-    # their legs' tables among them; a leg may attempt 60 steps per step
-    # of its budget), the state (x, e) in one array so that a step reads
-    # and writes it whole, and K1, the next step's stage 1
+    # their legs' tables among them, the attempt cap too), the state
+    # (x, e) in one array so that a step reads and writes it whole, and
+    # K1, the next step's stage 1
     real = np.repeat(np.array([
         (f.ramp_start, 0.0, 0.0, 0.0, w.a - w.sigma, w.b + w.sigma,
          f.ramp_end + S_TAIL, f.ramp_end, f.eps)
@@ -311,7 +314,7 @@ def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
         for f, w in ((f, f.problem.window) for f in fields)]).T,
         sizes, axis=1)
     count = np.repeat(np.array([
-        (0, k, 0, -1, 0, RUNNING, leg.max_steps, 60 * leg.max_steps)
+        (0, k, 0, -1, 0, RUNNING, leg.max_steps, ATTEMPTS * leg.max_steps)
         for k, leg in enumerate(runs)]).T, sizes, axis=1)
     count[0] = np.arange(m)
     count[2] = count[0] - np.repeat(starts[:-1], sizes)

@@ -216,11 +216,21 @@ class TestProblemBuilding:
         ("sweep-eps", DW, ("--grid", "x^1..x^3")),
         ("sweep-eps", DW, ("--grid", "2^a..2^3")),
         ("sweep-eps", {**DW, "grid": [0.4, 0.2]}, ()),
+        ("sweep-eps", DW, ("--grid", "nan")),
+        ("sweep-eps", DW, ("--grid", "0.1,-0.1")),
+        ("sweep-eps", DW, ("--grid", "0.1,inf")),
+        ("sweep-eps", DW, ("--grid", "0^-1..0^-3")),
+        ("sweep-eps", DW, ("--grid", "2^1023..2^1024")),
+        ("sweep-eps", {**DW, "grid": "0.2,0"}, ()),
+        ("sweep-theta", Z3, ("--grid", "nan")),
+        ("sweep-theta", {**Z3, "grid": "0.1,-0.1"}, ()),
     ], ids=["dimension-word", "dimension-zero", "terms-not-list", "term-not-object", "monomial-not-list",
             "monomial-word", "theta-word", "alpha-word",
             "box-halfwidth-word", "variables-not-list", "matrix-not-list",
             "grid-base-word", "grid-exponent-word",
-            "grid-not-string"])
+            "grid-not-string", "grid-nan", "grid-negative", "grid-inf",
+            "grid-zero-base", "grid-overflow", "grid-zero",
+            "theta-grid-nan", "theta-grid-negative"])
     def test_malformed_value_exits_one(self, tmp_path, capsys, stage, cfg,
                                        extra):
         path = write_cfg(tmp_path, cfg)
@@ -752,6 +762,17 @@ class TestCommands:
         # refused before any work: no crit or flow payload was cached
         assert not [f for f in (tmp_path / "runs").rglob("*") if f.is_file()]
 
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_level_options_are_documented(self, capsys, command):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, words in (("--lambda", "window depth"),
+                            ("--Lambda", "upper sublevel cutoff"),
+                            ("--res", "grid cells per axis")):
+            assert re.search(f"{flag} [A-Z]+ {words}", text), flag
+
     def test_jobs_flag_rejected(self, tmp_path):
         path = write_cfg(tmp_path, DW)
         with pytest.raises(SystemExit) as err:
@@ -759,19 +780,17 @@ class TestCommands:
         assert err.value.code == 2
 
     def count_calls(self, monkeypatch, warn=None):
-        """Record each boundary_counts call; optionally add a warning to
+        """Record each count_boundaries call; optionally add a warning to
         every result."""
         calls = []
-        counting = cli_module.boundary_counts
+        counting = cli_module.count_boundaries
 
         def counted(*args, **kw):
             calls.append(args[1])
-            for i, res in counting(*args, **kw):
-                if warn:
-                    res = dataclasses.replace(res, warnings=(warn,))
-                yield i, res
+            return [dataclasses.replace(res, warnings=(warn,)) if warn
+                    else res for res in counting(*args, **kw)]
 
-        monkeypatch.setattr(cli_module, "boundary_counts", counted)
+        monkeypatch.setattr(cli_module, "count_boundaries", counted)
         return calls
 
     @pytest.mark.parametrize("cfg", [Z3, SADDLE2], ids=["z3", "index2"])
@@ -848,8 +867,8 @@ class TestCommands:
 
     def test_top_degree_warnings_fail_the_complex(self, tmp_path,
                                                   monkeypatch, capsys):
-        monkeypatch.setattr(cli_module, "boundary_counts", functools.partial(
-            cli_module.boundary_counts, budget=3))
+        monkeypatch.setattr(cli_module, "count_boundaries", functools.partial(
+            cli_module.count_boundaries, budget=3))
         path = write_cfg(tmp_path, SADDLE2)
         assert run(tmp_path, "complex", "--config", path) == 2
         assert "reversed launch +1 from target" in capsys.readouterr().err

@@ -24,6 +24,7 @@ Reference data used below:
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,10 +38,9 @@ from morsevanish.errors import (BudgetExceeded, ConfigError, CountingRefused,
                                 DeltaFloor, MissingCount, NotConverged,
                                 StepCollapse)
 from morsevanish.expr import eval_jet1, parse_expression
-from morsevanish.flow import (_flip_count, continuation_job,
-                              continuation_trajectories, count_boundaries,
-                              count_boundary, count_job, energy,
-                              integrate_flow)
+from morsevanish.flow import (_flip_count, continuation_trajectories,
+                              count_boundaries, count_boundary, count_plan,
+                              energy, integrate_flow)
 from morsevanish.integrator import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
                                     EXIT_BELOW, NEVER, RTOL, RUNNING, S_TAIL,
                                     STEP_FLOOR, _DP_A, _DP_B4, _DP_B5, _DP_C,
@@ -736,9 +736,26 @@ class TestFlowBatch:
         return got, want
 
 
-def first_legs(job):
-    """The legs a job yields first, recording their samples."""
-    return [dataclasses.replace(leg, record=True) for leg in job.send(None)]
+def recorded(legs):
+    """The legs, recording their samples."""
+    return [dataclasses.replace(leg, record=True) for leg in legs]
+
+
+class FirstBatch(Exception):
+    pass
+
+
+def first_batch(*args, **kw):
+    """The legs of the first batch of ``continuation_trajectories``, with
+    the plans ``alongside`` ahead of the ladder, recording their samples;
+    nothing is integrated."""
+    def stop(legs):
+        raise FirstBatch(legs)
+
+    with mock.patch.object(flow_module, "_integrate", stop), \
+            pytest.raises(FirstBatch) as got:
+        continuation_trajectories(*args, **kw)
+    return recorded(got.value.args[0])
 
 
 def counts_and_ladder(problem, e_from, e_to):
@@ -746,11 +763,10 @@ def counts_and_ladder(problem, e_from, e_to):
     its first ladder, as the CLI batches them."""
     pts = {e: find_critical_points(problem, e).inside_window()
            for e in (e_from, e_to)}
-    counts = [leg for e, p in pts.items() for leg in first_legs(count_job(
-        problem, e, [q for q in p if q.index == 1],
-        [q for q in p if q.index == 0]))]
-    return counts + first_legs(continuation_job(
-        problem, e_from, e_to, pts[e_from], pts[e_to], 0.5))
+    plans = [count_plan(problem, e, [q for q in p if q.index == 1], p)
+             for e, p in pts.items()]
+    return first_batch(problem, e_from, e_to, pts[e_from], pts[e_to],
+                       alongside=plans)
 
 
 def square_merged_legs():
@@ -759,8 +775,8 @@ def square_merged_legs():
     legs = []
     for e in (0.05, 0.1):
         pts = find_critical_points(SQ, e).inside_window()
-        legs += first_legs(count_job(SQ, e, [p for p in pts if p.index > 0],
-                                     [p for p in pts if p.index < 2]))
+        legs += recorded(count_plan(SQ, e, [p for p in pts if p.index > 0],
+                                    pts)[0])
     return legs
 
 
@@ -781,9 +797,8 @@ def mixed_legs():
     # the ladder goes first, so a table read off the first leg would give
     # the other legs its later ramp end and S cap
     later = find_critical_points(spec, 0.1).inside_window()
-    legs = first_legs(continuation_job(spec, 0.05, 0.1, saddles[:1], later,
-                                       0.5))
-    legs += first_legs(count_job(spec, 0.05, top + saddles, saddles))
+    legs = first_batch(spec, 0.05, 0.1, saddles[:1], later)
+    legs += recorded(count_plan(spec, 0.05, top + saddles, pts)[0])
     field, none = _Field(spec, 0.05), _TargetSet([])
     dual = _Field(dual_problem(spec), -0.05)
     return legs + [
@@ -855,6 +870,31 @@ class TestMergedLegs:
         assert [field.calls for field in fields[1:]] == [0] * (len(legs) - 1)
         assert fields[0].calls < sum(alone)
 
+    def test_rows_end_at_their_own_legs_attempt_cap(self, monkeypatch):
+        # one attempt per budgeted step, and a tolerance at round-off so
+        # that rows reject steps: every row runs out of attempts before
+        # its leg's budget of accepted steps, at that leg's cap however
+        # the legs are ordered in the batch
+        monkeypatch.setattr(integrator_module, "ATTEMPTS", 1)
+        monkeypatch.setattr(integrator_module, "RTOL", 1e-16)
+        X0 = np.array([[-0.9], [0.5]])
+        short, long = (_Leg(_Field(DW, 0.1), X0, _TargetSet([]), budget)
+                       for budget in (10, 40))
+        alone = {}
+        for leg in (short, long):
+            field = CountingField(leg.field)
+            rows = flow_batch(field, leg.X0, leg.targets, leg.max_steps)
+            # the launch evaluation, then six per attempt
+            assert field.calls == 1 + 6 * leg.max_steps
+            assert all(row.status == BUDGET and row.steps < leg.max_steps
+                       for row in rows)
+            alone[leg.max_steps] = rows
+        assert min(row.steps for row in alone[40]) > short.max_steps
+        for legs in ([short, long], [long, short]):
+            for leg, rows in zip(legs, _integrate(legs)):
+                for row, ref in zip(rows, alone[leg.max_steps]):
+                    assert_same_bits(row, ref)
+
 
 class TestBatchedCounting:
     def test_count_boundaries_equals_one_source_at_a_time(self):
@@ -880,6 +920,26 @@ class TestBatchedCounting:
             assert res.counts == alone.counts
             assert res.method == alone.method
             assert len(res.trajectories) == len(alone.trajectories)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_only_lower_index_targets_count_or_absorb(self, k):
+        # all window points as targets, the sources among them, count as
+        # the lower-index ones alone do, keyed by their positions among
+        # all the points
+        pts = find_critical_points(SQ, 0.05).inside_window()
+        sources = [p for p in pts if p.index == k]
+        below = [j for j, q in enumerate(pts) if q.index < k]
+        mixed = count_boundaries(SQ, 0.05, sources, pts)
+        alone = count_boundaries(SQ, 0.05, sources, [pts[j] for j in below])
+        for res, ref in zip(mixed, alone):
+            assert res.counts == {below[t]: c for t, c in ref.counts.items()}
+            assert (res.method, res.warnings) == (ref.method, ref.warnings)
+            assert len(res.trajectories) == len(ref.trajectories) > 0
+            for rec, want in zip(res.trajectories, ref.trajectories):
+                if want.target_id is not None:
+                    want = dataclasses.replace(
+                        want, target_id=below[want.target_id])
+                assert_same_bits(rec, want)
 
     def test_forward_and_dual_legs_share_one_batch(self, monkeypatch):
         pts = find_critical_points(SQ, 0.05).inside_window()
@@ -997,9 +1057,8 @@ class TestTopDegree:
             assert all(c == 0 for c in res.counts.values())
             assert len(res.warnings) == 2
             assert all("ended with budget" in w for w in res.warnings)
-        monkeypatch.setattr(homology_module, "boundary_counts",
-                            functools.partial(homology_module.boundary_counts,
-                                              budget=3))
+        monkeypatch.setattr(homology_module, "count_boundaries",
+                            functools.partial(count_boundaries, budget=3))
         with pytest.raises(MissingCount, match="reversed launch"):
             window_complex(TWIN, 0.1, seed=0)
         loose = window_complex(TWIN, 0.1, seed=0, strict=False)
