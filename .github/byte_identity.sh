@@ -7,11 +7,14 @@
 # commit (extracted by `git archive` into a temporary directory), the
 # artifacts of `compare --catalog` on every catalog entry, of the continue
 # ladders below, with crit, flow (json and csv), complex, homology and
-# oracle at each eps of a ladder, and of `sweep-eps` (json and csv) on the
-# double well over the grid below, cache entries included; then compares
-# the two output directories with `diff -r`.  A difference fails the check
-# unless morsevanish.__version__ differs between the two trees, since a
-# version bump is how a change that moves artifact bytes is declared.
+# oracle at each eps of a ladder, of `sweep-eps` (json and csv) on the
+# double well and of `sweep-theta` on z^3 over the grids below, cache
+# entries included; then compares the two output directories with
+# `diff -r`.  That is every deterministic artifact the CLI writes: `report`
+# stays out, since its manifest carries timestamps by design.  A
+# difference fails the check unless morsevanish.__version__ differs between
+# the two trees, since a version bump is how a change that moves artifact
+# bytes is declared.
 # Run from the root of the repository, with the history of the base commit
 # present (actions/checkout needs fetch-depth: 0).
 set -euo pipefail
@@ -38,6 +41,7 @@ cat > "$work/double_well4.json" <<'EOF'
  "tau": "pow(1 + x1^2 + x2^2 + x3^2 + x4^2, -1/2)", "eps": 0.1}
 EOF
 sweep_grid="2^-2..2^-5"
+theta_grid="2^-2..2^-4"
 # each ladder: a config, then its continues as eps_from:eps_to pairs
 ladders=(
   "double_well 0.25:0.125 0.125:0.0625"
@@ -62,6 +66,8 @@ artifacts() {
   done
   cli double_well-sweep sweep-eps --config "$work/double_well.json" \
     --grid "$sweep_grid"
+  cli z3-sweep-theta sweep-theta --config "$work/z3.json" \
+    --grid "$theta_grid" --thetas 2
   for ladder in "${ladders[@]}"; do
     set -- $ladder
     local key=$1 from to eps stage

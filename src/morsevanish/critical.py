@@ -32,7 +32,7 @@ import numpy as np
 from .errors import MorsificationFailed
 from .expr import (Const, Expression, Product, Sum, Tape, Var, as_fraction,
                    compile, eval_values)
-from .metric import metric_at
+from .metric import metric_batch
 from .problem import ProblemSpec, perturbed_function
 
 __all__ = ["CriticalPoint", "CriticalSet", "canonical_key",
@@ -171,9 +171,6 @@ class CriticalSet:
     def inside_window(self) -> Tuple[CriticalPoint, ...]:
         return tuple(p for p in self.points
                      if p.window_status == "inside" and not p.drifting)
-
-    def of_index(self, k: int) -> Tuple[CriticalPoint, ...]:
-        return tuple(p for p in self.inside_window() if p.index == k)
 
 
 _RETIRE_AFTER = 6      # iterations a Newton row gets to halve its best |grad|
@@ -407,15 +404,16 @@ def find_critical_points(problem: ProblemSpec, eps: float,
         if not dup:
             merged.append(i)
 
+    Gs = metric_batch(problem.metric, problem.tau, names, X[merged],
+                      certify=True)
+    taus = eval_values(problem.tau, X[merged], names)
     points = []
-    for i in merged:
+    for i, G, tau_v in zip(merged, Gs, taus.tolist()):
         x = X[i]
         val = float(v[at[i]])
-        G = metric_at(problem.metric, problem.tau, names, x)
         w, V = oriented_pencil_eigs(H[at[i]], G)
         scale = max(1.0, float(np.max(np.abs(w))))
         degenerate = float(np.min(np.abs(w))) < DEGENERACY_RTOL * scale
-        tau_v = float(eval_values(problem.tau, x[None, :], names)[0])
         points.append(CriticalPoint(
             location=x.copy(),
             value=val,

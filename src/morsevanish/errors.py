@@ -43,11 +43,11 @@ class CountingRefused(ConfigError):
     """A source's Morse index has no flowline counting route."""
 
 
-class ZeroPolynomial(MorsevanishError):
+class ZeroPolynomial(ConfigError):
     """The zero polynomial has no well-defined pole order."""
 
 
-class AlphaTooSmall(MorsevanishError):
+class AlphaTooSmall(ConfigError):
     """Boundary exponent too small for the chosen polynomial degree."""
 
 

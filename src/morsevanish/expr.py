@@ -8,10 +8,10 @@ factors (1 + |x|^2)^(-alpha/2), and their perturbations f + eps/tau.
 
 Evaluation comes in two flavours:
 
-* ``evaluate`` / ``differentiate`` take a single point, check domain
-  constraints, and raise :class:`DomainViolation` on a rational power of a
-  non-positive base, a vanishing quotient denominator, or a value too large
-  for a float.
+* ``evaluate`` walks the tree at a single point, checks domain
+  constraints, and raises :class:`DomainViolation` on a rational power of
+  a non-positive base, a vanishing quotient denominator, or a value too
+  large for a float; it is the reference the tape is tested against.
 * ``compile(exprs, names)`` gives one :class:`Tape`, a flat instruction
   list in which equal nodes share a slot across outputs (f_eps, 1/tau and
   the metric share one tau), cached by tree structure.  It evaluates
@@ -39,7 +39,7 @@ from .errors import DomainViolation, ExpressionParseError
 __all__ = [
     "Expression", "Const", "Var", "Sum", "Product", "IntPow", "FracPow",
     "Quotient", "rational_pow", "free_variables",
-    "evaluate", "differentiate", "Tape", "compile", "eval_values",
+    "evaluate", "Tape", "compile", "eval_values",
     "eval_jet1", "eval_jet2", "parse_expression", "as_fraction",
 ]
 
@@ -525,18 +525,6 @@ def eval_jet1(expr: Expression, points: np.ndarray, names: Sequence[str]):
 def eval_jet2(expr: Expression, points: np.ndarray, names: Sequence[str]):
     """Values, gradients and Hessians at a batch: (m,), (m,n), (m,n,n)."""
     return compile((expr,), names).jet2(points)[0]
-
-
-def differentiate(expr: Expression, point: Sequence[float], names: Sequence[str]):
-    """Exact value/gradient/Hessian at one point.
-
-    Raises DomainViolation when the point is outside the domain of
-    definition (detected by the strict evaluator first).
-    """
-    pt = {name: float(v) for name, v in zip(names, point)}
-    evaluate(expr, pt)  # domain check with real errors
-    v, g, h = eval_jet2(expr, np.asarray(point, float)[None, :], names)
-    return float(v[0]), g[0], h[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,6 @@ arithmetic: d.d = 0 is checked entry by entry, homology comes out of the
 Smith normal form (Betti numbers plus invariant factors, no field
 shortcuts), and continuation counts become chain maps whose induced maps
 on homology are tested for being isomorphisms.
-
-The limit toward small eps is realised by ``stabilized_homology``: find
-the admissible range with an eps sweep, assemble the complex at the
-smallest admissible grid value, and confirm that continuation down from
-the neighbouring grid values induces isomorphisms.
 """
 
 from __future__ import annotations
@@ -23,27 +18,23 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from .critical import (CriticalPoint, canonical_key, find_critical_points,
-                       sweep_epsilon)
+from .critical import CriticalPoint, canonical_key, find_critical_points
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
                      NotChainMap)
-from .flow import (BoundaryCountResult, ContinuationResult,
-                   continuation_trajectories, count_boundaries)
+from .flow import BoundaryCountResult, ContinuationResult, count_boundaries
 from .intlinalg import (SNF, ChainComplexData, HomologyResult, Matrix,
                         _format_group, homology_of_complex, kernel_basis,
                         matmul, smith_normal_form)
-from .problem import ProblemSpec, dual_problem
+from .problem import ProblemSpec
 
 __all__ = [
     "MorseComplex", "HomologyResult", "ChainMap", "InducedMap", "D2Report",
-    "DualityReport", "StabilizedHomology",
     "assemble_complex", "boundary_sources",
     "complex_from_counts", "generator_order",
     "require_nondegenerate", "window_complex",
     "verify_d_squared", "homology",
     "chain_map", "chain_map_from_counts",
     "continuation_chain_map", "induced_map", "induced_maps_agree",
-    "stabilized_homology", "duality_ranks",
     "euler_characteristic",
 ]
 
@@ -559,74 +550,3 @@ def induced_maps_agree(a: InducedMap, b: InducedMap) -> bool:
                 return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# stabilization toward small eps, and the reversed-sign variant
-
-
-@dataclass(frozen=True, eq=False)
-class StabilizedHomology:
-    problem: str
-    eps_star: float
-    eps_checked: Tuple[float, ...]
-    homology: HomologyResult
-    chain_complex: MorseComplex
-    maps: Tuple[InducedMap, ...]
-    stable: bool
-    notes: Tuple[str, ...] = ()
-
-
-_CHECKS = 2  # grid values above eps* that stabilized_homology continues from
-
-
-def stabilized_homology(problem: ProblemSpec,
-                        eps_grid: Sequence[float]) -> StabilizedHomology:
-    """Morse homology at the small end of an admissible eps range.
-
-    Runs the eps sweep to find where bounded and divergent critical
-    values separate, assembles the complex at the smallest admissible
-    grid value, then walks down from up to _CHECKS neighbouring grid
-    values and requires each continuation step to induce an isomorphism.
-    ``stable`` reports whether all steps did.
-    """
-    report = sweep_epsilon(problem, eps_grid)
-    if not math.isfinite(report.eps0):
-        raise ConfigError(
-            f"eps grid for {problem.name!r} never separates bounded from "
-            "divergent critical values; deepen or widen the grid")
-    ladder = sorted(e for e in report.eps_grid
-                    if e <= report.eps0)[:_CHECKS + 1]
-    cxs = [window_complex(problem, e) for e in ladder]
-    maps: List[InducedMap] = []
-    notes: List[str] = []
-    stable = True
-    for j in range(len(ladder) - 1, 0, -1):
-        res = continuation_trajectories(problem, ladder[j], ladder[j - 1],
-                                        cxs[j].points(), cxs[j - 1].points())
-        ind = continuation_chain_map(cxs[j], cxs[j - 1], res)
-        maps.append(ind)
-        stable = stable and ind.isomorphism
-        notes.extend(f"eps {ladder[j]:g} -> {ladder[j - 1]:g}: {msg}"
-                     for msg in ind.chain.notes + ind.failures)
-    return StabilizedHomology(problem.name, ladder[0], tuple(ladder[1:]),
-                              homology(cxs[0]), cxs[0], tuple(maps),
-                              stable, tuple(notes))
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    dimension: int
-    primal: HomologyResult
-    dual: HomologyResult
-    ok: bool
-
-
-def duality_ranks(problem: ProblemSpec, eps: float) -> DualityReport:
-    """Compare rank HM_k of (f, -|eps|) on the window (a, b) against rank
-    HM_{n-k} of (-f, +|eps|) on the mirrored window (-b, -a); ``ok`` when
-    they agree in every degree."""
-    n = problem.domain.dimension
-    h_p = homology(window_complex(problem, -abs(eps)))
-    h_d = homology(window_complex(dual_problem(problem), abs(eps)))
-    ok = all(h_p.betti(k) == h_d.betti(n - k) for k in range(n + 1))
-    return DualityReport(n, h_p, h_d, ok)

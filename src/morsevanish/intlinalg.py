@@ -230,10 +230,6 @@ class HomologyResult:
         return self.groups.get(k, (0, ()))[1]
 
     @property
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.groups))
-
-    @property
     def euler(self) -> int:
         return sum((-1) ** k * b for k, (b, _) in self.groups.items())
 

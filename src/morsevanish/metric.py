@@ -14,8 +14,11 @@ Three built-in families plus user-supplied matrices:
   built or solved.
 * ``custom``: a symmetric matrix of expressions in the problem variables.
 
-Every evaluation point gets a Cholesky certificate; an indefinite or badly
-asymmetric matrix raises NotPositiveDefinite rather than silently flowing.
+The metric at each critical point gets a Cholesky certificate
+(``metric_batch(..., certify=True)``): a non-finite, badly asymmetric or
+indefinite matrix there raises NotPositiveDefinite.  The flow's
+``apply_inverse`` checks nothing: along a path it inverts whatever matrix
+the metric gives.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, NotPositiveDefinite
 from .expr import Expression, compile
 
-__all__ = ["MetricSpec", "metric_at", "metric_batch", "metric_exprs",
+__all__ = ["MetricSpec", "metric_batch", "metric_exprs",
            "apply_inverse", "apply_inverse_batch", "KINDS"]
 
 KINDS = ("euclidean", "cone-euclidean", "kahler-cone", "custom")
@@ -133,12 +136,6 @@ def _certify(G: np.ndarray, x: np.ndarray) -> None:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"metric is not positive definite at {x.tolist()}") from None
-
-
-def metric_at(spec: MetricSpec, tau: Expression, names: Sequence[str],
-              point: Sequence[float]) -> np.ndarray:
-    """Certified metric matrix at one point."""
-    return metric_batch(spec, tau, names, [point], certify=True)[0]
 
 
 def apply_inverse_batch(spec: MetricSpec, tau: Expression, names: Sequence[str],

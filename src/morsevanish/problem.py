@@ -29,6 +29,7 @@ _BOX_MARGIN = 1e-3   # search box inset from a finite end (times the width
                      # when both ends are finite)
 _BOX_REACH = 3.0     # search box extent along an unbounded side
 _CLAMP_RTOL = 1e-9   # relative inset of solver iterates from a finite end
+_MAX_VARIABLES = 12  # one Halton base each in the critical point search
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,10 @@ class ProblemSpec:
     def __post_init__(self):
         if len(self.variables) != self.domain.dimension:
             raise ConfigError("variable list does not match domain dimension")
+        if len(self.variables) > _MAX_VARIABLES:
+            raise ConfigError(
+                f"{len(self.variables)} real variables; the critical point "
+                f"search takes at most {_MAX_VARIABLES}")
         used = set(free_variables(self.f)) | set(free_variables(self.tau))
         unknown = used - set(self.variables)
         if unknown:

@@ -165,8 +165,8 @@ def test_criterion_03_vanishing_cycle_ranks():
         spec = entry.problem()
         hm = homology(window_complex(spec, entry.eps, seed=0))
         assert hm.betti(1) == d - 1, name
-        assert all(hm.betti(k) == 0 for k in hm.degrees if k != 1), name
-        assert all(not hm.torsion(k) for k in hm.degrees), name
+        assert all(hm.betti(k) == 0 for k in hm.groups if k != 1), name
+        assert all(not hm.torsion(k) for k in hm.groups), name
         oracle = sublevel_pair_homology(spec, entry.eps, entry.lam,
                                         entry.Lam,
                                         resolution=entry.resolution)

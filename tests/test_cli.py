@@ -224,13 +224,21 @@ class TestProblemBuilding:
         ("sweep-eps", {**DW, "grid": "0.2,0"}, ()),
         ("sweep-theta", Z3, ("--grid", "nan")),
         ("sweep-theta", {**Z3, "grid": "0.1,-0.1"}, ()),
+        ("crit", {**Z3, "polynomial": {"terms": [
+            {"monomial": [3], "re": 0, "im": 0}]}}, ()),
+        ("crit", {**Z3, "polynomial": {**Z3["polynomial"], "alpha": 2}}, ()),
+        ("crit", {"dimension": 13, "f": "x1", "tau": "1", "eps": 0.1}, ()),
+        ("crit", {**Z3, "dimension": 7, "polynomial": {"terms": [
+            {"monomial": [1, 0, 0, 0, 0, 0, 0], "re": 1}]}}, ()),
     ], ids=["dimension-word", "dimension-zero", "terms-not-list", "term-not-object", "monomial-not-list",
             "monomial-word", "theta-word", "alpha-word",
             "box-halfwidth-word", "variables-not-list", "matrix-not-list",
             "grid-base-word", "grid-exponent-word",
             "grid-not-string", "grid-nan", "grid-negative", "grid-inf",
             "grid-zero-base", "grid-overflow", "grid-zero",
-            "theta-grid-nan", "theta-grid-negative"])
+            "theta-grid-nan", "theta-grid-negative", "zero-polynomial",
+            "alpha-below-degree", "thirteen-variables",
+            "seven-complex-variables"])
     def test_malformed_value_exits_one(self, tmp_path, capsys, stage, cfg,
                                        extra):
         path = write_cfg(tmp_path, cfg)

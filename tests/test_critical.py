@@ -92,8 +92,8 @@ class TestFixtureZ3:
         s = math.sqrt(1 - eps * eps)
         cs = find_critical_points(Z3, eps)
         assert len(cs.points) == 4
-        mins = cs.of_index(0)
-        saddles = cs.of_index(1)
+        mins = [p for p in cs.inside_window() if p.index == 0]
+        saddles = [p for p in cs.inside_window() if p.index == 1]
         assert len(mins) == 1 and len(saddles) == 3
         assert np.linalg.norm(mins[0].location) < 1e-8
         assert mins[0].value == pytest.approx(eps, abs=1e-10)
@@ -112,7 +112,7 @@ class TestFixtureZ4:
         a = math.sqrt(eps / (2 * (1 - eps)))
         cs = find_critical_points(Z4, eps)
         assert len(cs.points) == 5
-        saddles = cs.of_index(1)
+        saddles = [p for p in cs.inside_window() if p.index == 1]
         assert len(saddles) == 4
         want = {(sx * a, sy * a) for sx in (-1, 1) for sy in (-1, 1)}
         got = {tuple(np.round(p.location, 8)) for p in saddles}

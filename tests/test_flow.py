@@ -47,8 +47,8 @@ from morsevanish.integrator import (ARRIVED, BUDGET, COLLAPSE, EXIT_ABOVE,
                                     _Field, _integrate, _Leg, _near_passes,
                                     _ramp, _RowResult, _TargetSet)
 from morsevanish.homology import (HomologyResult, continuation_chain_map,
-                                  duality_ranks, euler_characteristic,
-                                  homology, verify_d_squared, window_complex)
+                                  euler_characteristic, homology,
+                                  verify_d_squared, window_complex)
 from morsevanish.metric import MetricSpec, apply_inverse_batch
 from morsevanish.oracle import (catalog_lookup, catalog_names,
                                 pair_euler_characteristic,
@@ -1101,8 +1101,11 @@ class TestFourDimensions:
         assert homology(cx).same_as(HomologyResult({0: (1, ())}))
         assert euler_characteristic(cx.points()) == \
             oracle_chi_16(DW4, 0.05) == 1
-        # the dual side is the twin peaks, counted from their index-3 point
-        assert duality_ranks(DW4, 0.05).ok
+        # the dual side is the twin peaks, counted from their index-3 point:
+        # rank H_k of (f, -eps) is rank H_(4-k) of (-f, +eps)
+        primal = homology(window_complex(DW4, -0.05))
+        dual = homology(window_complex(dual_problem(DW4), 0.05))
+        assert all(primal.betti(k) == dual.betti(4 - k) for k in range(5))
         cx_hi = window_complex(DW4, 0.1, seed=0)
         res = continuation_trajectories(DW4, 0.1, 0.05, cx_hi.points(),
                                         cx.points())

@@ -139,22 +139,17 @@ TEST_ONLY_EXPORTS = {
     "integrate_flow": "criterion 08 integrates one recorded flowline",
     "energy": "criterion 08's quadrature on wiggled paths",
     "induced_maps_agree": "criterion 06's functoriality",
-    "differentiate": "the single-point reference the tape is tested on",
+    "evaluate": "the tree-walking reference the tape is tested on",
     "morsify": "the paper's Morsification of a degenerate f",
-    "duality_ranks": "the paper's duality of ranks between f and -f",
-    "stabilized_homology": "the paper's limit toward small eps",
     "check_compactification": "the paper's condition on the ends",
 }
 
 
-def _referenced(tree, skip=None):
-    """Names the code loads, as bare names or attributes, and names in
-    string annotations, leaving out the top-level def or class ``skip``."""
+def _referenced(nodes):
+    """Names the code of ``nodes`` loads, as bare names or attributes, and
+    names in its string annotations."""
     out = set()
-    kept = [n for n in tree.body
-            if getattr(n, "name", None) != skip or not isinstance(
-                n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-    for root in kept + [a for n in kept for a in _string_annotations(n)]:
+    for root in nodes + [a for n in nodes for a in _string_annotations(n)]:
         for node in ast.walk(root):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add(node.id)
@@ -163,12 +158,20 @@ def _referenced(tree, skip=None):
     return out
 
 
+def _references(tree):
+    """(top-level def or class name, or None for any other statement,
+    names that statement refers to) for each statement of the module."""
+    return [(n.name if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)) else None,
+             _referenced([n])) for n in tree.body]
+
+
 def _named_in(trees):
     """Names ``perfbench/`` loads or spells in a dotted string, as its
     tracer's targets are."""
     out = set()
     for tree in trees:
-        out |= _referenced(tree)
+        out |= _referenced([tree])
         out.update(part for node in ast.walk(tree)
                    if isinstance(node, ast.Constant)
                    and isinstance(node.value, str)
@@ -177,13 +180,16 @@ def _named_in(trees):
 
 
 def _uncalled_exports(package, bench):
-    """(module, name) for each export no other code in ``package`` (a
-    dict of module name to tree) refers to and ``bench`` does not name."""
+    """(module, name) for each export no code in ``package`` (a dict of
+    module name to tree) refers to outside the top-level def or class of
+    that name in its own module, and ``bench`` does not name."""
+    refs = {m: _references(tree) for m, tree in package.items()}
     return [(mod, name) for mod, tree in package.items()
             for name in _exports(tree)
             if name not in bench and not any(
-                name in _referenced(other, name if m == mod else None)
-                for m, other in package.items())]
+                name in names for m, stmts in refs.items()
+                for owner, names in stmts
+                if m != mod or owner != name)]
 
 
 def test_every_export_has_a_program_caller():

@@ -3,8 +3,7 @@ import pytest
 
 from morsevanish.errors import ConfigError, NotPositiveDefinite
 from morsevanish.expr import parse_expression
-from morsevanish.metric import (MetricSpec, apply_inverse_batch, metric_at,
-                                metric_batch)
+from morsevanish.metric import MetricSpec, apply_inverse_batch, metric_batch
 from morsevanish.compactify import AlgebraicProblem, realify
 
 X1 = ("x",)
@@ -26,18 +25,21 @@ def fd_tau_grad(tau, names, x, h=1e-6):
 
 class TestMetricAt:
     def test_euclidean_identity(self):
-        G = metric_at(MetricSpec("euclidean"), TAU1, X1, [0.7])
+        G = metric_batch(MetricSpec("euclidean"), TAU1, X1, [[0.7]],
+                         certify=True)[0]
         assert np.array_equal(G, np.eye(1))
 
     def test_cone_euclidean_values(self):
         spec = MetricSpec("cone-euclidean")
-        assert metric_at(spec, TAU1, X1, [0.0])[0, 0] == pytest.approx(1.0)
-        assert metric_at(spec, TAU1, X1, [1.0])[0, 0] == pytest.approx(2.0)
+        for x, want in ((0.0, 1.0), (1.0, 2.0)):
+            G = metric_batch(spec, TAU1, X1, [[x]], certify=True)[0]
+            assert G[0, 0] == pytest.approx(want)
 
     def test_kahler_cone_identity_at_origin(self):
         # tau = 1 and dtau = 0 at the origin, so only the Id/tau block is left
         tau = parse_expression("pow(1 + u1^2 + v1^2, -1)")
-        G = metric_at(MetricSpec("kahler-cone"), tau, ("u1", "v1"), [0.0, 0.0])
+        G = metric_batch(MetricSpec("kahler-cone"), tau, ("u1", "v1"),
+                         [[0.0, 0.0]], certify=True)[0]
         assert np.allclose(G, np.eye(2), atol=1e-14)
 
     def test_kahler_cone_against_direct_assembly(self):
@@ -52,27 +54,30 @@ class TestMetricAt:
             a = fd_tau_grad(tau, names, x) / tv
             b = np.array([a[1], -a[0], a[3], -a[2]])
             want = (np.outer(a, a) + np.outer(b, b) + np.eye(4)) / tv
-            got = metric_at(MetricSpec("kahler-cone"), tau, names, x)
+            got = metric_batch(MetricSpec("kahler-cone"), tau, names, [x],
+                               certify=True)[0]
             assert np.allclose(got, want, rtol=1e-6, atol=1e-8)
 
     def test_kahler_cone_needs_even_dimension(self):
         with pytest.raises(ConfigError):
-            metric_at(MetricSpec("kahler-cone"), TAU1, X1, [0.5])
+            metric_batch(MetricSpec("kahler-cone"), TAU1, X1, [[0.5]],
+                         certify=True)
 
     def test_custom_matrix(self):
         spec = MetricSpec("custom", ((parse_expression("1 + x^2"),),))
-        assert metric_at(spec, TAU1, X1, [2.0])[0, 0] == pytest.approx(5.0)
+        G = metric_batch(spec, TAU1, X1, [[2.0]], certify=True)[0]
+        assert G[0, 0] == pytest.approx(5.0)
 
     def test_rejects_indefinite(self):
         spec = MetricSpec("custom", ((parse_expression("x"),),))
         with pytest.raises(NotPositiveDefinite):
-            metric_at(spec, TAU1, X1, [-1.0])
+            metric_batch(spec, TAU1, X1, [[-1.0]], certify=True)
 
     def test_rejects_asymmetric(self):
         e = parse_expression
         spec = MetricSpec("custom", ((e("1"), e("x")), (e("0"), e("1"))))
         with pytest.raises(NotPositiveDefinite):
-            metric_at(spec, TAU1, ("x", "y"), [0.5, 0.0])
+            metric_batch(spec, TAU1, ("x", "y"), [[0.5, 0.0]], certify=True)
 
     def test_custom_needs_matrix(self):
         with pytest.raises(ConfigError):
