@@ -40,8 +40,8 @@ import numpy as np
 
 from . import __version__
 from .compactify import AlgebraicProblem, realify
-from .critical import (CriticalPoint, find_critical_points, sweep_epsilon,
-                       sweep_theta)
+from .critical import (CriticalPoint, default_starts, find_critical_points,
+                       sweep_epsilon, sweep_theta)
 from .errors import (ConfigError, ConfigParse, CorruptCache, CountingRefused,
                      ExpressionParseError, MorsevanishError, UnknownEntry)
 from .expr import parse_expression
@@ -412,6 +412,15 @@ class RunContext:
     alg: Optional[AlgebraicProblem]
     out_dir: Path
     cache: ArtifactCache
+
+    def __post_init__(self):
+        # find_critical_points starts at Halton index 20 + 97 seed: a
+        # negative index would put every start on the box corner, and the
+        # last index must fit in int64
+        n = default_starts(self.problem.domain.dimension)
+        if self.seed < 0 or 20 + 97 * self.seed + n > np.iinfo(np.int64).max:
+            raise ConfigError(f"--seed must be >= 0 and keep 20 + 97*seed + "
+                              f"{n} within int64, got {self.seed}")
 
     @property
     def seed(self) -> int:

@@ -53,9 +53,13 @@ def default_starts(n: int) -> int:
 
 
 def halton_points(m: int, n: int, skip: int = 20) -> np.ndarray:
-    """The Halton sequence in [0,1)^n, one prime base per axis."""
+    """The Halton sequence in [0,1)^n, one prime base per axis, from
+    index ``skip`` on."""
     if n > len(_PRIMES):
         raise ValueError(f"halton_points supports up to {len(_PRIMES)} axes")
+    if skip < 0:
+        # a negative index never enters the digit loop: every point is 0
+        raise ValueError(f"halton_points needs skip >= 0, got {skip}")
     idx = np.arange(skip, skip + m, dtype=np.int64)
     out = np.empty((m, n))
     for j in range(n):
@@ -345,13 +349,19 @@ def certify_root(tape: Tape, x: np.ndarray, g: np.ndarray,
 
 
 def _collapse(X: np.ndarray, gnorm: np.ndarray, tol: float):
-    """Group converged iterates landing on the same point; keep best rep."""
-    order = np.argsort(gnorm, kind="stable")
+    """Group converged iterates landing on the same point; keep best rep.
+
+    Rows are taken by ascending |grad| (a stable sort), and a row is a
+    representative exactly when no earlier representative lies within tol
+    of it.  So each round takes the first row left as a representative and
+    drops, in one array operation, every row left within tol of it.
+    """
+    left = np.argsort(gnorm, kind="stable")
     reps: List[int] = []
-    for i in order:
-        xi = X[i]
-        if all(np.linalg.norm(xi - X[j]) > tol for j in reps):
-            reps.append(int(i))
+    while left.size:
+        i = int(left[0])
+        reps.append(i)
+        left = left[np.linalg.norm(X[left] - X[i], axis=1) > tol]
     return reps
 
 

@@ -260,38 +260,47 @@ def evaluate(expr: Expression, point: Mapping[str, float]):
 # left-to-right chains and a quotient is num * recip(den).  Each mode runs
 # as generated straight-line numpy code with the float operations of the
 # product and chain rules in a fixed order, deleting slots after their last
-# use; jet modes put the live operand of a constant op first.
+# use; jet modes put the live operand of a constant op first.  Jet
+# temporaries keep the points on the last axis, values (m,), gradients
+# (n, m) and Hessians (n, n, m), so every broadcast (f1 * h, the outer
+# products g[:, None, :] * g[None, :, :]) runs contiguous inner loops of
+# length m; each output goes back to (m, n) and (m, n, n) once, as
+# C-contiguous copies, at return.  Every element sees the same float
+# operations in the same order in either layout, so finite values do not
+# depend on it; only the sign bit of a nan may, where both operands of a
+# product are nan and numpy's loops pick one of them by layout.
 
 _VALUES = {"var": "xs[{a}]", "add": "{A} + {B}", "mul": "{A} * {B}",
            "recip": "1.0 / {A}", "ipow": "{A} ** ({k})",
            "fpow": "_fpow({A}, {p})"}
-_G = "; g{o} = f1[:, None] * g{a}"
-_H = ("; h{o} = (f1[:, None, None] * h{a} + f2[:, None, None]"
-      " * (g{a}[:, :, None] * g{a}[:, None, :]))")
+_G = "; g{o} = f1 * g{a}"
+_H = ("; h{o} = (f1 * h{a} + f2"
+      " * (g{a}[:, None, :] * g{a}[None, :, :]))")
 _JET1 = {
-    "var": "v{o} = X[:, {a}]; g{o} = np.zeros((m, n)); g{o}[:, {a}] = 1.0",
+    "var": "v{o} = X[:, {a}]; g{o} = np.zeros((n, m)); g{o}[{a}] = 1.0",
     "add": "v{o} = v{a} + v{b}; g{o} = g{a} + g{b}",
     "addc": "v{o} = v{a} + {C}; g{o} = g{a}",
-    "mul": "v{o} = v{a} * v{b}; "
-           "g{o} = v{a}[:, None] * g{b} + v{b}[:, None] * g{a}",
+    "mul": "v{o} = v{a} * v{b}; g{o} = v{a} * g{b} + v{b} * g{a}",
     "mulc": "v{o} = v{a} * {C}; g{o} = g{a} * {C}",
     "recip": "v{o} = 1.0 / v{a}; f1 = -v{o} * v{o}" + _G,
     "ipow": "v{o} = v{a} ** ({k}); f1 = {K} * {D}" + _G,
     "fpow": "w = np.where(v{a} > 0.0, v{a}, np.nan); v{o} = w ** ({p}); "
             "f1 = {p} * w ** ({p} - 1.0)" + _G}
 _JET2 = {
-    "var": _JET1["var"] + "; h{o} = np.zeros((m, n, n))",
+    "var": _JET1["var"] + "; h{o} = np.zeros((n, n, m))",
     "add": _JET1["add"] + "; h{o} = h{a} + h{b}",
     "addc": _JET1["addc"] + "; h{o} = h{a}",
-    "mul": _JET1["mul"] + "; h{o} = (v{a}[:, None, None] * h{b}"
-           " + v{b}[:, None, None] * h{a} + g{a}[:, :, None] * g{b}[:, None, :]"
-           " + g{b}[:, :, None] * g{a}[:, None, :])",
+    "mul": _JET1["mul"] + "; h{o} = (v{a} * h{b} + v{b} * h{a}"
+           " + g{a}[:, None, :] * g{b}[None, :, :]"
+           " + g{b}[:, None, :] * g{a}[None, :, :])",
     "mulc": _JET1["mulc"] + "; h{o} = h{a} * {C}",
     "recip": "u = 1.0 / v{a}; u2 = u * u; v{o} = u; f1 = -u2; "
              "f2 = 2.0 * u2 * u" + _G + _H,
     "ipow": _JET1["ipow"]
     + "; f2 = float({k} * ({k} - 1)) * v{a} ** ({k} - 2)" + _H,
     "fpow": _JET1["fpow"] + "; f2 = {p} * ({p} - 1.0) * w ** ({p} - 2.0)" + _H}
+_BACK = {"v": "v{}", "g": "np.ascontiguousarray(g{}.T)",
+         "h": "np.ascontiguousarray(h{}.transpose(2, 0, 1))"}
 _MODES = {"values": (_VALUES, "v", "v{o} = "), "jet1": (_JET1, "vg", ""),
           "jet2": (_JET2, "vgh", "")}
 
@@ -431,7 +440,7 @@ class Tape:
                     p + str(x) for x in dead for p in parts))
         # a constant output of a jet mode comes back as its full jet
         zeros = ["np.zeros((m, n))", "np.zeros((m, n, n))"][:len(parts) - 1]
-        rets = [f"({', '.join(p + str(o) for p in parts)})"
+        rets = [f"({', '.join(_BACK[p].format(o) for p in parts)})"
                 if type(o) is int else name(o, None) if mode == "values"
                 else f"({', '.join([f'np.full(m, {name(o, None)})'] + zeros)})"
                 for o in self.outputs]
@@ -472,8 +481,8 @@ class Tape:
 
     def jet1(self, points: np.ndarray) -> list:
         """Values and gradients: (m,), (m, n) per output; here and in
-        ``jet2`` the value of a bare variable output is a view of
-        ``points``."""
+        ``jet2`` derivatives come back C-contiguous, and the value of a
+        bare variable output is a view of ``points``."""
         return self._jets("jet1", points)
 
     def jet2(self, points: np.ndarray) -> list:

@@ -252,6 +252,35 @@ class TestProblemBuilding:
             problem_from_config(cfg, "t")
 
 
+class TestSeed:
+    # z^3 realified lives in R^2, where a solve makes 289 Halton starts
+    # from index 20 + 97 seed; the last index must fit in int64
+    LAST = (2 ** 63 - 1 - 20 - 289) // 97
+
+    @pytest.mark.parametrize("argv", [
+        ("crit", "--config", None, "--seed", "-5"),
+        ("homology", "--config", None, "--seed", "-1"),
+        ("crit", "--config", None, "--seed", str(LAST + 1)),
+        ("crit", "--config", None, "--seed", str(10 ** 20)),
+        ("compare", "--catalog", "z^3", "--seed", "-1"),
+    ], ids=["crit-negative", "homology-negative", "crit-past-int64",
+            "crit-huge", "compare-catalog-negative"])
+    def test_out_of_range_seed_exits_one_and_writes_nothing(
+            self, tmp_path, capsys, argv):
+        path = write_cfg(tmp_path, Z3)
+        argv = [path if a is None else a for a in argv]
+        assert run(tmp_path, *argv) == 1
+        assert capsys.readouterr().err.startswith("error: --seed")
+        assert not (tmp_path / "runs").exists()
+
+    def test_the_last_seed_in_range_finds_every_point(self, tmp_path):
+        path = write_cfg(tmp_path, Z3)
+        assert run(tmp_path, "crit", "--config", path,
+                   "--seed", str(self.LAST)) == 0
+        crit = json.loads((run_dir(tmp_path, Z3) / "crit.json").read_text())
+        assert crit["seed"] == self.LAST and len(crit["points"]) == 4
+
+
 class TestGridParsing:
     def test_power_range(self):
         assert _parse_grid("2^-3..2^-6") == (2 ** -3, 2 ** -4,

@@ -51,10 +51,45 @@ class TestHalton:
         assert np.all((A >= 0) & (A < 1))
         assert np.allclose(A.mean(axis=0), 0.5, atol=0.08)
 
+    @pytest.mark.parametrize("skip", [-1, -97 * 5 + 20])
+    def test_negative_skip_is_refused(self, skip):
+        # a negative index would put every point on the box corner
+        with pytest.raises(ValueError, match="skip"):
+            halton_points(8, 2, skip=skip)
+
     def test_default_starts_cap(self):
         assert default_starts(1) == 17
         assert default_starts(2) == 289
         assert default_starts(4) == 4096
+
+
+def greedy_collapse(X, gnorm, tol):
+    """The candidate-by-candidate loop ``critical._collapse`` replaced."""
+    reps = []
+    for i in np.argsort(gnorm, kind="stable"):
+        if all(np.linalg.norm(X[i] - X[j]) > tol for j in reps):
+            reps.append(int(i))
+    return reps
+
+
+class TestCollapse:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_same_representatives_as_the_greedy_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        centers = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 8)), n))
+        # clusters from far tighter to far looser than tol
+        spread = 10.0 ** rng.uniform(-9.0, -4.0, len(centers))
+        sizes = rng.integers(1, 12, len(centers))
+        X = np.concatenate([c + s * rng.standard_normal((k, n))
+                            for c, s, k in zip(centers, spread, sizes)])
+        order = rng.permutation(len(X))
+        X = X[order]
+        # few distinct norms, so ties decide by position
+        gnorm = rng.integers(0, 4, len(X)) * 1e-12
+        tol = 1e-7 * (1.0 + 6.0)
+        assert critical._collapse(X, gnorm, tol) \
+            == greedy_collapse(X, gnorm, tol)
 
 
 class TestFixtureZ2:

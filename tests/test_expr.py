@@ -3,7 +3,9 @@
 The derivative oracle here is central finite differences at step 1e-5,
 implemented independently of the jet arithmetic under test.  The compiled
 tape is also checked byte for byte against the recursive jet evaluator it
-replaced, kept below as the reference.
+replaced, kept below as the reference in the tape's points-last layout,
+and against the same evaluator in its points-first layout on every value
+that is not a nan.
 """
 
 from fractions import Fraction
@@ -283,10 +285,41 @@ class TestEvalGrid:
 # the recursive jet evaluator the tape replaced, kept as the reference
 #
 # Operands are plain floats (constant subtrees), numpy arrays (values and
-# grids) or _Jet1/_Jet2; constants divide and power in np.float64.
+# grids) or _Jet1/_Jet2; constants divide and power in np.float64.  _Jet1
+# and _Jet2 keep the points on the last axis, as the tape's jets do, so the
+# two agree byte for byte, the sign bits of nans included.  _RowsJet1 and
+# _RowsJet2 keep the points first, the layout the tape ran in before: the
+# same float operations in the same order, where only the sign of a nan
+# may come out otherwise.
 
 
-class _Jet1:
+class _PointsLast:
+    __slots__ = ()
+
+    @staticmethod
+    def _by(v, d):
+        """The values v broadcast against the derivatives d."""
+        return v
+
+    @staticmethod
+    def _outer(a, b):
+        """a_j b_k at each point of the gradients a and b."""
+        return a[:, None, :] * b[None, :, :]
+
+
+class _PointsFirst:
+    __slots__ = ()
+
+    @staticmethod
+    def _by(v, d):
+        return v.reshape(v.shape + (1,) * (d.ndim - 1))
+
+    @staticmethod
+    def _outer(a, b):
+        return a[:, :, None] * b[:, None, :]
+
+
+class _Jet1(_PointsLast):
     __slots__ = ("v", "g")
 
     def __init__(self, v, g):
@@ -295,21 +328,22 @@ class _Jet1:
 
     def __add__(self, o):
         if isinstance(o, _Jet1):
-            return _Jet1(self.v + o.v, self.g + o.g)
-        return _Jet1(self.v + o, self.g)
+            return type(self)(self.v + o.v, self.g + o.g)
+        return type(self)(self.v + o, self.g)
 
     __radd__ = __add__
 
     def __mul__(self, o):
         if isinstance(o, _Jet1):
-            return _Jet1(self.v * o.v,
-                         self.v[:, None] * o.g + o.v[:, None] * self.g)
-        return _Jet1(self.v * o, self.g * o)
+            return type(self)(self.v * o.v,
+                              self._by(self.v, o.g) * o.g
+                              + self._by(o.v, self.g) * self.g)
+        return type(self)(self.v * o, self.g * o)
 
     __rmul__ = __mul__
 
     def _compose(self, f0, f1):
-        return _Jet1(f0, f1[:, None] * self.g)
+        return type(self)(f0, self._by(f1, self.g) * self.g)
 
     def _recip(self):
         u = 1.0 / self.v
@@ -324,7 +358,7 @@ class _Jet1:
         return self._compose(v ** p, p * v ** (p - 1.0))
 
 
-class _Jet2:
+class _Jet2(_PointsLast):
     __slots__ = ("v", "g", "h")
 
     def __init__(self, v, g, h):
@@ -334,28 +368,28 @@ class _Jet2:
 
     def __add__(self, o):
         if isinstance(o, _Jet2):
-            return _Jet2(self.v + o.v, self.g + o.g, self.h + o.h)
-        return _Jet2(self.v + o, self.g, self.h)
+            return type(self)(self.v + o.v, self.g + o.g, self.h + o.h)
+        return type(self)(self.v + o, self.g, self.h)
 
     __radd__ = __add__
 
     def __mul__(self, o):
         if isinstance(o, _Jet2):
+            by = self._by
             v = self.v * o.v
-            g = self.v[:, None] * o.g + o.v[:, None] * self.g
-            h = (self.v[:, None, None] * o.h + o.v[:, None, None] * self.h
-                 + self.g[:, :, None] * o.g[:, None, :]
-                 + o.g[:, :, None] * self.g[:, None, :])
-            return _Jet2(v, g, h)
-        return _Jet2(self.v * o, self.g * o, self.h * o)
+            g = by(self.v, o.g) * o.g + by(o.v, self.g) * self.g
+            h = (by(self.v, o.h) * o.h + by(o.v, self.h) * self.h
+                 + self._outer(self.g, o.g) + self._outer(o.g, self.g))
+            return type(self)(v, g, h)
+        return type(self)(self.v * o, self.g * o, self.h * o)
 
     __rmul__ = __mul__
 
     def _compose(self, f0, f1, f2):
-        g = f1[:, None] * self.g
-        h = (f1[:, None, None] * self.h
-             + f2[:, None, None] * (self.g[:, :, None] * self.g[:, None, :]))
-        return _Jet2(f0, g, h)
+        g = self._by(f1, self.g) * self.g
+        h = (self._by(f1, self.h) * self.h
+             + self._by(f2, self.h) * self._outer(self.g, self.g))
+        return type(self)(f0, g, h)
 
     def _recip(self):
         u = 1.0 / self.v
@@ -371,6 +405,14 @@ class _Jet2:
         v = np.where(self.v > 0.0, self.v, np.nan)
         return self._compose(v ** p, p * v ** (p - 1.0),
                              p * (p - 1.0) * v ** (p - 2.0))
+
+
+class _RowsJet1(_PointsFirst, _Jet1):
+    __slots__ = ()
+
+
+class _RowsJet2(_PointsFirst, _Jet2):
+    __slots__ = ()
 
 
 def _recip_any(x):
@@ -441,23 +483,31 @@ def ref_grid(expr, axes, names):
     return np.broadcast_to(out, tuple(a.size for a in axes))
 
 
-def ref_jet(expr, points, names, order):
+def _points_first(a):
+    """a with its last axis, the points, moved first; C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def ref_jet(expr, points, names, order, first=False):
+    """The reference jets at ``points`` as the tape hands them back:
+    (m,), (m, n) and for order 2 (m, n, n); they are computed with the
+    points last, or with ``first`` by _RowsJet1/_RowsJet2."""
     m, n = points.shape
+    jet = ((_RowsJet1, _RowsJet2) if first else (_Jet1, _Jet2))[order - 1]
     env = {}
     for j, name in enumerate(names):
-        g = np.zeros((m, n))
-        g[:, j] = 1.0
-        env[name] = (_Jet1(points[:, j].copy(), g) if order == 1 else
-                     _Jet2(points[:, j].copy(), g, np.zeros((m, n, n))))
+        g = np.zeros((n, m))
+        g[j] = 1.0
+        derivs = (g, np.zeros((n, n, m)))[:order]
+        env[name] = jet(points[:, j].copy(), *(
+            map(_points_first, derivs) if first else derivs))
     with np.errstate(all="ignore"):
         out = _eval_batch(expr, env)
-    if order == 1:
-        if not isinstance(out, _Jet1):
-            return np.full(m, float(out)), np.zeros((m, n))
-        return out.v, out.g
-    if not isinstance(out, _Jet2):
-        return np.full(m, float(out)), np.zeros((m, n)), np.zeros((m, n, n))
-    return out.v, out.g, out.h
+    if not isinstance(out, jet):
+        return (np.full(m, float(out)),) + tuple(
+            np.zeros((m,) + (n,) * k) for k in range(1, order + 1))
+    derivs = (out.g, out.h) if order == 2 else (out.g,)
+    return (out.v,) + (derivs if first else tuple(map(_points_first, derivs)))
 
 
 def same_bytes(a, b):
@@ -498,6 +548,46 @@ class TestTape:
                                (2, tape.jet2(self.POINTS)[0])):
                 want = ref_jet(expr, self.POINTS, self.NAMES, order)
                 assert all(map(same_bytes, got, want)), (order, why)
+
+    @staticmethod
+    def same_off_nan(a, b):
+        """nan at the same entries, and the same bytes at every other."""
+        nan = np.isnan(b)
+        return np.array_equal(np.isnan(a), nan) and same_bytes(a[~nan],
+                                                               b[~nan])
+
+    def test_jets_match_the_points_first_reference_off_nan(self):
+        for expr in self.exprs():
+            tape = compile((expr,), self.NAMES)
+            for order, got in ((1, tape.jet1(self.POINTS)[0]),
+                               (2, tape.jet2(self.POINTS)[0])):
+                want = ref_jet(expr, self.POINTS, self.NAMES, order,
+                               first=True)
+                assert all(map(self.same_off_nan, got, want)), \
+                    (order, to_infix(expr))
+
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("texts", [
+        ("u2",), ("7/3",),
+        ("pow(u1^2 + u3, -3/2) / (u1 - u2^-2)", "u1*u2 + pow(u3, 1/2)")],
+        ids=["bare-variable", "constant", "two-outputs"])
+    def test_jets_come_back_points_first_and_contiguous(self, texts, m):
+        points = np.vstack([self.POINTS, [[3.0, -2.0, 0.5]]])[:m]
+        exprs = [parse_expression(t) for t in texts]
+        tape = compile(exprs, self.NAMES)
+        for order, jets in ((1, tape.jet1(points)), (2, tape.jet2(points))):
+            assert len(jets) == len(exprs)
+            for expr, got in zip(exprs, jets):
+                want = ref_jet(expr, points, self.NAMES, order, first=True)
+                assert len(got) == order + 1
+                for k, (a, b) in enumerate(zip(got, want)):
+                    assert a.dtype == np.float64
+                    assert a.shape == (m,) + (3,) * k
+                    # the value of a bare variable is a view of the points
+                    assert np.shares_memory(a, points) \
+                        if k == 0 and isinstance(expr, Var) \
+                        else a.flags.c_contiguous
+                    assert self.same_off_nan(a, b), (order, k, texts)
 
     def test_one_tape_equals_one_tape_per_output(self):
         exprs = self.exprs()
