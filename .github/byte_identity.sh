@@ -7,9 +7,10 @@
 # commit (extracted by `git archive` into a temporary directory), the
 # artifacts of `compare --catalog` on every catalog entry, of the continue
 # ladders below, with crit, flow (json and csv), complex, homology and
-# oracle at each eps of a ladder, of `sweep-eps` (json and csv) on the
-# double well and of `sweep-theta` on z^3 over the grids below, cache
-# entries included; then compares the two output directories with
+# oracle at each eps of a ladder, of crit, flow, complex, homology,
+# oracle and compare on the planar maximum below, of `sweep-eps` (json
+# and csv) on the double well and of `sweep-theta` on z^3 over the grids
+# below, cache entries included; then compares the two output directories with
 # `diff -r`.  That is every deterministic artifact the CLI writes: `report`
 # stays out, since its manifest carries timestamps by design.  A
 # difference fails the check unless morsevanish.__version__ differs between
@@ -40,6 +41,12 @@ cat > "$work/double_well4.json" <<'EOF'
  "f": "x1^4 - x1^2 + x2^2 + x3^2 + x4^2",
  "tau": "pow(1 + x1^2 + x2^2 + x3^2 + x4^2, -1/2)", "eps": 0.1}
 EOF
+# a maximum between two saddles: its flow counts the top degree by the
+# dual route; continue refuses an index-2 source, so it runs no ladder
+cat > "$work/max2d.json" <<'EOF'
+{"name": "max2d", "dimension": 2, "domain": "real_line",
+ "f": "x^4 - x^2 - y^2", "tau": "pow(1 + x^2 + y^2, -1)", "eps": 0.1}
+EOF
 sweep_grid="2^-2..2^-5"
 theta_grid="2^-2..2^-4"
 # each ladder: a config, then its continues as eps_from:eps_to pairs
@@ -68,6 +75,9 @@ artifacts() {
     --grid "$sweep_grid"
   cli z3-sweep-theta sweep-theta --config "$work/z3.json" \
     --grid "$theta_grid" --thetas 2
+  for stage in crit flow complex homology oracle compare; do
+    cli max2d "$stage" --config "$work/max2d.json" --eps 0.1
+  done
   for ladder in "${ladders[@]}"; do
     set -- $ladder
     local key=$1 from to eps stage

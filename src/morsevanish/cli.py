@@ -153,10 +153,10 @@ def _number(v, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {v!r}")
 
 
-def _finite(v, what: str) -> float:
+def _positive(v, what: str) -> float:
     x = _number(v, what)
-    if not math.isfinite(x):
-        raise ConfigError(f"{what} must be finite, got {v!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"{what} must be finite and positive, got {v!r}")
     return x
 
 
@@ -431,9 +431,9 @@ class RunContext:
 
     def eps(self) -> float:
         if self.args.eps is not None:
-            return _finite(self.args.eps, "--eps")
+            return _positive(self.args.eps, "--eps")
         if "eps" in self.cfg:
-            return _finite(self.cfg["eps"], "eps")
+            return _positive(self.cfg["eps"], "eps")
         raise ConfigError('no eps given: pass --eps or put "eps" in '
                           "the config")
 
@@ -862,8 +862,8 @@ def cmd_compare(args) -> int:
 
 def cmd_continue(args) -> int:
     ctx = _context(args)
-    e_from = _finite(args.eps_from, "--eps-from")
-    e_to = _finite(args.eps_to, "--eps-to")
+    e_from = _positive(args.eps_from, "--eps-from")
+    e_to = _positive(args.eps_to, "--eps-to")
     delta = float(args.delta)
     check_delta(delta)
     ends = (e_from, e_to)
@@ -946,11 +946,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    version=f"morsevanish {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(sp):
+    def common(sp, seed=True):
         sp.add_argument("--config", help="problem definition (JSON)")
         sp.add_argument("--out", default="runs",
                         help="artifact directory (default: runs)")
-        sp.add_argument("--seed", type=int, default=0)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        else:
+            # no flag for a stage whose answer does not depend on the
+            # seed; RunContext still reads one
+            sp.set_defaults(seed=0)
         return sp
 
     def with_eps(sp):
@@ -990,7 +995,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     with_levels(with_eps(common(sub.add_parser(
-        "oracle", help="cubical relative homology of the sublevel pair"))))
+        "oracle", help="cubical relative homology of the sublevel pair"),
+        seed=False)))
     sp = with_levels(with_eps(common(sub.add_parser(
         "compare", help="Morse homology against the oracle and catalog"))))
     sp.add_argument("--catalog", help="named catalog entry to compare "

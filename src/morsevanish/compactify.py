@@ -9,27 +9,23 @@ Given F: C^n -> C with rational coefficients, the pipeline here
 
 and assembles the ProblemSpec with the Kahler cone metric.  Since
 |F| <~ |z|^d and tau decays like |x|^(-alpha), the product tau*f stays
-bounded, which is exactly what check_compactification samples for.
+bounded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import AlphaTooSmall, ConfigError, ZeroPolynomial
-from .expr import (Const, Expression, FracPow, IntPow, Product, Sum, Var,
-                   compile)
+from .expr import Const, Expression, FracPow, IntPow, Product, Sum, Var
 from .metric import MetricSpec
 from .problem import DomainModel, ProblemSpec, WindowSpec
 
 __all__ = ["AlgebraicProblem", "build_tau",
-           "realify", "real_variables", "real_imag_parts",
-           "check_compactification", "CompactificationReport", "EndReport"]
+           "realify", "real_variables", "real_imag_parts"]
 
 Exponents = Tuple[int, ...]
 
@@ -218,83 +214,3 @@ def realify(problem: AlgebraicProblem, theta: float = 0.0,
         notes=(f"realified degree-{problem.degree} polynomial, "
                f"alpha={problem.resolved_alpha}",),
     )
-
-
-@dataclass(frozen=True)
-class EndReport:
-    label: str
-    max_abs_tau_f: float
-    tau_at_far_end: float
-    tau_vanishes: bool
-    ok: bool
-
-
-_TAU_F_BOUND = 1e6  # the largest |tau*f| a compactifying pair may reach
-_RAYS = 16          # sample rays toward each end
-
-
-@dataclass(frozen=True)
-class CompactificationReport:
-    ok: bool
-    bound: float
-    max_abs_tau_f: float
-    ends: Tuple[EndReport, ...] = field(default=())
-
-
-def _end_samples(domain: DomainModel,
-                 rng: np.random.Generator) -> Dict[str, np.ndarray]:
-    """Sample batches marching toward each declared end of the domain."""
-    n = domain.dimension
-    lo = np.array([b[0] for b in domain.box])
-    hi = np.array([b[1] for b in domain.box])
-    base = lo + (hi - lo) * rng.random((_RAYS, n))
-    out: Dict[str, np.ndarray] = {}
-    depths = 10.0 ** np.arange(0, 7)
-    for axis, side, limit in domain.ends():
-        tag = f"x{axis + 1}->{'+' if side > 0 else '-'}" + (
-            "inf" if not math.isfinite(limit) else f"{limit:g}")
-        lo_i, hi_i = domain.intervals[axis]
-        width = hi_i - lo_i
-        step0 = min(width / 2, 1.0) if math.isfinite(width) else 1.0
-        rows = []
-        for t in depths:
-            P = base.copy()
-            if math.isfinite(limit):
-                P[:, axis] = limit - side * step0 / t
-            else:
-                P[:, axis] = side * t
-            rows.append(P)
-        out[tag] = np.concatenate(rows)
-    if domain.is_full_space:
-        dirs = rng.standard_normal((_RAYS, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        rows = [t * dirs for t in depths]
-        out["|x|->inf"] = np.concatenate(rows)
-    return out
-
-
-def check_compactification(problem: ProblemSpec) -> CompactificationReport:
-    """Sample tau*f along _RAYS rays toward every end and test boundedness.
-
-    Pass/fail is |tau*f| <= _TAU_F_BOUND at every sample; whether tau actually
-    decays at each end is reported alongside but not enforced, since a
-    finite end where tau stays positive is just an ordinary boundary.
-    """
-    rng = np.random.default_rng(0)
-    reports = []
-    overall = 0.0
-    ok = True
-    for tag, P in _end_samples(problem.domain, rng).items():
-        tv, fv = compile((problem.tau, problem.f),
-                         problem.variables).values(P)
-        tf = tv * fv
-        finite = np.isfinite(tf)
-        worst = float(np.max(np.abs(tf[finite]))) if finite.any() else float("inf")
-        end_ok = bool(finite.all()) and worst <= _TAU_F_BOUND
-        far = float(tv[-1]) if np.isfinite(tv[-1]) else float("inf")
-        near = float(np.nanmax(tv)) if np.isfinite(tv).any() else float("inf")
-        vanishes = math.isfinite(far) and far < max(1e-3, 1e-3 * near)
-        reports.append(EndReport(tag, worst, far, vanishes, end_ok))
-        overall = max(overall, worst)
-        ok = ok and end_ok
-    return CompactificationReport(ok, _TAU_F_BOUND, overall, tuple(reports))

@@ -375,16 +375,6 @@ class CubicalPair:
         dims = {k: dims.get(k, 0) for k, c in enumerate(counts) if c}
         return homology_of_complex(reduce_complex(dims, sparse))
 
-    def summary(self) -> dict:
-        return {
-            "box": [[lo, hi] for lo, hi in self.box],
-            "resolution": list(self.resolution),
-            "cells_total": int(self.total_mask.sum()),
-            "cells_sub": int(self.sub_mask.sum()),
-            "relative_cell_counts": list(self.cell_counts()),
-            "euler": self.euler,
-        }
-
 
 def build_pair(problem: ProblemSpec, eps: float,
                lam: Optional[float] = None, Lam: Optional[float] = None,
@@ -570,9 +560,7 @@ class CatalogEntry:
     lam: float
     Lam: float
     resolution: int
-    ambient: int
     expected: HomologyResult
-    euler: int
     note: str
 
     def problem(self) -> ProblemSpec:
@@ -585,46 +573,46 @@ def _alg(n, terms, name):
 
 _CATALOG = {e.name: e for e in (
     CatalogEntry("z^2", _alg(1, (((2,), 1, 0),), "z^2"),
-                 0.1, 1.0, 10.0, 32, 2, _free(1, 1), -1,
+                 0.1, 1.0, 10.0, 32, _free(1, 1),
                  "a disk against the two lobes where Re z^2 has already "
                  "dropped below the window: one circle class"),
     CatalogEntry("z^3", _alg(1, (((3,), 1, 0),), "z^3"),
-                 0.1, 1.0, 10.0, 32, 2, _free(1, 2), -2,
+                 0.1, 1.0, 10.0, 32, _free(1, 2),
                  "three lobes below the window leave rank two in degree "
                  "one, the vanishing cycles of the cusp"),
     CatalogEntry("z^4", _alg(1, (((4,), 1, 0),), "z^4"),
-                 0.1, 1.0, 10.0, 32, 2, _free(1, 3), -3,
+                 0.1, 1.0, 10.0, 32, _free(1, 3),
                  "four lobes, rank three in degree one"),
     CatalogEntry("x_plus_x2y", _alg(2, (((1, 0), 1, 0), ((2, 1), 1, 0)),
                                     "x+x^2y"),
-                 0.1, 1.0, 10.0, 16, 4, _free(2, 1), 1,
+                 0.1, 1.0, 10.0, 16, _free(2, 1),
                  "ambient dimension four, so only the Euler count is "
                  "oracle-checkable; the single window class sits in "
                  "degree two"),
     CatalogEntry("double_well_1d",
                  lambda: _hand_problem("double-well", ("x",),
                                        "x^4 - x^2", "pow(1 + x^2, -1/2)"),
-                 0.05, 1.0, 10.0, 64, 1, _free(0, 1), 1,
+                 0.05, 1.0, 10.0, 64, _free(0, 1),
                  "all three critical values sit inside the window; the "
                  "pair is an interval against nothing"),
     CatalogEntry("single_min_1d",
                  lambda: _hand_problem("bowl", ("x",),
                                        "x^2", "pow(1 + x^2, -1)"),
-                 0.1, 1.0, 10.0, 64, 1, _free(0, 1), 1,
+                 0.1, 1.0, 10.0, 64, _free(0, 1),
                  "one minimum at value eps"),
     CatalogEntry("linear_y",
                  lambda: _ray_problem("ray-linear", "y", "y"),
-                 0.1, 1.0, 10.0, 64, 1, _free(0, 1), 1,
+                 0.1, 1.0, 10.0, 64, _free(0, 1),
                  "minimum 2 sqrt(eps) on the open ray; the lower "
                  "sublevel set is empty"),
     CatalogEntry("inverse_y",
                  lambda: _ray_problem("ray-inverse", "-1/y", "2 * y^2"),
-                 0.1, 1.0, 10.0, 128, 1, _TRIVIAL, 0,
+                 0.1, 1.0, 10.0, 128, _TRIVIAL,
                  "the single critical value -1/(2 eps) dives below the "
                  "window for every admissible eps, so an interval "
                  "retracts onto a subinterval and nothing survives"),
     CatalogEntry("corner_2d", _corner_problem,
-                 0.1, 1.0, 10.0, 48, 2, _TRIVIAL, 0,
+                 0.1, 1.0, 10.0, 48, _TRIVIAL,
                  "the corner saddle at value -1/eps is below the window "
                  "and the total set retracts onto the sub set"),
 )}

@@ -1,11 +1,13 @@
 """Problem definitions: domain, f, tau, metric choice, action window.
 
 A problem couples a smooth function f on an open domain with a boundary
-function tau that vanishes toward the non-compact ends, so that tau*f
-stays bounded out there.  The perturbation f_eps = f + eps/tau is what the
-solvers actually work on: its critical values either settle into a bounded
-cluster as eps drops or blow up, and the window (a, b) selects the bounded
-part.
+function tau that vanishes toward the non-compact ends.  Nothing here
+checks that tau*f stays bounded out there: on a polynomial config,
+``compactify.build_tau`` refuses an alpha below the degree, which bounds
+it; on a hand-written config, the cubical oracle is the check.  The
+perturbation f_eps = f + eps/tau is what the solvers actually work on:
+its critical values either settle into a bounded cluster as eps drops or
+blow up, and the window (a, b) selects the bounded part.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class DomainModel:
     def dimension(self) -> int:
         return len(self.intervals)
 
-    @property
-    def is_full_space(self) -> bool:
-        return all(lo == -_INF and hi == _INF for lo, hi in self.intervals)
-
     @classmethod
     def full_space(cls, n: int,
                    box_halfwidth: float = _BOX_REACH) -> "DomainModel":
@@ -103,19 +101,6 @@ class DomainModel:
             elif math.isfinite(hi):
                 np.clip(out[:, i], None, hi - _CLAMP_RTOL * max(1.0, abs(hi)),
                         out=out[:, i])
-        return out
-
-    def ends(self):
-        """Both ends of every axis as (axis, side, limit) triples, side in
-        {-1, +1} and limit the interval end (+-inf on an unbounded side).
-
-        The single end at infinity of a full-space domain is not among
-        them; samplers that need it test ``is_full_space``.
-        """
-        out = []
-        for i, (lo, hi) in enumerate(self.intervals):
-            out.append((i, -1, lo))
-            out.append((i, +1, hi))
         return out
 
 

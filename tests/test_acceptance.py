@@ -180,9 +180,9 @@ def test_criterion_04_catalog_matches_oracle_with_refinement():
     checked = 0
     for name in catalog_names():
         entry = catalog_lookup(name)
-        if entry.ambient > 2:
-            continue
         spec = entry.problem()
+        if len(spec.variables) > 2:
+            continue
         hm = homology(window_complex(spec, entry.eps, seed=0))
         for res in (entry.resolution, 2 * entry.resolution):
             oracle = sublevel_pair_homology(spec, entry.eps, entry.lam,

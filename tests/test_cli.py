@@ -783,17 +783,22 @@ class TestCommands:
         for name, blob in trees[0].items():
             assert trees[1][name] == blob, name
 
-    @pytest.mark.parametrize("argv", [
-        ("continue", "--eps-from", "0.1", "--eps-to", "0.05", "--delta", "0"),
-        ("continue", "--eps-from", "0.1", "--eps-to", "0.05",
-         "--delta", "-0.5"),
-        ("continue", "--eps-from", "nan", "--eps-to", "0.05"),
-        ("continue", "--eps-from", "0.1", "--eps-to", "inf"),
-        ("crit", "--eps", "nan"),
+    @pytest.mark.parametrize("argv,cfg", [
+        (("continue", "--eps-from", "0.1", "--eps-to", "0.05",
+          "--delta", "0"), DW),
+        (("continue", "--eps-from", "0.1", "--eps-to", "0.05",
+          "--delta", "-0.5"), DW),
+        (("continue", "--eps-from", "nan", "--eps-to", "0.05"), DW),
+        (("continue", "--eps-from", "0.1", "--eps-to", "inf"), DW),
+        (("continue", "--eps-from", "0.1", "--eps-to", "0"), DW),
+        (("crit", "--eps", "nan"), DW),
+        (("crit", "--eps", "0"), DW),
+        (("homology", "--eps", "-0.25"), DW),
+        (("crit",), {**DW, "eps": 0}),
     ], ids=["delta-0", "delta-negative", "eps-from-nan", "eps-to-inf",
-            "eps-nan"])
-    def test_bad_eps_or_delta_exits_one(self, tmp_path, capsys, argv):
-        path = write_cfg(tmp_path, DW)
+            "eps-to-0", "eps-nan", "eps-0", "eps-negative", "config-eps-0"])
+    def test_bad_eps_or_delta_exits_one(self, tmp_path, capsys, argv, cfg):
+        path = write_cfg(tmp_path, cfg)
         assert run(tmp_path, *argv, "--config", path) == 1
         assert capsys.readouterr().err.startswith("error: ")
         # refused before any work: no crit or flow payload was cached
@@ -809,6 +814,13 @@ class TestCommands:
                             ("--Lambda", "upper sublevel cutoff"),
                             ("--res", "grid cells per axis")):
             assert re.search(f"{flag} [A-Z]+ {words}", text), flag
+
+    def test_oracle_takes_no_seed(self, capsys):
+        # the sublevel pair does not depend on the seed
+        with pytest.raises(SystemExit) as done:
+            main(["oracle", "--help"])
+        assert done.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
 
     def test_jobs_flag_rejected(self, tmp_path):
         path = write_cfg(tmp_path, DW)

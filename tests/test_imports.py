@@ -141,7 +141,6 @@ TEST_ONLY_EXPORTS = {
     "induced_maps_agree": "criterion 06's functoriality",
     "evaluate": "the tree-walking reference the tape is tested on",
     "morsify": "the paper's Morsification of a degenerate f",
-    "check_compactification": "the paper's condition on the ends",
 }
 
 

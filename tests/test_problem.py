@@ -29,7 +29,7 @@ class TestDomainModel:
     def test_full_space(self):
         d = DomainModel.full_space(2)
         assert d.dimension == 2
-        assert d.is_full_space
+        assert d.intervals == ((-INF, INF), (-INF, INF))
         assert d.contains([100.0, -5.0])
         assert d.box == ((-3.0, 3.0), (-3.0, 3.0))
 
@@ -43,7 +43,7 @@ class TestDomainModel:
 
     def test_half_line(self):
         d = DomainModel.from_intervals([(0.0, INF)])
-        assert not d.is_full_space
+        assert d.intervals == ((0.0, INF),)
         assert d.contains([7.0])
         assert not d.contains([-1.0])
         blo, bhi = d.box[0]
@@ -63,10 +63,6 @@ class TestDomainModel:
         Y = d.clamp_to_interior(X)
         assert np.all((Y > 0.0) & (Y < 1.0))
         assert Y[1, 0] == 0.5
-
-    def test_ends(self):
-        d = DomainModel.from_intervals([(0.0, INF)])
-        assert d.ends() == [(0, -1, 0.0), (0, +1, INF)]
 
 
 class TestWindowSpec:
