@@ -8,9 +8,10 @@
 # artifacts of `compare --catalog` on every catalog entry, of the continue
 # ladders below, with crit, flow (json and csv), complex, homology and
 # oracle at each eps of a ladder, of crit, flow, complex, homology,
-# oracle and compare on the planar maximum below, of `sweep-eps` (json
-# and csv) on the double well and of `sweep-theta` on z^3 over the grids
-# below, cache entries included; then compares the two output directories with
+# oracle and compare on the planar maximum below, of crit, complex and
+# `compare --catalog z^3` at seed 7, of `sweep-eps` (json and csv) on the
+# double well and of `sweep-theta` on z^3 over the grids below, cache
+# entries included; then compares the two output directories with
 # `diff -r`.  That is every deterministic artifact the CLI writes: `report`
 # stays out, since its manifest carries timestamps by design.  A
 # difference fails the check unless morsevanish.__version__ differs between
@@ -78,6 +79,11 @@ artifacts() {
   for stage in crit flow complex homology oracle compare; do
     cli max2d "$stage" --config "$work/max2d.json" --eps 0.1
   done
+  # every other run uses seed 0: the search starts elsewhere at seed 7
+  for stage in crit complex; do
+    cli z3-seed7 "$stage" --config "$work/z3.json" --seed 7
+  done
+  cli catalog-seed7 compare --catalog "z^3" --seed 7
   for ladder in "${ladders[@]}"; do
     set -- $ladder
     local key=$1 from to eps stage

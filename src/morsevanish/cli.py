@@ -17,8 +17,8 @@ recomputed.  Cache entries and artifacts are written to a temporary
 file and renamed into place, so an interrupted write leaves the old
 file or none, never a partial one.
 
-Exit codes: 0 success, 1 configuration problem, 2 solver failure or a
-"fail" verdict from compare.
+Exit codes: 0 success, 1 configuration problem or usage error, 2 solver
+failure or a "fail" verdict from compare.
 """
 
 import argparse
@@ -40,21 +40,20 @@ import numpy as np
 
 from . import __version__
 from .compactify import AlgebraicProblem, realify
-from .critical import (CriticalPoint, default_starts, find_critical_points,
-                       sweep_epsilon, sweep_theta)
+from .critical import (CriticalPoint, find_critical_points, sweep_epsilon,
+                       sweep_theta)
 from .errors import (ConfigError, ConfigParse, CorruptCache, CountingRefused,
                      ExpressionParseError, MorsevanishError, UnknownEntry)
 from .expr import parse_expression
-from .flow import (BOUNDARY_BUDGET, R_LAUNCH, BoundaryCountResult,
-                   check_delta, continuation_trajectories, count_boundaries,
-                   count_plan)
-from .homology import (MorseComplex, boundary_sources, complex_from_counts,
-                       continuation_chain_map,
+from .flow import (BOUNDARY_BUDGET, R_LAUNCH, check_delta,
+                   continuation_trajectories, count_boundaries, count_plan)
+from .homology import (D2Report, MorseComplex, boundary_sources,
+                       complex_from_counts, continuation_chain_map,
                        euler_characteristic, generator_order, homology,
-                       require_nondegenerate, verify_d_squared)
-from .intlinalg import HomologyResult, _format_group
+                       require_nondegenerate)
+from .intlinalg import HomologyResult
 from .metric import MetricSpec
-from .oracle import (catalog_lookup, pair_euler_characteristic,
+from .oracle import (EXACT_MAX_DIM, catalog_lookup, pair_euler_characteristic,
                      sublevel_pair_homology)
 from .problem import DomainModel, ProblemSpec, WindowSpec
 
@@ -413,18 +412,9 @@ class RunContext:
     out_dir: Path
     cache: ArtifactCache
 
-    def __post_init__(self):
-        # find_critical_points starts at Halton index 20 + 97 seed: a
-        # negative index would put every start on the box corner, and the
-        # last index must fit in int64
-        n = default_starts(self.problem.domain.dimension)
-        if self.seed < 0 or 20 + 97 * self.seed + n > np.iinfo(np.int64).max:
-            raise ConfigError(f"--seed must be >= 0 and keep 20 + 97*seed + "
-                              f"{n} within int64, got {self.seed}")
-
     @property
     def seed(self) -> int:
-        return int(self.args.seed)
+        return self.args.seed
 
     def stage_path(self, stage: str, suffix: str = ".json") -> Path:
         return self.out_dir / self.cfg_hash / f"{stage}{suffix}"
@@ -450,35 +440,6 @@ def _context(args) -> RunContext:
 
 # -------------------------------------------------- critical point stage
 
-def _point_record(p: CriticalPoint) -> dict:
-    rec = p.summary()
-    rec["frame"] = [[float(x) for x in row] for row in p.frame]
-    return rec
-
-
-def _point_from_record(rec: dict) -> CriticalPoint:
-    # float() reads back the "inf"/"-inf"/"nan" strings _canon writes
-    return CriticalPoint(
-        location=np.array([float(v) for v in rec["location"]], dtype=float),
-        value=float(rec["value"]),
-        index=int(rec["index"]),
-        eigenvalues=np.array([float(v) for v in rec["eigenvalues"]],
-                             dtype=float),
-        frame=np.array([[float(v) for v in row] for row in rec["frame"]],
-                       dtype=float),
-        grad_norm=float(rec["grad_norm"]),
-        certificate_radius=float(rec["certificate_radius"]),
-        degenerate=bool(rec["degenerate"]),
-        window_status=str(rec["window_status"]),
-        tau_value=float(rec["tau"]),
-        drifting=bool(rec["drifting"]),
-    )
-
-
-def _is_window(rec: dict) -> bool:
-    return rec["window_status"] == "inside" and not rec["drifting"]
-
-
 def _crit_payload(ctx: RunContext, eps: float):
     key = ctx.cache.key(ctx.cfg_hash, "crit", {"eps": eps, "seed": ctx.seed})
 
@@ -487,14 +448,14 @@ def _crit_payload(ctx: RunContext, eps: float):
         return {"problem": cs.problem, "eps": eps, "seed": ctx.seed,
                 "n_starts": cs.n_starts, "n_converged": cs.n_converged,
                 "n_dead": cs.n_dead,
-                "points": [_point_record(p) for p in cs.points]}
+                "points": [p.record() for p in cs.points]}
     return ctx.cache.fetch(key, compute)
 
 
 def _window_points(ctx: RunContext, eps: float) -> List[CriticalPoint]:
     payload, _ = _crit_payload(ctx, eps)
-    return [_point_from_record(r) for r in payload["points"]
-            if _is_window(r)]
+    pts = map(CriticalPoint.from_record, payload["points"])
+    return [p for p in pts if p.in_window]
 
 
 def cmd_crit(args) -> int:
@@ -503,7 +464,8 @@ def cmd_crit(args) -> int:
     payload, hit = _crit_payload(ctx, eps)
     report = {"schema": SCHEMA, "command": "crit", **payload}
     path = dump_json(ctx.stage_path("crit"), report)
-    inside = sum(1 for r in payload["points"] if _is_window(r))
+    inside = sum(CriticalPoint.from_record(r).in_window
+                 for r in payload["points"])
     cached = " (cached)" if hit else ""
     print(f"{len(payload['points'])} critical points, {inside} in the "
           f"window{cached} -> {path}")
@@ -650,19 +612,8 @@ def _window_complex(ctx: RunContext, eps: float, pts=None,
     if flow is None:
         flow, _ = _flow_payload(ctx, eps)
     return complex_from_counts(ctx.problem, eps, pts, (
-        (s["source"], BoundaryCountResult(dict(s["counts"]), (), s["method"],
-                                          tuple(s["warnings"])))
+        (s["source"], dict(s["counts"]), s["warnings"])
         for s in flow["sources"]))
-
-
-def _checked_homology(ctx: RunContext, eps: float):
-    """The window complex, its passing d.d = 0 report, and its homology."""
-    cx = _window_complex(ctx, eps)
-    d2 = verify_d_squared(cx)
-    if not d2:
-        raise MorsevanishError(f"boundary square check failed: "
-                               f"{d2.describe()}")
-    return cx, d2, homology(cx)
 
 
 def cmd_complex(args) -> int:
@@ -674,7 +625,7 @@ def cmd_complex(args) -> int:
         "schema": SCHEMA, "command": "complex",
         "problem": cx.problem, "eps": eps, "seed": ctx.seed,
         "window": [cx.window[0], cx.window[1]], "ranks": ranks,
-        "generators": [[_point_record(p) for p in grp]
+        "generators": [[p.record() for p in grp]
                        for grp in cx.generators],
         "boundaries": [cx.boundary(k) for k in range(1, cx.top + 1)],
         "notes": list(cx.notes),
@@ -689,11 +640,12 @@ def cmd_complex(args) -> int:
 def cmd_homology(args) -> int:
     ctx = _context(args)
     eps = ctx.eps()
-    cx, d2, h = _checked_homology(ctx, eps)
+    cx = _window_complex(ctx, eps)
+    h = homology(cx)  # raises unless d.d = 0
     report = {"schema": SCHEMA, "command": "homology",
               "problem": cx.problem, "eps": eps,
               "groups": h.summary(), "euler": h.euler,
-              "d_squared": d2.describe()}
+              "d_squared": D2Report(True).describe()}
     path = dump_json(ctx.stage_path("homology"), report)
     print(f"{h.describe()} -> {path}")
     return 0
@@ -702,22 +654,19 @@ def cmd_homology(args) -> int:
 def _levels(ctx: RunContext) -> Tuple[float, float]:
     """lambda and Lambda of the sublevel pair: the flags, else the
     problem's."""
-    w = ctx.problem.window
-    lam = getattr(ctx.args, "lam", None)
-    Lam = getattr(ctx.args, "Lam", None)
+    w, lam, Lam = ctx.problem.window, ctx.args.lam, ctx.args.Lam
     return (w.lam if lam is None else lam, w.Lam if Lam is None else Lam)
 
 
 def _oracle_payload(ctx: RunContext, eps: float):
     n = len(ctx.problem.variables)
     lam, Lam = _levels(ctx)
-    res = getattr(ctx.args, "res", None)
-    res = 32 if res is None else int(res)
+    res = 32 if ctx.args.res is None else ctx.args.res
     params = {"eps": eps, "lambda": lam, "Lambda": Lam, "res": res}
     key = ctx.cache.key(ctx.cfg_hash, "oracle", params)
 
     def compute():
-        if n <= 3:
+        if n <= EXACT_MAX_DIM:
             h = sublevel_pair_homology(ctx.problem, eps, lam, Lam,
                                        resolution=res)
             return {"method": "cubical", "groups": h.summary(),
@@ -741,8 +690,7 @@ def cmd_oracle(args) -> int:
     if payload["groups"] is None:
         print(f"euler = {payload['euler']} (cell count){cached} -> {path}")
     else:
-        h = HomologyResult({int(k): (v["betti"], tuple(v["torsion"]))
-                            for k, v in payload["groups"].items()})
+        h = HomologyResult.from_summary(payload["groups"])
         print(f"{h.describe()}{cached} -> {path}")
     return 0
 
@@ -751,23 +699,15 @@ def cmd_oracle(args) -> int:
 
 def _group_table(*summaries):
     """Degree-keyed rows out of homology summary dicts (None allowed)."""
-    degrees = sorted({int(k) for s in summaries if s for k in s})
-    rows = []
-    for k in degrees:
-        cells = []
-        for s in summaries:
-            if s is None:
-                cells.append(None)
-            else:
-                g = s.get(str(k), {"betti": 0, "torsion": []})
-                cells.append(_format_group(g["betti"], tuple(g["torsion"])))
-        rows.append((k, cells))
-    return rows
+    hs = [None if s is None else HomologyResult.from_summary(s)
+          for s in summaries]
+    degrees = sorted({k for h in hs if h for k in h.groups})
+    return [(k, [h and h.group_name(k) for h in hs]) for k in degrees]
 
 
 def cmd_compare(args) -> int:
     entry = None
-    name = getattr(args, "catalog", None)
+    name = args.catalog
     if args.config:
         ctx = _context(args)
         if name is None:
@@ -812,8 +752,8 @@ def cmd_compare(args) -> int:
     catalog_summary = entry.expected.summary() if entry else None
 
     try:
-        cx, _, hm = _checked_homology(ctx, eps)
-        morse_summary = hm.summary()
+        cx = _window_complex(ctx, eps)
+        morse_summary = homology(cx).summary()
         morse_points = cx.points()
     except CountingRefused:
         # a window point's index has no counting route; the Euler count
@@ -927,7 +867,7 @@ def cmd_report(args) -> int:
     # seed rewrites its artifact byte for byte, so the digests are stable
     # identifiers and only the written_at timestamps move
     manifest = {"schema": SCHEMA, "config_hash": ctx.cfg_hash,
-                "seed": ctx.seed, "tool_version": __version__,
+                "tool_version": __version__,
                 "stages": stages, "summary": summary}
     path = dump_json(run_dir / "manifest.json", manifest)
     print(f"{len(stages)} artifacts, summary {summary} -> {path}")
@@ -936,9 +876,17 @@ def cmd_report(args) -> int:
 
 # ----------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other bad input; exit 2 is kept for
+    mathematical failures."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="morsevanish",
         description="Finite-action Morse homology with a cubical "
                     "cross-check.")
@@ -950,12 +898,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="problem definition (JSON)")
         sp.add_argument("--out", default="runs",
                         help="artifact directory (default: runs)")
-        if seed:
+        if seed:  # no flag on a stage whose output does not depend on it
             sp.add_argument("--seed", type=int, default=0)
-        else:
-            # no flag for a stage whose answer does not depend on the
-            # seed; RunContext still reads one
-            sp.set_defaults(seed=0)
         return sp
 
     def with_eps(sp):
@@ -1009,7 +953,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="starting continuation step (halved on "
                          "confinement failures)")
     common(sub.add_parser(
-        "report", help="assemble the run manifest from existing artifacts"))
+        "report", help="assemble the run manifest from existing artifacts"),
+        seed=False)
     return p
 
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import MorsificationFailed
+from .errors import ConfigError, MorsificationFailed
 from .expr import (Const, Expression, Product, Sum, Tape, Var, as_fraction,
                    compile, eval_values)
 from .metric import metric_batch
@@ -148,6 +148,11 @@ class CriticalPoint:
     def certified(self) -> bool:
         return math.isfinite(self.certificate_radius)
 
+    @property
+    def in_window(self) -> bool:
+        """Whether the point is a generator of the window complex."""
+        return self.window_status == "inside" and not self.drifting
+
     def summary(self) -> dict:
         return {
             "location": [float(v) for v in self.location],
@@ -162,6 +167,22 @@ class CriticalPoint:
             "drifting": self.drifting,
         }
 
+    def record(self) -> dict:
+        """The summary plus the frame: everything ``from_record`` needs."""
+        return {**self.summary(), "frame": self.frame.tolist()}
+
+    @classmethod
+    def from_record(cls, rec: dict) -> CriticalPoint:
+        """The point a ``record()`` describes; a float field may also be
+        one of the strings "inf", "-inf" and "nan"."""
+        return cls(np.array(rec["location"], dtype=float),
+                   float(rec["value"]), int(rec["index"]),
+                   np.array(rec["eigenvalues"], dtype=float),
+                   np.array(rec["frame"], dtype=float),
+                   float(rec["grad_norm"]), float(rec["certificate_radius"]),
+                   bool(rec["degenerate"]), str(rec["window_status"]),
+                   float(rec["tau"]), bool(rec["drifting"]))
+
 
 @dataclass(frozen=True)
 class CriticalSet:
@@ -173,8 +194,7 @@ class CriticalSet:
     n_dead: int
 
     def inside_window(self) -> Tuple[CriticalPoint, ...]:
-        return tuple(p for p in self.points
-                     if p.window_status == "inside" and not p.drifting)
+        return tuple(p for p in self.points if p.in_window)
 
 
 _RETIRE_AFTER = 6      # iterations a Newton row gets to halve its best |grad|
@@ -376,12 +396,20 @@ def find_critical_points(problem: ProblemSpec, eps: float,
                          extra_starts: Optional[np.ndarray] = None
                          ) -> CriticalSet:
     """Locate, deduplicate and certify the critical points of f_eps.  When
-    no start converges the set is empty."""
+    no start converges the set is empty.
+
+    The starts are Halton points from index 20 + 97*seed on; a seed that
+    is negative or puts the last index past int64 raises ConfigError.
+    """
     n = problem.domain.dimension
     m = default_starts(n) if n_starts is None else int(n_starts)
+    skip = 20 + 97 * seed
+    if seed < 0 or skip + m > np.iinfo(np.int64).max:
+        raise ConfigError(f"seed must be >= 0 and keep 20 + 97*seed + {m} "
+                          f"within int64, got {seed}")
     lo = np.array([b[0] for b in problem.domain.box])
     hi = np.array([b[1] for b in problem.domain.box])
-    U = halton_points(m, n, skip=20 + 97 * seed)
+    U = halton_points(m, n, skip=skip)
     X0 = lo + U * (hi - lo)
     if extra_starts is not None and len(extra_starts):
         X0 = np.vstack([X0, np.atleast_2d(np.asarray(extra_starts, dtype=float))])

@@ -87,6 +87,10 @@ class NotChainMap(MorsevanishError):
     """A candidate chain map failed the exact commutation check."""
 
 
+class NotAComplex(MorsevanishError):
+    """Boundary matrices failed the exact d.d = 0 check."""
+
+
 class ResolutionTooCoarse(MorsevanishError):
     """Cubical masks failed to stabilise within the resolution budget."""
 

@@ -99,8 +99,6 @@ CONTINUATION_BUDGET = 60000
 # continuation gives up once halving takes delta below this
 DELTA_FLOOR = 1e-6
 
-_trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
-
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
@@ -212,7 +210,7 @@ def energy(trajectory: TrajectoryRecord, problem: ProblemSpec, eps: float,
     vel = np.gradient(Xpts, Spts, axis=0)
     vel_sq = np.einsum("ij,ijk,ik->i", vel, G, vel)
 
-    E_an = float(_trapezoid(vel_sq + grad_sq - two_dFds, Spts))
+    E_an = float(np.trapezoid(vel_sq + grad_sq - two_dFds, Spts))
 
     if endpoint_values is not None:
         v0, v1 = endpoint_values

@@ -20,11 +20,11 @@ import numpy as np
 
 from .critical import CriticalPoint, canonical_key, find_critical_points
 from .errors import (ConfigError, DegenerateCriticalPoint, MissingCount,
-                     NotChainMap)
-from .flow import BoundaryCountResult, ContinuationResult, count_boundaries
+                     NotAComplex, NotChainMap)
+from .flow import ContinuationResult, count_boundaries
 from .intlinalg import (SNF, ChainComplexData, HomologyResult, Matrix,
-                        _format_group, homology_of_complex, kernel_basis,
-                        matmul, smith_normal_form)
+                        homology_of_complex, kernel_basis, matmul,
+                        smith_normal_form)
 from .problem import ProblemSpec
 
 __all__ = [
@@ -185,21 +185,25 @@ def boundary_sources(points: Sequence[CriticalPoint]) -> List[int]:
 
 def require_nondegenerate(points: Sequence[CriticalPoint],
                           eps: float) -> None:
-    """Raise DegenerateCriticalPoint on the first degenerate window point."""
+    """Raise DegenerateCriticalPoint on the first degenerate window point:
+    a window complex refuses one, and ``critical.morsify`` is the
+    library's tilt that splits it."""
     for p in points:
         if p.degenerate:
             raise DegenerateCriticalPoint(
                 f"window critical point at {np.round(p.location, 6)} is "
-                f"degenerate at eps = {eps:g}; morsify first")
+                f"degenerate at eps = {eps:g}; degenerate window points "
+                "are refused")
 
 
 def complex_from_counts(problem: ProblemSpec, eps: float,
                         points: Sequence[CriticalPoint],
-                        per_source: Iterable[Tuple[int, BoundaryCountResult]],
+                        per_source: Iterable[Tuple[int, Mapping[int, int],
+                                                   Sequence[str]]],
                         strict: bool = True) -> MorseComplex:
-    """The window complex from per-source counting results.
+    """The window complex from per-source counts.
 
-    ``per_source`` yields (source position, result) with the result's
+    ``per_source`` yields (source position, counts, warnings) with the
     counts keyed by positions in ``points``, as ``count_boundaries``
     keys them when ``points`` are its targets; counts whose index drop is
     not one are ignored.  With ``strict`` set, the first source with
@@ -209,13 +213,13 @@ def complex_from_counts(problem: ProblemSpec, eps: float,
     pts = list(points)
     counts: Dict[Tuple[int, int], int] = {}
     notes: List[str] = []
-    for i, res in per_source:
-        if res.warnings:
-            msgs = [f"source {i}: {w}" for w in res.warnings]
+    for i, source_counts, warnings in per_source:
+        if warnings:
+            msgs = [f"source {i}: {w}" for w in warnings]
             if strict:
                 raise MissingCount("; ".join(msgs))
             notes.extend(msgs)
-        for j, c in res.counts.items():
+        for j, c in source_counts.items():
             if pts[j].index == pts[i].index - 1:
                 counts[(i, j)] = c
     return assemble_complex(pts, counts, problem=problem.name, eps=eps,
@@ -242,8 +246,10 @@ def window_complex(problem: ProblemSpec, eps: float, seed: int = 0,
     require_nondegenerate(pts, eps)
     sources = boundary_sources(pts)
     results = count_boundaries(problem, eps, [pts[i] for i in sources], pts)
-    return complex_from_counts(problem, eps, pts, zip(sources, results),
-                               strict=strict)
+    return complex_from_counts(
+        problem, eps, pts,
+        ((i, r.counts, r.warnings) for i, r in zip(sources, results)),
+        strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +297,12 @@ def verify_d_squared(cx: MorseComplex) -> D2Report:
 def homology(cx: MorseComplex) -> HomologyResult:
     """Integer homology of the complex, degree by degree.
 
-    Assumes the complex passed verify_d_squared; the Smith normal form
-    numbers are meaningless otherwise.
+    Raises NotAComplex when the complex fails verify_d_squared, where
+    the Smith normal form numbers would mean nothing.
     """
+    d2 = verify_d_squared(cx)
+    if not d2:
+        raise NotAComplex(f"boundary square check failed: {d2.describe()}")
     return homology_of_complex(cx.chain_data())
 
 
@@ -480,11 +489,6 @@ class InducedMap:
 
 def induced_map(cm: ChainMap) -> InducedMap:
     """Descend a chain map to homology and test it degree by degree."""
-    for cx, side in ((cm.source, "source"), (cm.target, "target")):
-        rep = verify_d_squared(cx)
-        if not rep.ok:
-            raise ConfigError(f"the {side} complex fails d.d = 0: "
-                              + rep.describe())
     h_s = homology(cm.source)
     h_t = homology(cm.target)
     D = max(cm.source.top, cm.target.top)
@@ -497,12 +501,9 @@ def induced_map(cm: ChainMap) -> InducedMap:
         Mk = pt.coords(img, ps.z)
         blocks.append(Mk)
 
-        gs = h_s.groups.get(k, (0, ()))
-        gt = h_t.groups.get(k, (0, ()))
+        gs, gt = h_s.group_name(k), h_t.group_name(k)
         if gs != gt:
-            failures.append(
-                f"degree {k}: groups differ "
-                f"({_format_group(*gs)} vs {_format_group(*gt)})")
+            failures.append(f"degree {k}: groups differ ({gs} vs {gt})")
             continue
         if pt.z:
             block = [Mk[i] + pt.P[i] for i in range(pt.z)]

@@ -207,21 +207,17 @@ class ChainComplexData:
         return [[0] * cols for _ in range(rows)]
 
 
-def _format_group(betti: int, torsion: Sequence[int]) -> str:
-    parts = []
-    if betti == 1:
-        parts.append("Z")
-    elif betti > 1:
-        parts.append(f"Z^{betti}")
-    parts.extend(f"Z/{d}" for d in torsion)
-    return " + ".join(parts) if parts else "0"
-
-
 @dataclass(frozen=True)
 class HomologyResult:
     """Betti number and torsion invariant factors per degree."""
 
     groups: Dict[int, Tuple[int, Tuple[int, ...]]]
+
+    @classmethod
+    def from_summary(cls, summary: dict) -> "HomologyResult":
+        """The result whose ``summary()`` is ``summary``."""
+        return cls({int(k): (g["betti"], tuple(g["torsion"]))
+                    for k, g in summary.items()})
 
     def betti(self, k: int) -> int:
         return self.groups.get(k, (0, ()))[0]
@@ -250,11 +246,17 @@ class HomologyResult:
         return {str(k): {"betti": b, "torsion": list(t)}
                 for k, (b, t) in sorted(self.groups.items())}
 
+    def group_name(self, k: int) -> str:
+        """H_k written out, like "Z^2 + Z/3", or "0"."""
+        b = self.betti(k)
+        free = [] if b == 0 else ["Z" if b == 1 else f"Z^{b}"]
+        return " + ".join(free + [f"Z/{d}" for d in self.torsion(k)]) or "0"
+
     def describe(self) -> str:
         if not self.groups:
             return "trivial"
-        return ", ".join(f"H_{k} = {_format_group(b, t)}"
-                         for k, (b, t) in sorted(self.groups.items()))
+        return ", ".join(f"H_{k} = {self.group_name(k)}"
+                         for k in sorted(self.groups))
 
 
 def homology_of_complex(data: ChainComplexData) -> HomologyResult:

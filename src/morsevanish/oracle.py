@@ -78,6 +78,9 @@ __all__ = [
 
 # points per grid block: the tape's temporaries for one block fit in L2
 _CHUNK = 1 << 15
+# the highest ambient dimension with exact cubical homology; above it
+# only the Euler count runs
+EXACT_MAX_DIM = 3
 
 
 def _per_axis(resolution, n: int) -> Tuple[int, ...]:
@@ -365,9 +368,10 @@ class CubicalPair:
         return sum((-1) ** k * c for k, c in enumerate(self.cell_counts()))
 
     def homology(self) -> HomologyResult:
-        if self.dimension > 3:
+        if self.dimension > EXACT_MAX_DIM:
             raise ConfigError("exact cubical homology stops at ambient "
-                              "dimension 3; use the Euler count instead")
+                              f"dimension {EXACT_MAX_DIM}; use the Euler "
+                              "count instead")
         counts = self.cell_counts()
         rel = _khalimsky(self.total_mask) & ~_khalimsky(self.sub_mask)
         dims, sparse = _relative_data(_collapse(rel))
@@ -451,9 +455,9 @@ def sublevel_pair_homology(problem: ProblemSpec, eps: float,
     refinement cross-check disagrees.
     """
     n = len(problem.variables)
-    if n > 3:
+    if n > EXACT_MAX_DIM:
         raise ConfigError("exact cubical homology stops at ambient dimension "
-                          "3; dimension 4 only supports the Euler count")
+                          f"{EXACT_MAX_DIM}; use the Euler count instead")
     box = tuple(problem.domain.box)
     res = _per_axis(resolution, n)
     cell = [(hi - lo) / r for (lo, hi), r in zip(box, res)]

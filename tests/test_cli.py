@@ -23,11 +23,10 @@ import pytest
 import morsevanish.cli as cli_module
 import morsevanish.expr as expr_module
 from morsevanish import flow
-from morsevanish.cli import (ArtifactCache, _canon, _is_window, _parse_grid,
-                             _point_from_record, _point_record, cache_root,
+from morsevanish.cli import (ArtifactCache, _canon, _parse_grid, cache_root,
                              canonical_dumps, config_digest, dump_json,
                              load_config, main, problem_from_config)
-from morsevanish.critical import find_critical_points
+from morsevanish.critical import CriticalPoint, find_critical_points
 from morsevanish.errors import ConfigError, ConfigParse, CorruptCache
 from morsevanish.homology import assemble_complex, window_complex
 
@@ -263,14 +262,17 @@ class TestSeed:
         ("crit", "--config", None, "--seed", str(LAST + 1)),
         ("crit", "--config", None, "--seed", str(10 ** 20)),
         ("compare", "--catalog", "z^3", "--seed", "-1"),
+        ("flow", "--config", None, "--seed", "-1"),
+        ("sweep-eps", "--config", None, "--grid", "0.1", "--seed", "-1"),
     ], ids=["crit-negative", "homology-negative", "crit-past-int64",
-            "crit-huge", "compare-catalog-negative"])
+            "crit-huge", "compare-catalog-negative", "flow-negative",
+            "sweep-eps-negative"])
     def test_out_of_range_seed_exits_one_and_writes_nothing(
             self, tmp_path, capsys, argv):
         path = write_cfg(tmp_path, Z3)
         argv = [path if a is None else a for a in argv]
         assert run(tmp_path, *argv) == 1
-        assert capsys.readouterr().err.startswith("error: --seed")
+        assert capsys.readouterr().err.startswith("error: seed")
         assert not (tmp_path / "runs").exists()
 
     def test_the_last_seed_in_range_finds_every_point(self, tmp_path):
@@ -459,18 +461,26 @@ class TestCache:
 
 
 class TestPointRoundtrip:
+    @staticmethod
+    def bits(v):
+        """A field value in a form where nan and -0.0 compare bit for bit."""
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes()
+        if isinstance(v, float):
+            return np.float64(v).tobytes()
+        return type(v), v
+
     def test_record_rebuilds_the_point(self):
         spec, _ = problem_from_config(dict(DW), "t")
-        cs = find_critical_points(spec, 0.05, seed=0)
-        for p in cs.points:
-            q = _point_from_record(json.loads(
-                json.dumps(_canon(_point_record(p)))))
-            assert np.allclose(q.location, p.location)
-            assert q.value == p.value
-            assert q.index == p.index
-            assert np.allclose(q.frame, p.frame)
-            assert q.window_status == p.window_status
-            assert q.drifting == p.drifting
+        pts = find_critical_points(spec, 0.05, seed=0).points
+        # a point whose Kantorovich test failed carries a nan radius
+        pts += (dataclasses.replace(pts[0], certificate_radius=math.nan),)
+        for p in pts:
+            q = CriticalPoint.from_record(
+                json.loads(canonical_dumps(p.record())))
+            for field in dataclasses.fields(CriticalPoint):
+                assert (self.bits(getattr(q, field.name))
+                        == self.bits(getattr(p, field.name))), field.name
 
 
 class TestCommands:
@@ -822,11 +832,34 @@ class TestCommands:
         assert done.value.code == 0
         assert "--seed" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--seed", "7"), ("crit", "--eps", "small"), ("frobnicate",),
+        ()], ids=["flag-not-taken", "bad-value", "bad-command", "no-command"])
+    def test_usage_errors_exit_one(self, capsys, argv):
+        # exit 2 is kept for mathematical failures
+        with pytest.raises(SystemExit) as done:
+            main(list(argv))
+        assert done.value.code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_version_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--version"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("morsevanish ")
+
+    def test_report_takes_no_seed(self, capsys):
+        # each artifact carries its own seed; the manifest restates none
+        with pytest.raises(SystemExit) as done:
+            main(["report", "--help"])
+        assert done.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
+
     def test_jobs_flag_rejected(self, tmp_path):
         path = write_cfg(tmp_path, DW)
         with pytest.raises(SystemExit) as err:
             run(tmp_path, "crit", "--config", path, "--jobs", "4")
-        assert err.value.code == 2
+        assert err.value.code == 1
 
     def count_calls(self, monkeypatch, warn=None):
         """Record each count_boundaries call; optionally add a warning to
@@ -851,9 +884,9 @@ class TestCommands:
         for stage in ("crit", "flow", "complex"):
             assert run(tmp_path, stage, "--config", path) == 0
         assert calls == [cfg["eps"]]
-        pts = [_point_from_record(r)
-               for r in read_artifact(tmp_path, cfg, "crit")["points"]
-               if _is_window(r)]
+        pts = [p for p in map(CriticalPoint.from_record,
+                              read_artifact(tmp_path, cfg, "crit")["points"])
+               if p.in_window]
         flow = read_artifact(tmp_path, cfg, "flow")
         counts = {(s["source"], t): c for s in flow["sources"]
                   for t, c in s["counts"]
@@ -936,6 +969,7 @@ class TestCommands:
         man = json.loads((run_dir(tmp_path, DW) / "manifest.json")
                          .read_text())
         assert man["config_hash"] == config_digest(DW)
+        assert "seed" not in man
         assert man["summary"]["compare"] == "pass"
         assert man["summary"]["homology"] == "ok"
         for name, entry in man["stages"].items():

@@ -23,7 +23,8 @@ from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import (default_starts, find_critical_points,
                                   halton_points, morsify, sweep_epsilon,
                                   sweep_theta)
-from morsevanish.errors import DegenerateCriticalPoint, MorsificationFailed
+from morsevanish.errors import (ConfigError, DegenerateCriticalPoint,
+                                MorsificationFailed)
 from morsevanish.expr import eval_jet1, eval_jet2, parse_expression
 from morsevanish.homology import require_nondegenerate
 from morsevanish.metric import MetricSpec
@@ -294,6 +295,20 @@ class TestSolverEdges:
         cs = find_critical_points(prob, 0.05, n_starts=400)
         assert len(cs.points) == 1
         assert cs.n_converged > 300
+
+    # Z3 lives in R^2, where a solve makes 289 Halton starts from index
+    # 20 + 97 seed; the last index must fit in int64
+    LAST_SEED = (2 ** 63 - 1 - 20 - 289) // 97
+
+    @pytest.mark.parametrize("seed", [-1, LAST_SEED + 1],
+                             ids=["negative", "past-int64"])
+    def test_out_of_range_seed_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            find_critical_points(Z3, 0.1, seed=seed)
+
+    def test_the_last_seed_in_range_finds_every_point(self):
+        assert len(find_critical_points(Z3, 0.1, seed=self.LAST_SEED)
+                   .points) == 4
 
     def test_double_well_unperturbed(self):
         prob = ProblemSpec("well", ("x",), DomainModel.full_space(1),

@@ -15,6 +15,7 @@ Reference data used below (hand-checked before freezing):
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import CriticalPoint
 from morsevanish.errors import (ConfigError, DegenerateCriticalPoint,
-                                MissingCount, NotChainMap)
+                                MissingCount, NotAComplex, NotChainMap)
 from morsevanish.expr import parse_expression
 from morsevanish.flow import continuation_trajectories
 from morsevanish.homology import (HomologyResult, assemble_complex,
@@ -31,7 +32,7 @@ from morsevanish.homology import (HomologyResult, assemble_complex,
                                   euler_characteristic, homology,
                                   induced_map, induced_maps_agree,
                                   verify_d_squared, window_complex)
-from morsevanish.intlinalg import matmul
+from morsevanish.intlinalg import identity, matmul
 from morsevanish.metric import MetricSpec
 from morsevanish.problem import (DomainModel, ProblemSpec, WindowSpec,
                                  dual_problem)
@@ -197,6 +198,24 @@ class TestHomology:
         assert h.groups == {0: (0, (2,)), 1: (0, ())}
         assert h.betti(0) == 0 and h.torsion(0) == (2,)
         assert "Z/2" in h.describe()
+
+    def test_summary_round_trips_through_json(self):
+        h = homology(torsion_complex(6))
+        assert h.torsion(0) == (6,) and h.group_name(0) == "Z/6"
+        summary = json.loads(json.dumps(h.summary()))
+        assert HomologyResult.from_summary(summary) == h
+
+    def test_a_complex_failing_d_squared_is_refused(self):
+        # a mathematical failure (exit 2 from the CLI), not bad input
+        assert not issubclass(NotAComplex, ConfigError)
+        cx = assemble_complex(*cycle_square_counts(corrupt=True))
+        with pytest.raises(NotAComplex, match="degree 2"):
+            homology(cx)
+        # the identity commutes with any boundary, so it is a chain map
+        ident = chain_map(cx, cx, [identity(cx.rank(k))
+                                   for k in range(cx.top + 1)])
+        with pytest.raises(NotAComplex, match="degree 2"):
+            induced_map(ident)
 
     def test_zero_complex(self):
         cx = assemble_complex([], {})
