@@ -5,7 +5,9 @@
 #
 # Writes, with the source tree of the checkout and with that of the base
 # commit (extracted by `git archive` into a temporary directory), the
-# artifacts of `compare --catalog` on every catalog entry, of the continue
+# artifacts of `compare --catalog` on every catalog entry, of
+# `compare --catalog x_plus_x2y --res 48` (the 4-D Euler count at the
+# resolution of the euler_4d benchmark workload), of the continue
 # ladders below, with crit, flow (json and csv), complex, homology and
 # oracle at each eps of a ladder, of crit, flow, complex, homology,
 # oracle and compare on the planar maximum below, of crit, complex and
@@ -72,6 +74,7 @@ artifacts() {
       'from morsevanish.oracle import catalog_names; print(*catalog_names())'); do
     cli catalog compare --catalog "$name"
   done
+  cli catalog-res48 compare --catalog x_plus_x2y --res 48
   cli double_well-sweep sweep-eps --config "$work/double_well.json" \
     --grid "$sweep_grid"
   cli z3-sweep-theta sweep-theta --config "$work/z3.json" \

@@ -330,6 +330,9 @@ _FOLD = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b,
          "fpow": lambda a, p: _fpow(np.array([a]), p)[0]}
 
 
+# rows per block of a long jet batch (``Tape._jets``)
+_JET_ROWS = 1024
+
 _module = functools.lru_cache(maxsize=512)(functools.partial(
     builtins.compile, filename="<expression tape>", mode="exec"))
 
@@ -482,7 +485,7 @@ class Tape:
     def jet1(self, points: np.ndarray) -> list:
         """Values and gradients: (m,), (m, n) per output; here and in
         ``jet2`` derivatives come back C-contiguous, and the value of a
-        bare variable output is a view of ``points``."""
+        bare variable output may be a view of ``points``."""
         return self._jets("jet1", points)
 
     def jet2(self, points: np.ndarray) -> list:
@@ -490,8 +493,17 @@ class Tape:
         return self._jets("jet2", points)
 
     def _jets(self, mode, points):
+        """A batch of more than two blocks of rows runs as equal blocks
+        of at most ``_JET_ROWS`` rows, so the (n, n, rows) temporaries of
+        jet2 stay small; every row's result is the same bit for bit."""
         points = np.asarray(points, dtype=float)
-        return list(self._run(mode, points, *points.shape))
+        m, n = points.shape
+        if m <= 2 * _JET_ROWS:
+            return list(self._run(mode, points, m, n))
+        runs = [self._run(mode, block, len(block), n)
+                for block in np.array_split(points, -(-m // _JET_ROWS))]
+        return [tuple(map(np.concatenate, zip(*outs)))
+                for outs in zip(*runs)]
 
 
 def _structure(e):

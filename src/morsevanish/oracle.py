@@ -13,11 +13,14 @@ side it shares only the expression layer and the exact layer
 
 The grid is evaluated in blocks of about 2^15 points (``_CHUNK``), cut
 across as many leading axes as it takes, so the tape's temporaries for
-a block stay in L2 cache even in dimension four.  Closing the top cells
-works on the masks packed one bit per cell into little-endian 64-bit
-words along the last axis, with a spare bit at the top of every row:
-dilation along a leading axis is an OR of shifted words, along the last
-axis a one-bit shift, and a degree's cell count is a popcount.
+a block stay in L2 cache even in dimension four.  A pair holds its top
+cells only packed, one bit per cell in little-endian 64-bit words along
+the last axis, with a spare bit at the top of every row; the blocks of
+each leading index are packed as soon as they are classified, so no
+boolean grid of the full box is ever built.  Closing the top cells
+works on the words: dilation along a leading axis is an OR of shifted
+words, along the last axis a one-bit shift, and a degree's cell count
+is a popcount.
 
 The relative complex lives as a boolean mask on the doubled-index
 (Khalimsky) grid, and it is shrunk there before any sparse matrix
@@ -119,21 +122,29 @@ def _blocks(res):
 
 
 def _top_masks(fe, names, box, res, lam, Lam):
-    """Boolean top-cell arrays for {f_eps <= Lam} and {f_eps <= -lam}.
+    """Packed top cells (``_pack``) of {f_eps <= Lam} and {f_eps <= -lam}.
 
     Centers where the function is undefined evaluate to nan and land in
-    neither mask.  Evaluation runs block by block (``_blocks``) so the
-    temporaries of the tape stay in cache in dimension four.
+    neither set.  Evaluation runs block by block (``_blocks``) so the
+    temporaries of the tape stay in cache in dimension four; the blocks
+    of one leading index fill one bool slab, which is packed at once, so
+    no full-size bool mask ever exists.
     """
     tape = compile((fe,), names)
     axes = _axis_centers(box, res)
-    total = np.empty(res, dtype=bool)
-    sub = np.empty(res, dtype=bool)
-    for block in _blocks(res):
-        (vals,) = tape.grid([a[i] for a, i in zip(axes, block)]
-                            + axes[len(block):])
-        np.less_equal(vals, Lam, out=total[block])
-        np.less_equal(vals, -lam, out=sub[block])
+    k = len(next(_blocks(res))) - 1
+    slab = np.empty((2,) + res[k:], dtype=bool)
+    total = np.empty(res[:-1] + (res[-1] // 64 + 1,), dtype="<u8")
+    sub = np.empty_like(total)
+    for head, run in itertools.groupby(_blocks(res), lambda b: b[:k]):
+        for block in run:
+            (vals,) = tape.grid([a[i] for a, i in zip(axes, block)]
+                                + axes[k + 1:])
+            vals = vals[(0,) * k]
+            np.less_equal(vals, Lam, out=slab[0, block[k]])
+            np.less_equal(vals, -lam, out=slab[1, block[k]])
+        at = tuple(i.start for i in head)
+        total[at], sub[at] = _pack(slab)
     return total, sub
 
 
@@ -151,70 +162,88 @@ def _pack(top: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def _dilate(words: np.ndarray, j: int) -> np.ndarray:
+def _dilate(words: np.ndarray, j: int, buf: np.ndarray) -> np.ndarray:
     """Vertex coverage along axis j: cell i marks positions i and i+1.
 
     Along a leading axis this is the shifted OR of whole words; along
     the packed last axis it is ``w | w << 1`` with each word's top bit
-    carried into the next word.  The carry runs over the flattened
-    words, which is safe because the spare bit keeps every row's top bit
-    clear, so nothing crosses from one row into the next.
+    carried into the next word of its row.  The spare bit keeps every
+    row's top bit clear, so nothing is carried out of a row.  The result
+    is a view of the flat buffer ``buf``.
     """
     if j == words.ndim - 1:
-        flat = words.reshape(-1)
-        out = flat | (flat << 1)
-        out[1:] |= flat[:-1] >> 63
-        return out.reshape(words.shape)
+        out = buf[:words.size].reshape(words.shape)
+        np.left_shift(words, 1, out=out)
+        out |= words
+        if words.shape[-1] > 1:
+            out[..., 1:] |= words[..., :-1] >> 63
+        return out
     shape = words.shape[:j] + (words.shape[j] + 1,) + words.shape[j + 1:]
-    out = np.zeros(shape, dtype=words.dtype)
-    head = (slice(None),) * j
-    out[head + (slice(0, -1),)] = words
-    out[head + (slice(1, None),)] |= words
+    out = buf[:math.prod(shape)].reshape(shape)
+    lead = (slice(None),) * j
+    out[lead + (0,)] = words[lead + (0,)]
+    out[lead + (-1,)] = words[lead + (-1,)]
+    np.bitwise_or(words[lead + (slice(None, -1),)],
+                  words[lead + (slice(1, None),)],
+                  out=out[lead + (slice(1, -1),)])
     return out
 
 
-def _span_patterns(top: np.ndarray):
+def _walk(words, spans, bufs):
+    """The patterns of ``_span_patterns`` below the decided ``spans``.
+
+    The level buffers come in as an argument: a nested generator that
+    closed over them would sit in a reference cycle with them, and
+    every count would leave its buffers to the cycle collector.
+    """
+    j = len(spans)
+    if j == words.ndim:
+        yield spans, words
+        return
+    yield from _walk(_dilate(words, j, bufs[j]), spans + (False,), bufs)
+    yield from _walk(words, spans + (True,), bufs)
+
+
+def _span_patterns(words: np.ndarray):
     """Yield (spans, cells) for each of the 2^n spanning patterns.
 
     ``cells`` marks, in packed words (``_pack``), the closure's cells
-    that span exactly the axes j with ``spans[j]``: the top mask dilated
+    that span exactly the axes j with ``spans[j]``: the top cells dilated
     along every other axis.  The patterns are walked as a binary tree
     that decides one axis per level and shares each dilation with the
     whole subtree below it, so there are 2^n - 1 dilations in place of
-    n 2^(n-1).
+    n 2^(n-1).  Each level dilates into one flat buffer of its own, so
+    ``cells`` is only valid until the next pattern is drawn.
     """
-    def walk(arr, spans):
-        j = len(spans)
-        if j == arr.ndim:
-            yield spans, arr
-            return
-        yield from walk(_dilate(arr, j), spans + (False,))
-        yield from walk(arr, spans + (True,))
-
-    return walk(_pack(top), ())
+    n = words.ndim
+    # level j holds the leading axes up to j grown by one vertex
+    bufs = [np.empty(math.prod(w + (i <= j)
+                               for i, w in enumerate(words.shape[:-1]))
+                     * words.shape[-1], dtype=words.dtype)
+            for j in range(n)]
+    return _walk(words, (), bufs)
 
 
-def _closed_counts(top: np.ndarray) -> list:
-    """Cell counts per degree of the closure of the given top cells."""
-    counts = [0] * (top.ndim + 1)
-    for spans, cells in _span_patterns(top):
+def _closed_counts(words: np.ndarray) -> list:
+    """Cell counts per degree of the closure of the packed top cells."""
+    counts = [0] * (words.ndim + 1)
+    for spans, cells in _span_patterns(words):
         counts[sum(spans)] += int(np.bitwise_count(cells).sum())
     return counts
 
 
-def _khalimsky(top: np.ndarray) -> np.ndarray:
-    """Closure of the top cells on the doubled-index grid.
+def _khalimsky(words: np.ndarray, res) -> np.ndarray:
+    """Closure of the packed top cells on the doubled-index grid.
 
     A cell lives at coordinates in {0..2R_i}: odd means the cell spans
     that axis, even means it sits at a vertex plane.  The cell's degree
     is the number of odd coordinates.
     """
-    kh = np.zeros(tuple(2 * r + 1 for r in top.shape), dtype=bool)
-    for spans, cells in _span_patterns(top):
-        row = top.shape[-1] + (not spans[-1])
+    kh = np.zeros(tuple(2 * r + 1 for r in res), dtype=bool)
+    for spans, cells in _span_patterns(words):
+        row = res[-1] + (not spans[-1])
         kh[tuple(slice(int(s), None, 2) for s in spans)] = np.unpackbits(
-            cells.astype("<u8", copy=False).view(np.uint8), axis=-1,
-            count=row, bitorder="little")
+            cells.view(np.uint8), axis=-1, count=row, bitorder="little")
     return kh
 
 
@@ -334,22 +363,29 @@ def _relative_data(rel: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class CubicalPair:
-    """Top-cell masks for the pair ({f_eps <= Lam}, {f_eps <= -lam}).
+    """Top cells of the pair ({f_eps <= Lam}, {f_eps <= -lam}).
 
-    Both masks are boolean arrays with one entry per grid cube of the
-    box; the sub mask is always contained in the total mask.
+    Both sets are packed one bit per grid cube of the box (``_pack``):
+    little-endian 64-bit words along the last axis, bit i of a row for
+    cell i, the bits past the last cell clear.  The sub set is always
+    contained in the total set.
     """
 
     box: Tuple[Tuple[float, float], ...]
     resolution: Tuple[int, ...]
-    total_mask: np.ndarray
-    sub_mask: np.ndarray
+    total_words: np.ndarray
+    sub_words: np.ndarray
 
     def __post_init__(self):
-        if (self.total_mask.shape != self.resolution
-                or self.sub_mask.shape != self.resolution):
-            raise ConfigError("mask shapes disagree with the stated resolution")
-        if bool(np.any(self.sub_mask & ~self.total_mask)):
+        res = self.resolution
+        shape = res[:-1] + (res[-1] // 64 + 1,)
+        w, b = divmod(res[-1], 64)
+        for words in (self.total_words, self.sub_words):
+            if (words.shape != shape or words.dtype != np.dtype("<u8")
+                    or (words[..., w] >> b).any()):
+                raise ConfigError("packed top cells disagree with the "
+                                  "stated resolution")
+        if bool(np.any(self.sub_words & ~self.total_words)):
             raise ConfigError("sub-level mask escapes the total mask; "
                               "the level pair is inverted")
 
@@ -359,8 +395,8 @@ class CubicalPair:
 
     def cell_counts(self) -> Tuple[int, ...]:
         """Relative cell counts per degree of the closed pair."""
-        full = _closed_counts(self.total_mask)
-        below = _closed_counts(self.sub_mask)
+        full = _closed_counts(self.total_words)
+        below = _closed_counts(self.sub_words)
         return tuple(a - b for a, b in zip(full, below))
 
     @property
@@ -373,7 +409,8 @@ class CubicalPair:
                               f"dimension {EXACT_MAX_DIM}; use the Euler "
                               "count instead")
         counts = self.cell_counts()
-        rel = _khalimsky(self.total_mask) & ~_khalimsky(self.sub_mask)
+        rel = (_khalimsky(self.total_words, self.resolution)
+               & ~_khalimsky(self.sub_words, self.resolution))
         dims, sparse = _relative_data(_collapse(rel))
         # a degree the collapse emptied still reports its zero group
         dims = {k: dims.get(k, 0) for k, c in enumerate(counts) if c}
@@ -402,13 +439,18 @@ def _touches_rim(pair: CubicalPair) -> bool:
     """Whether the relative region total & ~sub reaches a wall of the box.
 
     Only the 2n faces of the grid are read, never the whole relative
-    mask.
+    set: the end slabs of each leading axis, and bits 0 and r - 1 of
+    the packed last axis.
     """
-    for j in range(pair.dimension):
+    total, sub = pair.total_words, pair.sub_words
+    for j in range(pair.dimension - 1):
         for end in (0, -1):
-            total = pair.total_mask.take(end, axis=j)
-            if (total & ~pair.sub_mask.take(end, axis=j)).any():
+            if (total.take(end, axis=j) & ~sub.take(end, axis=j)).any():
                 return True
+    for cell in (0, pair.resolution[-1] - 1):
+        w, b = divmod(cell, 64)
+        if ((total[..., w] & ~sub[..., w]) >> b & 1).any():
+            return True
     return False
 
 
@@ -508,8 +550,9 @@ def pair_euler_characteristic(problem: ProblemSpec, eps: float,
     prev = None
     for _ in range(_EULER_DOUBLINGS + 1):
         pair = build_pair(problem, eps, lam, Lam, box=box, resolution=res)
-        chi = pair.euler
-        if not _touches_rim(pair):
+        chi, rim = pair.euler, _touches_rim(pair)
+        del pair  # the next box is built without this one alive
+        if not rim:
             return chi
         if prev is not None and chi == prev:
             return chi

@@ -604,6 +604,38 @@ class TestTape:
                 assert all(map(same_bytes, g, w)) if isinstance(g, tuple) \
                     else same_bytes(g, w), mode
 
+    @pytest.mark.parametrize("mode", ["jet1", "jet2"])
+    def test_long_batches_run_in_blocks_bit_for_bit(self, mode,
+                                                    monkeypatch):
+        # 2,500 rows, among them rows of inf, nan, 1e200 and signed zeros
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(2500, 3)) * 2.0
+        points[:7] = [[np.inf] * 3, [-np.inf, 1.0, 2.0], [np.nan] * 3,
+                      [1e200, -1e200, 1e200], [0.0] * 3, [-0.0] * 3,
+                      [-0.0, 0.0, np.nan]]
+        points[1234] = points[2499] = np.inf
+        tape = compile(self.exprs()[40:], self.NAMES)
+        with np.errstate(all="ignore"):
+            whole = tape.kernel(mode)(points, *points.shape)
+        rows, run = [], tape._run
+        monkeypatch.setattr(tape, "_run", lambda mode, X, m, n: (
+            rows.append(m), run(mode, X, m, n))[1])
+        got = getattr(tape, mode)(points)
+        assert rows == [834, 833, 833]
+        blocks = [getattr(tape, mode)(b)
+                  for b in np.array_split(points, 3)]
+        assert rows[3:] == [834, 833, 833]
+        for k, g in enumerate(got):
+            per_block = [np.concatenate(x) for x in
+                         zip(*(b[k] for b in blocks))]
+            assert all(map(same_bytes, g, per_block)), k
+            assert all(map(same_bytes, g, whole[k])), k
+        # up to two blocks' worth of rows is one call
+        del rows[:]
+        getattr(tape, mode)(points[:2048])
+        getattr(tape, mode)(points[:1025])
+        assert rows == [2048, 1025]
+
     def test_shared_tau_costs_one_set_of_instructions(self):
         f = parse_expression("x^4 - x^2 - y^2")
         tau = parse_expression("pow(1 + x^2 + y^2, -1/2)")

@@ -19,6 +19,7 @@ said otherwise:
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from morsevanish.homology import (HomologyResult, euler_characteristic,
 from morsevanish.intlinalg import homology_of_complex, reduce_complex
 from morsevanish.oracle import (CubicalPair, _axis_centers, _closed_counts,
                                 _collapse, _khalimsky, _grow_box,
-                                _hand_problem, _relative_data, _top_masks,
+                                _hand_problem, _pack, _relative_data,
+                                _top_masks, _touches_rim,
                                 build_pair, catalog_lookup, catalog_names,
                                 pair_euler_characteristic,
                                 sublevel_pair_homology)
@@ -43,9 +45,32 @@ CUBICAL = [n for n in catalog_names()
            if len(catalog_lookup(n).problem().variables) <= 3]
 
 
+def relative(total, sub):
+    """The relative Khalimsky mask of two bool top-cell masks."""
+    return (_khalimsky(_pack(total), total.shape)
+            & ~_khalimsky(_pack(sub), sub.shape))
+
+
+def pair_relative(pair):
+    """The relative Khalimsky mask of a built pair."""
+    return (_khalimsky(pair.total_words, pair.resolution)
+            & ~_khalimsky(pair.sub_words, pair.resolution))
+
+
+def unpack(words, res):
+    """The bool mask that ``_pack`` packed into ``words``."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=res[-1],
+                         bitorder="little").astype(bool)
+
+
+def packed_pair(total, sub):
+    return CubicalPair(((0.0, 1.0),) * total.ndim, total.shape,
+                       _pack(total), _pack(sub))
+
+
 def dense_boundaries(total, sub):
     """Dense quotient boundary matrices straight from the sparse dicts."""
-    rel = _khalimsky(total) & ~_khalimsky(sub)
+    rel = relative(total, sub)
     dims, sparse = _relative_data(rel)
     coords = np.argwhere(rel)
     strides = np.cumprod((rel.shape[1:] + (1,))[::-1])[::-1]
@@ -125,10 +150,10 @@ class TestCellMachinery:
     def test_dilation_tree_matches_per_pattern_loop(self, shape, seed):
         rng = np.random.default_rng(seed)
         top = rng.random(shape) < (0.2, 0.5, 0.8, 0.0, 1.0)[seed]
-        counts = _closed_counts(top)
+        counts = _closed_counts(_pack(top))
         assert counts == closed_counts_reference(top)
         assert all(type(c) is int for c in counts)  # JSON-serialisable
-        kh = _khalimsky(top)
+        kh = _khalimsky(_pack(top), shape)
         assert kh.shape == tuple(2 * r + 1 for r in shape)
         assert np.array_equal(kh, khalimsky_reference(top))
 
@@ -140,9 +165,10 @@ class TestCellMachinery:
         vals = point_values(fe, names, box, res)
         # 30 // (3 * 4) = 2 rows per chunk, and 7 rows leave a short tail
         monkeypatch.setattr(oracle, "_CHUNK", 30)
-        total, sub = _top_masks(fe, names, box, res, 0.5, 1.0)
-        assert np.array_equal(total, vals <= 1.0)
-        assert np.array_equal(sub, vals <= -0.5)
+        total, sub = vals <= 1.0, vals <= -0.5
+        words = _top_masks(fe, names, box, res, 0.5, 1.0)
+        assert np.array_equal(words[0], _pack(total))
+        assert np.array_equal(words[1], _pack(sub))
         assert sub.any() and (total & ~sub).any() and not total.all()
 
     def test_4d_blocks_match_points(self, monkeypatch):
@@ -158,26 +184,45 @@ class TestCellMachinery:
         assert len(blocks) == 9
         assert [b[1] for b in blocks[:3]] == [slice(0, 2), slice(2, 4),
                                               slice(4, 6)]
-        total, sub = _top_masks(fe, names, box, res, 0.5, 1.0)
-        assert np.array_equal(total, vals <= 1.0)
-        assert np.array_equal(sub, vals <= -0.5)
+        total, sub = vals <= 1.0, vals <= -0.5
+        words = _top_masks(fe, names, box, res, 0.5, 1.0)
+        assert np.array_equal(words[0], _pack(total))
+        assert np.array_equal(words[1], _pack(sub))
+        assert sub.any() and (total & ~sub).any() and not total.all()
+
+    def test_1d_runs_cut_the_packed_axis_off_byte_boundaries(self,
+                                                              monkeypatch):
+        fe = parse_expression("x^4 - x^2")
+        box, res = ((-1.5, 1.5),), (200,)
+        vals = point_values(fe, ("x",), box, res)
+        # runs of 50 cells start at bits 50, 100 and 150 of the packed
+        # row, none of them on a byte boundary
+        monkeypatch.setattr(oracle, "_CHUNK", 50)
+        assert [b[0] for b in oracle._blocks(res)] == [
+            slice(i, i + 50) for i in range(0, 200, 50)]
+        total, sub = vals <= 0.5, vals <= -0.1
+        words = _top_masks(fe, ("x",), box, res, 0.1, 0.5)
+        assert np.array_equal(words[0], _pack(total))
+        assert np.array_equal(words[1], _pack(sub))
         assert sub.any() and (total & ~sub).any() and not total.all()
 
     def test_single_cell_closure_counts(self):
         one = np.ones((1, 1, 1), dtype=bool)
-        assert _closed_counts(one) == [8, 12, 6, 1]
-        assert _closed_counts(np.ones((1, 1), dtype=bool)) == [4, 4, 1]
+        assert _closed_counts(_pack(one)) == [8, 12, 6, 1]
+        assert _closed_counts(_pack(np.ones((1, 1), dtype=bool))) \
+            == [4, 4, 1]
 
     def test_grid_closure_counts(self):
-        counts = _closed_counts(np.ones((3, 3), dtype=bool))
+        counts = _closed_counts(_pack(np.ones((3, 3), dtype=bool)))
         assert counts == [16, 24, 9]
         assert counts[0] - counts[1] + counts[2] == 1
 
     def test_empty_mask(self):
         zero = np.zeros((4, 4), dtype=bool)
-        assert _closed_counts(zero) == [0, 0, 0]
-        assert not _khalimsky(zero).any()
-        assert _relative_data(_khalimsky(zero)) == ({}, {})
+        assert _closed_counts(_pack(zero)) == [0, 0, 0]
+        assert not _khalimsky(_pack(zero), zero.shape).any()
+        assert _relative_data(_khalimsky(_pack(zero), zero.shape)) \
+            == ({}, {})
 
     @pytest.mark.parametrize("seed,shape", [(7, (6, 5, 4)), (11, (9, 8))])
     def test_d_squared_zero_on_random_pairs(self, seed, shape):
@@ -195,12 +240,59 @@ class TestCellMachinery:
         sub = np.zeros((3, 3), dtype=bool)
         sub[1, 1] = True
         with pytest.raises(ConfigError, match="escapes the total mask"):
-            CubicalPair(((0.0, 1.0), (0.0, 1.0)), (3, 3), total, sub)
+            packed_pair(total, sub)
 
     def test_shape_mismatch_rejected(self):
-        m = np.zeros((3, 3), dtype=bool)
+        # a packed row does not record its cell count, so the mismatch
+        # is on a leading axis
+        m = _pack(np.zeros((3, 3), dtype=bool))
         with pytest.raises(ConfigError, match="resolution"):
-            CubicalPair(((0.0, 1.0), (0.0, 1.0)), (3, 4), m, m.copy())
+            CubicalPair(((0.0, 1.0), (0.0, 1.0)), (4, 3), m, m.copy())
+
+    @pytest.mark.parametrize("r", [63, 64, 65])
+    def test_cells_past_the_resolution_rejected(self, r):
+        # one cell more than the resolution sets the spare bit, or the
+        # first bit of the spare word at r = 64
+        m = _pack(np.ones((2, r + 1), dtype=bool))
+        with pytest.raises(ConfigError, match="resolution"):
+            CubicalPair(((0.0, 1.0), (0.0, 1.0)), (2, r), m, m.copy())
+        # the right bits in the other byte order are other words
+        m = _pack(np.ones((2, r), dtype=bool)).astype(">u8")
+        with pytest.raises(ConfigError, match="resolution"):
+            CubicalPair(((0.0, 1.0), (0.0, 1.0)), (2, r), m, m.copy())
+
+    @pytest.mark.parametrize("r", [63, 64, 65])
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_escape_at_a_packed_end_rejected(self, r, end):
+        total = np.ones((3, r), dtype=bool)
+        total[:, end] = False
+        sub = np.zeros((3, r), dtype=bool)
+        sub[1, end] = True
+        with pytest.raises(ConfigError, match="escapes the total mask"):
+            packed_pair(total, sub)
+
+    @pytest.mark.parametrize("r", [63, 64, 65])
+    def test_rim_at_the_packed_ends(self, r):
+        for cell, rim in ((0, True), (r - 1, True), (1, False),
+                          (r - 2, False), (r // 2, False)):
+            total = np.zeros((3, r), dtype=bool)
+            total[1, cell] = True
+            assert _touches_rim(packed_pair(total, total & False)) is rim
+            # the same cell in the sub set leaves nothing relative
+            assert not _touches_rim(packed_pair(total, total))
+
+    @pytest.mark.parametrize("shape", [(r,) for r in (63, 64, 65)]
+                             + [(2, r) for r in (63, 64, 65)]
+                             + [(3, 2, r) for r in (63, 64, 65)])
+    def test_rim_matches_the_bool_faces(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            total = rng.random(shape) < 0.05
+            sub = total & (rng.random(shape) < 0.5)
+            rel = total & ~sub
+            faces = any(rel.take(end, axis=j).any()
+                        for j in range(rel.ndim) for end in (0, -1))
+            assert _touches_rim(packed_pair(total, sub)) is faces
 
     def test_grow_box_pins_finite_domain_ends(self):
         box = ((0.001, 3.0),)
@@ -232,11 +324,10 @@ class TestCollapse:
     def test_collapse_keeps_the_homology(self):
         answers = set()
         for seed, total, sub in random_pairs():
-            rel = _khalimsky(total) & ~_khalimsky(sub)
+            rel = relative(total, sub)
             reference = homology_of_complex(
                 reduce_complex(*_relative_data(rel)))
-            pair = CubicalPair(((0.0, 1.0),) * total.ndim, total.shape,
-                               total, sub)
+            pair = packed_pair(total, sub)
             assert pair.homology().summary() == reference.summary(), seed
             answers.add(repr(reference.summary()))
         assert len(answers) >= 3
@@ -244,7 +335,7 @@ class TestCollapse:
     def test_remainder_is_a_complex_with_the_same_euler_count(self):
         shrunk = 0
         for seed, total, sub in random_pairs():
-            rel = _khalimsky(total) & ~_khalimsky(sub)
+            rel = relative(total, sub)
             left = _collapse(rel)
             dims, sparse = _relative_data(left)
             assert alternating(dims) == alternating(_relative_data(rel)[0])
@@ -262,7 +353,7 @@ class TestCollapse:
     def test_emptied_degrees_keep_their_keys(self):
         e = catalog_lookup("corner_2d")
         pair = build_pair(e.problem(), e.eps, resolution=e.resolution)
-        rel = _khalimsky(pair.total_mask) & ~_khalimsky(pair.sub_mask)
+        rel = pair_relative(pair)
         assert rel.any() and not _collapse(rel).any()
         assert pair.homology().summary() == {
             str(k): {"betti": 0, "torsion": []} for k in range(3)}
@@ -276,13 +367,13 @@ class TestCollapse:
         for resolution in (e.resolution, 2 * e.resolution):
             pair = build_pair(e.problem(), e.eps, e.lam, e.Lam,
                               resolution=resolution)
-            rel = _khalimsky(pair.total_mask) & ~_khalimsky(pair.sub_mask)
+            rel = pair_relative(pair)
             assert _relative_data(_collapse(rel))[0] == betti, resolution
 
     def test_z4_keeps_three_circles(self):
         e = catalog_lookup("z^4")
         pair = build_pair(e.problem(), e.eps, resolution=e.resolution)
-        rel = _khalimsky(pair.total_mask) & ~_khalimsky(pair.sub_mask)
+        rel = pair_relative(pair)
         assert _relative_data(_collapse(rel))[0] == {1: 3}
         assert pair.homology().groups == {0: (0, ()), 1: (3, ()),
                                           2: (0, ())}
@@ -324,15 +415,16 @@ class TestPairHomology:
     def test_undefined_centers_land_in_neither_mask(self):
         prob = _hand_problem("half", ("y",), "y", "pow(y, 1/2)")
         pair = build_pair(prob, 0.1, box=((-1.0, 3.0),), resolution=16)
-        assert not pair.total_mask[:4].any()
-        assert not pair.sub_mask.any()
+        assert not unpack(pair.total_words, pair.resolution)[:4].any()
+        assert not unpack(pair.sub_words, pair.resolution).any()
 
     def test_pair_summary_and_euler(self):
         e = catalog_lookup("z^3")
         pair = build_pair(e.problem(), e.eps, box=((-6.0, 6.0),) * 2,
                           resolution=48)
         assert pair.resolution == (48, 48)
-        assert pair.sub_mask.sum() <= pair.total_mask.sum()
+        assert np.bitwise_count(pair.sub_words).sum() \
+            <= np.bitwise_count(pair.total_words).sum()
         assert pair.euler == sum((-1) ** k * c
                                  for k, c in enumerate(pair.cell_counts()))
         assert pair.euler == pair.homology().euler == -2
@@ -389,6 +481,21 @@ class TestEulerRoute:
         pair = build_pair(e.problem(), 0.1, 1, 10, resolution=16)
         assert pair.cell_counts() == (32609, 127712, 186768, 120884, 29220)
         assert pair.euler == 1
+
+    def test_flagship_count_holds_no_bool_grid(self):
+        # 40^4 cells are 2.56 MB as one bool mask, and the count held two
+        # of them and their dilations (a 12.2 MB peak); packed, the pair
+        # is 0.33 MB of words and the peak stays near 3.6 MB
+        e = catalog_lookup("x_plus_x2y")
+        tracemalloc.start()
+        try:
+            chi = pair_euler_characteristic(e.problem(), e.eps, e.lam,
+                                            e.Lam, resolution=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chi == 1
+        assert peak < 6 * 2 ** 20, peak / 2 ** 20
 
     def test_planar_chi_matches_homology(self):
         e = catalog_lookup("z^4")
