@@ -18,7 +18,9 @@
 # stays out, since its manifest carries timestamps by design.  A
 # difference fails the check unless morsevanish.__version__ differs between
 # the two trees, since a version bump is how a change that moves artifact
-# bytes is declared.
+# bytes is declared.  Cache keys carry the version, so after a bump every
+# cache entry differs; that branch lists the stage artifacts that moved,
+# cache excluded, in place of the whole diff.
 # Run from the root of the repository, with the history of the base commit
 # present (actions/checkout needs fetch-depth: 0).
 set -euo pipefail
@@ -112,12 +114,16 @@ version() {
 artifacts "$head_dir" "$work/out-head"
 artifacts "$work/base" "$work/out-base"
 files=$(find "$work/out-head" -type f | wc -l)
-if diff -r "$work/out-base" "$work/out-head"; then
+if diff -r "$work/out-base" "$work/out-head" > "$work/diff"; then
   echo "byte-identical: $files files against $base_rev"
 elif [ "$(version "$work/base")" != "$(version "$head_dir")" ]; then
   echo "artifacts differ, and the version moved" \
        "$(version "$work/base") -> $(version "$head_dir")"
+  echo "stage artifacts that differ (cache excluded):"
+  diff -rq -x cache "$work/out-base" "$work/out-head" \
+    | sed "s|$work/out-base/||; s|$work/out-head/||" || true
 else
+  cat "$work/diff"
   echo "artifacts differ from $base_rev at the same version" \
        "$(version "$head_dir")" >&2
   exit 1

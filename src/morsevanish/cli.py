@@ -47,15 +47,15 @@ from .errors import (ConfigError, ConfigParse, CorruptCache, CountingRefused,
 from .expr import parse_expression
 from .flow import (BOUNDARY_BUDGET, R_LAUNCH, check_delta,
                    continuation_trajectories, count_boundaries, count_plan)
-from .homology import (D2Report, MorseComplex, boundary_sources,
-                       complex_from_counts, continuation_chain_map,
-                       euler_characteristic, generator_order, homology,
-                       require_nondegenerate)
+from .homology import (MorseComplex, boundary_sources, complex_from_counts,
+                       continuation_chain_map, euler_characteristic,
+                       generator_order, homology, require_nondegenerate)
 from .intlinalg import HomologyResult
 from .metric import MetricSpec
 from .oracle import (EXACT_MAX_DIM, catalog_lookup, pair_euler_characteristic,
                      sublevel_pair_homology)
-from .problem import DomainModel, ProblemSpec, WindowSpec
+from .problem import (BOX_REACH, DEFAULT_WINDOW, DomainModel, ProblemSpec,
+                      WindowSpec)
 
 SCHEMA = 1
 
@@ -166,19 +166,23 @@ def _integer(v, what: str, least: int) -> int:
     return v
 
 
-def _window_from(cfg: dict) -> Optional[WindowSpec]:
+def _window_from(cfg: dict) -> WindowSpec:
     w = cfg.get("window")
     if w is None:
-        return None
+        return DEFAULT_WINDOW
     if not isinstance(w, dict):
         raise ConfigError("window must be an object")
-    lam = _number(w.get("lambda", 1.0), "window.lambda")
-    Lam = _number(w.get("Lambda", 10.0 * lam), "window.Lambda")
-    sigma = _number(w.get("sigma", 0.25 * lam), "window.sigma")
+    lam = _number(w.get("lambda", DEFAULT_WINDOW.lam), "window.lambda")
+    Lam = _number(w.get("Lambda", DEFAULT_WINDOW.Lam * lam), "window.Lambda")
+    sigma = _number(w.get("sigma", DEFAULT_WINDOW.sigma * lam), "window.sigma")
     if "a" in w or "b" in w:
         return WindowSpec(_number(w["a"], "window.a"),
                           _number(w["b"], "window.b"), lam, Lam, sigma)
     return WindowSpec.finite_action(lam, Lam, sigma)
+
+
+def _box_halfwidth(cfg: dict) -> float:
+    return _number(cfg.get("box_halfwidth", BOX_REACH), "box_halfwidth")
 
 
 def _metric_from(cfg: dict) -> MetricSpec:
@@ -203,8 +207,7 @@ def _metric_from(cfg: dict) -> MetricSpec:
 def _domain_from(cfg: dict, n: int) -> DomainModel:
     dom = cfg.get("domain", "real_line")
     if dom == "real_line":
-        return DomainModel.full_space(
-            n, _number(cfg.get("box_halfwidth", 3.0), "box_halfwidth"))
+        return DomainModel.full_space(n, _box_halfwidth(cfg))
     if "box_halfwidth" in cfg:
         raise ConfigError("box_halfwidth applies to real_line domains; an "
                           "interval domain takes its box from the intervals")
@@ -271,8 +274,7 @@ def problem_from_config(cfg: dict, fallback_name: str
             alpha=None if alpha is None else _integer(alpha, "alpha", 1))
         spec = realify(alg, theta=_number(poly.get("theta", 0.0), "theta"),
                        window=_window_from(cfg),
-                       box_halfwidth=_number(cfg.get("box_halfwidth", 3.0),
-                                             "box_halfwidth"))
+                       box_halfwidth=_box_halfwidth(cfg))
         return spec, alg
 
     for key in ("dimension", "f", "tau"):
@@ -288,11 +290,10 @@ def problem_from_config(cfg: dict, fallback_name: str
     if len(names) != n:
         raise ConfigError(f"variables lists {len(names)} names for "
                           f"dimension {n}")
-    window = _window_from(cfg) or WindowSpec.finite_action(1.0, 10.0, 0.25)
     spec = ProblemSpec(name, names, _domain_from(cfg, n),
                        parse_expression(str(cfg["f"])),
                        parse_expression(str(cfg["tau"])),
-                       _metric_from(cfg), window)
+                       _metric_from(cfg), _window_from(cfg))
     return spec, None
 
 
@@ -628,7 +629,6 @@ def cmd_complex(args) -> int:
         "generators": [[p.record() for p in grp]
                        for grp in cx.generators],
         "boundaries": [cx.boundary(k) for k in range(1, cx.top + 1)],
-        "notes": list(cx.notes),
     }
     path = dump_json(ctx.stage_path("complex"), report)
     print(f"ranks {ranks} -> {path}")
@@ -644,8 +644,7 @@ def cmd_homology(args) -> int:
     h = homology(cx)  # raises unless d.d = 0
     report = {"schema": SCHEMA, "command": "homology",
               "problem": cx.problem, "eps": eps,
-              "groups": h.summary(), "euler": h.euler,
-              "d_squared": D2Report(True).describe()}
+              "groups": h.summary(), "euler": h.euler}
     path = dump_json(ctx.stage_path("homology"), report)
     print(f"{h.describe()} -> {path}")
     return 0

@@ -22,7 +22,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from .errors import AlphaTooSmall, ConfigError, ZeroPolynomial
 from .expr import Const, Expression, FracPow, IntPow, Product, Sum, Var
 from .metric import MetricSpec
-from .problem import DomainModel, ProblemSpec, WindowSpec
+from .problem import (BOX_REACH, DEFAULT_WINDOW, DomainModel, ProblemSpec,
+                      WindowSpec)
 
 __all__ = ["AlgebraicProblem", "build_tau",
            "realify", "real_variables", "real_imag_parts"]
@@ -179,8 +180,8 @@ def real_imag_parts(problem: AlgebraicProblem):
 
 
 def realify(problem: AlgebraicProblem, theta: float = 0.0,
-            window: Optional[WindowSpec] = None,
-            box_halfwidth: float = 3.0) -> ProblemSpec:
+            window: WindowSpec = DEFAULT_WINDOW,
+            box_halfwidth: float = BOX_REACH) -> ProblemSpec:
     """ProblemSpec on R^{2n} for f_theta = Re(e^{i theta} F).
 
     f_theta = cos(theta) Re F - sin(theta) Im F.  At theta = 0 the result
@@ -200,8 +201,6 @@ def realify(problem: AlgebraicProblem, theta: float = 0.0,
             parts.append(Product((Const(Fraction(-s)), im_expr)))
         f = Sum(tuple(parts)) if len(parts) != 1 else parts[0]
 
-    if window is None:
-        window = WindowSpec.finite_action(1.0, 10.0, 0.25)
     domain = DomainModel.full_space(2 * problem.n, box_halfwidth)
     return ProblemSpec(
         name=f"{problem.name}[theta={theta:g}]" if theta else problem.name,

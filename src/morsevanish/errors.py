@@ -80,7 +80,8 @@ class DeltaFloor(MorsevanishError):
 
 
 class MissingCount(MorsevanishError):
-    """A boundary count for an index-difference-one pair was not supplied."""
+    """A boundary count for an index-difference-one pair was not supplied,
+    or came with a counting warning."""
 
 
 class NotChainMap(MorsevanishError):

@@ -91,8 +91,9 @@ __all__ = ["TrajectoryRecord", "integrate_flow",
            "continuation_trajectories", "ContinuationResult"]
 
 ENERGY_RTOL = 1e-6
-# counting defaults: launch offset from a critical point, and the step
-# budgets of a boundary (or single flow) row and of a continuation row
+# counting constants, read when a count runs: launch offset from a
+# critical point, and the step budgets of a boundary (or single flow) row
+# and of a continuation row
 R_LAUNCH = 1e-4
 BOUNDARY_BUDGET = 40000
 CONTINUATION_BUDGET = 60000
@@ -155,18 +156,19 @@ def _make_record(row: _RowResult, field: _Field, start: np.ndarray,
 
 
 def integrate_flow(problem: ProblemSpec, eps: float, start,
-                   targets: Sequence[CriticalPoint] = (),
-                   budget: int = BOUNDARY_BUDGET) -> TrajectoryRecord:
+                   targets: Sequence[CriticalPoint] = ()
+                   ) -> TrajectoryRecord:
     """One flowline from an interior start until arrival at a target,
-    window exit past the sigma margin, or exhaustion; exhaustion raises
-    BudgetExceeded and a collapsed step size raises StepCollapse."""
+    window exit past the sigma margin, or exhaustion of BOUNDARY_BUDGET
+    steps; exhaustion raises BudgetExceeded and a collapsed step size
+    raises StepCollapse."""
     x0 = np.asarray(start, dtype=float)
     if not problem.domain.contains(x0):
         raise ConfigError(
             f"flow start {x0.tolist()} is not inside the domain")
     field = _Field(problem, eps)
     tset = _TargetSet(targets)
-    ((row,),) = _integrate([_Leg(field, x0[None, :], tset, budget,
+    ((row,),) = _integrate([_Leg(field, x0[None, :], tset, BOUNDARY_BUDGET,
                                  record=True)])
     start_value = None
     for i, p in enumerate(tset.points):
@@ -176,8 +178,8 @@ def integrate_flow(problem: ProblemSpec, eps: float, start,
     rec = _make_record(row, field, x0, start_value, tset)
     if row.status == BUDGET:
         raise BudgetExceeded(
-            f"flow from {x0.tolist()} did not terminate in {budget} steps "
-            f"(reached s={row.s_end:.4g}, f range "
+            f"flow from {x0.tolist()} did not terminate in "
+            f"{BOUNDARY_BUDGET} steps (reached s={row.s_end:.4g}, f range "
             f"[{row.f_min:.4g}, {row.f_max:.4g}])")
     if row.status == COLLAPSE:
         raise StepCollapse(
@@ -251,11 +253,11 @@ class BoundaryCountResult:
     warnings: Tuple[str, ...] = ()
 
 
-def _launches(launchers: Sequence[CriticalPoint], r_launch: float):
+def _launches(launchers: Sequence[CriticalPoint]):
     """(launcher position, side, start) for both branches of the
     one-dimensional unstable manifold of every index-1 launcher, in
-    launcher order, side +1 first, from p + side r_launch frame_p[:, 0]."""
-    return [(i, side, p.location + side * r_launch * p.frame[:, 0])
+    launcher order, side +1 first, from p + side R_LAUNCH frame_p[:, 0]."""
+    return [(i, side, p.location + side * R_LAUNCH * p.frame[:, 0])
             for i, p in enumerate(launchers) for side in (1, -1)]
 
 
@@ -272,8 +274,7 @@ def _sgn_det(p: CriticalPoint) -> int:
 
 def count_plan(problem: ProblemSpec, eps: float,
                sources: Sequence[CriticalPoint],
-               targets: Sequence[CriticalPoint], *,
-               r_launch: float = R_LAUNCH, budget: int = BOUNDARY_BUDGET):
+               targets: Sequence[CriticalPoint]):
     """``count_boundaries`` in two halves: the legs to integrate, the
     index-1 launches in one and the top-degree launches in another, and
     a function that reads their rows into the results."""
@@ -292,19 +293,18 @@ def count_plan(problem: ProblemSpec, eps: float,
         # only the index-0 targets absorb a forward launch
         zeros = [j for j, q in enumerate(targets) if q.index == 0]
         tset = _TargetSet([targets[j] for j in zeros])
-        ahead = _launches([sources[s] for s in ones], r_launch)
+        ahead = _launches([sources[s] for s in ones])
         legs.append(_Leg(field, np.stack([x0 for _, _, x0 in ahead]), tset,
-                         budget))
+                         BOUNDARY_BUDGET))
     if tops:
         # -f_eps = (-f) + (-eps) / tau; its sinks are the top sources
         dual = _Field(dual_problem(problem), -eps)
         sinks = _TargetSet([_as_sink(sources[s], n) for s in tops])
         launch_from = [j for j, q in enumerate(targets) if q.index == n - 1]
-        back = _launches([_as_sink(targets[j], n) for j in launch_from],
-                         r_launch)
+        back = _launches([_as_sink(targets[j], n) for j in launch_from])
         if back:
             legs.append(_Leg(dual, np.stack([x0 for _, _, x0 in back]),
-                             sinks, budget))
+                             sinks, BOUNDARY_BUDGET))
 
     def read(rows) -> List[BoundaryCountResult]:
         counts = [{j: 0 for j, q in enumerate(targets) if q.index < p.index}
@@ -359,17 +359,16 @@ def count_plan(problem: ProblemSpec, eps: float,
 
 def count_boundaries(problem: ProblemSpec, eps: float,
                      sources: Sequence[CriticalPoint],
-                     targets: Sequence[CriticalPoint], *,
-                     r_launch: float = R_LAUNCH,
-                     budget: int = BOUNDARY_BUDGET
+                     targets: Sequence[CriticalPoint]
                      ) -> List[BoundaryCountResult]:
     """Signed counts of flowlines from each source, of index k, into the
     index-(k-1) members of the shared ``targets``, autonomous field at the
-    given eps.  Each result's counts hold the positions in ``targets`` of
-    every target of index below k, zeros included, and its trajectory
-    records name their targets by those positions too; the other targets
-    are neither counted nor absorbing, so all window points may be
-    passed as ``targets``.
+    given eps, launched at R_LAUNCH with BOUNDARY_BUDGET steps a row.
+    Each result's counts hold the positions in ``targets`` of every
+    target of index below k, zeros included, and its trajectory records
+    name their targets by those positions too; the other targets are
+    neither counted nor absorbing, so all window points may be passed as
+    ``targets``.
 
     k = 1 launches the two unstable branches; the index-0 targets absorb
     (arrival there ends a row).  Top degree k = n >= 2 is index 1 of the
@@ -379,16 +378,14 @@ def count_boundaries(problem: ProblemSpec, eps: float,
     batch (``count_plan`` hands them out to share a larger one).  Sources
     of index 2 <= k < n raise CountingRefused before any integration.
     """
-    legs, read = count_plan(problem, eps, sources, targets,
-                            r_launch=r_launch, budget=budget)
+    legs, read = count_plan(problem, eps, sources, targets)
     return read(_integrate(legs) if legs else [])
 
 
 def count_boundary(problem: ProblemSpec, eps: float, source: CriticalPoint,
-                   targets: Sequence[CriticalPoint],
-                   **count) -> BoundaryCountResult:
+                   targets: Sequence[CriticalPoint]) -> BoundaryCountResult:
     """``count_boundaries`` for one source."""
-    (res,) = count_boundaries(problem, eps, [source], targets, **count)
+    (res,) = count_boundaries(problem, eps, [source], targets)
     return res
 
 

@@ -64,7 +64,6 @@ class MorseComplex:
     window: Tuple[float, float]
     generators: Tuple[Tuple[CriticalPoint, ...], ...]
     boundaries: Tuple[Matrix, ...]
-    notes: Tuple[str, ...] = ()
 
     @property
     def top(self) -> int:
@@ -115,8 +114,8 @@ def generator_order(points: Sequence[CriticalPoint]
 def assemble_complex(points: Sequence[CriticalPoint],
                      counts: Mapping[Tuple[int, int], int],
                      problem: str = "", eps: float = float("nan"),
-                     window: Optional[Tuple[float, float]] = None,
-                     notes: Sequence[str] = ()) -> MorseComplex:
+                     window: Optional[Tuple[float, float]] = None
+                     ) -> MorseComplex:
     """Build a MorseComplex from points and pairwise flowline counts.
 
     ``counts`` is keyed by (source, target) positions in the input
@@ -171,7 +170,7 @@ def assemble_complex(points: Sequence[CriticalPoint],
 
     generators = tuple(tuple(pts[i] for i in grp) for grp in order)
     return MorseComplex(problem, float(eps), (a, b), generators,
-                        tuple(mats), tuple(notes))
+                        tuple(mats))
 
 
 def boundary_sources(points: Sequence[CriticalPoint]) -> List[int]:
@@ -199,47 +198,40 @@ def require_nondegenerate(points: Sequence[CriticalPoint],
 def complex_from_counts(problem: ProblemSpec, eps: float,
                         points: Sequence[CriticalPoint],
                         per_source: Iterable[Tuple[int, Mapping[int, int],
-                                                   Sequence[str]]],
-                        strict: bool = True) -> MorseComplex:
+                                                   Sequence[str]]]
+                        ) -> MorseComplex:
     """The window complex from per-source counts.
 
     ``per_source`` yields (source position, counts, warnings) with the
     counts keyed by positions in ``points``, as ``count_boundaries``
     keys them when ``points`` are its targets; counts whose index drop is
-    not one are ignored.  With ``strict`` set, the first source with
-    warnings raises MissingCount, before later sources are drawn;
-    otherwise the warnings go into the complex's notes.
+    not one are ignored.  The first source with warnings raises
+    MissingCount, before later sources are drawn: a count that came with
+    a warning is not one to build homology on.
     """
     pts = list(points)
     counts: Dict[Tuple[int, int], int] = {}
-    notes: List[str] = []
     for i, source_counts, warnings in per_source:
         if warnings:
-            msgs = [f"source {i}: {w}" for w in warnings]
-            if strict:
-                raise MissingCount("; ".join(msgs))
-            notes.extend(msgs)
+            raise MissingCount("; ".join(f"source {i}: {w}"
+                                         for w in warnings))
         for j, c in source_counts.items():
             if pts[j].index == pts[i].index - 1:
                 counts[(i, j)] = c
     return assemble_complex(pts, counts, problem=problem.name, eps=eps,
-                            window=(problem.window.a, problem.window.b),
-                            notes=notes)
+                            window=(problem.window.a, problem.window.b))
 
 
-def window_complex(problem: ProblemSpec, eps: float, seed: int = 0,
-                   strict: bool = True) -> MorseComplex:
+def window_complex(problem: ProblemSpec, eps: float,
+                   seed: int = 0) -> MorseComplex:
     """Locate the window critical points of f_eps and count their
     boundary flowlines into one Morse complex.
 
     One ``count_boundaries`` call counts every source of
     ``boundary_sources`` with all window points as targets, in one batch
-    at its default launch radius and step budget; the index-0 points
-    absorb the index-1 launches.  With ``strict`` set (the default), any
-    warning from the counting stage raises MissingCount, since a count
-    that came with a warning is not one to build homology on; pass
-    strict=False to get the complex anyway with the warnings in its
-    notes.
+    at its launch radius and step budget; the index-0 points absorb the
+    index-1 launches.  Any warning from the counting stage raises
+    MissingCount (see ``complex_from_counts``).
     """
     cs = find_critical_points(problem, eps, seed=seed)
     pts = list(cs.inside_window())
@@ -248,8 +240,7 @@ def window_complex(problem: ProblemSpec, eps: float, seed: int = 0,
     results = count_boundaries(problem, eps, [pts[i] for i in sources], pts)
     return complex_from_counts(
         problem, eps, pts,
-        ((i, r.counts, r.warnings) for i, r in zip(sources, results)),
-        strict=strict)
+        ((i, r.counts, r.warnings) for i, r in zip(sources, results)))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ from .errors import ConfigError, ResolutionTooCoarse, UnknownEntry
 from .expr import compile, parse_expression
 from .intlinalg import HomologyResult, homology_of_complex, reduce_complex
 from .metric import MetricSpec
-from .problem import (DomainModel, ProblemSpec, WindowSpec,
+from .problem import (DEFAULT_WINDOW, DomainModel, ProblemSpec,
                       perturbed_function)
 
 __all__ = [
@@ -204,7 +204,16 @@ def _walk(words, spans, bufs):
     yield from _walk(words, spans + (True,), bufs)
 
 
-def _span_patterns(words: np.ndarray):
+def _level_buffers(words: np.ndarray) -> list:
+    """One flat buffer per level of ``_walk`` over ``words``: level j
+    holds the leading axes up to j grown by one vertex."""
+    return [np.empty(math.prod(w + (i <= j)
+                               for i, w in enumerate(words.shape[:-1]))
+                     * words.shape[-1], dtype=words.dtype)
+            for j in range(words.ndim)]
+
+
+def _span_patterns(words: np.ndarray, bufs=None):
     """Yield (spans, cells) for each of the 2^n spanning patterns.
 
     ``cells`` marks, in packed words (``_pack``), the closure's cells
@@ -212,22 +221,17 @@ def _span_patterns(words: np.ndarray):
     along every other axis.  The patterns are walked as a binary tree
     that decides one axis per level and shares each dilation with the
     whole subtree below it, so there are 2^n - 1 dilations in place of
-    n 2^(n-1).  Each level dilates into one flat buffer of its own, so
-    ``cells`` is only valid until the next pattern is drawn.
+    n 2^(n-1).  Each level dilates into one flat buffer of its own, of
+    ``bufs`` or fresh, so ``cells`` is only valid until the next pattern
+    is drawn.
     """
-    n = words.ndim
-    # level j holds the leading axes up to j grown by one vertex
-    bufs = [np.empty(math.prod(w + (i <= j)
-                               for i, w in enumerate(words.shape[:-1]))
-                     * words.shape[-1], dtype=words.dtype)
-            for j in range(n)]
-    return _walk(words, (), bufs)
+    return _walk(words, (), bufs or _level_buffers(words))
 
 
-def _closed_counts(words: np.ndarray) -> list:
+def _closed_counts(words: np.ndarray, bufs=None) -> list:
     """Cell counts per degree of the closure of the packed top cells."""
     counts = [0] * (words.ndim + 1)
-    for spans, cells in _span_patterns(words):
+    for spans, cells in _span_patterns(words, bufs):
         counts[sum(spans)] += int(np.bitwise_count(cells).sum())
     return counts
 
@@ -395,8 +399,9 @@ class CubicalPair:
 
     def cell_counts(self) -> Tuple[int, ...]:
         """Relative cell counts per degree of the closed pair."""
-        full = _closed_counts(self.total_words)
-        below = _closed_counts(self.sub_words)
+        bufs = _level_buffers(self.total_words)  # both sets share a shape
+        full = _closed_counts(self.total_words, bufs)
+        below = _closed_counts(self.sub_words, bufs)
         return tuple(a - b for a, b in zip(full, below))
 
     @property
@@ -570,8 +575,7 @@ def _hand_problem(name: str, variables, f: str, tau: str,
     domain = domain or DomainModel.full_space(len(variables))
     return ProblemSpec(name, tuple(variables), domain,
                        parse_expression(f), parse_expression(tau),
-                       MetricSpec("euclidean"),
-                       WindowSpec.finite_action(1.0, 10.0, 0.25))
+                       MetricSpec("euclidean"), DEFAULT_WINDOW)
 
 
 def _ray_problem(name: str, f: str, tau: str) -> ProblemSpec:

@@ -23,13 +23,14 @@ from .expr import (Const, Expression, Quotient, Sum, as_fraction,
                    free_variables)
 from .metric import MetricSpec
 
-__all__ = ["DomainModel", "WindowSpec", "ProblemSpec", "dual_problem",
-           "perturbed_function"]
+__all__ = ["BOX_REACH", "DEFAULT_WINDOW", "DomainModel", "WindowSpec",
+           "ProblemSpec", "dual_problem", "perturbed_function"]
 
 _INF = float("inf")
 _BOX_MARGIN = 1e-3   # search box inset from a finite end (times the width
                      # when both ends are finite)
-_BOX_REACH = 3.0     # search box extent along an unbounded side
+BOX_REACH = 3.0      # search box extent along an unbounded side, and
+                     # the half-width of a full-space box
 _CLAMP_RTOL = 1e-9   # relative inset of solver iterates from a finite end
 _MAX_VARIABLES = 12  # one Halton base each in the critical point search
 
@@ -63,7 +64,7 @@ class DomainModel:
 
     @classmethod
     def full_space(cls, n: int,
-                   box_halfwidth: float = _BOX_REACH) -> "DomainModel":
+                   box_halfwidth: float = BOX_REACH) -> "DomainModel":
         iv = tuple((-_INF, _INF) for _ in range(n))
         bx = tuple((-box_halfwidth, box_halfwidth) for _ in range(n))
         return cls(iv, bx)
@@ -78,11 +79,11 @@ class DomainModel:
                 pad = _BOX_MARGIN * (hi - lo)
                 box.append((lo + pad, hi - pad))
             elif math.isfinite(lo):
-                box.append((lo + _BOX_MARGIN, lo + _BOX_REACH))
+                box.append((lo + _BOX_MARGIN, lo + BOX_REACH))
             elif math.isfinite(hi):
-                box.append((hi - _BOX_REACH, hi - _BOX_MARGIN))
+                box.append((hi - BOX_REACH, hi - _BOX_MARGIN))
             else:
-                box.append((-_BOX_REACH, _BOX_REACH))
+                box.append((-BOX_REACH, BOX_REACH))
         return cls(ivs, tuple(box))
 
     def contains(self, x: Sequence[float]) -> bool:
@@ -139,6 +140,11 @@ class WindowSpec:
         if value >= self.b:
             return "above"
         return "inside"
+
+
+# the window of a problem that names none, at lambda 1; a config window
+# that sets only lambda scales Lambda and sigma with it
+DEFAULT_WINDOW = WindowSpec.finite_action(1.0, 10.0, 0.25)
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ def test_criterion_02_boundary_squares_to_zero():
         n = 1 if randomized < 30 else 2
         spec = _random_problem(rng, n, attempts)
         try:
-            cx = window_complex(spec, 0.1, seed=0, strict=False)
+            cx = window_complex(spec, 0.1, seed=0)
         except MorsevanishError:
             # a draw can be degenerate or leave a basin unresolved;
             # those are legitimately rejected inputs, not counted runs

@@ -6,9 +6,7 @@ tests stay isolated from each other.
 """
 
 import dataclasses
-import functools
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -400,11 +398,11 @@ class TestCache:
         bumped_schema = c.key("h", "crit", {"eps": 0.1})
         assert len({base, bumped_version, bumped_schema}) == 3
 
-    def test_count_knobs_are_the_counting_keywords(self, tmp_path,
-                                                   monkeypatch):
-        # the flow cache key carries every counting knob at the value the
-        # count runs with: a knob the counting layer no longer takes, or
-        # a default changed in one place only, must not linger there
+    def test_flow_key_carries_the_counting_constants(self, tmp_path,
+                                                     monkeypatch):
+        # the flow cache key carries the launch radius and the step budget
+        # the count runs with, so a change to either cannot resurrect
+        # stale entries
         keys = []
         key = ArtifactCache.key
 
@@ -415,12 +413,9 @@ class TestCache:
         monkeypatch.setattr(ArtifactCache, "key", spy)
         assert run(tmp_path, "flow", "--config", write_cfg(tmp_path, DW)) == 0
         (params,) = [p for stage, p in keys if stage == "flow"]
-        knobs = {p.name: p.default for p in inspect.signature(
-            flow.count_boundaries).parameters.values()
-            if p.kind is p.KEYWORD_ONLY}
-        assert knobs == {"r_launch": flow.R_LAUNCH,
-                         "budget": flow.BOUNDARY_BUDGET}
-        assert params == {"eps": DW["eps"], "seed": 0, **knobs}
+        assert params == {"eps": DW["eps"], "seed": 0,
+                          "r_launch": flow.R_LAUNCH,
+                          "budget": flow.BOUNDARY_BUDGET}
 
     def test_pyproject_version_is_the_package_version(self):
         # the cache key carries __version__, so a release bump in one place
@@ -509,7 +504,7 @@ class TestCommands:
         art = read_artifact(tmp_path, DW, "homology")
         assert art["groups"]["0"] == {"betti": 1, "torsion": []}
         assert art["euler"] == 1
-        assert art["d_squared"] == "d.d = 0"
+        assert "d_squared" not in art
 
     def test_oracle_artifact(self, tmp_path):
         path = write_cfg(tmp_path, DW)
@@ -909,6 +904,9 @@ class TestCommands:
         assert art["ranks"] == [cx.rank(k) for k in range(cx.top + 1)]
         assert art["boundaries"] == [cx.boundary(k)
                                      for k in range(1, cx.top + 1)]
+        assert sorted(art) == ["boundaries", "command", "eps", "generators",
+                               "problem", "ranks", "schema", "seed",
+                               "window"]
 
     def test_complex_first_then_flow_counts_once(self, tmp_path,
                                                  monkeypatch, capsys):
@@ -949,8 +947,7 @@ class TestCommands:
 
     def test_top_degree_warnings_fail_the_complex(self, tmp_path,
                                                   monkeypatch, capsys):
-        monkeypatch.setattr(cli_module, "count_boundaries", functools.partial(
-            cli_module.count_boundaries, budget=3))
+        monkeypatch.setattr(flow, "BOUNDARY_BUDGET", 3)
         path = write_cfg(tmp_path, SADDLE2)
         assert run(tmp_path, "complex", "--config", path) == 2
         assert "reversed launch +1 from target" in capsys.readouterr().err

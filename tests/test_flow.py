@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 
 import morsevanish.flow as flow_module
-import morsevanish.homology as homology_module
 import morsevanish.integrator as integrator_module
 from morsevanish.compactify import AlgebraicProblem, realify
 from morsevanish.critical import CriticalPoint, find_critical_points
@@ -128,9 +127,11 @@ class TestIntegrate:
         assert rec.target_id is None
         assert not rec.energy_ok           # no finite E_top without limits
 
-    def test_budget_raises(self):
-        with pytest.raises(BudgetExceeded):
-            integrate_flow(SLIDE, 0.5, [0.0], budget=3)
+    def test_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "BOUNDARY_BUDGET", 3)
+        with pytest.raises(BudgetExceeded,
+                           match="did not terminate in 3 steps"):
+            integrate_flow(SLIDE, 0.5, [0.0])
 
     def test_step_collapse_raises(self, monkeypatch):
         # no step of the slide flow is as long as 1
@@ -228,14 +229,14 @@ class TestCountBoundary:
                            if r.termination == "converged-to")
             assert arrived.energy_ok
 
-    def test_z3_counts_stable_under_launch_radius(self):
+    def test_z3_counts_stable_under_launch_radius(self, monkeypatch):
         pts = find_critical_points(Z3, 0.3).inside_window()
         minimum = next(p for p in pts if p.index == 0)
         saddles = [p for p in pts if p.index == 1]
         seen = []
         for r in (1e-4, 1e-5, 1e-6):
-            seen.append([count_boundary(Z3, 0.3, s, [minimum],
-                                        r_launch=r).counts[0]
+            monkeypatch.setattr(flow_module, "R_LAUNCH", r)
+            seen.append([count_boundary(Z3, 0.3, s, [minimum]).counts[0]
                          for s in saddles])
         assert seen[0] == seen[1] == seen[2]
 
@@ -1053,16 +1054,13 @@ class TestTopDegree:
     def test_unfinished_launch_warns_every_top_source(self, monkeypatch):
         tops, below = top_degree_case(TWIN, 0.1)
         assert len(tops) == 2
-        for res in count_boundaries(TWIN, 0.1, tops, below, budget=3):
+        monkeypatch.setattr(flow_module, "BOUNDARY_BUDGET", 3)
+        for res in count_boundaries(TWIN, 0.1, tops, below):
             assert all(c == 0 for c in res.counts.values())
             assert len(res.warnings) == 2
             assert all("ended with budget" in w for w in res.warnings)
-        monkeypatch.setattr(homology_module, "count_boundaries",
-                            functools.partial(count_boundaries, budget=3))
         with pytest.raises(MissingCount, match="reversed launch"):
             window_complex(TWIN, 0.1, seed=0)
-        loose = window_complex(TWIN, 0.1, seed=0, strict=False)
-        assert len(loose.notes) == 4
 
     def test_energy_violation_warns_its_source(self, monkeypatch):
         monkeypatch.setattr(flow_module, "ENERGY_RTOL", 0.0)

@@ -12,8 +12,10 @@ it.  The few names only tests call are listed in ``TEST_ONLY_EXPORTS``
 with the reason each stays.
 
 Every defaulted parameter of a package function is passed by some call to
-a function of that name in ``src/``, ``tests/`` or ``perfbench/``: a
-default that no caller overrides is a constant, not an option.
+a function of that name in ``src/`` or ``perfbench/``: a default that no
+program overrides is a constant, not an option, however many tests set
+it.  The few options only tests set are listed in ``TEST_ONLY_OPTIONS``
+with the reason each stays.
 
 Every function the benchmark's tracer wraps, and every result attribute
 its counter hooks read, exists on the package, so a rename or deletion
@@ -40,8 +42,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "morsevanish"
 MODULES = sorted(PACKAGE.glob("*.py"))
-CALLERS = sorted(p for d in ("src", "tests", "perfbench")
-                 for p in (ROOT / d).rglob("*.py"))
 
 
 def _imported(tree):
@@ -276,17 +276,41 @@ def _passes(call, param, slot):
 
 
 def _never_set(defs_tree, calls):
-    return [f"{name}({param}) line {line}"
+    """(``name(param)``, line) for each defaulted parameter of
+    ``defs_tree`` that no call in ``calls`` passes."""
+    return [(f"{name}({param})", line)
             for name, param, slot, line in _defaulted(defs_tree)
             if not any(_passes(c, param, slot) for c in calls.get(name, ()))]
 
 
-def test_every_defaulted_parameter_has_a_caller():
+def _unset_options(root, modules):
+    """(file name, ``name(param)``, line) for each defaulted parameter of
+    ``modules`` that no call in ``src/`` or ``perfbench/`` under ``root``
+    passes; calls in ``tests/`` do not count."""
     calls = _calls(ast.parse(p.read_text(), filename=str(p))
-                   for p in CALLERS)
-    unset = [f"{path.name}: {miss}" for path in MODULES
-             for miss in _never_set(ast.parse(path.read_text()), calls)]
-    assert not unset, "no caller ever sets: " + ", ".join(unset)
+                   for d in ("src", "perfbench")
+                   for p in sorted((root / d).rglob("*.py")))
+    return [(path.name, opt, line) for path in modules
+            for opt, line in _never_set(ast.parse(path.read_text()), calls)]
+
+
+# defaulted parameters whose only callers are tests, and why each stays
+TEST_ONLY_OPTIONS = {
+    "integrate_flow(targets)": "a test-only export: criterion 08 integrates "
+                               "one flowline into its minima",
+    "energy(endpoint_values)": "a test-only export: criterion 08's wiggled "
+                               "paths have no converged endpoints",
+}
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    unset = _unset_options(ROOT, MODULES)
+    unlisted = [f"{name}: {opt} line {line}" for name, opt, line in unset
+                if opt not in TEST_ONLY_OPTIONS]
+    assert not unlisted, "no program ever sets: " + ", ".join(unlisted)
+    stale = set(TEST_ONLY_OPTIONS) - {opt for _, opt, _ in unset}
+    assert not stale, f"the keep-list names options a program sets: " \
+        f"{sorted(stale)}"
 
 
 def test_the_check_sees_a_parameter_no_caller_sets():
@@ -298,7 +322,20 @@ def test_the_check_sees_a_parameter_no_caller_sets():
     calls = _calls([ast.parse("f(1, 2)\n"
                               "g(**opts)\n"
                               "K(u=3).m(4)\n")])
-    assert _never_set(defs, calls) == ["f(c) line 1", "m(w) line 5"]
+    assert _never_set(defs, calls) == [("f(c)", 1), ("m(w)", 5)]
+
+
+def test_the_check_sees_a_parameter_only_tests_set(tmp_path):
+    files = {"src/m.py": "def f(a, b=1): pass\n"
+                         "def g(c=1): pass\n"
+                         "f(0)\n",
+             "perfbench/run.py": "g(c=2)\n",
+             "tests/test_m.py": "f(0, b=2)\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert _unset_options(tmp_path, [tmp_path / "src" / "m.py"]) == [
+        ("m.py", "f(b)", 1)]
 
 
 def _tracing():
