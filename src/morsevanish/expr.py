@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import builtins
 import functools
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -258,51 +259,25 @@ def evaluate(expr: Expression, point: Mapping[str, float]):
 # Instructions are (op, a, b) with op in var/add/mul/recip/ipow/fpow and
 # operands a slot (int) or a folded constant (float); sums and products are
 # left-to-right chains and a quotient is num * recip(den).  Each mode runs
-# as generated straight-line numpy code with the float operations of the
-# product and chain rules in a fixed order, deleting slots after their last
-# use; jet modes put the live operand of a constant op first.  Jet
-# temporaries keep the points on the last axis, values (m,), gradients
-# (n, m) and Hessians (n, n, m), so every broadcast (f1 * h, the outer
-# products g[:, None, :] * g[None, :, :]) runs contiguous inner loops of
-# length m; each output goes back to (m, n) and (m, n, n) once, as
-# C-contiguous copies, at return.  Every element sees the same float
-# operations in the same order in either layout, so finite values do not
-# depend on it; only the sign bit of a nan may, where both operands of a
-# product are nan and numpy's loops pick one of them by layout.
+# as generated straight-line numpy code that deletes each local after its
+# last read.  Values mode computes an array per slot; the jet modes put the
+# live operand of a constant op first and compute an array of the m points
+# per gradient entry j and Hessian entry (j, k) that can be nonzero, by the
+# dense product and chain rules less their structurally zero terms and
+# factors 1.0.  A constant entry (1.0, C * 1.0) stays a float and folds,
+# equal text is computed once, (j, k) and (k, j) stay apart (their terms
+# come in other orders), and each output goes back as C-contiguous (m, n)
+# and (m, n, n) arrays.  A dropped term is an exact +-0 where the slots it
+# reads are finite, so on a row where every slot is finite each entry has
+# the bits of dense forward mode but for the sign of an exact zero; where a
+# slot is inf or nan, a structurally zero entry reads 0.0, not the dense
+# 0 * inf = nan (d/dx of x + 1/y is 1.0 at y = 0).
 
 _VALUES = {"var": "xs[{a}]", "add": "{A} + {B}", "mul": "{A} * {B}",
            "recip": "1.0 / {A}", "ipow": "{A} ** ({k})",
            "fpow": "_fpow({A}, {p})"}
-_G = "; g{o} = f1 * g{a}"
-_H = ("; h{o} = (f1 * h{a} + f2"
-      " * (g{a}[:, None, :] * g{a}[None, :, :]))")
-_JET1 = {
-    "var": "v{o} = X[:, {a}]; g{o} = np.zeros((n, m)); g{o}[{a}] = 1.0",
-    "add": "v{o} = v{a} + v{b}; g{o} = g{a} + g{b}",
-    "addc": "v{o} = v{a} + {C}; g{o} = g{a}",
-    "mul": "v{o} = v{a} * v{b}; g{o} = v{a} * g{b} + v{b} * g{a}",
-    "mulc": "v{o} = v{a} * {C}; g{o} = g{a} * {C}",
-    "recip": "v{o} = 1.0 / v{a}; f1 = -v{o} * v{o}" + _G,
-    "ipow": "v{o} = v{a} ** ({k}); f1 = {K} * {D}" + _G,
-    "fpow": "w = np.where(v{a} > 0.0, v{a}, np.nan); v{o} = w ** ({p}); "
-            "f1 = {p} * w ** ({p} - 1.0)" + _G}
-_JET2 = {
-    "var": _JET1["var"] + "; h{o} = np.zeros((n, n, m))",
-    "add": _JET1["add"] + "; h{o} = h{a} + h{b}",
-    "addc": _JET1["addc"] + "; h{o} = h{a}",
-    "mul": _JET1["mul"] + "; h{o} = (v{a} * h{b} + v{b} * h{a}"
-           " + g{a}[:, None, :] * g{b}[None, :, :]"
-           " + g{b}[:, None, :] * g{a}[None, :, :])",
-    "mulc": _JET1["mulc"] + "; h{o} = h{a} * {C}",
-    "recip": "u = 1.0 / v{a}; u2 = u * u; v{o} = u; f1 = -u2; "
-             "f2 = 2.0 * u2 * u" + _G + _H,
-    "ipow": _JET1["ipow"]
-    + "; f2 = float({k} * ({k} - 1)) * v{a} ** ({k} - 2)" + _H,
-    "fpow": _JET1["fpow"] + "; f2 = {p} * ({p} - 1.0) * w ** ({p} - 2.0)" + _H}
-_BACK = {"v": "v{}", "g": "np.ascontiguousarray(g{}.T)",
-         "h": "np.ascontiguousarray(h{}.transpose(2, 0, 1))"}
-_MODES = {"values": (_VALUES, "v", "v{o} = "), "jet1": (_JET1, "vg", ""),
-          "jet2": (_JET2, "vgh", "")}
+# the locals of generated code: values, entries, factors, columns
+_LOCAL = re.compile(r"\b[dpqsvwz]\d[\d_]*\b")
 
 
 def _key(x):
@@ -318,8 +293,9 @@ def _reads(op, a, b):
 def _fpow(x, p):
     """x ** p for an array x where x > 0, and np.nan elsewhere whatever
     x ** p gave there (a nan x may carry another sign)."""
-    y = x ** p
-    y[~(x > 0.0)] = np.nan
+    y, ok = x ** p, x > 0.0
+    if not ok.all():
+        y[~ok] = np.nan
     return y
 
 
@@ -328,6 +304,23 @@ _FOLD = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b,
          "recip": lambda a, _: float(1.0 / np.float64(a)),
          "ipow": lambda a, k: float(np.float64(a) ** k),
          "fpow": lambda a, p: _fpow(np.array([a]), p)[0]}
+
+
+def _straight(args, lines, rets):
+    """The source of ``def run(args)`` that runs the (local, expression)
+    ``lines`` in order, deleting each local after its last read, and
+    returns the tuple ``rets``."""
+    ret, last, dead = f"    return ({rets})", {}, {}
+    for i, (name, text) in enumerate(lines + [("", ret)]):
+        last.update(dict.fromkeys([name, *_LOCAL.findall(text)], i))
+    for x, i in last.items():
+        dead.setdefault(i, []).append(x)
+    src = [f"def run({args}):"]
+    for i, (name, text) in enumerate(lines):
+        src.append(f"    {name} = {text}")
+        if i in dead:
+            src.append("    del " + ", ".join(dead[i]))
+    return "\n".join(src + [ret]) + "\n"
 
 
 # rows per block of a long jet batch (``Tape._jets``)
@@ -396,65 +389,131 @@ class Tape:
             self._code.append((op, a, b))
         return self._slot[key]
 
-    def _source(self, mode: str):
-        """The generated source of one mode and the constants it reads.
-        A slot read once is written into its reader's expression in values
-        mode, where numpy may reuse the temporary array in place."""
-        table, parts, assign = _MODES[mode]
+    def _values_source(self):
+        """The generated source of values mode and the constants it reads.
+        A slot read once is written into its reader's expression, where
+        numpy may reuse the temporary array in place."""
         outs = {o for o in self.outputs if type(o) is int}
         reads = [x for ins in self._code for x in _reads(*ins)]
-        inline = {x for x in reads if reads.count(x) == 1
-                  and x not in outs} if mode == "values" else set()
-        consts, last = {}, {}
+        inline = {x for x in reads if reads.count(x) == 1 and x not in outs}
+        consts = {}
 
-        def name(x, line):
+        def name(x):
             if type(x) is not int:
                 return consts.setdefault(_key(x), (f"c{len(consts)}", x))[0]
-            if x in inline:
-                return f"({text(x, line)})"
-            last[x] = line
-            return f"v{x}"
+            return f"({text(x)})" if x in inline else f"v{x}"
 
-        def text(i, line):
+        def text(i):
             op, a, b = self._code[i]
-            fill = {"o": i, "a": a, "b": b, "k": b, "p": repr(b)}
-            if op == "ipow":
-                # v ** 1 is v exactly, so k = 2 differentiates to 2.0 * v
-                fill.update(K=repr(float(b)), D=f"v{a}" if b == 2
-                            else f"v{a} ** ({b - 1})")
-            if op in ("add", "mul"):
-                fill.update(A=name(a, line), B=name(b, line))
-                if mode != "values" and type(b) is not int:
-                    op, fill["C"] = op + "c", fill["B"]
-                elif mode != "values" and type(a) is not int:
-                    op, fill["a"], fill["C"] = op + "c", b, fill["A"]
-            elif op != "var":
-                fill["A"] = name(a, line)
-            return table[op].format(**fill)
+            return _VALUES[op].format(
+                a=a, k=b, p=repr(b), A=op != "var" and name(a),
+                B=op in ("add", "mul") and name(b))
 
-        body = [(i, text(i, i)) for i in range(len(self._code))
-                if i not in inline]
-        lines = [f"def run({'xs' if mode == 'values' else 'X, m, n'}):"]
-        for i, stmt in body:
-            lines.append("    " + assign.format(o=i) + stmt)
-            dead = [x for x, j in last.items() if j == i and x not in outs]
-            if dead:
-                lines.append("    del " + ", ".join(
-                    p + str(x) for x in dead for p in parts))
-        # a constant output of a jet mode comes back as its full jet
-        zeros = ["np.zeros((m, n))", "np.zeros((m, n, n))"][:len(parts) - 1]
-        rets = [f"({', '.join(_BACK[p].format(o) for p in parts)})"
-                if type(o) is int else name(o, None) if mode == "values"
-                else f"({', '.join([f'np.full(m, {name(o, None)})'] + zeros)})"
-                for o in self.outputs]
-        lines.append(f"    return ({''.join(x + ', ' for x in rets)})")
-        return "\n".join(lines) + "\n", dict(consts.values())
+        lines = [(f"v{i}", text(i)) for i in range(len(self._code))
+                 if i not in inline]
+        rets = "".join(name(o) + ", " for o in self.outputs)
+        return _straight("xs", lines, rets), dict(consts.values())
+
+    def _jet_source(self, order: int):
+        """The generated source of the jets of ``order`` (1 or 2) and the
+        constants it reads.  The entries of a slot are keyed (j,) and
+        (j, k); an entry is None (a structural zero), a float (that
+        constant) or text: a local's name, or an expression to bind."""
+        consts, lines, made, V, D = {}, [], {}, {}, {}
+
+        def term(x, wrap=False):
+            if not isinstance(x, str):
+                return consts.setdefault(_key(x), (f"c{len(consts)}", x))[0]
+            return f"({x})" if wrap and " " in x else x
+
+        def times(x, y):
+            if x is None or y is None or x == 1.0 or y == 1.0:
+                return None if x is None or y is None else y if x == 1.0 else x
+            return (f"{term(x)} * {term(y, True)}" if str in (type(x), type(y))
+                    else x * y)
+
+        def plus(*xs):
+            return functools.reduce(
+                lambda s, x: f"{term(s)} + {term(x)}"
+                if str in (type(s), type(x)) else s + x,
+                [x for x in xs if x is not None] or [None])
+
+        def bind(x, name):
+            if isinstance(x, str) and x not in made \
+                    and not _LOCAL.fullmatch(x):
+                made[x] = name
+                lines.append((name, x))
+            return made.get(x, x)
+
+        for o, (op, a, b) in enumerate(self._code):
+            if op == "var":
+                V[o], D[o] = bind(f"X[:, {a}]", f"v{o}"), {(a,): 1.0}
+                continue
+            if op in ("add", "mul") and type(a) is not int:
+                a, b = b, a
+            va, A, cross = V[a], D[a], []
+            if op in ("add", "mul"):
+                vb, B = (V[b], D[b]) if type(b) is int else (b, {})
+                V[o] = bind(f"{va} {'+*'[op == 'mul']} {term(vb)}", f"v{o}")
+            if op == "add":
+                d = {i: plus(A.get(i), B.get(i)) for i in A.keys() | B}
+            elif op == "mul":
+                d = {i: plus(times(va, B.get(i)), times(vb, A.get(i)))
+                     for i in A.keys() | B}
+                cross = [(1.0, A, B), (1.0, B, A)] if order == 2 else []
+            elif op == "recip":
+                v = V[o] = bind(f"1.0 / {va}", f"v{o}")
+                s = bind(f"{v} * {v}", f"s{o}")
+                f1, f2 = bind(f"-{s}", f"p{o}"), f"2.0 * {s} * {v}"
+            elif op == "ipow":  # v ** 0 is 1.0 and v ** 1 is v, exactly
+                V[o] = bind(f"{va} ** ({b})", f"v{o}")
+                f1 = bind(f"{float(b)!r} * " + (
+                    va if b == 2 else f"{va} ** ({b - 1})"), f"p{o}")
+                f2 = 2.0 if b == 2 else (
+                    f"{float(b * (b - 1))!r} * {va} ** ({b - 2})")
+            else:
+                w = bind(f"np.where({va} > 0.0, {va}, np.nan)", f"w{o}")
+                V[o] = bind(f"{w} ** ({b!r})", f"v{o}")
+                f1 = bind(f"{b!r} * {w} ** ({b!r} - 1.0)", f"p{o}")
+                f2 = f"{b!r} * ({b!r} - 1.0) * {w} ** ({b!r} - 2.0)"
+            if op not in ("add", "mul"):
+                d = {i: times(f1, x) for i, x in A.items()}
+                cross = [(bind(f2, f"q{o}"), A, A)] if order == 2 else []
+            # the terms f g_X[j] g_Y[k] of the Hessian entries (j, k)
+            for j, k in {(j, k) for _, X, Y in cross for (j, *r) in X
+                         for (k, *t) in Y if not r + t}:
+                d[j, k] = plus(d.get((j, k)), *(
+                    times(f, times(X.get((j,)), Y.get((k,))))
+                    for f, X, Y in cross))
+            D[o] = {i: bind(d[i], f"d{o}_{'_'.join(map(str, i))}")
+                    for i in sorted(d)}
+
+        def column(x):  # an entry as an array of the m points
+            return x if isinstance(x, str) else bind(
+                f"np.full(m, {term(0.0 if x is None else x)})",
+                f"z{len(made)}")
+
+        n, rets = len(self.names), ""
+        keys = ([(j,) for j in range(n)],
+                [(j, k) for j in range(n) for k in range(n)])[:order]
+        for o in self.outputs:
+            if type(o) is not int:  # a constant output's full jet
+                jet = [f"np.full(m, {term(o)})", "np.zeros((m, n))",
+                       "np.zeros((m, n, n))"][:order + 1]
+            else:  # the entries die once stacked, before the transposed copy
+                jet = [V[o]] + ["np.ascontiguousarray({}.T){}".format(bind(
+                    f"np.array([{', '.join(column(D[o].get(i)) for i in c)}])",
+                    f"z{len(made)}"), shape)
+                    for c, shape in zip(keys, ("", ".reshape(m, n, n)"))]
+            rets += f"({', '.join(jet)}), "
+        return _straight("X, m, n", lines, rets), dict(consts.values())
 
     def kernel(self, mode: str):
         """The generated function of a mode, ``run(xs)`` or ``run(X, m, n)``;
         callers enter ``np.errstate(all="ignore")`` around it."""
         if mode not in self._fns:
-            text, scope = self._source(mode)
+            text, scope = (self._values_source() if mode == "values"
+                           else self._jet_source(int(mode[3:])))
             scope.update(np=np, _fpow=_fpow)
             exec(_module(text), scope)
             self._fns[mode] = scope["run"]
@@ -494,8 +553,8 @@ class Tape:
 
     def _jets(self, mode, points):
         """A batch of more than two blocks of rows runs as equal blocks
-        of at most ``_JET_ROWS`` rows, so the (n, n, rows) temporaries of
-        jet2 stay small; every row's result is the same bit for bit."""
+        of at most ``_JET_ROWS`` rows, so the temporaries of the entries
+        stay small; every row's result is the same bit for bit."""
         points = np.asarray(points, dtype=float)
         m, n = points.shape
         if m <= 2 * _JET_ROWS:

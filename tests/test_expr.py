@@ -2,23 +2,32 @@
 
 The derivative oracle here is central finite differences at step 1e-5,
 implemented independently of the jet arithmetic under test.  The compiled
-tape is also checked byte for byte against the recursive jet evaluator it
-replaced, kept below as the reference in the tape's points-last layout,
-and against the same evaluator in its points-first layout on every value
-that is not a nan.
+tape is also checked byte for byte against a recursive jet evaluator that
+holds only the gradient and Hessian entries that can be nonzero, as the
+tape's entry-wise jets do, and against the dense recursive evaluator the
+tape once replaced: on every row where all of that evaluator's nodes are
+finite, byte for byte up to the sign of an exact zero.
 """
 
+import functools
+import operator
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from morsevanish.critical import halton_points
 from morsevanish.errors import DomainViolation, ExpressionParseError
 from morsevanish.expr import (
     Const, Expression, FracPow, IntPow, Product, Quotient, Sum, Var,
     compile, eval_jet1, eval_jet2, eval_values, evaluate,
     free_variables, parse_expression, rational_pow, to_infix,
 )
+from morsevanish.integrator import _Field
+from morsevanish.metric import metric_exprs
+from morsevanish.oracle import catalog_lookup, catalog_names
+from morsevanish.problem import perturbed_function
 
 
 def fd_gradient(fn, x, h=1e-5):
@@ -282,44 +291,39 @@ class TestEvalGrid:
 
 
 # ---------------------------------------------------------------------------
-# the recursive jet evaluator the tape replaced, kept as the reference
+# the recursive jet evaluators, kept as references
 #
 # Operands are plain floats (constant subtrees), numpy arrays (values and
-# grids) or _Jet1/_Jet2; constants divide and power in np.float64.  _Jet1
-# and _Jet2 keep the points on the last axis, as the tape's jets do, so the
-# two agree byte for byte, the sign bits of nans included.  _RowsJet1 and
-# _RowsJet2 keep the points first, the layout the tape ran in before: the
-# same float operations in the same order, where only the sign of a nan
-# may come out otherwise.
+# grids) or jets; constants divide and power in np.float64.  _Jet1 and
+# _Jet2 follow the tape's contract: they hold the gradient entries j and
+# Hessian entries (j, k) that can be nonzero, each a float while it is an
+# exact constant, and skip the terms that are structurally zero, in the
+# tape's order of terms (a constant factor C comes first, as the value of
+# a live factor does, and 1/u has the factor -(u * u)), so the two agree
+# byte for byte, the sign bits of nans included.  _RowsJet1 and _RowsJet2
+# are the dense forward mode the tape ran before, with the points first;
+# ``ok`` marks the rows where every node they built is finite, and there
+# the tape gives their bytes but for the sign of an exact zero.
 
 
-class _PointsLast:
-    __slots__ = ()
-
-    @staticmethod
-    def _by(v, d):
-        """The values v broadcast against the derivatives d."""
-        return v
-
-    @staticmethod
-    def _outer(a, b):
-        """a_j b_k at each point of the gradients a and b."""
-        return a[:, None, :] * b[None, :, :]
+def _times(x, y):
+    """x * y of two entries, None (structurally zero) if either is."""
+    return None if x is None or y is None else x * y
 
 
-class _PointsFirst:
-    __slots__ = ()
-
-    @staticmethod
-    def _by(v, d):
-        return v.reshape(v.shape + (1,) * (d.ndim - 1))
-
-    @staticmethod
-    def _outer(a, b):
-        return a[:, :, None] * b[:, None, :]
+def _plus(*xs):
+    """The left-to-right sum of the entries that are not None."""
+    xs = [x for x in xs if x is not None]
+    return functools.reduce(operator.add, xs) if xs else None
 
 
-class _Jet1(_PointsLast):
+def _pairs(a, b):
+    return {(j, k) for j in a for k in b}
+
+
+class _Jet1:
+    """Value v (m,) and gradient entries g: {j: float or (m,) array}."""
+
     __slots__ = ("v", "g")
 
     def __init__(self, v, g):
@@ -328,26 +332,28 @@ class _Jet1(_PointsLast):
 
     def __add__(self, o):
         if isinstance(o, _Jet1):
-            return type(self)(self.v + o.v, self.g + o.g)
-        return type(self)(self.v + o, self.g)
+            return _Jet1(self.v + o.v, {j: _plus(self.g.get(j), o.g.get(j))
+                                        for j in self.g.keys() | o.g})
+        return _Jet1(self.v + o, self.g)
 
     __radd__ = __add__
 
     def __mul__(self, o):
         if isinstance(o, _Jet1):
-            return type(self)(self.v * o.v,
-                              self._by(self.v, o.g) * o.g
-                              + self._by(o.v, self.g) * self.g)
-        return type(self)(self.v * o, self.g * o)
+            return _Jet1(self.v * o.v, {
+                j: _plus(_times(self.v, o.g.get(j)),
+                         _times(o.v, self.g.get(j)))
+                for j in self.g.keys() | o.g})
+        return _Jet1(self.v * o, {j: o * x for j, x in self.g.items()})
 
     __rmul__ = __mul__
 
     def _compose(self, f0, f1):
-        return type(self)(f0, self._by(f1, self.g) * self.g)
+        return _Jet1(f0, {j: f1 * x for j, x in self.g.items()})
 
     def _recip(self):
         u = 1.0 / self.v
-        return self._compose(u, -u * u)
+        return self._compose(u, -(u * u))
 
     def _ipow(self, k):
         v = self.v
@@ -358,7 +364,9 @@ class _Jet1(_PointsLast):
         return self._compose(v ** p, p * v ** (p - 1.0))
 
 
-class _Jet2(_PointsLast):
+class _Jet2:
+    """_Jet1 with the Hessian entries h: {(j, k): float or (m,) array}."""
+
     __slots__ = ("v", "g", "h")
 
     def __init__(self, v, g, h):
@@ -368,28 +376,38 @@ class _Jet2(_PointsLast):
 
     def __add__(self, o):
         if isinstance(o, _Jet2):
-            return type(self)(self.v + o.v, self.g + o.g, self.h + o.h)
-        return type(self)(self.v + o, self.g, self.h)
+            return _Jet2(self.v + o.v,
+                         {j: _plus(self.g.get(j), o.g.get(j))
+                          for j in self.g.keys() | o.g},
+                         {i: _plus(self.h.get(i), o.h.get(i))
+                          for i in self.h.keys() | o.h})
+        return _Jet2(self.v + o, self.g, self.h)
 
     __radd__ = __add__
 
     def __mul__(self, o):
         if isinstance(o, _Jet2):
-            by = self._by
-            v = self.v * o.v
-            g = by(self.v, o.g) * o.g + by(o.v, self.g) * self.g
-            h = (by(self.v, o.h) * o.h + by(o.v, self.h) * self.h
-                 + self._outer(self.g, o.g) + self._outer(o.g, self.g))
-            return type(self)(v, g, h)
-        return type(self)(self.v * o, self.g * o, self.h * o)
+            a, b = self, o
+            g = {j: _plus(_times(a.v, b.g.get(j)), _times(b.v, a.g.get(j)))
+                 for j in a.g.keys() | b.g}
+            h = {(j, k): _plus(_times(a.v, b.h.get((j, k))),
+                               _times(b.v, a.h.get((j, k))),
+                               _times(a.g.get(j), b.g.get(k)),
+                               _times(b.g.get(j), a.g.get(k)))
+                 for j, k in a.h.keys() | b.h | _pairs(a.g, b.g)
+                 | _pairs(b.g, a.g)}
+            return _Jet2(a.v * b.v, g, h)
+        return _Jet2(self.v * o, {j: o * x for j, x in self.g.items()},
+                     {i: o * x for i, x in self.h.items()})
 
     __rmul__ = __mul__
 
     def _compose(self, f0, f1, f2):
-        g = self._by(f1, self.g) * self.g
-        h = (self._by(f1, self.h) * self.h
-             + self._by(f2, self.h) * self._outer(self.g, self.g))
-        return type(self)(f0, g, h)
+        g, h = self.g, self.h
+        return _Jet2(f0, {j: f1 * x for j, x in g.items()}, {
+            (j, k): _plus(_times(f1, h.get((j, k))),
+                          _times(f2, _times(g.get(j), g.get(k))))
+            for j, k in h.keys() | _pairs(g, g)})
 
     def _recip(self):
         u = 1.0 / self.v
@@ -407,16 +425,88 @@ class _Jet2(_PointsLast):
                              p * (p - 1.0) * v ** (p - 2.0))
 
 
-class _RowsJet1(_PointsFirst, _Jet1):
-    __slots__ = ()
+def _finite_rows(*arrays):
+    """The rows where every entry of every (points-first) array is finite."""
+    return np.logical_and.reduce([np.isfinite(a.reshape(len(a), -1)).all(1)
+                                  for a in arrays])
 
 
-class _RowsJet2(_PointsFirst, _Jet2):
-    __slots__ = ()
+class _RowsJet1:
+    """The dense jet: v (m,), g (m, n), and the rows ``ok``."""
+
+    __slots__ = ("v", "g", "ok")
+
+    def __init__(self, v, g, ok=True):
+        self.v = v
+        self.g = g
+        self.ok = ok & _finite_rows(v, g)
+
+    def __add__(self, o):
+        if isinstance(o, _RowsJet1):
+            return _RowsJet1(self.v + o.v, self.g + o.g, self.ok & o.ok)
+        return _RowsJet1(self.v + o, self.g, self.ok)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, _RowsJet1):
+            return _RowsJet1(self.v * o.v, self.v[:, None] * o.g
+                             + o.v[:, None] * self.g, self.ok & o.ok)
+        return _RowsJet1(self.v * o, self.g * o, self.ok)
+
+    __rmul__ = __mul__
+
+    def _compose(self, f0, f1):
+        return _RowsJet1(f0, f1[:, None] * self.g, self.ok)
+
+    _recip, _ipow, _fpow = _Jet1._recip, _Jet1._ipow, _Jet1._fpow
+
+
+class _RowsJet2:
+    """The dense jet with h (m, n, n)."""
+
+    __slots__ = ("v", "g", "h", "ok")
+
+    def __init__(self, v, g, h, ok=True):
+        self.v = v
+        self.g = g
+        self.h = h
+        self.ok = ok & _finite_rows(v, g, h)
+
+    def __add__(self, o):
+        if isinstance(o, _RowsJet2):
+            return _RowsJet2(self.v + o.v, self.g + o.g, self.h + o.h,
+                             self.ok & o.ok)
+        return _RowsJet2(self.v + o, self.g, self.h, self.ok)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, _RowsJet2):
+            a, b = self, o
+            g = a.v[:, None] * b.g + b.v[:, None] * a.g
+            h = (a.v[:, None, None] * b.h + b.v[:, None, None] * a.h
+                 + a.g[:, :, None] * b.g[:, None, :]
+                 + b.g[:, :, None] * a.g[:, None, :])
+            return _RowsJet2(a.v * b.v, g, h, a.ok & b.ok)
+        return _RowsJet2(self.v * o, self.g * o, self.h * o, self.ok)
+
+    __rmul__ = __mul__
+
+    def _compose(self, f0, f1, f2):
+        g = self.g
+        h = (f1[:, None, None] * self.h
+             + f2[:, None, None] * (g[:, :, None] * g[:, None, :]))
+        return _RowsJet2(f0, f1[:, None] * g, h, self.ok)
+
+    _recip, _ipow, _fpow = _Jet2._recip, _Jet2._ipow, _Jet2._fpow
+
+
+_JETS = (_Jet1, _Jet2, _RowsJet1, _RowsJet2)
 
 
 def _recip_any(x):
-    if isinstance(x, (_Jet1, _Jet2)):
+    if isinstance(x, _JETS):
         return x._recip()
     if isinstance(x, float):
         return float(1.0 / np.float64(x))
@@ -428,7 +518,7 @@ def _ipow_any(x, k):
         return 1.0
     if k == 1:
         return x
-    if isinstance(x, (_Jet1, _Jet2)):
+    if isinstance(x, _JETS):
         return x._ipow(k)
     if isinstance(x, float):
         return float(np.float64(x) ** k)
@@ -436,7 +526,7 @@ def _ipow_any(x, k):
 
 
 def _fpow_any(x, p):
-    if isinstance(x, (_Jet1, _Jet2)):
+    if isinstance(x, _JETS):
         return x._fpow(p)
     return np.where(x > 0.0, x, np.nan) ** p
 
@@ -483,31 +573,51 @@ def ref_grid(expr, axes, names):
     return np.broadcast_to(out, tuple(a.size for a in axes))
 
 
-def _points_first(a):
-    """a with its last axis, the points, moved first; C-contiguous."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+def _constant_jet(c, m, n, order):
+    return (np.full(m, float(c)),) + tuple(
+        np.zeros((m,) + (n,) * k) for k in range(1, order + 1))
 
 
-def ref_jet(expr, points, names, order, first=False):
-    """The reference jets at ``points`` as the tape hands them back:
-    (m,), (m, n) and for order 2 (m, n, n); they are computed with the
-    points last, or with ``first`` by _RowsJet1/_RowsJet2."""
+def ref_jet(expr, points, names, order):
+    """The jets of _Jet1/_Jet2 at ``points`` as the tape hands them back:
+    (m,), (m, n) and for order 2 (m, n, n), with 0.0 at the entries that
+    are structurally zero."""
     m, n = points.shape
-    jet = ((_RowsJet1, _RowsJet2) if first else (_Jet1, _Jet2))[order - 1]
-    env = {}
-    for j, name in enumerate(names):
-        g = np.zeros((n, m))
-        g[j] = 1.0
-        derivs = (g, np.zeros((n, n, m)))[:order]
-        env[name] = jet(points[:, j].copy(), *(
-            map(_points_first, derivs) if first else derivs))
+    jet = (_Jet1, _Jet2)[order - 1]
+    env = {name: jet(points[:, j].copy(), *({j: 1.0}, {})[:order])
+           for j, name in enumerate(names)}
     with np.errstate(all="ignore"):
         out = _eval_batch(expr, env)
     if not isinstance(out, jet):
-        return (np.full(m, float(out)),) + tuple(
-            np.zeros((m,) + (n,) * k) for k in range(1, order + 1))
-    derivs = (out.g, out.h) if order == 2 else (out.g,)
-    return (out.v,) + (derivs if first else tuple(map(_points_first, derivs)))
+        return _constant_jet(out, m, n, order)
+
+    def stack(entries, keys):
+        return np.stack([x if isinstance(x, np.ndarray) else np.full(m, x)
+                         for x in (entries.get(i, 0.0) for i in keys)], 1)
+
+    derivs = [stack(out.g, range(n))]
+    if order == 2:
+        derivs.append(stack(out.h, [(j, k) for j in range(n)
+                                    for k in range(n)]).reshape(m, n, n))
+    return (out.v, *derivs)
+
+
+def dense_jet(expr, points, names, order):
+    """The jets of _RowsJet1/_RowsJet2 at ``points``, and the rows where
+    every node they built is finite."""
+    m, n = points.shape
+    jet = (_RowsJet1, _RowsJet2)[order - 1]
+    env = {}
+    for j, name in enumerate(names):
+        g = np.zeros((m, n))
+        g[:, j] = 1.0
+        env[name] = jet(points[:, j].copy(),
+                        *(g, np.zeros((m, n, n)))[:order])
+    with np.errstate(all="ignore"):
+        out = _eval_batch(expr, env)
+    if not isinstance(out, jet):
+        return _constant_jet(out, m, n, order), np.ones(m, dtype=bool)
+    return (out.v, out.g) + ((out.h,) if order == 2 else ()), out.ok
 
 
 def same_bytes(a, b):
@@ -557,14 +667,18 @@ class TestTape:
                                                                b[~nan])
 
     def test_jets_match_the_points_first_reference_off_nan(self):
+        # the dense reference on the rows where all its nodes are finite,
+        # an exact zero of either sign taken as +0.0 (x + 0.0)
+        rows = 0
         for expr in self.exprs():
             tape = compile((expr,), self.NAMES)
             for order, got in ((1, tape.jet1(self.POINTS)[0]),
                                (2, tape.jet2(self.POINTS)[0])):
-                want = ref_jet(expr, self.POINTS, self.NAMES, order,
-                               first=True)
-                assert all(map(self.same_off_nan, got, want)), \
-                    (order, to_infix(expr))
+                want, ok = dense_jet(expr, self.POINTS, self.NAMES, order)
+                rows += ok.sum()
+                assert all(self.same_off_nan(a[ok] + 0.0, b[ok] + 0.0)
+                           for a, b in zip(got, want)), (order, to_infix(expr))
+        assert rows > 200  # of 588
 
     @pytest.mark.parametrize("m", [1, 7])
     @pytest.mark.parametrize("texts", [
@@ -578,7 +692,7 @@ class TestTape:
         for order, jets in ((1, tape.jet1(points)), (2, tape.jet2(points))):
             assert len(jets) == len(exprs)
             for expr, got in zip(exprs, jets):
-                want = ref_jet(expr, points, self.NAMES, order, first=True)
+                want = ref_jet(expr, points, self.NAMES, order)
                 assert len(got) == order + 1
                 for k, (a, b) in enumerate(zip(got, want)):
                     assert a.dtype == np.float64
@@ -674,3 +788,75 @@ class TestTape:
         right = parse_expression("u1 + (u2 + u3)")
         assert compile((left,), self.NAMES) is not compile((right,),
                                                            self.NAMES)
+
+
+class TestStructure:
+    """The jets compute only the entries that can be nonzero."""
+
+    def test_a_sum_of_squares_computes_no_off_diagonal_entry(self):
+        names = ["x1", "x2", "x3", "x4"]
+        tape = compile((parse_expression("x1^2 + x2^2 + x3^2 + x4^2"),),
+                       names)
+        text, consts = tape._jet_source(2)
+        binds = dict(re.findall(r"^    (\w+) = (.+)$", text, re.M))
+        assert all(j == k for j, k in (  # Hessian entries, d<slot>_<j>_<k>
+            x.split("_")[1:] for x in binds if x.count("_") == 2))
+        # the off-diagonal columns of the returned Hessian are one column
+        # of the constant 0.0
+        cols = re.findall(r"np\.array\(\[([^\]]*)\]", text)[1].split(", ")
+        off = {c for i, c in enumerate(cols) if i // 4 != i % 4}
+        (zero,) = off
+        assert consts[binds[zero][len("np.full(m, "):-1]] == 0.0
+        points = np.random.default_rng(1).normal(size=(5, 4))
+        points[0] = [np.inf, np.nan, 0.0, -0.0]
+        (_, _, h), = tape.jet2(points)
+        mask = ~np.eye(4, dtype=bool)
+        assert same_bytes(h[:, mask], np.zeros((5, 12)))  # +0.0, never nan
+        assert same_bytes(h[:, ~mask], np.full((5, 4), 2.0))
+
+    def test_jet1_computes_no_hessian_entry(self):
+        expr = parse_expression("x1*x2*x1 + x2^3*x1 + 1/(x1*x2)")
+        text, _ = compile((expr,), ["x1", "x2"])._jet_source(1)
+        assert re.findall(r"\bd\d+_\d+\b", text)
+        assert not re.findall(r"\bd\d+_\d+_\d+\b", text)
+
+    def test_a_tape_without_variables_has_empty_jets(self):
+        tape = compile((Const(Fraction(7, 3)),), [])
+        v, g, h = tape.jet2(np.zeros((4, 0)))[0]
+        assert v.tolist() == [7 / 3] * 4
+        assert g.shape == (4, 0) and h.shape == (4, 0, 0)
+        assert tape.jet1(np.zeros((4, 0)))[0][1].shape == (4, 0)
+
+    def test_a_pole_in_y_leaves_the_x_entries(self):
+        expr = parse_expression("x + 1/y")
+        at = np.array([[2.0, 0.0]])
+        (v, g, h), = compile((expr,), ["x", "y"]).jet2(at)
+        (_, g1), = compile((expr,), ["x", "y"]).jet1(at)
+        assert v[0] == np.inf and g[0, 0] == 1.0 and g1[0, 0] == 1.0
+        assert h[0].tolist()[0] == [0.0, 0.0] and h[0, 1, 1] == np.inf
+        # the dense forward mode gave nan: 1.0 + 0 * -inf
+        (_, dense_g, _), ok = dense_jet(expr, at, ["x", "y"], 2)
+        assert np.isnan(dense_g[0, 0]) and not ok[0]
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_tapes_match_the_dense_reference(self, name):
+        # f_eps, as Newton solves it, and the flow field's outputs, at the
+        # first 64 Halton starts of the entry's box
+        entry = catalog_lookup(name)
+        problem = entry.make()
+        names = problem.variables
+        lo, hi = np.array(problem.domain.box).T
+        points = lo + halton_points(64, len(names), skip=20) * (hi - lo)
+        field = (problem.f, Quotient(Const(1), problem.tau)) \
+            + metric_exprs(problem.metric, problem.tau)
+        assert compile(field, names) is _Field(problem, entry.eps).tape
+        for exprs in ((perturbed_function(problem, entry.eps),), field):
+            tape = compile(exprs, names)
+            for order, jets in ((1, tape.jet1(points)),
+                                (2, tape.jet2(points))):
+                for expr, got in zip(exprs, jets):
+                    want, ok = dense_jet(expr, points, names, order)
+                    assert ok.all(), (name, order, to_infix(expr))
+                    assert all(same_bytes(a + 0.0, b + 0.0)
+                               for a, b in zip(got, want)), \
+                        (name, order, to_infix(expr))
