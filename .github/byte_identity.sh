@@ -7,7 +7,9 @@
 # commit (extracted by `git archive` into a temporary directory), the
 # artifacts of `compare --catalog` on every catalog entry, of
 # `compare --catalog x_plus_x2y --res 48` (the 4-D Euler count at the
-# resolution of the euler_4d benchmark workload), of the continue
+# resolution of the euler_4d benchmark workload), of `compare --res 21`
+# on x_plus_x2y and z^3 (odd extents: the 4-D closure walk ends on a
+# short slab of axis 0), of the continue
 # ladders below, with crit, flow (json and csv), complex, homology and
 # oracle at each eps of a ladder, of crit, flow, complex, homology,
 # oracle and compare on the planar maximum below, of crit, complex and
@@ -77,6 +79,8 @@ artifacts() {
     cli catalog compare --catalog "$name"
   done
   cli catalog-res48 compare --catalog x_plus_x2y --res 48
+  cli catalog-res21 compare --catalog x_plus_x2y --res 21
+  cli catalog-z3-res21 compare --catalog "z^3" --res 21
   cli double_well-sweep sweep-eps --config "$work/double_well.json" \
     --grid "$sweep_grid"
   cli z3-sweep-theta sweep-theta --config "$work/z3.json" \

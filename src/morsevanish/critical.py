@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, MorsificationFailed
-from .expr import (Const, Expression, Product, Sum, Tape, Var, as_fraction,
+from .expr import (Const, Product, Sum, Tape, Var, as_fraction,
                    compile, eval_values)
 from .metric import metric_batch
 from .problem import ProblemSpec, perturbed_function
@@ -241,38 +241,45 @@ def _step_cap(domain, x: np.ndarray, step: np.ndarray) -> np.ndarray:
     return cap
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows, ``np.linalg.norm``'s own formula."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def _backtrack(tape: Tape, domain, x: np.ndarray, step: np.ndarray,
                base_gn: np.ndarray):
     """Per-row backtracking along -step: the accepted points and their |grad|.
 
     Each row's first try is its full step, capped by `_step_cap`; each
     further try halves it.  Each try evaluates only the rows that have not
-    yet beaten their own base_gn.  A row stops at its first improving step
-    length; a row that never improves keeps the best of its tries (the
-    first one if every try is non-finite).
+    yet beaten their own base_gn, compressed out of the try before.  A row
+    stops at its first improving step length; a row that never improves
+    keeps the best of its tries (the first one if every try is non-finite).
     """
-    best_X = np.empty_like(x)
-    best_gn = np.full(len(x), np.inf)
-    todo = np.arange(len(x))
+    best_X, best_gn = np.empty_like(x), np.full(len(x), np.inf)
+    rows = np.arange(len(x))
     t = _step_cap(domain, x, step)
     for k in range(_TRIES):
-        cand = domain.clamp_to_interior(x[todo] - t[todo, None] * step[todo])
+        cand = domain.clamp_to_interior(x - t[:, None] * step)
         (_, gc), = tape.jet1(cand)
-        cn = np.linalg.norm(gc, axis=1)
+        cn = _norms(gc)
         cn = np.where(np.isfinite(cn), cn, np.inf)
-        take = (cn < best_gn[todo]) | (k == 0)
-        best_X[todo[take]] = cand[take]
-        best_gn[todo[take]] = cn[take]
-        todo = todo[~(cn < base_gn[todo])]
-        if todo.size == 0:
+        take = (cn < best_gn[rows]) | (k == 0)
+        best_X[rows[take]] = cand[take]
+        best_gn[rows[take]] = cn[take]
+        more = ~(cn < base_gn)
+        if not more.any():
             break
-        t *= 0.5
+        x, step, t, base_gn, rows = (a[more]
+                                     for a in (x, step, t, base_gn, rows))
+        t = 0.5 * t
     return best_X, best_gn
 
 
-def _newton_batch(fe: Expression, names, domain, X0: np.ndarray,
-                  tol: float, max_iter: int):
-    """Damped Newton on the gradient; each row runs on its own.
+def _newton_batch(tape: Tape, domain, X0: np.ndarray, tol: float,
+                  max_iter: int):
+    """Damped Newton on the gradient of the expression in ``tape``
+    (``compile((f_eps,), names)``); each row runs on its own.
 
     An iteration evaluates one Hessian per working row, takes the Newton
     step and backtracks per row (`_backtrack`).  A row is done as soon as
@@ -280,52 +287,59 @@ def _newton_batch(fe: Expression, names, domain, X0: np.ndarray,
     bit for bit the one the next Hessian evaluation would give.  A row that
     is not done retires when _RETIRE_AFTER iterations pass without halving
     its best |grad| (which starts at its first norm), when its gradient is
-    not finite, or when it strays beyond the leash.  No row's iterates
-    depend on which other rows share the batch.
+    not finite, or when it strays beyond the leash.  The working rows are
+    kept packed: a mask compresses them as rows stop, which go back to X.
+    No row's iterates depend on which other rows share the batch.
 
     Returns (X, done mask, retired mask, |grad| at X).
     """
-    tape = compile((fe,), names)
     X = domain.clamp_to_interior(np.array(X0, dtype=float))
     m = len(X)
-    alive = np.ones(m, dtype=bool)
     done = np.zeros(m, dtype=bool)
+    dead = np.zeros(m, dtype=bool)
     gnorm = np.full(m, np.inf)
-    best = None                        # |grad| at each row's last halving
-    age = np.zeros(m, dtype=np.int64)  # iterations since that halving
     leash = 50.0 * max(hi - lo for lo, hi in domain.box)
     center = np.array([(lo + hi) / 2 for lo, hi in domain.box])
+    rows, x, gn = np.arange(m), X, gnorm
+    best = None                        # |grad| at each row's last halving
+    age = np.zeros(m, dtype=np.int64)  # iterations since that halving
 
     for _ in range(max_iter):
-        idx = np.flatnonzero(alive & ~done)
-        if idx.size == 0:
+        if not rows.size:
             break
-        (_, g, H), = tape.jet2(X[idx])
-        gn = np.linalg.norm(g, axis=1)
+        (_, g, H), = tape.jet2(x)
+        gn = _norms(g)
         bad = ~np.isfinite(gn)
-        alive[idx[bad]] = False
-        hit = ~bad & (gn < tol)
-        done[idx[hit]] = True
-        gnorm[idx] = np.where(bad, np.inf, gn)
+        gn[bad] = np.inf
+        hit = gn < tol
         if best is None:
-            best = gnorm.copy()
+            best = gn.copy()
+        stop = bad | hit
+        if stop.any():
+            dead[rows[bad]] = True
+            done[rows[hit]] = True
+            X[rows], gnorm[rows] = x, gn
+            rows, x, g, H, gn, best, age = (
+                a[~stop] for a in (rows, x, g, H, gn, best, age))
+            if not rows.size:
+                break
 
-        work = ~bad & ~hit
-        rows = idx[work]
-        if rows.size == 0:
-            continue
-        step = _newton_steps(g[work], H[work])
-        X[rows], gnorm[rows] = _backtrack(tape, domain, X[rows], step,
-                                          gnorm[rows])
-        done[rows[gnorm[rows] < tol]] = True
-        halved = gnorm[rows] < 0.5 * best[rows]
-        best[rows[halved]] = gnorm[rows[halved]]
-        age[rows] = np.where(halved, 0, age[rows] + 1)
-        rows = rows[~done[rows]]
-        far = np.linalg.norm(X[rows] - center, axis=1) > leash
-        alive[rows[(age[rows] >= _RETIRE_AFTER) | far]] = False
+        x, gn = _backtrack(tape, domain, x, _newton_steps(g, H), gn)
+        hit = gn < tol
+        halved = gn < 0.5 * best
+        np.copyto(best, gn, where=halved)
+        age += 1
+        age[halved] = 0
+        stop = hit | (age >= _RETIRE_AFTER) | (_norms(x - center) > leash)
+        if stop.any():
+            done[rows[hit]] = True
+            dead[rows[stop & ~hit]] = True
+            X[rows], gnorm[rows] = x, gn
+            rows, x, gn, best, age = (a[~stop]
+                                      for a in (rows, x, gn, best, age))
 
-    return X, done, ~alive, gnorm
+    X[rows], gnorm[rows] = x, gn
+    return X, done, dead, gnorm
 
 
 def certify_root(tape: Tape, x: np.ndarray, g: np.ndarray,
@@ -416,8 +430,8 @@ def find_critical_points(problem: ProblemSpec, eps: float,
 
     names = problem.variables
     fe = perturbed_function(problem, eps)
-    tape = compile((fe,), names)  # the one Newton compiles too
-    X, done, dead, gnorm = _newton_batch(fe, names, problem.domain, X0,
+    tape = compile((fe,), names)
+    X, done, dead, gnorm = _newton_batch(tape, problem.domain, X0,
                                          _RESIDUAL_TOL, _MAX_ITER)
     hits = np.flatnonzero(done)
     if hits.size == 0:

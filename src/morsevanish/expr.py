@@ -531,15 +531,17 @@ class Tape:
                 for o in self._run("values", list(points.T))]
 
     def grid(self, axes: Sequence[np.ndarray]) -> list:
-        """Values on the tensor grid of the 1-D ``axes``, bit for bit those
-        at the stacked grid points; variable j broadcasts along axis j, so
-        a result may be a read-only view when its output skips one."""
-        axes = [np.asarray(a, dtype=float) for a in axes]
-        if len(axes) != len(self.names):
-            raise ValueError(f"{len(axes)} axes for {len(self.names)} "
-                             "variable names")
+        """Values on the tensor grid of the 1-D float arrays ``axes``, bit
+        for bit those at the stacked grid points; variable j broadcasts
+        along axis j, so a result may be a read-only view when its output
+        skips one."""
+        n = len(axes)
+        if n != len(self.names):
+            raise ValueError(f"{n} axes for {len(self.names)} variable names")
         return [np.broadcast_to(o, tuple(a.size for a in axes))
-                for o in self._run("values", np.ix_(*axes))]
+                for o in self._run("values", [
+                    a.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
+                    for j, a in enumerate(axes)])]
 
     def jet1(self, points: np.ndarray) -> list:
         """Values and gradients: (m,), (m, n) per output; here and in

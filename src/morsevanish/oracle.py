@@ -18,9 +18,10 @@ cells only packed, one bit per cell in little-endian 64-bit words along
 the last axis, with a spare bit at the top of every row; the blocks of
 each leading index are packed as soon as they are classified, so no
 boolean grid of the full box is ever built.  Closing the top cells
-works on the words: dilation along a leading axis is an OR of shifted
-words, along the last axis a one-bit shift, and a degree's cell count
-is a popcount.
+works on the words, a slab of a few rows of axis 0 at a time, so no
+box-sized scratch exists beside them: dilation along a leading axis is
+an OR of shifted words, along the last axis a one-bit shift, and a
+degree's cell count is a sum of popcounts.
 
 The relative complex lives as a boolean mask on the doubled-index
 (Khalimsky) grid, and it is shrunk there before any sparse matrix
@@ -204,34 +205,46 @@ def _walk(words, spans, bufs):
     yield from _walk(words, spans + (True,), bufs)
 
 
-def _level_buffers(words: np.ndarray) -> list:
-    """One flat buffer per level of ``_walk`` over ``words``: level j
-    holds the leading axes up to j grown by one vertex."""
-    return [np.empty(math.prod(w + (i <= j)
-                               for i, w in enumerate(words.shape[:-1]))
-                     * words.shape[-1], dtype=words.dtype)
-            for j in range(words.ndim)]
-
-
-def _span_patterns(words: np.ndarray, bufs=None):
-    """Yield (spans, cells) for each of the 2^n spanning patterns.
+def _span_patterns(words: np.ndarray):
+    """Yield (spans, row, cells) for the 2^n spanning patterns, one slab
+    of axis 0 at a time.
 
     ``cells`` marks, in packed words (``_pack``), the closure's cells
-    that span exactly the axes j with ``spans[j]``: the top cells dilated
-    along every other axis.  The patterns are walked as a binary tree
-    that decides one axis per level and shares each dilation with the
-    whole subtree below it, so there are 2^n - 1 dilations in place of
-    n 2^(n-1).  Each level dilates into one flat buffer of its own, of
-    ``bufs`` or fresh, so ``cells`` is only valid until the next pattern
-    is drawn.
+    that span exactly the axes j with ``spans[j]``, in the slab's rows of
+    axis 0 from ``row`` on: the top cells dilated along every other axis.
+    Vertex plane i of axis 0 is ``words[i-1] | words[i]`` (rows -1 and
+    R_0 empty), the cells spanning row i are ``words[i]``.  A slab takes
+    as many rows as keep the level buffers of its walk near _CHUNK words
+    in all; in one dimension the packed row is the one slab.  A slab
+    walks the other axes as a binary tree that decides one axis per level
+    and shares each dilation with the subtree below it: 2^n - 1 dilations
+    in place of n 2^(n-1).  Level j dilates into a flat buffer of its own
+    that holds the slab's axes up to j grown by one vertex, so ``cells``
+    is only valid until the next pattern is drawn.
     """
-    return _walk(words, (), bufs or _level_buffers(words))
+    if words.ndim == 1:
+        for spans, cells in _walk(words, (), [np.empty_like(words)]):
+            yield spans, 0, cells
+        return
+    n, rows = words.ndim, len(words)
+    h = max(1, _CHUNK // (n * words[0].size))
+    slab = (min(h, rows) + 1,) + words.shape[1:]
+    bufs = [np.empty(math.prod(w + (i <= j) for i, w in enumerate(slab[:-1]))
+                     * slab[-1], dtype=words.dtype) for j in range(n)]
+    for i in range(0, rows + 1, h):
+        lo = max(i - 1, 0)  # the row before the slab closes its first plane
+        planes = _dilate(words[lo:i + h], 0, bufs[0])[i - lo:i - lo + h]
+        for spans, cells in itertools.chain(
+                _walk(planes, (False,), bufs),
+                _walk(words[i:i + h], (True,), bufs)):
+            yield spans, i, cells
 
 
-def _closed_counts(words: np.ndarray, bufs=None) -> list:
-    """Cell counts per degree of the closure of the packed top cells."""
+def _closed_counts(words: np.ndarray) -> list:
+    """Cell counts per degree of the closure of the packed top cells: the
+    popcounts of ``_span_patterns``, summed slab by slab."""
     counts = [0] * (words.ndim + 1)
-    for spans, cells in _span_patterns(words, bufs):
+    for spans, _, cells in _span_patterns(words):
         counts[sum(spans)] += int(np.bitwise_count(cells).sum())
     return counts
 
@@ -244,10 +257,12 @@ def _khalimsky(words: np.ndarray, res) -> np.ndarray:
     is the number of odd coordinates.
     """
     kh = np.zeros(tuple(2 * r + 1 for r in res), dtype=bool)
-    for spans, cells in _span_patterns(words):
-        row = res[-1] + (not spans[-1])
-        kh[tuple(slice(int(s), None, 2) for s in spans)] = np.unpackbits(
-            cells.view(np.uint8), axis=-1, count=row, bitorder="little")
+    for spans, row, cells in _span_patterns(words):
+        top = np.unpackbits(cells.view(np.uint8), axis=-1,
+                            count=res[-1] + (not spans[-1]),
+                            bitorder="little")
+        kh[2 * row:][tuple(slice(int(s), None, 2) for s in spans)][
+            :len(top)] = top
     return kh
 
 
@@ -399,9 +414,8 @@ class CubicalPair:
 
     def cell_counts(self) -> Tuple[int, ...]:
         """Relative cell counts per degree of the closed pair."""
-        bufs = _level_buffers(self.total_words)  # both sets share a shape
-        full = _closed_counts(self.total_words, bufs)
-        below = _closed_counts(self.sub_words, bufs)
+        full = _closed_counts(self.total_words)
+        below = _closed_counts(self.sub_words)
         return tuple(a - b for a, b in zip(full, below))
 
     @property

@@ -25,7 +25,7 @@ from morsevanish.critical import (default_starts, find_critical_points,
                                   sweep_theta)
 from morsevanish.errors import (ConfigError, DegenerateCriticalPoint,
                                 MorsificationFailed)
-from morsevanish.expr import eval_jet1, eval_jet2, parse_expression
+from morsevanish.expr import compile, eval_jet2, parse_expression
 from morsevanish.homology import require_nondegenerate
 from morsevanish.metric import MetricSpec
 from morsevanish.oracle import catalog_lookup, catalog_names
@@ -395,7 +395,7 @@ class TestSweeps:
 # it replaced
 
 
-def _stall_rule_newton(fe, names, domain, X0, tol, max_iter):
+def _stall_rule_newton(tape, domain, X0, tol, max_iter):
     """The earlier Newton loop, kept as a reference: one line search for
     the whole batch (it stops only once every row has improved) and a
     stall rule (6 iterations in a row without a 0.1% gain kill a row).
@@ -416,7 +416,7 @@ def _stall_rule_newton(fe, names, domain, X0, tol, max_iter):
         idx = np.flatnonzero(alive & ~done)
         if idx.size == 0:
             break
-        _, g, H = eval_jet2(fe, X[idx], names)
+        (_, g, H), = tape.jet2(X[idx])
         gn = np.linalg.norm(g, axis=1)
         bad = ~np.isfinite(gn)
         alive[idx[bad]] = False
@@ -444,7 +444,7 @@ def _stall_rule_newton(fe, names, domain, X0, tol, max_iter):
         t = 1.0
         for _ in range(5):
             cand = domain.clamp_to_interior(X[rows] - t * step)
-            _, gc = eval_jet1(fe, cand, names)
+            (_, gc), = tape.jet1(cand)
             cn = np.linalg.norm(gc, axis=1)
             cn = np.where(np.isfinite(cn), cn, np.inf)
             if best_gn is None:
@@ -487,7 +487,8 @@ class TestNewtonRows:
                              ids=["x3-plus-x-singular", "x-plus-x2y"])
     def test_rows_do_not_depend_on_the_batch(self, make, singular):
         fe, names, dom, X0 = make()
-        full = critical._newton_batch(fe, names, dom, X0, 1e-10, 80)
+        tape = compile((fe,), names)
+        full = critical._newton_batch(tape, dom, X0, 1e-10, 80)
         assert full[2].any(), "some rows must retire"
 
         perm = np.random.default_rng(0).permutation(len(X0))
@@ -497,16 +498,130 @@ class TestNewtonRows:
             assert not eval_jet2(fe, X0[[singular]], names)[2].any()
             parts.append(np.array([singular]))
         for rows in parts:
-            sub = critical._newton_batch(fe, names, dom, X0[rows], 1e-10, 80)
+            sub = critical._newton_batch(tape, dom, X0[rows], 1e-10, 80)
             for a, b in zip(full, sub):
                 assert np.array_equal(a[rows], b)
 
     def test_flagship_batch_converges_and_retires(self):
-        _, done, dead, gnorm = critical._newton_batch(*_flagship_starts(),
-                                                      1e-10, 80)
+        fe, names, dom, X0 = _flagship_starts()
+        _, done, dead, gnorm = critical._newton_batch(
+            compile((fe,), names), dom, X0, 1e-10, 80)
         assert done.any() and dead.any()
         assert not (done & dead).any()
         assert np.all(gnorm[done] < 1e-10)
+
+
+def _indexed_backtrack(tape, domain, x, step, base_gn):
+    """The line search of ``_indexed_newton``: the rows still trying are
+    gathered and scattered through an index array."""
+    best_X = np.empty_like(x)
+    best_gn = np.full(len(x), np.inf)
+    todo = np.arange(len(x))
+    t = critical._step_cap(domain, x, step)
+    for k in range(critical._TRIES):
+        cand = domain.clamp_to_interior(x[todo] - t[todo, None] * step[todo])
+        (_, gc), = tape.jet1(cand)
+        cn = np.linalg.norm(gc, axis=1)
+        cn = np.where(np.isfinite(cn), cn, np.inf)
+        take = (cn < best_gn[todo]) | (k == 0)
+        best_X[todo[take]] = cand[take]
+        best_gn[todo[take]] = cn[take]
+        todo = todo[~(cn < base_gn[todo])]
+        if todo.size == 0:
+            break
+        t *= 0.5
+    return best_X, best_gn
+
+
+def _indexed_newton(tape, domain, X0, tol, max_iter):
+    """The Newton loop before its working rows were kept packed, kept as a
+    reference: every iteration gathers the working rows of the whole
+    batch through index arrays and scatters its results back."""
+    X = domain.clamp_to_interior(np.array(X0, dtype=float))
+    m = len(X)
+    alive = np.ones(m, dtype=bool)
+    done = np.zeros(m, dtype=bool)
+    gnorm = np.full(m, np.inf)
+    best = None
+    age = np.zeros(m, dtype=np.int64)
+    leash = 50.0 * max(hi - lo for lo, hi in domain.box)
+    center = np.array([(lo + hi) / 2 for lo, hi in domain.box])
+    for _ in range(max_iter):
+        idx = np.flatnonzero(alive & ~done)
+        if idx.size == 0:
+            break
+        (_, g, H), = tape.jet2(X[idx])
+        gn = np.linalg.norm(g, axis=1)
+        bad = ~np.isfinite(gn)
+        alive[idx[bad]] = False
+        hit = ~bad & (gn < tol)
+        done[idx[hit]] = True
+        gnorm[idx] = np.where(bad, np.inf, gn)
+        if best is None:
+            best = gnorm.copy()
+        work = ~bad & ~hit
+        rows = idx[work]
+        if rows.size == 0:
+            continue
+        step = critical._newton_steps(g[work], H[work])
+        X[rows], gnorm[rows] = _indexed_backtrack(tape, domain, X[rows],
+                                                  step, gnorm[rows])
+        done[rows[gnorm[rows] < tol]] = True
+        halved = gnorm[rows] < 0.5 * best[rows]
+        best[rows[halved]] = gnorm[rows[halved]]
+        age[rows] = np.where(halved, 0, age[rows] + 1)
+        rows = rows[~done[rows]]
+        far = np.linalg.norm(X[rows] - center, axis=1) > leash
+        alive[rows[(age[rows] >= critical._RETIRE_AFTER) | far]] = False
+    return X, done, ~alive, gnorm
+
+
+def _catalog_starts(name, m):
+    """f_eps of a catalog entry at its eps, and the first m Halton starts
+    of seed 0 in its box."""
+    e = catalog_lookup(name)
+    spec = e.problem()
+    lo, hi = (np.array(b) for b in zip(*spec.domain.box))
+    X0 = lo + halton_points(m, len(lo), skip=20) * (hi - lo)
+    return perturbed_function(spec, e.eps), spec.variables, spec.domain, X0
+
+
+def _ray_starts():
+    """linear_y at its default starts, where Newton steps toward y = 0 are
+    capped, and two starts outside the ray that clamping moves in."""
+    fe, names, dom, X0 = _catalog_starts("linear_y", default_starts(1))
+    return fe, names, dom, np.vstack([X0, [[0.0], [-1.0]]])
+
+
+def _blows_up():
+    """1/x + x^2: the start at 0 has no finite gradient, and Newton steps
+    from its neighbours try points where the gradient overflows."""
+    X0 = np.concatenate([np.linspace(-1.0, 1.0, 9), [1e-160, -3e-200]])
+    return (parse_expression("1/x + x^2"), ("x",),
+            DomainModel.full_space(1), X0[:, None])
+
+
+class TestPackedNewton:
+    @pytest.mark.parametrize("make", [
+        lambda: _catalog_starts("x_plus_x2y", 1024),
+        lambda: _catalog_starts("z^3", default_starts(2)),
+        _ray_starts,
+        _blows_up,
+    ], ids=["x-plus-x2y-1024", "z3-default", "linear-y-ray", "non-finite"])
+    def test_matches_the_indexed_loop_bytewise(self, make):
+        fe, names, dom, X0 = make()
+        tape = compile((fe,), names)
+        got = critical._newton_batch(tape, dom, X0, critical._RESIDUAL_TOL,
+                                     critical._MAX_ITER)
+        want = _indexed_newton(tape, dom, X0, critical._RESIDUAL_TOL,
+                               critical._MAX_ITER)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        _, done, dead, gnorm = want
+        assert done.any()
+        if make is _blows_up:
+            assert np.isinf(gnorm[dead]).any()
 
 
 _REGRESSION = sorted(
@@ -526,10 +641,9 @@ def test_matches_the_stall_rule_solver(name, eps, monkeypatch):
 
     calls = []
 
-    def reference(fe, names, domain, X0, tol, max_iter):
-        *out, stalled_at = _stall_rule_newton(fe, names, domain, X0, tol,
-                                              max_iter)
-        calls.append((fe, names, domain, X0, tol, stalled_at))
+    def reference(tape, domain, X0, tol, max_iter):
+        *out, stalled_at = _stall_rule_newton(tape, domain, X0, tol, max_iter)
+        calls.append((tape, domain, X0, tol, stalled_at))
         return tuple(out)
 
     with monkeypatch.context() as m:
@@ -546,11 +660,11 @@ def test_matches_the_stall_rule_solver(name, eps, monkeypatch):
 
     # a row the stall rule killed at iteration k has stopped by then: it is
     # retired, or its own line search has already converged it
-    (fe, names, domain, X0, tol, stalled_at), = calls
+    (tape, domain, X0, tol, stalled_at), = calls
     for k in np.unique(stalled_at[stalled_at >= 0]):
         rows = np.flatnonzero(stalled_at == k)
-        _, done, dead, _ = critical._newton_batch(fe, names, domain,
-                                                  X0[rows], tol, int(k) + 1)
+        _, done, dead, _ = critical._newton_batch(tape, domain, X0[rows],
+                                                  tol, int(k) + 1)
         working = ~done & ~dead
         assert not working.any(), f"rows {rows[working]} outlive the stall rule"
 

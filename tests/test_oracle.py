@@ -320,6 +320,104 @@ def alternating(dims):
     return sum((-1) ** k * c for k, c in dims.items())
 
 
+def whole_box_walk(words):
+    """The closure's spanning patterns walked over the whole box at once,
+    one box-sized buffer per level of the dilation tree."""
+    bufs = [np.empty(math.prod(w + (i <= j)
+                               for i, w in enumerate(words.shape[:-1]))
+                     * words.shape[-1], dtype=words.dtype)
+            for j in range(words.ndim)]
+    return oracle._walk(words, (), bufs)
+
+
+def whole_box_counts(words):
+    counts = [0] * (words.ndim + 1)
+    for spans, cells in whole_box_walk(words):
+        counts[sum(spans)] += int(np.bitwise_count(cells).sum())
+    return counts
+
+
+def whole_box_khalimsky(words, res):
+    kh = np.zeros(tuple(2 * r + 1 for r in res), dtype=bool)
+    for spans, cells in whole_box_walk(words):
+        kh[tuple(slice(int(s), None, 2) for s in spans)] = np.unpackbits(
+            cells.view(np.uint8), axis=-1, count=res[-1] + (not spans[-1]),
+            bitorder="little")
+    return kh
+
+
+def random_words(rng, res):
+    """Random packed top cells (``_pack``) of a box of ``res`` cells."""
+    words = rng.integers(0, 2 ** 64, size=res[:-1] + (res[-1] // 64 + 1,),
+                         dtype=np.uint64).astype("<u8")
+    w, b = divmod(res[-1], 64)
+    words[..., w] &= np.uint64((1 << b) - 1)
+    return words
+
+
+# the counts of each catalog pair at its pinned parameters, as counted by
+# the whole-box walk
+CATALOG_COUNTS = {
+    "corner_2d": (451, 902, 451),
+    "double_well_1d": (41, 40),
+    "inverse_y": (88, 88),
+    "linear_y": (65, 64),
+    "single_min_1d": (65, 64),
+    "x_plus_x2y": (32609, 127712, 186768, 120884, 29220),
+    "z^2": (687, 1384, 696),
+    "z^3": (401, 813, 410),
+    "z^4": (289, 588, 296),
+}
+
+
+class TestSlabWalk:
+    # axis-0 extents of 1, and of 5 and 7, which slabs of 2 and 3 rows
+    # do not divide; last axes around the 64-bit word boundary
+    @pytest.mark.parametrize("res", [(1,), (70,), (1, 5), (7, 3), (4, 65),
+                                     (1, 1, 1), (5, 4, 3), (1, 3, 2, 4),
+                                     (7, 2, 3, 65), (4, 2, 2, 3)])
+    @pytest.mark.parametrize("height", [1, 2, 3, None])
+    def test_slabs_match_the_whole_box_walk(self, res, height, monkeypatch):
+        words = random_words(np.random.default_rng(len(res) * 100 + res[0]),
+                             res)
+        if height is not None and len(res) > 1:
+            monkeypatch.setattr(oracle, "_CHUNK",
+                                height * words.ndim * words[0].size)
+            rows = {row for _, row, _ in oracle._span_patterns(words)}
+            assert rows == set(range(0, res[0] + 1, height))
+        assert _closed_counts(words) == whole_box_counts(words)
+        assert np.array_equal(_khalimsky(words, res),
+                              whole_box_khalimsky(words, res))
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_COUNTS))
+    def test_catalog_counts_unchanged(self, name):
+        e = catalog_lookup(name)
+        pair = build_pair(e.problem(), e.eps, e.lam, e.Lam,
+                          resolution=e.resolution)
+        assert pair.cell_counts() == CATALOG_COUNTS[name]
+        assert list(pair.cell_counts()) == [
+            a - b for a, b in zip(whole_box_counts(pair.total_words),
+                                  whole_box_counts(pair.sub_words))]
+
+    def test_counting_allocates_less_than_one_set_of_words(self):
+        # a whole-box walk needs four dilation buffers of about the
+        # words' own size at 48^4
+        rng = np.random.default_rng(48)
+        res = (48,) * 4
+        total = random_words(rng, res)
+        pair = CubicalPair(((0.0, 1.0),) * 4, res, total,
+                           total & random_words(rng, res))
+        tracemalloc.start()
+        try:
+            counts = pair.cell_counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < total.nbytes, peak / total.nbytes
+        assert list(counts) == [a - b for a, b in zip(
+            whole_box_counts(total), whole_box_counts(pair.sub_words))]
+
+
 class TestCollapse:
     def test_collapse_keeps_the_homology(self):
         answers = set()
