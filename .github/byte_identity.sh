@@ -9,7 +9,9 @@
 # `compare --catalog x_plus_x2y --res 48` (the 4-D Euler count at the
 # resolution of the euler_4d benchmark workload), of `compare --res 21`
 # on x_plus_x2y and z^3 (odd extents: the 4-D closure walk ends on a
-# short slab of axis 0), of the continue
+# short slab of axis 0), of `compare --config` on the 4-D bowl below
+# (its relative region stays inside the first box, so the Euler count
+# returns without growing it), of the continue
 # ladders below, with crit, flow (json and csv), complex, homology and
 # oracle at each eps of a ladder, of crit, flow, complex, homology,
 # oracle and compare on the planar maximum below, of crit, complex and
@@ -48,6 +50,11 @@ cat > "$work/double_well4.json" <<'EOF'
  "f": "x1^4 - x1^2 + x2^2 + x3^2 + x4^2",
  "tau": "pow(1 + x1^2 + x2^2 + x3^2 + x4^2, -1/2)", "eps": 0.1}
 EOF
+cat > "$work/bowl4.json" <<'EOF'
+{"dimension": 4, "domain": "real_line", "f": "x1^2 + x2^2 + x3^2 + x4^2",
+ "tau": "pow(1 + x1^2 + x2^2 + x3^2 + x4^2, -1/2)", "eps": 0.1,
+ "window": {"lambda": 1.0, "Lambda": 4.0}}
+EOF
 # a maximum between two saddles: its flow counts the top degree by the
 # dual route; continue refuses an index-2 source, so it runs no ladder
 cat > "$work/max2d.json" <<'EOF'
@@ -81,6 +88,7 @@ artifacts() {
   cli catalog-res48 compare --catalog x_plus_x2y --res 48
   cli catalog-res21 compare --catalog x_plus_x2y --res 21
   cli catalog-z3-res21 compare --catalog "z^3" --res 21
+  cli bowl4 compare --config "$work/bowl4.json"
   cli double_well-sweep sweep-eps --config "$work/double_well.json" \
     --grid "$sweep_grid"
   cli z3-sweep-theta sweep-theta --config "$work/z3.json" \

@@ -28,7 +28,9 @@ finite differences.
 from __future__ import annotations
 
 import builtins
+import copy
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -260,7 +262,9 @@ def evaluate(expr: Expression, point: Mapping[str, float]):
 # operands a slot (int) or a folded constant (float); sums and products are
 # left-to-right chains and a quotient is num * recip(den).  Each mode runs
 # as generated straight-line numpy code that deletes each local after its
-# last read.  Values mode computes an array per slot; the jet modes put the
+# last read.  Values mode computes an array per slot, and grid mode makes
+# the same calls into scratch registers that the tape keeps, a register
+# taken again once its slot is dead (``Tape._plan``); the jet modes put the
 # live operand of a constant op first and compute an array of the m points
 # per gradient entry j and Hessian entry (j, k) that can be nonzero, by the
 # dense product and chain rules less their structurally zero terms and
@@ -273,9 +277,17 @@ def evaluate(expr: Expression, point: Mapping[str, float]):
 # slot is inf or nan, a structurally zero entry reads 0.0, not the dense
 # 0 * inf = nan (d/dx of x + 1/y is 1.0 at y = 0).
 
-_VALUES = {"var": "xs[{a}]", "add": "{A} + {B}", "mul": "{A} * {B}",
-           "recip": "1.0 / {A}", "ipow": "{A} ** ({k})",
-           "fpow": "_fpow({A}, {p})"}
+# the numpy call of each instruction, the ufunc that numpy's own a + b,
+# a * b, 1.0 / a and a ** k pick, and its operands; a ** k takes numpy's
+# fast paths (``_FAST_POW``)
+_CALLS = {"var": ("", "xs[{a}]"), "add": ("np.add", "{A}, {B}"),
+          "mul": ("np.multiply", "{A}, {B}"),
+          "recip": ("np.divide", "1.0, {A}"),
+          "ipow": ("np.power", "{A}, {k}"), "fpow": ("_fpow", "{A}, {p}")}
+# numpy's a ** k is np.square for an int 2, np.reciprocal for an int -1
+# and np.sqrt for a float 0.5
+_FAST_POW = {(int, 2): "square", (int, -1): "reciprocal",
+             (float, 0.5): "sqrt"}
 # the locals of generated code: values, entries, factors, columns
 _LOCAL = re.compile(r"\b[dpqsvwz]\d[\d_]*\b")
 
@@ -290,12 +302,17 @@ def _reads(op, a, b):
             if type(x) is int] if op != "var" else []
 
 
-def _fpow(x, p):
+def _fpow(x, p, out, ok):
     """x ** p for an array x where x > 0, and np.nan elsewhere whatever
-    x ** p gave there (a nan x may carry another sign)."""
-    y, ok = x ** p, x > 0.0
+    x ** p gave there (a nan x may carry another sign); ``out`` and the
+    bool ``ok`` take the result and the positivity mask, or are None for
+    fresh arrays."""
+    fast = _FAST_POW.get((type(p), p))
+    y = (getattr(np, fast)(x, out=out) if fast
+         else np.power(x, p, out=out))
+    ok = np.greater(x, 0.0, out=ok)
     if not ok.all():
-        y[~ok] = np.nan
+        np.copyto(y, np.nan, where=np.logical_not(ok, out=ok))
     return y
 
 
@@ -303,7 +320,7 @@ def _fpow(x, p):
 _FOLD = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b,
          "recip": lambda a, _: float(1.0 / np.float64(a)),
          "ipow": lambda a, k: float(np.float64(a) ** k),
-         "fpow": lambda a, p: _fpow(np.array([a]), p)[0]}
+         "fpow": lambda a, p: _fpow(np.array([a]), p, None, None)[0]}
 
 
 def _straight(args, lines, rets):
@@ -343,7 +360,7 @@ class Tape:
         self._code, self._slot = [], {}
         with np.errstate(all="ignore"):
             self.outputs = tuple(self._operand(e) for e in exprs)
-        self._fns = {}
+        self._fns, self._regs, self._views = {}, {}, {}
 
     def __len__(self):
         return len(self._code)
@@ -389,30 +406,39 @@ class Tape:
             self._code.append((op, a, b))
         return self._slot[key]
 
-    def _values_source(self):
-        """The generated source of values mode and the constants it reads.
-        A slot read once is written into its reader's expression, where
-        numpy may reuse the temporary array in place."""
+    def _values_source(self, grid=False):
+        """The generated source of values mode, or of grid mode, and the
+        constants it reads.  In values mode a slot read once is written
+        into its reader's expression.  Grid mode makes the same calls, one
+        line per slot in the order of the instructions, with slot i's output
+        in the scratch view ``o[i]`` and an fpow's mask in ``m[i]``
+        (``_scratch``)."""
         outs = {o for o in self.outputs if type(o) is int}
         reads = [x for ins in self._code for x in _reads(*ins)]
-        inline = {x for x in reads if reads.count(x) == 1 and x not in outs}
-        consts = {}
+        inline = set() if grid else {x for x in reads if reads.count(x) == 1
+                                     and x not in outs}
+        consts, texts = {}, {}
 
         def name(x):
             if type(x) is not int:
                 return consts.setdefault(_key(x), (f"c{len(consts)}", x))[0]
-            return f"({text(x)})" if x in inline else f"v{x}"
+            return texts[x] if x in inline else f"v{x}"
 
-        def text(i):
-            op, a, b = self._code[i]
-            return _VALUES[op].format(
-                a=a, k=b, p=repr(b), A=op != "var" and name(a),
-                B=op in ("add", "mul") and name(b))
-
-        lines = [(f"v{i}", text(i)) for i in range(len(self._code))
+        for i, (op, a, b) in enumerate(self._code):
+            fast = op == "ipow" and _FAST_POW.get((type(b), b))
+            fn, args = ("np." + fast, "{A}") if fast else _CALLS[op]
+            args = args.format(a=a, k=b, p=repr(b), A=op != "var" and name(a),
+                               B=op in ("add", "mul") and name(b))
+            if grid and op != "var":
+                args += f", o[{i}]" + (f", m[{i}]" if op == "fpow" else "")
+            elif op == "fpow":
+                args += ", None, None"
+            texts[i] = f"{fn}({args})" if fn else args
+        lines = [(f"v{i}", texts[i]) for i in range(len(self._code))
                  if i not in inline]
         rets = "".join(name(o) + ", " for o in self.outputs)
-        return _straight("xs", lines, rets), dict(consts.values())
+        return (_straight("xs, o, m" if grid else "xs", lines, rets),
+                dict(consts.values()))
 
     def _jet_source(self, order: int):
         """The generated source of the jets of ``order`` (1 or 2) and the
@@ -508,15 +534,77 @@ class Tape:
             rets += f"({', '.join(jet)}), "
         return _straight("X, m, n", lines, rets), dict(consts.values())
 
+    @functools.cached_property
+    def _plan(self):
+        """The scratch register of each computed slot and the variables
+        each slot depends on.  A slot takes the register of an operand
+        that it reads last and that has its shape (an exact overlap, which
+        ufuncs compute in place), or else one whose slot was last read
+        before it; an output holds its register to the end."""
+        last = {x: i for i, ins in enumerate(self._code) for x in _reads(*ins)}
+        last.update((o, len(self._code)) for o in self.outputs
+                    if type(o) is int)
+        deps, reg, free, ends = [], {}, [], {}
+        for i, (op, a, b) in enumerate(self._code):
+            deps.append({a} if op == "var" else
+                        set().union(*(deps[x] for x in _reads(op, a, b))))
+            if op != "var":
+                # an operand read last here and shaped like the output
+                # takes it in place, but not in _fpow, which reads x again
+                # after writing the power
+                dying = [reg[x] for x in _reads(op, a, b) if x in reg
+                         and last[x] == i and deps[x] == deps[i]]
+                reg[i] = (dying[0] if dying and op != "fpow" else
+                          free.pop() if free else len(set(reg.values())))
+                ends.setdefault(last.get(i, i), []).append(reg[i])
+            free += [r for r in ends.pop(i, []) if r != reg.get(i)]
+        return reg, deps
+
+    def _scratch(self, shape):
+        """The views ``o`` and ``m`` that grid mode writes a block of
+        ``shape`` into.  Slot i's value is the head of its register shaped
+        to the axes it depends on, an fpow's mask the head of the one bool
+        register (key -1) likewise.  A register is allocated when a block
+        first needs it to be larger, and lives as long as the tape."""
+        if shape not in self._views:
+            reg, deps = self._plan
+            uses = [(0, i, r) for i, r in reg.items()] + [
+                (1, i, -1) for i in reg if self._code[i][0] == "fpow"]
+            cut = {i: tuple(d if j in deps[i] else 1
+                            for j, d in enumerate(shape)) for i in reg}
+            need = {}
+            for _, i, r in uses:
+                need[r] = max(need.get(r, 0), math.prod(cut[i]))
+            for r, size in need.items():
+                if r not in self._regs or self._regs[r].size < size:
+                    self._regs[r] = np.empty(size, dtype=bool if r < 0
+                                             else float)
+                    self._views.clear()  # views of the old register
+            views = [None] * len(self._code), [None] * len(self._code)
+            for k, i, r in uses:
+                views[k][i] = self._regs[r][:math.prod(cut[i])].reshape(
+                    cut[i])
+            self._views[shape] = views
+        return self._views[shape]
+
+    def fork(self) -> "Tape":
+        """This tape with grid scratch of its own, which goes with the fork;
+        the instructions, kernels and register plan are shared."""
+        tape = copy.copy(self)
+        tape._regs, tape._views, tape._plan = {}, {}, self._plan
+        return tape
+
     def kernel(self, mode: str):
-        """The generated function of a mode, ``run(xs)`` or ``run(X, m, n)``;
-        callers enter ``np.errstate(all="ignore")`` around it."""
+        """The generated function of a mode, ``run(xs)``, ``run(xs, o, m)``
+        or ``run(X, m, n)``; callers enter ``np.errstate(all="ignore")``
+        around it."""
         if mode not in self._fns:
-            text, scope = (self._values_source() if mode == "values"
+            text, scope = (self._values_source(mode == "grid")
+                           if mode in ("values", "grid")
                            else self._jet_source(int(mode[3:])))
             scope.update(np=np, _fpow=_fpow)
             exec(_module(text), scope)
-            self._fns[mode] = scope["run"]
+            self._fns[mode] = scope.pop("run")  # no cycle through scope
         return self._fns[mode]
 
     def _run(self, mode, *args):
@@ -533,15 +621,17 @@ class Tape:
     def grid(self, axes: Sequence[np.ndarray]) -> list:
         """Values on the tensor grid of the 1-D float arrays ``axes``, bit
         for bit those at the stacked grid points; variable j broadcasts
-        along axis j, so a result may be a read-only view when its output
-        skips one."""
+        along axis j.  Every intermediate goes into scratch that the tape
+        allocates once and reuses (``_scratch``), so a result is a
+        read-only view that is valid until the next ``grid`` call."""
         n = len(axes)
         if n != len(self.names):
             raise ValueError(f"{n} axes for {len(self.names)} variable names")
-        return [np.broadcast_to(o, tuple(a.size for a in axes))
-                for o in self._run("values", [
+        shape = tuple(a.size for a in axes)
+        return [np.broadcast_to(o, shape)
+                for o in self._run("grid", [
                     a.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
-                    for j, a in enumerate(axes)])]
+                    for j, a in enumerate(axes)], *self._scratch(shape))]
 
     def jet1(self, points: np.ndarray) -> list:
         """Values and gradients: (m,), (m, n) per output; here and in

@@ -13,15 +13,17 @@ side it shares only the expression layer and the exact layer
 
 The grid is evaluated in blocks of about 2^15 points (``_CHUNK``), cut
 across as many leading axes as it takes, so the tape's temporaries for
-a block stay in L2 cache even in dimension four.  A pair holds its top
-cells only packed, one bit per cell in little-endian 64-bit words along
-the last axis, with a spare bit at the top of every row; the blocks of
-each leading index are packed as soon as they are classified, so no
-boolean grid of the full box is ever built.  Closing the top cells
-works on the words, a slab of a few rows of axis 0 at a time, so no
-box-sized scratch exists beside them: dilation along a leading axis is
-an OR of shifted words, along the last axis a one-bit shift, and a
-degree's cell count is a sum of popcounts.
+a block stay in L2 cache even in dimension four; they live in scratch
+that the tape allocates once and reuses for every block
+(``Tape.grid``).  Top cells come out one row of axis 0 at a time, packed
+one bit per cell in little-endian 64-bit words along the last axis,
+with a spare bit at the top of every row, so no boolean grid of the
+full box is ever built.  Closing the top cells works on the words, a
+slab of a few rows of axis 0 at a time: dilation along a leading axis
+is an OR of shifted words, along the last axis a one-bit shift, and a
+degree's cell count is a sum of popcounts.  The exact route stacks the
+rows into a pair's words; the Euler route holds no pair words, but
+counts both sets and checks the walls of the box as the rows pass.
 
 The relative complex lives as a boolean mask on the doubled-index
 (Khalimsky) grid, and it is shrunk there before any sparse matrix
@@ -59,6 +61,7 @@ window (-1, 10]:
   chi = +1 is checkable here.
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,31 +125,48 @@ def _blocks(res):
                    + (slice(i0, i0 + step),))
 
 
-def _top_masks(fe, names, box, res, lam, Lam):
-    """Packed top cells (``_pack``) of {f_eps <= Lam} and {f_eps <= -lam}.
+def _top_rows(fe, names, box, res, lam, Lam):
+    """Packed top cells (``_pack``) of {f_eps <= Lam} and {f_eps <= -lam},
+    a run of rows of axis 0 at a time: (first, total, sub), the words of
+    rows first, first + 1, ... along the leading axis, or in one dimension
+    of the whole line (first 0).
 
     Centers where the function is undefined evaluate to nan and land in
-    neither set.  Evaluation runs block by block (``_blocks``) so the
-    temporaries of the tape stay in cache in dimension four; the blocks
-    of one leading index fill one bool slab, which is packed at once, so
-    no full-size bool mask ever exists.
+    neither set.  Evaluation runs block by block (``_blocks``) on a fork
+    of the compiled tape (``Tape.fork``), whose scratch holds every
+    block's temporaries and goes with the generator.  A block spans a run
+    of rows of axis 0 or a row spans several blocks; either way the
+    blocks of a run fill one reused bool buffer, which is packed at once,
+    so what is held grows with a block and never with the box (in one
+    dimension, the line).
     """
-    tape = compile((fe,), names)
-    axes = _axis_centers(box, res)
-    k = len(next(_blocks(res))) - 1
-    slab = np.empty((2,) + res[k:], dtype=bool)
-    total = np.empty(res[:-1] + (res[-1] // 64 + 1,), dtype="<u8")
-    sub = np.empty_like(total)
-    for head, run in itertools.groupby(_blocks(res), lambda b: b[:k]):
+    tape, axes = compile((fe,), names).fork(), _axis_centers(box, res)
+    lines = len(res) > 1  # axis 0 is not the packed axis
+    span = next(_blocks(res))[0]  # the first block's run of axis 0
+    top = np.empty((2, min(span.stop, res[0])) + res[1:] if lines
+                   else (2,) + res, dtype=bool)
+    for lead, run in itertools.groupby(_blocks(res),
+                                       lambda b: b[0] if lines else None):
+        rows = len(range(res[0])[lead]) if lines else 1
         for block in run:
             (vals,) = tape.grid([a[i] for a, i in zip(axes, block)]
-                                + axes[k + 1:])
-            vals = vals[(0,) * k]
-            np.less_equal(vals, Lam, out=slab[0, block[k]])
-            np.less_equal(vals, -lam, out=slab[1, block[k]])
-        at = tuple(i.start for i in head)
-        total[at], sub[at] = _pack(slab)
-    return total, sub
+                                + axes[len(block):])
+            at = (slice(0, rows),) + block[1:] if lines else block
+            np.less_equal(vals, Lam, out=top[0][at])
+            np.less_equal(vals, -lam, out=top[1][at])
+        total, sub = _pack(top[:, :rows] if lines else top)
+        yield (lead.start if lines else 0), total, sub
+
+
+def _word_rows(words: np.ndarray):
+    """The rows of axis 0 of packed words, as the slab walker reads them:
+    in one dimension the one row is the whole line."""
+    return iter(words if words.ndim > 1 else (words,))
+
+
+def _words_shape(res) -> Tuple[int, ...]:
+    """The shape of the packed words (``_pack``) of a box of ``res``."""
+    return tuple(res[:-1]) + (res[-1] // 64 + 1,)
 
 
 def _pack(top: np.ndarray) -> np.ndarray:
@@ -205,46 +225,77 @@ def _walk(words, spans, bufs):
     yield from _walk(words, spans + (True,), bufs)
 
 
-def _span_patterns(words: np.ndarray):
+def _slab_height(shape) -> int:
+    """Rows of axis 0 per slab of ``_span_patterns``: as many as keep the
+    level buffers of a walk near _CHUNK words in all."""
+    return max(1, _CHUNK // (len(shape) * math.prod(shape[1:])))
+
+
+def _level_buffers(shape) -> list:
+    """The flat buffers that level j of a slab's walk dilates into: the
+    slab's axes up to j grown by one vertex (in one dimension, the line)."""
+    if len(shape) == 1:
+        return [np.empty(shape, dtype="<u8")]
+    slab = (min(_slab_height(shape), shape[0]) + 1,) + tuple(shape[1:])
+    return [np.empty(math.prod(w + (i <= j) for i, w in enumerate(slab[:-1]))
+                     * slab[-1], dtype="<u8") for j in range(len(shape))]
+
+
+def _span_patterns(rows, shape, bufs=None):
     """Yield (spans, row, cells) for the 2^n spanning patterns, one slab
-    of axis 0 at a time.
+    of axis 0 at a time, of the packed top cells of words ``shape`` whose
+    rows of axis 0 (``_word_rows``) the iterator ``rows`` hands in.
 
     ``cells`` marks, in packed words (``_pack``), the closure's cells
     that span exactly the axes j with ``spans[j]``, in the slab's rows of
     axis 0 from ``row`` on: the top cells dilated along every other axis.
     Vertex plane i of axis 0 is ``words[i-1] | words[i]`` (rows -1 and
-    R_0 empty), the cells spanning row i are ``words[i]``.  A slab takes
-    as many rows as keep the level buffers of its walk near _CHUNK words
-    in all; in one dimension the packed row is the one slab.  A slab
-    walks the other axes as a binary tree that decides one axis per level
-    and shares each dilation with the subtree below it: 2^n - 1 dilations
-    in place of n 2^(n-1).  Level j dilates into a flat buffer of its own
-    that holds the slab's axes up to j grown by one vertex, so ``cells``
-    is only valid until the next pattern is drawn.
+    R_0 empty), the cells spanning row i are ``words[i]``.  A slab
+    (``_slab_height``) reads its rows from ``rows`` only when it starts,
+    so no more than a slab and the row before it is held; in one
+    dimension the packed row is the one slab.  A slab walks the other
+    axes as a binary tree that decides one axis per level and shares each
+    dilation with the subtree below it: 2^n - 1 dilations in place of
+    n 2^(n-1).  Level j dilates into a flat buffer of its own
+    (``_level_buffers``, or ``bufs``) that holds the slab's axes up to j
+    grown by one vertex, so ``cells`` is only valid until the next
+    pattern is drawn; the last pattern of a slab reads no buffer, so
+    walkers that take turns a whole slab at a time can share them
+    (``_stream_counts``).
     """
-    if words.ndim == 1:
-        for spans, cells in _walk(words, (), [np.empty_like(words)]):
+    n = len(shape)
+    bufs = bufs or _level_buffers(shape)
+    if n == 1:
+        for spans, cells in _walk(next(rows), (), bufs):
             yield spans, 0, cells
         return
-    n, rows = words.ndim, len(words)
-    h = max(1, _CHUNK // (n * words[0].size))
-    slab = (min(h, rows) + 1,) + words.shape[1:]
-    bufs = [np.empty(math.prod(w + (i <= j) for i, w in enumerate(slab[:-1]))
-                     * slab[-1], dtype=words.dtype) for j in range(n)]
-    for i in range(0, rows + 1, h):
-        lo = max(i - 1, 0)  # the row before the slab closes its first plane
-        planes = _dilate(words[lo:i + h], 0, bufs[0])[i - lo:i - lo + h]
+    last, row = shape[0], shape[1:]
+    h = _slab_height(shape)
+    # the row before the slab (empty before row 0), then the slab's rows
+    # (empty past the last)
+    held = np.zeros((h + 1,) + row, dtype="<u8")
+    for i in range(0, last + 1, h):
+        got = 0
+        for got, words in enumerate(itertools.islice(rows, min(h, last - i)),
+                                    1):
+            held[got] = words
+        held[got + 1:] = 0
+        k = min(h, last + 1 - i)
+        planes = np.bitwise_or(held[:k], held[1:k + 1],
+                               out=bufs[0][:k * held[0].size].reshape(
+                                   (k,) + row))
         for spans, cells in itertools.chain(
                 _walk(planes, (False,), bufs),
-                _walk(words[i:i + h], (True,), bufs)):
+                _walk(held[1:got + 1], (True,), bufs)):
             yield spans, i, cells
+        held[0] = held[got]
 
 
 def _closed_counts(words: np.ndarray) -> list:
     """Cell counts per degree of the closure of the packed top cells: the
     popcounts of ``_span_patterns``, summed slab by slab."""
     counts = [0] * (words.ndim + 1)
-    for spans, _, cells in _span_patterns(words):
+    for spans, _, cells in _span_patterns(_word_rows(words), words.shape):
         counts[sum(spans)] += int(np.bitwise_count(cells).sum())
     return counts
 
@@ -257,13 +308,65 @@ def _khalimsky(words: np.ndarray, res) -> np.ndarray:
     is the number of odd coordinates.
     """
     kh = np.zeros(tuple(2 * r + 1 for r in res), dtype=bool)
-    for spans, row, cells in _span_patterns(words):
+    for spans, row, cells in _span_patterns(_word_rows(words), words.shape):
         top = np.unpackbits(cells.view(np.uint8), axis=-1,
                             count=res[-1] + (not spans[-1]),
                             bitorder="little")
         kh[2 * row:][tuple(slice(int(s), None, 2) for s in spans)][
             :len(top)] = top
     return kh
+
+
+def _rim_rows(total, sub, first, res) -> bool:
+    """Whether the relative region total & ~sub of rows first, first + 1,
+    ... of axis 0 (the leading axis of ``total`` and ``sub``; in one
+    dimension they hold the line) reaches a wall of the box: anywhere in
+    the first and last row of axis 0, elsewhere on the end slabs of the
+    other leading axes or at bits 0 and r - 1 of the packed last axis."""
+    rel = total & ~sub
+    walls = [rel[..., w] >> b & 1
+             for w, b in (divmod(c, 64) for c in (0, res[-1] - 1))]
+    if len(res) > 1:
+        walls.append(rel[[r - first for r in {0, res[0] - 1}
+                          if 0 <= r - first < len(rel)]])
+        walls += [rel.take(end, axis=j) for j in range(1, rel.ndim - 1)
+                  for end in (0, -1)]
+    return any(w.any() for w in walls)
+
+
+def _stream_counts(runs, res):
+    """Relative cell counts per degree of a closed pair, and whether its
+    relative region touches a wall of the box (``_rim_rows``), from its
+    runs of rows of axis 0 (``_top_rows``) as they pass.
+
+    Each set's rows go through a walker of its own (``_span_patterns``),
+    and the two take turns a slab at a time on one set of level buffers,
+    the total walker first: a run's sub rows wait in a queue from the
+    total walker's read to the sub walker's, and no row outlives the
+    later of its run and its slab.
+    """
+    rim, subs = False, collections.deque()
+
+    def totals():
+        nonlocal rim
+        for first, t, s in runs:
+            rim = rim or _rim_rows(t, s, first, res)
+            subs.extend(_word_rows(s))
+            yield from _word_rows(t)
+
+    shape = _words_shape(res)
+    bufs = _level_buffers(shape)
+    walks = ((1, _span_patterns(totals(), shape, bufs)),
+             (-1, _span_patterns((subs.popleft() for _ in itertools.count()),
+                                 shape, bufs)))
+    counts = [0] * (len(res) + 1)
+    for sign, walk in itertools.cycle(walks):
+        drawn = 0
+        for spans, _, cells in itertools.islice(walk, 2 ** len(res)):
+            counts[sum(spans)] += sign * int(np.bitwise_count(cells).sum())
+            drawn += 1
+        if not drawn:
+            return tuple(counts), rim
 
 
 def _crop(rel: np.ndarray) -> np.ndarray:
@@ -397,7 +500,7 @@ class CubicalPair:
 
     def __post_init__(self):
         res = self.resolution
-        shape = res[:-1] + (res[-1] // 64 + 1,)
+        shape = _words_shape(res)
         w, b = divmod(res[-1], 64)
         for words in (self.total_words, self.sub_words):
             if (words.shape != shape or words.dtype != np.dtype("<u8")
@@ -436,10 +539,11 @@ class CubicalPair:
         return homology_of_complex(reduce_complex(dims, sparse))
 
 
-def build_pair(problem: ProblemSpec, eps: float,
-               lam: Optional[float] = None, Lam: Optional[float] = None,
-               box=None, resolution=32) -> CubicalPair:
-    """Classify top cells of the box by the value of f_eps at centers."""
+def _level_rows(problem: ProblemSpec, eps: float, lam, Lam, box,
+                resolution):
+    """The box and resolution of a pair, checked, and the stream of its
+    packed runs of rows (``_top_rows``): the input of both the built pair
+    and the streamed Euler count."""
     lam = problem.window.lam if lam is None else float(lam)
     Lam = problem.window.Lam if Lam is None else float(Lam)
     if not -lam < Lam:
@@ -450,27 +554,24 @@ def build_pair(problem: ProblemSpec, eps: float,
     if len(problem.variables) != len(box):
         raise ConfigError("box dimension disagrees with the problem")
     fe = perturbed_function(problem, eps)
-    total, sub = _top_masks(fe, problem.variables, box, res, lam, Lam)
+    return box, res, _top_rows(fe, problem.variables, box, res, lam, Lam)
+
+
+def build_pair(problem: ProblemSpec, eps: float,
+               lam: Optional[float] = None, Lam: Optional[float] = None,
+               box=None, resolution=32) -> CubicalPair:
+    """Classify top cells of the box by the value of f_eps at centers."""
+    box, res, runs = _level_rows(problem, eps, lam, Lam, box, resolution)
+    total, sub = (np.empty(_words_shape(res), dtype="<u8") for _ in "ts")
+    for first, t, s in runs:
+        total[first:first + len(t)], sub[first:first + len(s)] = t, s
     return CubicalPair(box, res, total, sub)
 
 
 def _touches_rim(pair: CubicalPair) -> bool:
-    """Whether the relative region total & ~sub reaches a wall of the box.
-
-    Only the 2n faces of the grid are read, never the whole relative
-    set: the end slabs of each leading axis, and bits 0 and r - 1 of
-    the packed last axis.
-    """
-    total, sub = pair.total_words, pair.sub_words
-    for j in range(pair.dimension - 1):
-        for end in (0, -1):
-            if (total.take(end, axis=j) & ~sub.take(end, axis=j)).any():
-                return True
-    for cell in (0, pair.resolution[-1] - 1):
-        w, b = divmod(cell, 64)
-        if ((total[..., w] & ~sub[..., w]) >> b & 1).any():
-            return True
-    return False
+    """Whether the relative region total & ~sub reaches a wall of the box:
+    its words as one run of rows (``_rim_rows``)."""
+    return _rim_rows(pair.total_words, pair.sub_words, 0, pair.resolution)
 
 
 def _grow_box(box, intervals):
@@ -559,18 +660,17 @@ def pair_euler_characteristic(problem: ProblemSpec, eps: float,
     count until the count stops moving, so cells coarsen as the box
     grows.  This is the blunt instrument for dimension four, where exact
     homology is out of reach; in lower dimensions prefer
-    sublevel_pair_homology.
+    sublevel_pair_homology.  No pair is built: the rows of each box are
+    classified and counted as they pass (``_stream_counts``).
     """
-    n = len(problem.variables)
-    if n > 4:
+    if len(problem.variables) > 4:
         raise ConfigError("Euler counting stops at ambient dimension 4")
     box = tuple(problem.domain.box)
-    res = _per_axis(resolution, n)
     prev = None
     for _ in range(_EULER_DOUBLINGS + 1):
-        pair = build_pair(problem, eps, lam, Lam, box=box, resolution=res)
-        chi, rim = pair.euler, _touches_rim(pair)
-        del pair  # the next box is built without this one alive
+        _, res, runs = _level_rows(problem, eps, lam, Lam, box, resolution)
+        counts, rim = _stream_counts(runs, res)
+        chi = sum((-1) ** k * c for k, c in enumerate(counts))
         if not rim:
             return chi
         if prev is not None and chi == prev:

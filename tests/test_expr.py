@@ -12,6 +12,7 @@ finite, byte for byte up to the sign of an exact zero.
 import functools
 import operator
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -788,6 +789,109 @@ class TestTape:
         right = parse_expression("u1 + (u2 + u3)")
         assert compile((left,), self.NAMES) is not compile((right,),
                                                            self.NAMES)
+
+
+class TestPooledGrid:
+    """Grid mode writes every slot into scratch registers that the tape
+    keeps, in place where an operand dies; its bytes are those of values
+    mode at the stacked points, and of the independent reference."""
+
+    NAMES = TestEvalGrid.NAMES
+    AXES = TestEvalGrid.AXES  # u1 + u2 and u2 are <= 0 on part of the grid
+    TEXTS = {
+        # add, mul, recip, ipow and fpow, and a dying operand of the
+        # output's shape taken in place
+        "every op": "u1*u2 + 1/(u3 - 2) + pow(u1^2 + 1, 1/2) * u3",
+        "ipow 2 and 3": "u1^2 + u2^3 - (u1*u3 + u2)^2 * (u1 + u3)^3",
+        # an ipow of -1 is numpy's np.reciprocal, a quotient np.divide
+        "recip": "1/u2 + (u1 + u3)^-1 - u3/(u1 - 1)",
+        "constant output": "7/3",
+        "skips u2": "u1*u3 + pow(u3 + 2, 1/2) / u1",
+    }
+    # fpow at integral exponents too, which the parser never builds
+    POWERS = [Fraction(1, 2), Fraction(-1, 2), Fraction(-1), Fraction(-3, 2),
+              Fraction(2)]
+
+    def exprs(self):
+        yield from (parse_expression(t) for t in self.TEXTS.values())
+        for p in self.POWERS:
+            for base in ("u1 + u2", "u1^2 + 1"):  # partly <= 0, and > 0
+                yield Sum((FracPow(parse_expression(base), p),
+                           parse_expression("u3")))
+
+    def test_grid_bytes_equal_values_mode(self):
+        for expr in self.exprs():
+            tape = compile((expr,), self.NAMES)
+            got = tape.grid(self.AXES)[0]
+            why = to_infix(expr)
+            assert same_bytes(got, grid_by_points(expr, self.AXES,
+                                                  self.NAMES)), why
+            assert same_bytes(got, ref_grid(expr, self.AXES, self.NAMES)), why
+
+    def test_fpow_writes_nan_where_the_base_is_not_positive(self):
+        for p in self.POWERS:
+            expr = FracPow(parse_expression("u1 + u2"), p)
+            got = compile((expr,), self.NAMES).grid(self.AXES)[0]
+            base = self.AXES[0][:, None, None] + self.AXES[1][None, :, None]
+            assert np.array_equal(np.isnan(got),
+                                  np.broadcast_to(base <= 0, got.shape)), p
+            assert (base <= 0).any() and (base > 0).any()
+
+    def test_fast_paths_are_numpys_own(self):
+        # numpy's a ** 2, a ** -1 and a ** 0.5 call np.square,
+        # np.reciprocal and np.sqrt, and so does the tape
+        tape = compile((parse_expression(
+            "u1^2 + u2^-1 + pow(u3, 1/2) + u1^3"),), self.NAMES)
+        text = tape._values_source(grid=True)[0]
+        for call in ("np.square(", "np.reciprocal(", "np.power("):
+            assert call in text, call
+        seen = []
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+                seen.append(ufunc.__name__)
+                args = [np.asarray(a) for a in args]
+                return getattr(ufunc, method)(*args, **kwargs)
+
+        x = np.array([0.5, 2.0]).view(Spy)
+        for k, name in ((2, "square"), (-1, "reciprocal"), (0.5, "sqrt"),
+                        (3, "power"), (-2, "power"), (-0.5, "power")):
+            del seen[:]
+            x ** k
+            assert seen == [name], k
+
+    def test_block_shapes_change_without_stale_scratch(self):
+        expr = parse_expression(self.TEXTS["every op"])
+        tape = compile((expr,), self.NAMES)
+        big = [np.linspace(-3.0, 3.0, 9), np.linspace(-2.0, 1.0, 5),
+               np.linspace(-1.0, 4.0, 7)]
+        small = [a[:2] for a in self.AXES]
+        # a smaller block cuts the registers shorter, a larger one
+        # allocates them anew
+        for axes in (self.AXES, small, self.AXES, big, small, self.AXES):
+            assert same_bytes(tape.grid(axes)[0],
+                              grid_by_points(expr, axes, self.NAMES)), [
+                a.size for a in axes]
+
+    def test_a_warm_tape_allocates_no_block(self):
+        expr = parse_expression(self.TEXTS["every op"])
+        tape = compile((expr,), self.NAMES)
+        axes = [np.linspace(-2.0, 2.0, 40), np.linspace(-1.0, 0.5, 50),
+                np.linspace(-1.0, 3.0, 60)]
+        first = tape.grid(axes)[0].copy()
+        tracemalloc.start()
+        try:
+            again = tape.grid(axes)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of float64 is 960,000 bytes; a ufunc that broadcasts
+        # still allocates its iterator's buffers, 8,192 elements an operand
+        assert peak < 8 * again.size // 2, peak
+        assert same_bytes(again, first)
+        # the result is a view of the scratch, which the next call reuses
+        assert not again.flags.writeable
+        assert np.shares_memory(again, tape.grid(axes)[0])
 
 
 class TestStructure:

@@ -35,7 +35,7 @@ from morsevanish.intlinalg import homology_of_complex, reduce_complex
 from morsevanish.oracle import (CubicalPair, _axis_centers, _closed_counts,
                                 _collapse, _khalimsky, _grow_box,
                                 _hand_problem, _pack, _relative_data,
-                                _top_masks, _touches_rim,
+                                _stream_counts, _top_rows, _touches_rim,
                                 build_pair, catalog_lookup, catalog_names,
                                 pair_euler_characteristic,
                                 sublevel_pair_homology)
@@ -102,6 +102,14 @@ def dilate_reference(arr, j):
     return out
 
 
+def top_masks(fe, names, box, res, lam, Lam):
+    """Both sets' packed words, joined from the runs of ``_top_rows``."""
+    runs = list(_top_rows(fe, names, box, res, lam, Lam))
+    assert [first for first, _, _ in runs] == list(itertools.accumulate(
+        [0] + [len(t) for _, t, _ in runs[:-1]])) if len(res) > 1 else [0]
+    return tuple(np.concatenate([run[k] for run in runs]) for k in (1, 2))
+
+
 def point_values(fe, names, box, res):
     """f at every cell center, evaluated as one stacked list of points."""
     mesh = np.meshgrid(*_axis_centers(box, res), indexing="ij")
@@ -166,7 +174,7 @@ class TestCellMachinery:
         # 30 // (3 * 4) = 2 rows per chunk, and 7 rows leave a short tail
         monkeypatch.setattr(oracle, "_CHUNK", 30)
         total, sub = vals <= 1.0, vals <= -0.5
-        words = _top_masks(fe, names, box, res, 0.5, 1.0)
+        words = top_masks(fe, names, box, res, 0.5, 1.0)
         assert np.array_equal(words[0], _pack(total))
         assert np.array_equal(words[1], _pack(sub))
         assert sub.any() and (total & ~sub).any() and not total.all()
@@ -185,7 +193,7 @@ class TestCellMachinery:
         assert [b[1] for b in blocks[:3]] == [slice(0, 2), slice(2, 4),
                                               slice(4, 6)]
         total, sub = vals <= 1.0, vals <= -0.5
-        words = _top_masks(fe, names, box, res, 0.5, 1.0)
+        words = top_masks(fe, names, box, res, 0.5, 1.0)
         assert np.array_equal(words[0], _pack(total))
         assert np.array_equal(words[1], _pack(sub))
         assert sub.any() and (total & ~sub).any() and not total.all()
@@ -201,7 +209,7 @@ class TestCellMachinery:
         assert [b[0] for b in oracle._blocks(res)] == [
             slice(i, i + 50) for i in range(0, 200, 50)]
         total, sub = vals <= 0.5, vals <= -0.1
-        words = _top_masks(fe, ("x",), box, res, 0.1, 0.5)
+        words = top_masks(fe, ("x",), box, res, 0.1, 0.5)
         assert np.array_equal(words[0], _pack(total))
         assert np.array_equal(words[1], _pack(sub))
         assert sub.any() and (total & ~sub).any() and not total.all()
@@ -383,7 +391,8 @@ class TestSlabWalk:
         if height is not None and len(res) > 1:
             monkeypatch.setattr(oracle, "_CHUNK",
                                 height * words.ndim * words[0].size)
-            rows = {row for _, row, _ in oracle._span_patterns(words)}
+            rows = {row for _, row, _ in oracle._span_patterns(iter(words),
+                                                              words.shape)}
             assert rows == set(range(0, res[0] + 1, height))
         assert _closed_counts(words) == whole_box_counts(words)
         assert np.array_equal(_khalimsky(words, res),
@@ -477,6 +486,128 @@ class TestCollapse:
                                           2: (0, ())}
 
 
+def loop_visits(monkeypatch):
+    """Record (box, res, counts, rim) of every box the Euler loop counts."""
+    visits, level_rows, stream = [], oracle._level_rows, oracle._stream_counts
+
+    def spy_rows(problem, eps, lam, Lam, box, resolution):
+        out = level_rows(problem, eps, lam, Lam, box, resolution)
+        visits.append(out[:2])
+        return out
+
+    def spy_counts(runs, res):
+        out = stream(runs, res)
+        visits[-1] += out
+        return out
+
+    monkeypatch.setattr(oracle, "_level_rows", spy_rows)
+    monkeypatch.setattr(oracle, "_stream_counts", spy_counts)
+    return visits
+
+
+class TestStreamedCount:
+    """The Euler route counts rows as they are classified; its counts, rim
+    and chi are those of the built pair."""
+
+    @staticmethod
+    def check(total, sub, res):
+        pair = CubicalPair(((0.0, 1.0),) * len(res), res, total, sub)
+        # runs of random lengths, as blocks cut rows of axis 0
+        cuts = sorted({0, res[0], *map(int, np.random.default_rng(
+            total.size).integers(0, res[0], size=3))}) \
+            if len(res) > 1 else [0, len(total)]
+        counts, rim = _stream_counts(
+            [(a, total[a:b], sub[a:b]) for a, b in zip(cuts, cuts[1:])], res)
+        assert counts == pair.cell_counts()
+        assert rim is _touches_rim(pair)
+        assert sum((-1) ** k * c for k, c in enumerate(counts)) \
+            == pair.euler
+        return rim
+
+    @staticmethod
+    def random_pair(rng, res, kind):
+        """Random packed top cells kept one clear cell from every wall
+        (kind 0) or anywhere (1); kind 2 is every cell against none."""
+        if kind == 2:
+            return _pack(np.ones(res, dtype=bool)), _pack(np.zeros(
+                res, dtype=bool))
+        total = random_words(rng, res)
+        if kind == 0:
+            inside = np.zeros(res, dtype=bool)
+            inside[tuple(slice(1, -1) for _ in res)] = True
+            total &= _pack(inside)
+        return total, total & random_words(rng, res)
+
+    # one row shape per dimension, its last axis past a word boundary;
+    # slabs of h = 4 rows, so axis 0 runs 1, 2, h - 1, h and h + 1 rows
+    @pytest.mark.parametrize("row", [(), (70,), (3, 65), (2, 3, 5)],
+                             ids=["1d", "2d", "3d", "4d"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_random_pairs_around_the_slab_height(self, row, rows,
+                                                 monkeypatch):
+        res = (rows,) + row if row else (64 * rows - 1,)
+        shape = oracle._words_shape(res)
+        monkeypatch.setattr(oracle, "_CHUNK",
+                            4 * len(res) * math.prod(shape[1:]))
+        if len(res) > 1:
+            assert oracle._slab_height(shape) == 4
+        rims = [self.check(*self.random_pair(
+            np.random.default_rng(seed), res, seed % 3), res)
+            for seed in range(6)]
+        assert rims[::3] == [False, False] and rims[2::3] == [True, True]
+
+    @pytest.mark.parametrize("res", [(16383,), (16384, 40), (16385, 40)])
+    def test_random_pairs_at_the_default_slab_height(self, res):
+        # a 2-D row of one word: 16,384 rows to a slab
+        if len(res) > 1:
+            assert oracle._slab_height(oracle._words_shape(res)) == 16384
+        for seed in range(3):
+            self.check(*self.random_pair(np.random.default_rng(seed), res,
+                                         seed), res)
+
+    # the first grid block of each layout: at 32^4 a block is one row of
+    # axis 0, at 48^4 a row is several blocks of (1, 14, 48, 48), and in
+    # one to three dimensions one block takes every row
+    LAYOUTS = {(32,) * 4: (slice(0, 1),),
+               (48,) * 4: (slice(0, 1), slice(0, 14)),
+               (32,) * 3: (slice(0, 32),), (40, 33): (slice(0, 992),),
+               (200,): (slice(0, 32768),)}
+
+    @pytest.mark.parametrize("res", sorted(LAYOUTS, key=len),
+                             ids=lambda r: "x".join(map(str, r)))
+    def test_classified_rows_count_as_the_built_pair(self, res):
+        assert next(oracle._blocks(res)) == self.LAYOUTS[res]
+        problem = {
+            1: catalog_lookup("double_well_1d").problem(),
+            2: catalog_lookup("z^3").problem(),
+            3: _hand_problem("bowl3", ("x", "y", "z"), "x^2 + y^2 - z^2",
+                             "pow(1 + x^2 + y^2 + z^2, -1/2)"),
+            4: catalog_lookup("x_plus_x2y").problem()}[len(res)]
+        _, _, runs = oracle._level_rows(problem, 0.1, 1.0, 10.0, None, res)
+        pair = build_pair(problem, 0.1, 1.0, 10.0, resolution=res)
+        assert _stream_counts(runs, res) == (pair.cell_counts(),
+                                             _touches_rim(pair))
+
+    @pytest.mark.parametrize("name, resolution", [
+        ("x_plus_x2y", 16), ("x_plus_x2y", 21), ("x_plus_x2y", 32),
+        ("z^4", 64), ("double_well_1d", 64)])
+    def test_every_box_of_the_loop_equals_the_built_pair(self, name,
+                                                         resolution,
+                                                         monkeypatch):
+        e = catalog_lookup(name)
+        visits = loop_visits(monkeypatch)
+        chi = pair_euler_characteristic(e.problem(), e.eps, e.lam, e.Lam,
+                                        resolution=resolution)
+        monkeypatch.undo()
+        assert visits
+        for box, res, counts, rim in visits:
+            pair = build_pair(e.problem(), e.eps, e.lam, e.Lam, box=box,
+                              resolution=res)
+            assert counts == pair.cell_counts(), (box, res)
+            assert rim is _touches_rim(pair), (box, res)
+        assert chi == pair.euler == e.expected.euler
+
+
 class TestPairHomology:
     def test_bowl_pair_is_a_point(self):
         bowl = _hand_problem("bowl", ("x",), "x^2", "pow(1 + x^2, -1)")
@@ -531,6 +662,22 @@ class TestPairHomology:
         bowl = _hand_problem("bowl", ("x",), "x^2", "pow(1 + x^2, -1)")
         with pytest.raises(ConfigError, match="inverted"):
             build_pair(bowl, 0.1, lam=-3.0, Lam=-5.0)
+        # the streamed Euler count reads the same checks
+        with pytest.raises(ConfigError, match="inverted"):
+            pair_euler_characteristic(bowl, 0.1, lam=-3.0, Lam=-5.0)
+
+    @pytest.mark.parametrize("resolution, match", [
+        ((16, 16), "names 2 axes"), (0, "at least one cell")])
+    def test_both_routes_check_the_resolution(self, resolution, match):
+        bowl = _hand_problem("bowl", ("x",), "x^2", "pow(1 + x^2, -1)")
+        for route in (build_pair, pair_euler_characteristic):
+            with pytest.raises(ConfigError, match=match):
+                route(bowl, 0.1, resolution=resolution)
+
+    def test_box_must_match_the_variables(self):
+        bowl = _hand_problem("bowl", ("x",), "x^2", "pow(1 + x^2, -1)")
+        with pytest.raises(ConfigError, match="box dimension"):
+            build_pair(bowl, 0.1, box=((-1.0, 1.0),) * 2)
 
     def test_same_as_ignores_recorded_zeros(self):
         a = HomologyResult({0: (0, ()), 1: (1, ()), 2: (0, ())})
@@ -580,20 +727,36 @@ class TestEulerRoute:
         assert pair.cell_counts() == (32609, 127712, 186768, 120884, 29220)
         assert pair.euler == 1
 
-    def test_flagship_count_holds_no_bool_grid(self):
-        # 40^4 cells are 2.56 MB as one bool mask, and the count held two
-        # of them and their dilations (a 12.2 MB peak); packed, the pair
-        # is 0.33 MB of words and the peak stays near 3.6 MB
+    @staticmethod
+    def traced_peak(resolution):
         e = catalog_lookup("x_plus_x2y")
         tracemalloc.start()
         try:
             chi = pair_euler_characteristic(e.problem(), e.eps, e.lam,
-                                            e.Lam, resolution=40)
+                                            e.Lam, resolution=resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert chi == 1
-        assert peak < 6 * 2 ** 20, peak / 2 ** 20
+        return peak
+
+    def test_flagship_count_holds_no_bool_grid(self):
+        # Streamed at 40^4 (grid blocks of 32,000 points, slabs of 5 rows
+        # of 1,600 words), the count holds per-block and per-slab buffers
+        # only: the tape's scratch, at most four float64 registers of a
+        # block and its bool one (1.01 MiB); the walk's level buffers,
+        # shared by both sets (0.35 MiB); each set's slab and the row
+        # before it (0.15 MiB), and the sub rows queued for one slab
+        # (0.15 MiB); the bool buffer of a row (0.12 MiB).  These sum to
+        # 1.77 MiB, and 2 MiB leaves room for Python's own objects.  The
+        # two sets' whole-box words alone are 0.98 MiB at 40^4; a count
+        # that held them peaked at 2.15 MiB.
+        peak = self.traced_peak(40)
+        assert peak < 2 * 2 ** 20, peak / 2 ** 20
+        # nothing grows with axis 0: twice the rows add less than one
+        # row of both sets' words (25,600 bytes), where holding the words
+        # added 0.98 MiB
+        assert self.traced_peak((80, 40, 40, 40)) - peak < 25600
 
     def test_planar_chi_matches_homology(self):
         e = catalog_lookup("z^4")
