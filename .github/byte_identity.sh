@@ -11,20 +11,22 @@
 # on x_plus_x2y and z^3 (odd extents: the 4-D closure walk ends on a
 # short slab of axis 0), of `compare --config` on the 4-D bowl below
 # (its relative region stays inside the first box, so the Euler count
-# returns without growing it), of the continue
-# ladders below, with crit, flow (json and csv), complex, homology and
-# oracle at each eps of a ladder, of crit, flow, complex, homology,
-# oracle and compare on the planar maximum below, of crit, complex and
-# `compare --catalog z^3` at seed 7, of `sweep-eps` (json and csv) on the
-# double well and of `sweep-theta` on z^3 over the grids below, cache
-# entries included; then compares the two output directories with
-# `diff -r`.  That is every deterministic artifact the CLI writes: `report`
-# stays out, since its manifest carries timestamps by design.  A
-# difference fails the check unless morsevanish.__version__ differs between
-# the two trees, since a version bump is how a change that moves artifact
-# bytes is declared.  Cache keys carry the version, so after a bump every
-# cache entry differs; that branch lists the stage artifacts that moved,
-# cache excluded, in place of the whole diff.
+# returns without growing it), of the continue ladders below, with crit,
+# flow (json and csv), complex, homology and oracle at each eps of a
+# ladder, of `continue --delta 0.41` on the double well and on z3 (the
+# ramp ends 1/delta are inexact there, unlike at the default delta 0.5 of
+# the ladders), of crit, flow, complex, homology, oracle and compare on
+# the planar maximum below, of crit, complex and `compare --catalog z^3`
+# at seed 7, of `sweep-eps` (json and csv) on the double well and of
+# `sweep-theta` on z^3 over the grids below, cache entries included; then
+# compares the two output directories with `diff -r`.  That is every
+# deterministic artifact the CLI writes: `report` stays out, since its
+# manifest carries timestamps by design.  A difference fails the check
+# unless morsevanish.__version__ differs between the two trees, since a
+# version bump is how a change that moves artifact bytes is declared.
+# Cache keys carry the version, so after a bump every cache entry
+# differs; that branch lists the stage artifacts that moved, cache
+# excluded, in place of the whole diff.
 # Run from the root of the repository, with the history of the base commit
 # present (actions/checkout needs fetch-depth: 0).
 set -euo pipefail
@@ -61,6 +63,12 @@ cat > "$work/max2d.json" <<'EOF'
 {"name": "max2d", "dimension": 2, "domain": "real_line",
  "f": "x^4 - x^2 - y^2", "tau": "pow(1 + x^2 + y^2, -1)", "eps": 0.1}
 EOF
+# continues at delta 0.41, as eps_from:eps_to pairs; they run before the
+# ladders, so their counts are not cached yet and share their first batch
+inexact=(
+  "double_well 0.25:0.125"
+  "z3 0.1:0.08"
+)
 sweep_grid="2^-2..2^-5"
 theta_grid="2^-2..2^-4"
 # each ladder: a config, then its continues as eps_from:eps_to pairs
@@ -101,9 +109,16 @@ artifacts() {
     cli z3-seed7 "$stage" --config "$work/z3.json" --seed 7
   done
   cli catalog-seed7 compare --catalog "z^3" --seed 7
+  local run key from to eps stage
+  for run in "${inexact[@]}"; do
+    set -- $run
+    key=$1 from=${2%:*} to=${2#*:}
+    cli "$key-$from-$to-delta0.41" continue --config "$work/$key.json" \
+      --eps-from "$from" --eps-to "$to" --delta 0.41
+  done
   for ladder in "${ladders[@]}"; do
     set -- $ladder
-    local key=$1 from to eps stage
+    key=$1
     shift
     for pair in "$@"; do
       from=${pair%:*} to=${pair#*:}

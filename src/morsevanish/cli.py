@@ -175,9 +175,11 @@ def _window_from(cfg: dict) -> WindowSpec:
     lam = _number(w.get("lambda", DEFAULT_WINDOW.lam), "window.lambda")
     Lam = _number(w.get("Lambda", DEFAULT_WINDOW.Lam * lam), "window.Lambda")
     sigma = _number(w.get("sigma", DEFAULT_WINDOW.sigma * lam), "window.sigma")
-    if "a" in w or "b" in w:
-        return WindowSpec(_number(w["a"], "window.a"),
-                          _number(w["b"], "window.b"), lam, Lam, sigma)
+    ends = [_number(w[k], f"window.{k}") for k in ("a", "b") if k in w]
+    if len(ends) == 1:
+        raise ConfigError(f"window.{'b' if 'a' in w else 'a'} is missing")
+    if ends:
+        return WindowSpec(*ends, lam, Lam, sigma)
     return WindowSpec.finite_action(lam, Lam, sigma)
 
 
@@ -286,11 +288,7 @@ def problem_from_config(cfg: dict, fallback_name: str
         names = _DEFAULT_NAMES.get(n) or tuple(f"x{i + 1}" for i in range(n))
     elif not isinstance(names, list):
         raise ConfigError(f"variables must be a list of names, got {names!r}")
-    names = tuple(str(v) for v in names)
-    if len(names) != n:
-        raise ConfigError(f"variables lists {len(names)} names for "
-                          f"dimension {n}")
-    spec = ProblemSpec(name, names, _domain_from(cfg, n),
+    spec = ProblemSpec(name, tuple(map(str, names)), _domain_from(cfg, n),
                        parse_expression(str(cfg["f"])),
                        parse_expression(str(cfg["tau"])),
                        _metric_from(cfg), _window_from(cfg))

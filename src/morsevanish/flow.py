@@ -123,29 +123,27 @@ class TrajectoryRecord:
         return abs(self.E_an - self.E_top) < ENERGY_RTOL * (1.0 + abs(self.E_top))
 
 
-def _make_record(row: _RowResult, field: _Field, start: np.ndarray,
+def _make_record(row: _RowResult, start: np.ndarray,
                  start_value: Optional[float],
                  targets: _TargetSet, sign: int = 1) -> TrajectoryRecord:
     """Assemble the public record.
 
     start_value, when given, is the critical value the trajectory limits to
-    backwards; the launch offset correction 2 (start_value - F(start)) and
-    the arrival ball correction 2 (F(end) - q.value) are folded into E_an
-    so it is comparable with E_top between critical values.
+    backwards; the launch offset correction 2 (start_value - row.f_start)
+    and the arrival ball correction 2 (row.f_end - q.value) are folded into
+    E_an so it is comparable with E_top between critical values.
     """
     term = _STATUS_NAMES[row.status]
     target_id = row.target if row.status == ARRIVED else None
 
-    x0_val = field.start_value(np.asarray(start, dtype=float))
     E_an = row.e_aug
     if start_value is not None:
-        E_an += 2.0 * (start_value - x0_val)
+        E_an += 2.0 * (start_value - row.f_start)
     E_top = float("nan")
     if row.status == ARRIVED:
         q = targets.points[row.target]
-        end_val = float(field.end_values(row.x_end[None, :])[0])
-        E_an += 2.0 * (end_val - q.value)
-        base = start_value if start_value is not None else x0_val
+        E_an += 2.0 * (row.f_end - q.value)
+        base = start_value if start_value is not None else row.f_start
         E_top = 2.0 * (base - q.value)
     return TrajectoryRecord(
         start=np.array(start, dtype=float), termination=term,
@@ -175,7 +173,7 @@ def integrate_flow(problem: ProblemSpec, eps: float, start,
         if np.linalg.norm(x0 - p.location) <= tset.r_arrive[i]:
             start_value = p.value
             break
-    rec = _make_record(row, field, x0, start_value, tset)
+    rec = _make_record(row, x0, start_value, tset)
     if row.status == BUDGET:
         raise BudgetExceeded(
             f"flow from {x0.tolist()} did not terminate in "
@@ -314,7 +312,7 @@ def count_plan(problem: ProblemSpec, eps: float,
         rows = iter(rows)
         for (i, side, x0), row in zip(ahead, next(rows) if ahead else ()):
             s = ones[i]
-            rec = _make_record(row, field, x0, sources[s].value, tset, side)
+            rec = _make_record(row, x0, sources[s].value, tset, side)
             if row.status == ARRIVED:
                 rec = replace(rec, target_id=zeros[row.target])
                 counts[s][rec.target_id] += side
@@ -341,7 +339,7 @@ def count_plan(problem: ProblemSpec, eps: float,
             counts[s][j] += sgn
             # E_an and E_top come out as the forward flowline's energy;
             # the value range is turned back into f_eps values too
-            rec = _make_record(row, dual, x0, -q.value, sinks, sgn)
+            rec = _make_record(row, x0, -q.value, sinks, sgn)
             recs[s].append(replace(rec, target_id=j, f_max=-rec.f_min,
                                    f_min=-rec.f_max))
             if not rec.energy_ok:
@@ -504,8 +502,8 @@ def continuation_trajectories(problem: ProblemSpec, eps_from: float,
                     sides = [int(r.near_side[t]) for r in rows]
                     for sgn in _flip_count(sides):
                         counts[(si, t)] = counts.get((si, t), 0) + sgn
-            recs.append(_make_record(center, field, p.location, p.value,
-                                     tset, sign=1))
+            recs.append(_make_record(center, p.location, p.value, tset,
+                                     sign=1))
 
         if not violated:
             return ContinuationResult(counts, delta, halvings, tuple(recs))

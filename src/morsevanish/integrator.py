@@ -13,6 +13,9 @@ tables, so a step makes its numpy calls once per batch: a jet1 kernel
 call per problem and stage, all under one np.errstate, and masked updates
 for exits, budget stops and the arrival gate; only near passes go leg by
 leg.  Every row's result is bit for bit what it is when its leg runs alone.
+It keeps F from the first stage and from stage 7 of the last accepted step
+as ``f_start`` and ``f_end``, which ``flow`` folds into the energy, so F is
+evaluated once along a row.
 """
 
 from __future__ import annotations
@@ -92,17 +95,6 @@ class _Field:
         t, slope = _ramp(self.delta * np.asarray(S, dtype=float))
         deps = self.eps_to - self.eps
         return self.eps + t * deps, deps * (self.delta * slope)
-
-    def values_at(self, S, X: np.ndarray) -> np.ndarray:
-        vf, vr = self.tape.values(X)[:2]
-        return vf + self._eps(S)[0] * vr
-
-    def start_value(self, x: np.ndarray) -> float:
-        S = np.full(1, self.ramp_start - 1.0)
-        return float(self.values_at(S, x[None, :])[0])
-
-    def end_values(self, X: np.ndarray) -> np.ndarray:
-        return self.values_at(np.full(len(X), self.ramp_end + 1.0), X)
 
     def eval(self, S: np.ndarray, X: np.ndarray):
         """Returns (drift, F values, energy rate) for a batch of rows."""
@@ -195,6 +187,8 @@ class _RowResult:
     e_aug: float
     f_max: float
     f_min: float
+    f_start: float       # F at the start row, from the first stage
+    f_end: float         # F at x_end, the F7 of the last accepted step
     steps: int
     near_min: np.ndarray     # per-target closest approach while inside
     near_side: np.ndarray    # per-target side at last ball exit, 0 arrived
@@ -307,7 +301,7 @@ def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
     # (x, e) in one array so that a step reads and writes it whole, and
     # K1, the next step's stage 1
     real = np.repeat(np.array([
-        (f.ramp_start, 0.0, 0.0, 0.0, w.a - w.sigma, w.b + w.sigma,
+        (f.ramp_start, 0.0, 0.0, 0.0, 0.0, 0.0, w.a - w.sigma, w.b + w.sigma,
          f.ramp_end + S_TAIL, f.ramp_end, f.eps)
         + ((f.delta, f.eps_to - f.eps) if f.eps_to is not None
            else (0.0, 0.0))
@@ -321,7 +315,8 @@ def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
     on_path = np.repeat([f.eps_to is not None for f in fields], sizes)
     Y = np.concatenate([X, np.zeros((m, 1))], axis=1)
     K1 = np.empty((m, n + 1))
-    S, h, f_max, f_min, lo, hi, s_cap, ramp_end, eps0, delta, deps = real
+    S, h, f_max, f_min, f_start, f_end, lo, hi, s_cap, ramp_end, eps0, \
+        delta, deps = real
     idx, leg_of, local, target, steps, st, budget, cap = count
 
     near = [(np.zeros(shape, dtype=bool), np.full(shape, np.inf),
@@ -358,12 +353,12 @@ def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
     with np.errstate(all="ignore"):
         # stage 1 (drift and energy rate) of the first step at (S, X)
         E, C = eps_at(S[None]) if timed else (None, None)
-        stage(0, X, K1, f_max)
-        f_min[:] = f_max
+        stage(0, X, K1, f_start)
+        f_max[:] = f_min[:] = f_end[:] = f_start
         h[:] = 1e-3 * (1.0 + np.linalg.norm(X, axis=1)) \
             / (1.0 + np.linalg.norm(K1[:, :n], axis=1))
         for r, path in paths.items():
-            path.append(np.concatenate([[S[r]], X[r], [f_max[r]]]))
+            path.append(np.concatenate([[S[r]], X[r], [f_start[r]]]))
 
         it = 0
         cap_min = int(cap.min())
@@ -379,15 +374,16 @@ def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
                         status=int(st[pos]), target=int(target[pos]),
                         s_end=float(S[pos]), x_end=Y[pos, :n].copy(),
                         e_aug=float(Y[pos, n]), f_max=float(f_max[pos]),
-                        f_min=float(f_min[pos]), steps=int(steps[pos]),
+                        f_min=float(f_min[pos]), f_start=float(f_start[pos]),
+                        f_end=float(f_end[pos]), steps=int(steps[pos]),
                         near_min=near_min[j].copy(),
                         near_side=near_side[j].copy(),
                         samples=np.array(paths[r]) if r in paths else None)
                 keep = st == RUNNING
                 real, count, Y, K1, on_path = (real[:, keep], count[:, keep],
                                                Y[keep], K1[keep], on_path[keep])
-                S, h, f_max, f_min, lo, hi, s_cap, ramp_end, eps0, delta, \
-                    deps = real
+                S, h, f_max, f_min, f_start, f_end, lo, hi, s_cap, \
+                    ramp_end, eps0, delta, deps = real
                 idx, leg_of, local, target, steps, st, budget, cap = count
                 if not idx.size:
                     break
@@ -431,6 +427,7 @@ def _integrate(legs: Sequence[_Leg]) -> List[List[_RowResult]]:
             steps += accept
             np.maximum(f_max, F7, out=f_max, where=accept)
             np.minimum(f_min, F7, out=f_min, where=accept)
+            np.copyto(f_end, F7, where=accept)
             for pos in accept.nonzero()[0] if paths else ():
                 if idx[pos] in paths:
                     paths[idx[pos]].append(np.concatenate(

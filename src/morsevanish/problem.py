@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .expr import (Const, Expression, Quotient, Sum, as_fraction,
                    free_variables)
-from .metric import MetricSpec
+from .metric import MetricSpec, metric_exprs
 
 __all__ = ["BOX_REACH", "DEFAULT_WINDOW", "DomainModel", "WindowSpec",
            "ProblemSpec", "dual_problem", "perturbed_function"]
@@ -159,16 +159,22 @@ class ProblemSpec:
     notes: Tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if len(self.variables) != self.domain.dimension:
-            raise ConfigError("variable list does not match domain dimension")
-        if len(self.variables) > _MAX_VARIABLES:
+        n = len(self.variables)
+        if n != self.domain.dimension:
+            raise ConfigError(f"{n} variables for dimension "
+                              f"{self.domain.dimension}")
+        if n > _MAX_VARIABLES:
             raise ConfigError(
-                f"{len(self.variables)} real variables; the critical point "
-                f"search takes at most {_MAX_VARIABLES}")
-        used = set(free_variables(self.f)) | set(free_variables(self.tau))
-        unknown = used - set(self.variables)
+                f"{n} real variables; the critical point search takes at "
+                f"most {_MAX_VARIABLES}")
+        if len(set(self.variables)) < n:
+            raise ConfigError(f"repeated variable names {self.variables}")
+        if self.metric.custom and len(self.metric.custom) != n:
+            raise ConfigError(f"custom metric matrix is not {n}x{n}")
+        used = (self.f, self.tau) + metric_exprs(self.metric, self.tau)
+        unknown = set().union(*map(free_variables, used)) - set(self.variables)
         if unknown:
-            raise ConfigError(f"f/tau use undeclared variables {sorted(unknown)}")
+            raise ConfigError(f"undeclared variables {sorted(unknown)}")
 
     def with_f(self, f: Expression, note: str = "") -> "ProblemSpec":
         notes = self.notes + ((note,) if note else ())

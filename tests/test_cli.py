@@ -167,6 +167,12 @@ class TestProblemBuilding:
         assert spec.metric.kind == "custom"
         assert spec.metric.custom is not None
 
+    @pytest.mark.parametrize("given, missing", [("a", "b"), ("b", "a")])
+    def test_window_with_one_end_names_the_other(self, given, missing):
+        cfg = {**DW, "window": {given: 0.5}}
+        with pytest.raises(ConfigError, match=f"window.{missing} is missing"):
+            problem_from_config(cfg, "t")
+
     def test_explicit_window(self):
         cfg = {**DW, "window": {"a": -2, "b": 2, "lambda": 2,
                                 "Lambda": 20, "sigma": 0.5}}
@@ -227,6 +233,15 @@ class TestProblemBuilding:
         ("crit", {"dimension": 13, "f": "x1", "tau": "1", "eps": 0.1}, ()),
         ("crit", {**Z3, "dimension": 7, "polynomial": {"terms": [
             {"monomial": [1, 0, 0, 0, 0, 0, 0], "re": 1}]}}, ()),
+        ("crit", {**DW, "variables": ["x", "y"]}, ()),
+        ("crit", {**DW, "window": {"a": -1}}, ()),
+        ("crit", {**DW, "window": {"b": 1, "lambda": 2}}, ()),
+        ("homology", {**DW, "dimension": 2, "variables": ["x", "x"],
+                      "f": "x^2"}, ()),
+        ("crit", {**SADDLE2, "metric": {"kind": "custom",
+                                        "matrix": [["1"]]}}, ()),
+        ("crit", {**DW, "metric": {"kind": "custom",
+                                   "matrix": [["1 + w^2"]]}}, ()),
     ], ids=["dimension-word", "dimension-zero", "terms-not-list", "term-not-object", "monomial-not-list",
             "monomial-word", "theta-word", "alpha-word",
             "box-halfwidth-word", "variables-not-list", "matrix-not-list",
@@ -235,7 +250,9 @@ class TestProblemBuilding:
             "grid-zero-base", "grid-overflow", "grid-zero",
             "theta-grid-nan", "theta-grid-negative", "zero-polynomial",
             "alpha-below-degree", "thirteen-variables",
-            "seven-complex-variables"])
+            "seven-complex-variables", "variables-not-n", "window-only-a", "window-only-b",
+            "variables-repeated", "matrix-not-n-by-n",
+            "matrix-undeclared-variable"])
     def test_malformed_value_exits_one(self, tmp_path, capsys, stage, cfg,
                                        extra):
         path = write_cfg(tmp_path, cfg)

@@ -452,6 +452,7 @@ def flow_batch_7_plus_1(field, X0, targets, max_steps, record=False):
     drift0, F0, _ = field.eval(S, X)
     f_max = F0.copy()
     f_min = F0.copy()
+    f_end = F0.copy()
     h = 1e-3 * (1.0 + np.linalg.norm(X, axis=1)) \
         / (1.0 + np.linalg.norm(drift0, axis=1))
     if record:
@@ -491,6 +492,7 @@ def flow_batch_7_plus_1(field, X0, targets, max_steps, record=False):
             _, Fv, _ = field.eval(S[acc], X[acc])
             f_max[acc] = np.maximum(f_max[acc], Fv)
             f_min[acc] = np.minimum(f_min[acc], Fv)
+            f_end[acc] = Fv
             if record:
                 for pos, r in enumerate(acc):
                     paths[r].append(np.concatenate([[S[r]], X[r],
@@ -533,8 +535,9 @@ def flow_batch_7_plus_1(field, X0, targets, max_steps, record=False):
     out = [_RowResult(
         status=int(status[r]), target=int(target_of[r]), s_end=float(S[r]),
         x_end=X[r].copy(), e_aug=float(E[r]), f_max=float(f_max[r]),
-        f_min=float(f_min[r]), steps=int(steps[r]),
-        near_min=near_min[r].copy(), near_side=near_side[r].copy(),
+        f_min=float(f_min[r]), f_start=float(F0[r]), f_end=float(f_end[r]),
+        steps=int(steps[r]), near_min=near_min[r].copy(),
+        near_side=near_side[r].copy(),
         samples=np.array(paths[r]) if record else None) for r in range(m)]
     return out, guard, accepting
 
@@ -759,15 +762,15 @@ def first_batch(*args, **kw):
     return recorded(got.value.args[0])
 
 
-def counts_and_ladder(problem, e_from, e_to):
+def counts_and_ladder(problem, e_from, e_to, delta=0.5):
     """The counting legs of both complexes of continue e_from -> e_to and
-    its first ladder, as the CLI batches them."""
+    its first ladder at delta, as the CLI batches them."""
     pts = {e: find_critical_points(problem, e).inside_window()
            for e in (e_from, e_to)}
     plans = [count_plan(problem, e, [q for q in p if q.index == 1], p)
              for e, p in pts.items()]
     return first_batch(problem, e_from, e_to, pts[e_from], pts[e_to],
-                       alongside=plans)
+                       delta=delta, alongside=plans)
 
 
 def square_merged_legs():
@@ -828,6 +831,16 @@ MERGED = {"double-well-counts-and-ladder": functools.partial(
           "saddle2-mixed-legs": mixed_legs,
           "saddle2-all-rows-end-on-the-first-step": first_step_legs}
 
+# continues at delta 0.41, where delta (1 / delta) rounds to just below 1,
+# so the ramp's ends 1 / delta are not exact multiples of 1 / delta
+END_VALUES = {
+    "double-well-counts-and-ladder-delta-0.41": functools.partial(
+        counts_and_ladder, DW, 0.25, 0.125, 0.41),
+    "z3-kahler-counts-and-ladder-delta-0.41": functools.partial(
+        counts_and_ladder, Z3, 0.1, 0.08, 0.41),
+    "square-forward-and-dual": square_merged_legs,
+    "saddle2-mixed-legs": mixed_legs}
+
 
 class TestMergedLegs:
     @pytest.mark.parametrize("case", sorted(MERGED))
@@ -839,6 +852,33 @@ class TestMergedLegs:
             assert len(rows) == len(alone) == len(leg.X0)
             for row, ref in zip(rows, alone):
                 assert_same_bits(row, ref)
+
+    @pytest.mark.parametrize("case", sorted(END_VALUES))
+    def test_end_values_are_F_on_the_values_kernel(self, case):
+        # f_start and f_end, which the energy corrections read, are F =
+        # vf + eps(s) vr at the start row and at x_end, bit for bit, with
+        # vf and vr from the values kernel and eps(s) from the field at
+        # the row's start and end times; they are the first and last F of
+        # the samples too
+        assert 0.41 * (1 / 0.41) != 1.0
+        legs = END_VALUES[case]()
+        arrived = 0
+        for leg, rows in zip(legs, _integrate(legs)):
+            field = leg.field
+            ends = ((np.full(len(rows), field.ramp_start), leg.X0,
+                     [row.f_start for row in rows]),
+                    ([row.s_end for row in rows],
+                     [row.x_end for row in rows],
+                     [row.f_end for row in rows]))
+            for S, X, got in ends:
+                vf, vr = field.tape.values(np.asarray(X, dtype=float))[:2]
+                want = vf + field._eps(np.asarray(S))[0] * vr
+                assert np.array(got).tobytes() == want.tobytes()
+            for row in rows:
+                assert row.samples[[0, -1], -1].tobytes() == np.array(
+                    [row.f_start, row.f_end]).tobytes()
+                arrived += row.status == ARRIVED
+        assert arrived
 
     def test_mixed_batch_reaches_every_ending(self):
         legs = _integrate(mixed_legs())

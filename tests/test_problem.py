@@ -96,6 +96,26 @@ class TestProblemSpec:
         with pytest.raises(ConfigError):
             make_problem(f="x + q")
 
+    def test_repeated_variable_names(self):
+        with pytest.raises(ConfigError, match="repeated"):
+            ProblemSpec("twice", ("x", "x"), DomainModel.full_space(2),
+                        parse_expression("x^2"), parse_expression("1"),
+                        MetricSpec("euclidean"),
+                        WindowSpec.finite_action(1, 10, 0.1))
+
+    @pytest.mark.parametrize("entries, match", [
+        ((("1",),), "not 2x2"),
+        ((("1", "0", "0"),) * 3, "not 2x2"),
+        ((("1 + w^2", "0"), ("0", "1")), "undeclared variables"),
+    ], ids=["too-small", "too-large", "undeclared-variable"])
+    def test_custom_metric_fits_the_variables(self, entries, match):
+        metric = MetricSpec("custom", tuple(
+            tuple(map(parse_expression, row)) for row in entries))
+        with pytest.raises(ConfigError, match=match):
+            ProblemSpec("plane", ("x", "y"), DomainModel.full_space(2),
+                        parse_expression("x^2 + y^2"), parse_expression("1"),
+                        metric, WindowSpec.finite_action(1, 10, 0.1))
+
 
 class TestPerturbedFunction:
     def test_eps_zero_is_f(self):
